@@ -100,7 +100,10 @@ class Scalar:
     def decode(cls, data: bytes, modulus: int) -> "Scalar":
         if len(data) != 32:
             raise EnvelopeError("scalar encoding must be 32 bytes")
-        return cls(int.from_bytes(data, "little") % modulus, modulus)
+        value = int.from_bytes(data, "little")
+        if value >= modulus:
+            raise EnvelopeError("non-canonical scalar encoding: value not below the group order")
+        return cls(value, modulus)
 
 
 class GroupElement:

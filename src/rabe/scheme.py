@@ -356,6 +356,19 @@ def update_ct(
 def decrypt(pp: PublicParams, ct: UpdatedCiphertext, dk: DecryptionKey) -> GroupElement:
     """Recover the message; the result is well-defined garbage when the
     key's epoch does not match the ciphertext's (no oracle here)."""
+    missing = sorted(ct.attrs - ct.c2.keys())
+    if missing:
+        raise MissingComponentError(f"ciphertext lacks the c2 component of attribute(s) {missing}")
+    extra = sorted(ct.c2.keys() - ct.attrs)
+    if extra:
+        raise ParameterError(f"ciphertext has c2 components for attribute(s) {extra} outside its set")
+    n_rows = len(dk.policy.rows)
+    if len(dk.rows) < n_rows:
+        raise MissingComponentError(
+            f"decryption key lacks policy row(s) {list(range(len(dk.rows), n_rows))}"
+        )
+    if len(dk.rows) > n_rows:
+        raise ParameterError(f"decryption key has {len(dk.rows)} rows for a {n_rows}-row policy")
     p = pp.ctx.prime_order
     if not satisfies(dk.policy, ct.attrs, p):
         raise UnsatisfiedPolicyError(

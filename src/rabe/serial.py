@@ -14,6 +14,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import os
 
 from .errors import EnvelopeError
 from .groups import (
@@ -340,9 +341,22 @@ def envelope(kind: str, backend: str, phash: str, payload: dict) -> dict:
 
 
 def write_envelope(path, env: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(env, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """Write through a temporary file in the same directory and rename it
+    over `path`, so a failed write never leaves a half-written artifact
+    (the state file holds the master key)."""
+    path = os.fspath(path)
+    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            json.dump(env, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def read_envelope(path, expect_kind: str | None = None) -> dict:

@@ -1,8 +1,11 @@
 """Curve-level checks against externally known BLS12-381 values."""
 
+import hashlib
+
 import pytest
 
 import rabe.bls12381 as bls
+from rabe.groups import REAL, SIDE_ONE, SIDE_TARGET, SIDE_TWO, new_context
 from rabe.rng import SeededRng
 
 # standard compressed serializations of the fixed generators
@@ -119,6 +122,41 @@ def test_pairing_bilinear_and_nondegenerate():
     assert lhs == bls.fq12_pow_cyclo(base, a * b)
     # pairing with infinity degenerates to one
     assert bls.final_exponentiation(bls.FQ12_ONE) == bls.FQ12_ONE
+    rng = SeededRng("bilinear")
+    for _ in range(2):
+        a = rng.randbelow(bls.R - 1) + 1
+        b = rng.randbelow(bls.R - 1) + 1
+        lhs = bls.pairing(bls.g1_mul(bls.G1_GEN, a), bls.g2_mul(bls.G2_GEN, b))
+        assert lhs == bls.fq12_pow_cyclo(base, a * b % bls.R)
+
+
+def test_pairing_known_answer():
+    # pins the GT convention: outputs are the cube of the standard pairing
+    digest = hashlib.sha256(bls.fq12_to_bytes(bls.pairing(bls.G1_GEN, bls.G2_GEN))).hexdigest()
+    assert digest == "06fa588b89fdfb034dbc1c163ecb3dfac228f552b643c7294cc5f2c4dc170b84"
+
+
+def test_pair_product_of_inverse_pairs_is_identity():
+    ctx = new_context(REAL)
+    rng = SeededRng("pair-product")
+    g, h = ctx.generator(SIDE_ONE), ctx.generator(SIDE_TWO)
+    a = ctx.random_scalar(rng)
+    out = ctx.pair_product([(g ** a, h), (g.inverse(), h ** a)])
+    assert out == ctx.identity(SIDE_TARGET)
+
+
+def _random_fq2(rng):
+    return (rng.randbelow(bls.P), rng.randbelow(bls.P))
+
+
+def test_sparse_line_multiply_and_squaring_match_dense():
+    rng = SeededRng("fq12-sparse")
+    for _ in range(4):
+        x = tuple(tuple(_random_fq2(rng) for _ in range(3)) for _ in range(2))
+        c0, c1, c4 = (_random_fq2(rng) for _ in range(3))
+        dense = ((c0, c1, bls.FQ2_ZERO), (bls.FQ2_ZERO, c4, bls.FQ2_ZERO))
+        assert bls.fq12_mul_014(x, c0, c1, c4) == bls.fq12_mul(x, dense)
+        assert bls.fq12_sqr(x) == bls.fq12_mul(x, x)
 
 
 def test_cyclotomic_pow_agrees_with_generic_pow():
@@ -145,4 +183,4 @@ def test_fq12_bytes_roundtrip_and_validity():
     with pytest.raises(ValueError):
         bls.fq12_from_bytes(data[:-1])
     # a field constant outside the r-torsion is not a valid pairing value
-    assert not bls.gt_is_valid(bls.fq12_from_int(2))
+    assert not bls.gt_is_valid((((2, 0), bls.FQ2_ZERO, bls.FQ2_ZERO), bls.FQ6_ZERO))

@@ -123,6 +123,31 @@ def test_decrypt_mismatch_exit_code(deployment, capsys):
     assert "verdict: MISMATCH" in out
 
 
+def test_decrypt_of_incomplete_artifacts_is_a_validation_error(deployment, capsys):
+    tmp, state, sk = deployment
+    msg, ct, ct2 = tmp / "m.json", tmp / "ct.json", tmp / "ct2.json"
+    ku, dk = tmp / "ku.json", tmp / "dk.json"
+    run(capsys, "encrypt", "--state", state, "--attrs", "1,2", "--epoch", 5,
+        "--random-message", msg, "--out", ct, "--seed", 3)
+    run(capsys, "update-ct", "--state", state, "--ct", ct, "--epoch", 5, "--out", ct2, "--seed", 5)
+    run(capsys, "update-key", "--state", state, "--epoch", 5, "--out", ku, "--seed", 4)
+    run(capsys, "derive-dk", "--state", state, "--sk", sk, "--ku", ku, "--out", dk)
+
+    env = json.loads(ct2.read_text())
+    del env["payload"]["c2"]["2"]
+    short_ct = tmp / "short-ct.json"
+    short_ct.write_text(json.dumps(env))
+    code, _, err = run(capsys, "decrypt", "--state", state, "--ct", short_ct, "--dk", dk)
+    assert code == EXIT_INVALID and "attribute(s) [2]" in err
+
+    env = json.loads(dk.read_text())
+    env["payload"]["rows"] = env["payload"]["rows"][:1]
+    short_dk = tmp / "short-dk.json"
+    short_dk.write_text(json.dumps(env))
+    code, _, err = run(capsys, "decrypt", "--state", state, "--ct", ct2, "--dk", short_dk)
+    assert code == EXIT_INVALID and "row(s) [1, 2]" in err
+
+
 def test_validation_and_io_exit_codes(tmp_path, capsys):
     state = tmp_path / "state.json"
     code, _, err = run(capsys, "setup", "--state", state, "--max-time", 12, "--seed", 1)

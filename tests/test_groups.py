@@ -156,6 +156,14 @@ def test_scalar_arithmetic(tctx):
         a + Scalar(1, p + 2)
 
 
+def test_scalar_decode_rejects_non_canonical(tctx):
+    p = tctx.prime_order
+    assert int(Scalar.decode((p - 1).to_bytes(32, "little"), p)) == p - 1
+    for value in (p, p + 2, 2**256 - 1):
+        with pytest.raises(EnvelopeError, match="non-canonical"):
+            tctx.decode_scalar(value.to_bytes(32, "little"))
+
+
 def test_decode_rejects_malformed(tctx, rctx):
     el = tctx.generator(SIDE_ONE) ** 5
     data = el.encode()

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from rabe.errors import (
@@ -276,6 +278,37 @@ def test_decrypt_rejects_unsatisfied_policy():
     ct2 = update_ct(pp, encrypt(pp, {2, 3}, 4, msg, rng), 4, rng)
     with pytest.raises(UnsatisfiedPolicyError):
         decrypt(pp, ct2, dk)
+
+
+def test_decrypt_rejects_ciphertext_missing_an_attribute_component():
+    ctx = new_context(TRANSPARENT, seed=0)
+    rng = SeededRng("shape-ct")
+    pp, mk, state, rl = make_world(ctx, rng)
+    dk = derive_dk(keygen(pp, mk, state, "alice", parse_policy("1 AND 2"), rng),
+                   update_key(pp, mk, state, rl, 4, rng))
+    msg = ctx.random_element(SIDE_TARGET, rng)
+    ct2 = update_ct(pp, encrypt(pp, {1, 2}, 4, msg, rng), 4, rng)
+    short = dataclasses.replace(ct2, c2={1: ct2.c2[1]})
+    with pytest.raises(MissingComponentError, match=r"attribute\(s\) \[2\]"):
+        decrypt(pp, short, dk)
+    extra = dataclasses.replace(ct2, c2={**ct2.c2, 3: ct2.c2[1]})
+    with pytest.raises(ParameterError, match=r"\[3\]"):
+        decrypt(pp, extra, dk)
+
+
+def test_decrypt_rejects_key_with_wrong_row_count():
+    ctx = new_context(TRANSPARENT, seed=0)
+    rng = SeededRng("shape-dk")
+    pp, mk, state, rl = make_world(ctx, rng)
+    dk = derive_dk(keygen(pp, mk, state, "alice", parse_policy("1 AND (2 OR 3)"), rng),
+                   update_key(pp, mk, state, rl, 4, rng))
+    msg = ctx.random_element(SIDE_TARGET, rng)
+    ct2 = update_ct(pp, encrypt(pp, {1, 2, 3}, 4, msg, rng), 4, rng)
+    assert decrypt(pp, ct2, dk) == msg
+    with pytest.raises(MissingComponentError, match=r"row\(s\) \[1, 2\]"):
+        decrypt(pp, ct2, dataclasses.replace(dk, rows=dk.rows[:1]))
+    with pytest.raises(ParameterError, match="4 rows for a 3-row policy"):
+        decrypt(pp, ct2, dataclasses.replace(dk, rows=dk.rows + dk.rows[:1]))
 
 
 def test_epoch_mismatch_yields_garbage_not_plaintext():

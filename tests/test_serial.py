@@ -164,6 +164,22 @@ def test_envelope_write_read(tmp_path):
         serial.read_envelope(path, expect_kind="sk")
 
 
+def test_failed_envelope_write_keeps_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "state.json"
+    serial.write_envelope(path, {"kind": "state", "payload": "old"})
+    before = path.read_bytes()
+
+    def dump_then_fail(obj, fh, **kwargs):
+        fh.write('{"kind": "st')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(serial.json, "dump", dump_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        serial.write_envelope(path, {"kind": "state", "payload": "new"})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["state.json"]
+
+
 def test_envelope_rejects_malformed_files(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("not json")
