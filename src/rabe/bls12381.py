@@ -138,10 +138,6 @@ def fq6_mul(x, y):
     return (c0, c1, c2)
 
 
-def fq6_sqr(x):
-    return fq6_mul(x, x)
-
-
 def fq6_mul_v(x):
     # (a0 + a1 v + a2 v^2) * v = xi*a2 + a0 v + a1 v^2
     return (fq2_mul_xi(x[2]), x[0], x[1])
@@ -161,7 +157,6 @@ def fq6_inv(x):
 # ---------------------------------------------------------------------------
 # Fq12: a + b*w over Fq6, w^2 = v.
 
-FQ12_ZERO = (FQ6_ZERO, FQ6_ZERO)
 FQ12_ONE = (FQ6_ONE, FQ6_ZERO)
 
 
@@ -216,7 +211,7 @@ def fq12_conj(x):
 
 def fq12_inv(x):
     a0, a1 = x
-    t = fq6_inv(fq6_sub(fq6_sqr(a0), fq6_mul_v(fq6_sqr(a1))))
+    t = fq6_inv(fq6_sub(fq6_mul(a0, a0), fq6_mul_v(fq6_mul(a1, a1))))
     return (fq6_mul(a0, t), fq6_neg(fq6_mul(a1, t)))
 
 
@@ -703,47 +698,23 @@ def g1_from_bytes(data):
     return pt
 
 
-_FQ2_SQRT_Z = None
-
-
-def _fq2_legendre_is_one(a):
-    return fq2_pow(a, (P * P - 1) // 2) == FQ2_ONE
-
-
 def fq2_sqrt(a):
-    """Tonelli-Shanks over Fq2 (2-adicity of p^2-1 is 3); None if a is not
-    a square."""
-    global _FQ2_SQRT_Z
-    if a == FQ2_ZERO:
-        return FQ2_ZERO
-    if not _fq2_legendre_is_one(a):
-        return None
-    if _FQ2_SQRT_Z is None:
-        cand = (0, 1)
-        while _fq2_legendre_is_one(cand):
-            cand = (cand[0] + 1, cand[1])
-        _FQ2_SQRT_Z = cand
-    q = P * P - 1
-    s = 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = fq2_pow(_FQ2_SQRT_Z, q)
-    x = fq2_pow(a, (q + 1) // 2)
-    b = fq2_pow(a, q)
-    while b != FQ2_ONE:
-        m = 0
-        t = b
-        while t != FQ2_ONE:
-            t = fq2_sqr(t)
-            m += 1
-        for _ in range(s - m - 1):
-            z = fq2_sqr(z)
-        x = fq2_mul(x, z)
-        z = fq2_sqr(z)
-        b = fq2_mul(b, z)
-        s = m
-    return x
+    """Square root in Fq2, or None if a is not a square.
+
+    Closed form for p = 3 (mod 4): Adj and Rodriguez-Henriquez, "Square
+    root computation over even extension fields" (ePrint 2012/685), Alg. 9.
+    With alpha = a^((p-1)/2), a root is u*a^((p+1)/4) when alpha = -1 and
+    (1 + alpha)^((p-1)/2) * a^((p+1)/4) otherwise; the final check rejects
+    non-squares.
+    """
+    a1 = fq2_pow(a, (P - 3) // 4)
+    x0 = fq2_mul(a1, a)
+    alpha = fq2_mul(a1, x0)
+    if alpha == (P - 1, 0):
+        x = (-x0[1] % P, x0[0])  # u * x0
+    else:
+        x = fq2_mul(fq2_pow(fq2_add(FQ2_ONE, alpha), HALF_P), x0)
+    return x if fq2_sqr(x) == a else None
 
 
 def _fq2_sign(a):

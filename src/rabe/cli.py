@@ -19,12 +19,12 @@ import os
 import sys
 
 from . import game, serial
-from .errors import RabeError
+from .errors import EnvelopeError, RabeError
 from .groups import BACKENDS, SIDE_TARGET, TRANSPARENT, new_context
 from .policy import parse_policy
 from .rng import SeededRng, SystemRng
 from .scheme import decrypt, derive_dk, encrypt, keygen, revoke, setup, update_ct, update_key
-from .timecode import backdatable_epochs, bit_width, ct_epoch_bits, epoch_bits, zero_positions
+from .timecode import backdatable_epochs, ct_epoch_bits, epoch_bits, lemma_row, zero_positions
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -44,9 +44,17 @@ def _rng_for(seed):
     return SystemRng() if seed is None else SeededRng(seed)
 
 
+def _decode(path, decode, *args):
+    """decode(*args), naming the file in any envelope error."""
+    try:
+        return decode(*args)
+    except EnvelopeError as exc:
+        raise EnvelopeError(f"{path}: {exc}") from None
+
+
 def _load_state(path):
     env = serial.read_envelope(path, expect_kind="state")
-    pp, mk, tree, rl, counter = serial.state_from_payload(env["payload"])
+    pp, mk, tree, rl, counter = _decode(path, serial.state_from_payload, env["payload"])
     return env["params_hash"], pp, mk, tree, rl, counter
 
 
@@ -62,10 +70,10 @@ def _write_artifact(path, kind, pp, phash, payload):
     print(f"wrote {kind} to {path}")
 
 
-def _read_artifact(path, kind, phash):
+def _read_artifact(path, kind, phash, decode, ctx):
     env = serial.read_envelope(path, expect_kind=kind)
     serial.check_params_hash(env, phash, path)
-    return env["payload"]
+    return _decode(path, decode, ctx, env["payload"])
 
 
 def _parse_attrs(text):
@@ -127,7 +135,7 @@ def cmd_encrypt(args):
     attrs = _parse_attrs(args.attrs)
     rng = _rng_for(_resolve_seed(args))
     if args.message:
-        message = serial.msg_from_payload(pp.ctx, _read_artifact(args.message, "msg", phash))
+        message = _read_artifact(args.message, "msg", phash, serial.msg_from_payload, pp.ctx)
     else:
         message = pp.ctx.random_element(SIDE_TARGET, rng)
         _write_artifact(args.random_message, "msg", pp, phash, serial.msg_payload(message))
@@ -142,7 +150,7 @@ def cmd_encrypt(args):
 
 def cmd_update_ct(args):
     phash, pp, mk, tree, rl, counter = _load_state(args.state)
-    ct = serial.ct_original_from_payload(pp.ctx, _read_artifact(args.ct, "ct-original", phash))
+    ct = _read_artifact(args.ct, "ct-original", phash, serial.ct_original_from_payload, pp.ctx)
     updated = update_ct(pp, ct, args.epoch, _rng_for(_resolve_seed(args)))
     if updated is None:
         print(f"refused: epoch {args.epoch} lies before the ciphertext's epoch {ct.epoch}")
@@ -154,8 +162,8 @@ def cmd_update_ct(args):
 
 def cmd_derive_dk(args):
     phash, pp, mk, tree, rl, counter = _load_state(args.state)
-    sk = serial.sk_from_payload(pp.ctx, _read_artifact(args.sk, "sk", phash))
-    ku = serial.ku_from_payload(pp.ctx, _read_artifact(args.ku, "ku", phash))
+    sk = _read_artifact(args.sk, "sk", phash, serial.sk_from_payload, pp.ctx)
+    ku = _read_artifact(args.ku, "ku", phash, serial.ku_from_payload, pp.ctx)
     dk = derive_dk(sk, ku)
     if dk is None:
         print(f"no decryption key: {sk.identity!r} is revoked at epoch {ku.epoch}")
@@ -175,8 +183,8 @@ def cmd_decrypt(args):
         print(f"{args.ct}: expected a ct-updated envelope, found {env['kind']!r}")
         return EXIT_INVALID
     serial.check_params_hash(env, phash, args.ct)
-    ct = serial.ct_updated_from_payload(pp.ctx, env["payload"])
-    dk = serial.dk_from_payload(pp.ctx, _read_artifact(args.dk, "dk", phash))
+    ct = _decode(args.ct, serial.ct_updated_from_payload, pp.ctx, env["payload"])
+    dk = _read_artifact(args.dk, "dk", phash, serial.dk_from_payload, pp.ctx)
     if dk.epoch != ct.epoch:
         raise RabeError(
             f"key epoch {dk.epoch} does not match ciphertext epoch {ct.epoch}; "
@@ -187,7 +195,7 @@ def cmd_decrypt(args):
     if args.out:
         _write_artifact(args.out, "msg", pp, phash, serial.msg_payload(message))
     if args.expect:
-        expected = serial.msg_from_payload(pp.ctx, _read_artifact(args.expect, "msg", phash))
+        expected = _read_artifact(args.expect, "msg", phash, serial.msg_from_payload, pp.ctx)
         if message == expected:
             print("verdict: MATCH")
         else:
@@ -301,56 +309,6 @@ def _print_narrative(tr):
 # lemma-check
 
 
-def _pairwise_counts(tau):
-    """Literal enumeration of every pair 0 < t < t* < 2^tau."""
-    top = 1 << tau
-    half = top >> 1
-    zeros_exact = [None] * top
-    for t in range(1, top):
-        zeros_exact[t] = zero_positions(epoch_bits(t, top))
-    regime = outside = 0
-    samples = []
-    for t_star in range(2, top):
-        kept = zero_positions(ct_epoch_bits(t_star, top))
-        for t in range(1, t_star):
-            if zeros_exact[t] <= kept:
-                if t_star < half:
-                    regime += 1
-                else:
-                    outside += 1
-                    if len(samples) < 5:
-                        samples.append((t, t_star))
-    return regime, outside, samples
-
-
-def _regime_pair_count(tau):
-    n = (1 << (tau - 1)) - 1
-    return n * (n - 1) // 2
-
-
-def _outside_vulnerable_count(tau):
-    """Closed form: t* >= 2^(tau-1) keeps slots only after its all-ones
-    prefix, so the vulnerable t are exactly those sharing that prefix."""
-    top = 1 << tau
-    total = 0
-    for t_star in range(top >> 1, top):
-        bits = epoch_bits(t_star, top)
-        prefix = len(bits) - len(bits.lstrip("1"))
-        total += t_star - (top - (1 << (tau - prefix)))
-    return total
-
-
-def _factored_regime_check(tau):
-    """Every lower-half epoch keeps all update slots; checking that per
-    epoch covers every pair without enumerating the pairs."""
-    top = 1 << tau
-    full = frozenset(range(1, tau + 1))
-    return all(
-        zero_positions(ct_epoch_bits(t_star, top)) == full
-        for t_star in range(1, top >> 1)
-    )
-
-
 def cmd_lemma_check(args):
     if args.pair:
         try:
@@ -358,7 +316,6 @@ def cmd_lemma_check(args):
         except ValueError:
             raise RabeError(f"--pair wants 't,t*', got {args.pair!r}") from None
         top = args.max_time
-        bit_width(top)
         need = zero_positions(epoch_bits(t, top))
         kept = zero_positions(ct_epoch_bits(t_star, top))
         verdict = "vulnerable" if (need <= kept and t < t_star) else "not vulnerable"
@@ -371,31 +328,8 @@ def cmd_lemma_check(args):
         raise RabeError("need 2 <= tau-min <= tau-max")
     if args.tau_max > 16:
         raise RabeError("enumeration budget ends at tau 16")
-    rows = []
-    all_ok = True
-    for tau in range(args.tau_min, args.tau_max + 1):
-        expected_regime = _regime_pair_count(tau)
-        expected_outside = _outside_vulnerable_count(tau)
-        if tau <= 10:
-            regime, outside, samples = _pairwise_counts(tau)
-            ok = regime == expected_regime and outside == expected_outside
-            method = "pairwise"
-        else:
-            ok = _factored_regime_check(tau)
-            regime, outside, samples = expected_regime, expected_outside, []
-            method = "factored"
-        all_ok = all_ok and ok
-        rows.append(
-            {
-                "tau": tau,
-                "regime_pairs": expected_regime,
-                "regime_vulnerable": regime,
-                "outside_vulnerable": outside,
-                "check": method,
-                "ok": ok,
-                "outside_samples": samples,
-            }
-        )
+    rows = [lemma_row(tau) for tau in range(args.tau_min, args.tau_max + 1)]
+    all_ok = all(row["ok"] for row in rows)
 
     print("tau  regime pairs  vulnerable  outside vulnerable  check      status")
     for row in rows:

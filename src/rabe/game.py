@@ -350,6 +350,24 @@ def challenger_run(
 # adversaries
 
 
+def _draw_target_attrs(rng, attr_max) -> frozenset[int]:
+    """A nonempty target set: draw a size, then distinct attributes."""
+    count = 1 + rng.randbelow(attr_max)
+    attrs = set()
+    while len(attrs) < count:
+        attrs.add(1 + rng.randbelow(attr_max))
+    return frozenset(attrs)
+
+
+def _draw_messages(ctx, rng) -> tuple[GroupElement, GroupElement]:
+    """Two distinct target-group challenge messages."""
+    m0 = ctx.random_element(SIDE_TARGET, rng)
+    m1 = ctx.random_element(SIDE_TARGET, rng)
+    while m1 == m0:
+        m1 = ctx.random_element(SIDE_TARGET, rng)
+    return m0, m1
+
+
 class NullAdversary:
     """Makes no queries and flips a coin; calibrates the challenger."""
 
@@ -359,22 +377,14 @@ class NullAdversary:
 
     def begin(self, attr_max, max_time):
         self.max_time = max_time
-        count = 1 + self.rng.randbelow(attr_max)
-        attrs = set()
-        while len(attrs) < count:
-            attrs.add(1 + self.rng.randbelow(attr_max))
-        return attrs
+        return _draw_target_attrs(self.rng, attr_max)
 
     def phase1(self, pp, oracles):
         self.ctx = pp.ctx
 
     def challenge(self):
         t_star = 1 + self.rng.randbelow(self.max_time - 1)
-        m0 = self.ctx.random_element(SIDE_TARGET, self.rng)
-        m1 = self.ctx.random_element(SIDE_TARGET, self.rng)
-        while m1 == m0:
-            m1 = self.ctx.random_element(SIDE_TARGET, self.rng)
-        return t_star, m0, m1
+        return (t_star, *_draw_messages(self.ctx, self.rng))
 
     def phase2(self, ct_star, oracles):
         pass
@@ -424,11 +434,7 @@ class BackdateAdversary:
 
     def _begin(self, attr_max, max_time):
         self.max_time = max_time
-        count = 1 + self.rng.randbelow(attr_max)
-        attrs = set()
-        while len(attrs) < count:
-            attrs.add(1 + self.rng.randbelow(attr_max))
-        self.target_attrs = frozenset(attrs)
+        self.target_attrs = _draw_target_attrs(self.rng, attr_max)
         if self.forced_t_star is not None:
             check_epoch(self.forced_t_star, max_time, allow_zero=False)
             self.t_star = self.forced_t_star
@@ -477,11 +483,7 @@ class BackdateAdversary:
         self.artifacts.update({"sk": self.sk, "ku_t": ku_t, "ku_star": ku_star, "dk": self.dk})
 
     def challenge(self):
-        ctx = self.pp.ctx
-        self.m0 = ctx.random_element(SIDE_TARGET, self.rng)
-        self.m1 = ctx.random_element(SIDE_TARGET, self.rng)
-        while self.m1 == self.m0:
-            self.m1 = ctx.random_element(SIDE_TARGET, self.rng)
+        self.m0, self.m1 = _draw_messages(self.pp.ctx, self.rng)
         return self.t_star, self.m0, self.m1
 
     def phase2(self, ct_star, oracles):

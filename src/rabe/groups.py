@@ -383,29 +383,3 @@ def new_context(backend: str = TRANSPARENT, seed=0) -> BilinearContext:
         return _REAL_CONTEXT
     raise ParameterError(f"unknown backend {backend!r}")
 
-
-def lagrange_coefficient(i: Scalar, points, x: Scalar) -> Scalar:
-    """Interpolation coefficient Delta_{i,J}(x) = prod_{j in J, j != i}
-    (x - j) / (i - j)."""
-    modulus = i.modulus
-    values = []
-    for j in points:
-        if isinstance(j, Scalar):
-            if j.modulus != modulus:
-                raise BackendMismatchError("interpolation points from different groups")
-            values.append(j.value)
-        else:
-            values.append(j % modulus)
-    if len(set(values)) != len(values):
-        raise ZeroDivisionError("duplicate interpolation points")
-    if x.modulus != modulus:
-        raise BackendMismatchError("evaluation point from a different group")
-    num, den = 1, 1
-    for j in values:
-        if j == i.value:
-            continue
-        num = num * (x.value - j) % modulus
-        den = den * (i.value - j) % modulus
-    if den == 0:
-        raise ZeroDivisionError("interpolation points collide with i")
-    return Scalar(num * pow(den, -1, modulus) % modulus, modulus)

@@ -28,12 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import (
-    MissingComponentError,
-    ParameterError,
-    SideMismatchError,
-    UnsatisfiedPolicyError,
-)
+from .errors import MissingComponentError, ParameterError, SideMismatchError
 from .groups import (
     SIDE_ONE,
     SIDE_TWO,
@@ -46,7 +41,6 @@ from .policy import (
     AccessPolicy,
     check_attributes,
     reconstruction_coefficients,
-    satisfies,
     share_secret,
 )
 from .timecode import bit_width, check_epoch, ct_epoch_bits, epoch_bits, zero_positions
@@ -369,12 +363,7 @@ def decrypt(pp: PublicParams, ct: UpdatedCiphertext, dk: DecryptionKey) -> Group
         )
     if len(dk.rows) > n_rows:
         raise ParameterError(f"decryption key has {len(dk.rows)} rows for a {n_rows}-row policy")
-    p = pp.ctx.prime_order
-    if not satisfies(dk.policy, ct.attrs, p):
-        raise UnsatisfiedPolicyError(
-            f"policy {dk.policy.formula!r} not satisfied by {sorted(ct.attrs)}"
-        )
-    w = reconstruction_coefficients(dk.policy, ct.attrs, p)
+    w = reconstruction_coefficients(dk.policy, ct.attrs, pp.ctx.prime_order)
     # A1 = prod_i (e(c1, k0_i) / e(c2[rho(i)], k1_i))^(w_i) collapses into
     # the product below by moving each w_i inside the pairing; A2 =
     # e(c1, d0) / e(e_t, d1).  One shared final exponentiation.

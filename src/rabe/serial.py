@@ -16,7 +16,7 @@ import hashlib
 import json
 import os
 
-from .errors import EnvelopeError
+from .errors import EnvelopeError, ParameterError, PolicyParseError
 from .groups import (
     REAL,
     TRANSPARENT,
@@ -60,27 +60,73 @@ def _b64(data: bytes) -> str:
     return base64.b64encode(data).decode("ascii")
 
 
-def _unb64(text: str) -> bytes:
-    try:
-        return base64.b64decode(text.encode("ascii"), validate=True)
-    except Exception as exc:
-        raise EnvelopeError(f"bad base64 payload: {exc}") from None
+# ---------------------------------------------------------------------------
+# type-checked field reading: every malformed payload ends as an
+# EnvelopeError that names the field
+
+
+def _typed(value, kind, field: str):
+    if isinstance(value, kind) and not isinstance(value, bool):
+        return value
+    raise EnvelopeError(f"field {field!r} must be {kind.__name__}, got {type(value).__name__}")
+
+
+def _field(data: dict, key: str, kind):
+    if not isinstance(data, dict) or key not in data:
+        raise EnvelopeError(f"missing field {key!r}")
+    return _typed(data[key], kind, key)
 
 
 def _el(element: GroupElement) -> str:
     return _b64(element.encode())
 
 
-def _unel(ctx: BilinearContext, text: str) -> GroupElement:
-    return ctx.decode_element(_unb64(text))
-
-
 def _sc(scalar: Scalar) -> str:
     return _b64(scalar.encode())
 
 
-def _unsc(ctx: BilinearContext, text: str) -> Scalar:
-    return ctx.decode_scalar(_unb64(text))
+def _unb64(decode, text, field: str):
+    """decode() applied to the bytes of a base64 field."""
+    _typed(text, str, field)
+    try:
+        return decode(base64.b64decode(text.encode("ascii"), validate=True))
+    except (ValueError, EnvelopeError) as exc:  # bad base64, or bytes decode() rejects
+        raise EnvelopeError(f"field {field!r}: {exc}") from None
+
+
+def _unel(ctx: BilinearContext, text, field: str) -> GroupElement:
+    return _unb64(ctx.decode_element, text, field)
+
+
+def _element(ctx: BilinearContext, data: dict, key: str) -> GroupElement:
+    return _unel(ctx, _field(data, key, str), key)
+
+
+def _row_payload(row) -> list:
+    return [_el(element) for element in row]
+
+
+def _row_from(ctx: BilinearContext, value, field: str) -> tuple[GroupElement, GroupElement]:
+    """A key row: the pair (k0, k1) of a private or decryption key, or (d0,
+    d1) of a key update."""
+    if not isinstance(value, list) or len(value) != 2:
+        raise EnvelopeError(f"field {field!r} holds a row that is not a list of 2 elements")
+    return _unel(ctx, value[0], field), _unel(ctx, value[1], field)
+
+
+def _map_payload(mapping: dict, encode) -> dict:
+    return {str(key): encode(value) for key, value in sorted(mapping.items())}
+
+
+def _map_from(data: dict, field: str, decode) -> dict:
+    """An int-keyed map stored with decimal string keys; decode(value, field)
+    reads each value."""
+    out = {}
+    for key, value in _field(data, field, dict).items():
+        if not (key.isascii() and key.isdigit()) or str(int(key)) != key:
+            raise EnvelopeError(f"field {field!r} has key {key!r}, not a decimal integer")
+        out[int(key)] = decode(value, field)
+    return out
 
 
 def canonical_json(payload) -> str:
@@ -102,10 +148,10 @@ def context_payload(ctx: BilinearContext) -> dict:
 
 
 def context_from_payload(data: dict) -> BilinearContext:
-    backend = data.get("backend")
+    backend = _field(data, "backend", str)
     if backend == TRANSPARENT:
-        modulus = data.get("modulus")
-        if not isinstance(modulus, int) or not _is_probable_prime(modulus):
+        modulus = _field(data, "modulus", int)
+        if not _is_probable_prime(modulus):
             raise EnvelopeError("transparent context needs a prime modulus")
         return TransparentContext(modulus=modulus)
     if backend == REAL:
@@ -123,8 +169,9 @@ def _pair_payload(pair: MirroredPair) -> dict:
     return {"one": _el(pair.one), "two": _el(pair.two)}
 
 
-def _pair_from(ctx, data) -> MirroredPair:
-    return MirroredPair(one=_unel(ctx, data["one"]), two=_unel(ctx, data["two"]))
+def _pair_from(ctx, data, field) -> MirroredPair:
+    _typed(data, dict, field)
+    return MirroredPair(one=_element(ctx, data, "one"), two=_element(ctx, data, "two"))
 
 
 def pp_payload(pp: PublicParams) -> dict:
@@ -142,20 +189,21 @@ def pp_payload(pp: PublicParams) -> dict:
 
 
 def pp_from_payload(data: dict) -> PublicParams:
-    ctx = context_from_payload(data["group"])
+    ctx = context_from_payload(_field(data, "group", dict))
     pp = PublicParams(
         ctx=ctx,
-        n_users=data["n_users"],
-        max_time=data["max_time"],
-        attr_max=data["attr_max"],
-        g1=_unel(ctx, data["g1"]),
-        g2=_pair_from(ctx, data["g2"]),
-        t_gens=tuple(_pair_from(ctx, t) for t in data["t_gens"]),
-        u0=_pair_from(ctx, data["u0"]),
-        u_gens=tuple(_pair_from(ctx, u) for u in data["u_gens"]),
+        n_users=_field(data, "n_users", int),
+        max_time=_field(data, "max_time", int),
+        attr_max=_field(data, "attr_max", int),
+        g1=_element(ctx, data, "g1"),
+        g2=_pair_from(ctx, _field(data, "g2", dict), "g2"),
+        t_gens=tuple(_pair_from(ctx, t, "t_gens") for t in _field(data, "t_gens", list)),
+        u0=_pair_from(ctx, _field(data, "u0", dict), "u0"),
+        u_gens=tuple(_pair_from(ctx, u, "u_gens") for u in _field(data, "u_gens", list)),
     )
-    if len(pp.t_gens) != pp.attr_max + 1 or len(pp.u_gens) != pp.tau:
-        raise EnvelopeError("generator counts do not match the stated parameters")
+    tau = len(pp.u_gens)  # max_time = 2^tau, tau >= 2
+    if len(pp.t_gens) != pp.attr_max + 1 or tau < 2 or pp.max_time != 1 << tau:
+        raise EnvelopeError("generator counts do not match fields 'attr_max' and 'max_time'")
     return pp
 
 
@@ -164,7 +212,7 @@ def mk_payload(mk: MasterKey) -> dict:
 
 
 def mk_from_payload(ctx, data) -> MasterKey:
-    return MasterKey(alpha=_unsc(ctx, data["alpha"]))
+    return MasterKey(alpha=_unb64(ctx.decode_scalar, _field(data, "alpha", str), "alpha"))
 
 
 def policy_payload(policy: AccessPolicy) -> dict:
@@ -176,8 +224,12 @@ def policy_payload(policy: AccessPolicy) -> dict:
 
 
 def policy_from_payload(data: dict) -> AccessPolicy:
-    policy = parse_policy(data["formula"])
-    if [list(r) for r in policy.rows] != data["matrix"] or list(policy.row_attrs) != data["row_attrs"]:
+    try:
+        policy = parse_policy(_field(data, "formula", str))
+    except PolicyParseError as exc:
+        raise EnvelopeError(f"field 'formula': {exc}") from None
+    matrix, row_attrs = _field(data, "matrix", list), _field(data, "row_attrs", list)
+    if [list(r) for r in policy.rows] != matrix or list(policy.row_attrs) != row_attrs:
         raise EnvelopeError("policy matrix does not match its formula")
     return policy
 
@@ -186,40 +238,29 @@ def sk_payload(sk: PrivateKey) -> dict:
     return {
         "identity": sk.identity,
         "policy": policy_payload(sk.policy),
-        "parts": {
-            str(node): [[_el(k0), _el(k1)] for k0, k1 in rows]
-            for node, rows in sorted(sk.parts.items())
-        },
+        "parts": _map_payload(sk.parts, lambda rows: [_row_payload(row) for row in rows]),
     }
 
 
 def sk_from_payload(ctx, data) -> PrivateKey:
     return PrivateKey(
-        identity=data["identity"],
-        policy=policy_from_payload(data["policy"]),
-        parts={
-            int(node): tuple((_unel(ctx, k0), _unel(ctx, k1)) for k0, k1 in rows)
-            for node, rows in data["parts"].items()
-        },
+        identity=_field(data, "identity", str),
+        policy=policy_from_payload(_field(data, "policy", dict)),
+        parts=_map_from(
+            data, "parts",
+            lambda rows, f: tuple(_row_from(ctx, row, f) for row in _typed(rows, list, f)),
+        ),
     )
 
 
 def ku_payload(ku: KeyUpdate) -> dict:
-    return {
-        "epoch": ku.epoch,
-        "parts": {
-            str(node): [_el(d0), _el(d1)] for node, (d0, d1) in sorted(ku.parts.items())
-        },
-    }
+    return {"epoch": ku.epoch, "parts": _map_payload(ku.parts, _row_payload)}
 
 
 def ku_from_payload(ctx, data) -> KeyUpdate:
     return KeyUpdate(
-        epoch=data["epoch"],
-        parts={
-            int(node): (_unel(ctx, d0), _unel(ctx, d1))
-            for node, (d0, d1) in data["parts"].items()
-        },
+        epoch=_field(data, "epoch", int),
+        parts=_map_from(data, "parts", lambda row, f: _row_from(ctx, row, f)),
     )
 
 
@@ -229,7 +270,7 @@ def dk_payload(dk: DecryptionKey) -> dict:
         "epoch": dk.epoch,
         "node": dk.node,
         "policy": policy_payload(dk.policy),
-        "rows": [[_el(k0), _el(k1)] for k0, k1 in dk.rows],
+        "rows": [_row_payload(row) for row in dk.rows],
         "d0": _el(dk.d0),
         "d1": _el(dk.d1),
     }
@@ -237,60 +278,55 @@ def dk_payload(dk: DecryptionKey) -> dict:
 
 def dk_from_payload(ctx, data) -> DecryptionKey:
     return DecryptionKey(
-        identity=data["identity"],
-        epoch=data["epoch"],
-        node=data["node"],
-        policy=policy_from_payload(data["policy"]),
-        rows=tuple((_unel(ctx, k0), _unel(ctx, k1)) for k0, k1 in data["rows"]),
-        d0=_unel(ctx, data["d0"]),
-        d1=_unel(ctx, data["d1"]),
+        identity=_field(data, "identity", str),
+        epoch=_field(data, "epoch", int),
+        node=_field(data, "node", int),
+        policy=policy_from_payload(_field(data, "policy", dict)),
+        rows=tuple(_row_from(ctx, row, "rows") for row in _field(data, "rows", list)),
+        d0=_element(ctx, data, "d0"),
+        d1=_element(ctx, data, "d1"),
     )
 
 
-def ct_original_payload(ct: OriginalCiphertext) -> dict:
+def _ct_payload(ct) -> dict:
+    """The fields both ciphertext kinds share."""
     return {
         "attrs": sorted(ct.attrs),
         "epoch": ct.epoch,
         "c": _el(ct.c),
         "c1": _el(ct.c1),
-        "c2": {str(x): _el(v) for x, v in sorted(ct.c2.items())},
-        "e1": _el(ct.e1),
-        "e2": {str(j): _el(v) for j, v in sorted(ct.e2.items())},
+        "c2": _map_payload(ct.c2, _el),
     }
+
+
+def _ct_from(ctx, data) -> dict:
+    return {
+        "attrs": frozenset(_typed(attr, int, "attrs") for attr in _field(data, "attrs", list)),
+        "epoch": _field(data, "epoch", int),
+        "c": _element(ctx, data, "c"),
+        "c1": _element(ctx, data, "c1"),
+        "c2": _map_from(data, "c2", lambda text, f: _unel(ctx, text, f)),
+    }
+
+
+def ct_original_payload(ct: OriginalCiphertext) -> dict:
+    return {**_ct_payload(ct), "e1": _el(ct.e1), "e2": _map_payload(ct.e2, _el)}
 
 
 def ct_original_from_payload(ctx, data) -> OriginalCiphertext:
     return OriginalCiphertext(
-        attrs=frozenset(data["attrs"]),
-        epoch=data["epoch"],
-        c=_unel(ctx, data["c"]),
-        c1=_unel(ctx, data["c1"]),
-        c2={int(x): _unel(ctx, v) for x, v in data["c2"].items()},
-        e1=_unel(ctx, data["e1"]),
-        e2={int(j): _unel(ctx, v) for j, v in data["e2"].items()},
+        **_ct_from(ctx, data),
+        e1=_element(ctx, data, "e1"),
+        e2=_map_from(data, "e2", lambda text, f: _unel(ctx, text, f)),
     )
 
 
 def ct_updated_payload(ct: UpdatedCiphertext) -> dict:
-    return {
-        "attrs": sorted(ct.attrs),
-        "epoch": ct.epoch,
-        "c": _el(ct.c),
-        "c1": _el(ct.c1),
-        "c2": {str(x): _el(v) for x, v in sorted(ct.c2.items())},
-        "e_t": _el(ct.e_t),
-    }
+    return {**_ct_payload(ct), "e_t": _el(ct.e_t)}
 
 
 def ct_updated_from_payload(ctx, data) -> UpdatedCiphertext:
-    return UpdatedCiphertext(
-        attrs=frozenset(data["attrs"]),
-        epoch=data["epoch"],
-        c=_unel(ctx, data["c"]),
-        c1=_unel(ctx, data["c1"]),
-        c2={int(x): _unel(ctx, v) for x, v in data["c2"].items()},
-        e_t=_unel(ctx, data["e_t"]),
-    )
+    return UpdatedCiphertext(**_ct_from(ctx, data), e_t=_element(ctx, data, "e_t"))
 
 
 def msg_payload(message: GroupElement) -> dict:
@@ -298,21 +334,29 @@ def msg_payload(message: GroupElement) -> dict:
 
 
 def msg_from_payload(ctx, data) -> GroupElement:
-    return _unel(ctx, data["value"])
+    return _element(ctx, data, "value")
 
 
 def tree_payload(state: TreeState) -> dict:
     return {
         "capacity": state.capacity,
-        "secrets": {str(node): _sc(s) for node, s in sorted(state.node_secrets.items())},
+        "secrets": _map_payload(state.node_secrets, _sc),
         "leaves": dict(sorted(state.leaf_of.items())),
     }
 
 
 def tree_from_payload(ctx, data) -> TreeState:
-    state = TreeState(capacity=data["capacity"])
-    state.node_secrets = {int(n): _unsc(ctx, s) for n, s in data["secrets"].items()}
-    state.leaf_of = dict(data["leaves"])
+    try:
+        state = TreeState(capacity=_field(data, "capacity", int))
+    except ParameterError as exc:
+        raise EnvelopeError(f"field 'capacity': {exc}") from None
+    state.node_secrets = _map_from(
+        data, "secrets", lambda text, f: _unb64(ctx.decode_scalar, text, f)
+    )
+    for identity, leaf in _field(data, "leaves", dict).items():
+        if not state.capacity <= _typed(leaf, int, "leaves") < 2 * state.capacity:
+            raise EnvelopeError(f"field 'leaves': {identity!r} sits at {leaf}, not at a leaf")
+        state.leaf_of[identity] = leaf
     return state
 
 
@@ -321,7 +365,8 @@ def rl_payload(rl: RevocationList) -> dict:
 
 
 def rl_from_payload(data) -> RevocationList:
-    return RevocationList(epochs=dict(data["epochs"]))
+    epochs = _field(data, "epochs", dict)
+    return RevocationList({who: _typed(t, int, "epochs") for who, t in epochs.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -363,13 +408,18 @@ def read_envelope(path, expect_kind: str | None = None) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             env = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
             raise EnvelopeError(f"{path}: not valid JSON ({exc})") from None
-    for field in ("kind", "version", "backend", "params_hash", "payload"):
-        if field not in env:
-            raise EnvelopeError(f"{path}: missing envelope field {field!r}")
-    if env["version"] != VERSION:
-        raise EnvelopeError(f"{path}: unsupported envelope version {env['version']}")
+    if not isinstance(env, dict):
+        raise EnvelopeError(f"{path}: an envelope is a JSON object, got {type(env).__name__}")
+    try:
+        for field, kind in ("kind", str), ("backend", str), ("params_hash", str), ("payload", dict):
+            _field(env, field, kind)
+    except EnvelopeError as exc:
+        raise EnvelopeError(f"{path}: envelope {exc}") from None
+    version = env.get("version")
+    if type(version) is not int or version != VERSION:
+        raise EnvelopeError(f"{path}: unsupported envelope version {version!r}")
     if expect_kind is not None and env["kind"] != expect_kind:
         raise EnvelopeError(f"{path}: expected kind {expect_kind!r}, found {env['kind']!r}")
     return env
@@ -398,12 +448,12 @@ def state_payload(pp, mk, state, rl, epoch_counter: int) -> dict:
 
 
 def state_from_payload(data: dict):
-    pp = pp_from_payload(data["pp"])
+    pp = pp_from_payload(_field(data, "pp", dict))
     ctx = pp.ctx
     return (
         pp,
-        mk_from_payload(ctx, data["mk"]),
-        tree_from_payload(ctx, data["tree"]),
-        rl_from_payload(data["rl"]),
-        data["epoch_counter"],
+        mk_from_payload(ctx, _field(data, "mk", dict)),
+        tree_from_payload(ctx, _field(data, "tree", dict)),
+        rl_from_payload(_field(data, "rl", dict)),
+        _field(data, "epoch_counter", int),
     )

@@ -70,3 +70,82 @@ def backdatable_epochs(t_star: int, max_time: int) -> list[int]:
         t for t in range(1, t_star)
         if zero_positions(epoch_bits(t, max_time)) <= cover
     ]
+
+
+PAIRWISE_TAU_MAX = 10  # widths up to this are checked pair by pair
+
+
+def pairwise_counts(tau: int) -> tuple[int, int, list[tuple[int, int]]]:
+    """Literal enumeration of every pair 0 < t < t* < 2^tau: the vulnerable
+    pairs with t* in the lower half, those outside it, and up to five
+    samples of the latter."""
+    top = 1 << tau
+    half = top >> 1
+    zeros_exact = [zero_positions(epoch_bits(t, top)) for t in range(top)]
+    regime = outside = 0
+    samples = []
+    for t_star in range(2, top):
+        kept = zero_positions(ct_epoch_bits(t_star, top))
+        for t in range(1, t_star):
+            if zeros_exact[t] <= kept:
+                if t_star < half:
+                    regime += 1
+                else:
+                    outside += 1
+                    if len(samples) < 5:
+                        samples.append((t, t_star))
+    return regime, outside, samples
+
+
+def regime_pair_count(tau: int) -> int:
+    """Pairs 0 < t < t* < 2^(tau-1), all of which the lemma says are vulnerable."""
+    n = (1 << (tau - 1)) - 1
+    return n * (n - 1) // 2
+
+
+def outside_vulnerable_count(tau: int) -> int:
+    """Closed form: t* >= 2^(tau-1) keeps slots only after its all-ones
+    prefix, so the vulnerable t are exactly those sharing that prefix."""
+    top = 1 << tau
+    total = 0
+    for t_star in range(top >> 1, top):
+        bits = epoch_bits(t_star, top)
+        prefix = len(bits) - len(bits.lstrip("1"))
+        total += t_star - (top - (1 << (tau - prefix)))
+    return total
+
+
+def factored_regime_check(tau: int) -> bool:
+    """Every lower-half epoch keeps all update slots; checking that per
+    epoch covers every pair without enumerating the pairs."""
+    top = 1 << tau
+    full = frozenset(range(1, tau + 1))
+    return all(
+        zero_positions(ct_epoch_bits(t_star, top)) == full
+        for t_star in range(1, top >> 1)
+    )
+
+
+def lemma_row(tau: int) -> dict:
+    """One row of the lemma check: the closed-form counts for width tau,
+    confirmed by enumeration up to PAIRWISE_TAU_MAX and by the factored
+    per-epoch check above it."""
+    expected_regime = regime_pair_count(tau)
+    expected_outside = outside_vulnerable_count(tau)
+    if tau <= PAIRWISE_TAU_MAX:
+        regime, outside, samples = pairwise_counts(tau)
+        ok = regime == expected_regime and outside == expected_outside
+        method = "pairwise"
+    else:
+        ok = factored_regime_check(tau)
+        regime, outside, samples = expected_regime, expected_outside, []
+        method = "factored"
+    return {
+        "tau": tau,
+        "regime_pairs": expected_regime,
+        "regime_vulnerable": regime,
+        "outside_vulnerable": outside,
+        "check": method,
+        "ok": ok,
+        "outside_samples": samples,
+    }

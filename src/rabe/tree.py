@@ -97,9 +97,7 @@ def cover_nodes(state: TreeState, rl: RevocationList, epoch: int) -> set[int]:
     {root} when nothing is revoked, empty when everything is.
     """
     revoked_leaves = {
-        state.leaf_of[identity]
-        for identity, first in rl.epochs.items()
-        if first <= epoch and identity in state.leaf_of
+        leaf for identity, leaf in state.leaf_of.items() if rl.revoked_at(identity, epoch)
     }
     if not revoked_leaves:
         return {1}

@@ -73,6 +73,24 @@ def test_compressed_roundtrip_both_sign_branches():
     assert seen_signs == {True, False}
 
 
+def test_fq2_sqrt_roots_non_squares_and_g2_roundtrip():
+    rng = SeededRng("fq2-sqrt")
+    for _ in range(8):
+        x = (rng.randbelow(bls.P), rng.randbelow(bls.P))
+        square = bls.fq2_sqr(x)
+        assert bls.fq2_sqrt(square) in (x, bls.fq2_neg(x))
+        # xi = u + 1 is a non-square (the sextic twist needs it), so x^2 * xi is one too
+        assert bls.fq2_sqrt(bls.fq2_mul_xi(square)) is None
+    assert bls.fq2_sqrt(bls.XI) is None
+    assert bls.fq2_sqrt(bls.FQ2_ZERO) == bls.FQ2_ZERO
+    # a = -1 takes the alpha == -1 branch; its roots are +-u
+    assert bls.fq2_sqrt((bls.P - 1, 0)) in ((0, 1), (0, bls.P - 1))
+    for _ in range(3):
+        pt = bls.g2_mul(bls.G2_GEN, rng.randbelow(bls.R - 1) + 1)
+        for q in (pt, bls.g2_neg(pt)):
+            assert bls.g2_from_bytes(bls.g2_to_bytes(q)) == q
+
+
 def test_infinity_encoding():
     inf = bls.g1_to_bytes(None)
     assert inf[0] == 0xC0 and set(inf[1:]) == {0}

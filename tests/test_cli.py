@@ -270,3 +270,100 @@ def test_seed_env_variable(tmp_path, capsys, monkeypatch):
     run(capsys, "setup", "--state", state_c)
     run(capsys, "setup", "--state", state_d)
     assert state_c.read_bytes() != state_d.read_bytes()
+
+
+@pytest.fixture
+def artifacts(deployment, capsys):
+    """Every artifact kind of one transparent deployment, ready to tamper with."""
+    tmp, state, sk = deployment
+    paths = {name: tmp / f"{name}.json" for name in ("ku", "msg", "ct", "ct2", "dk")}
+    run(capsys, "update-key", "--state", state, "--epoch", 7, "--out", paths["ku"], "--seed", 11)
+    run(capsys, "encrypt", "--state", state, "--attrs", "1,2", "--epoch", 7,
+        "--random-message", paths["msg"], "--out", paths["ct"], "--seed", 12)
+    run(capsys, "update-ct", "--state", state, "--ct", paths["ct"], "--epoch", 7,
+        "--out", paths["ct2"], "--seed", 13)
+    run(capsys, "derive-dk", "--state", state, "--sk", sk, "--ku", paths["ku"],
+        "--out", paths["dk"])
+    return dict(paths, state=state, sk=sk, out=tmp / "out.json")
+
+
+def _edit(fn):
+    def apply(path):
+        env = json.loads(path.read_text())
+        fn(env)
+        path.write_text(json.dumps(env))
+    return apply
+
+
+def _at(env, keys):
+    for key in keys:
+        env = env[key]
+    return env
+
+
+def _set(*keys_and_value):
+    """Replace the value at keys; a callable value maps the old one."""
+    *keys, value = keys_and_value
+
+    def fn(env):
+        parent = _at(env, keys[:-1])
+        parent[keys[-1]] = value(parent[keys[-1]]) if callable(value) else value
+    return _edit(fn)
+
+
+def _drop(*keys):
+    return _edit(lambda env: _at(env, keys[:-1]).pop(keys[-1]))
+
+
+DECRYPT = ("decrypt", "--state", "{state}", "--ct", "{ct2}", "--dk", "{dk}")
+UPDATE_KEY = ("update-key", "--state", "{state}", "--epoch", "8", "--out", "{out}")
+DERIVE_DK = ("derive-dk", "--state", "{state}", "--sk", "{sk}", "--ku", "{ku}", "--out", "{out}")
+UPDATE_CT = ("update-ct", "--state", "{state}", "--ct", "{ct}", "--epoch", "9", "--out", "{out}")
+
+# (file to tamper with, tampering, command to run, words the error must name)
+MUTATIONS = {
+    "c2-key-not-an-int": ("ct2", _set("payload", "c2", lambda c2: {"x": c2["1"], "2": c2["2"]}),
+                          DECRYPT, ("'c2'",)),
+    "e_t-missing": ("ct2", _drop("payload", "e_t"), DECRYPT, ("'e_t'",)),
+    "policy-missing": ("dk", _drop("payload", "policy"), DECRYPT, ("'policy'",)),
+    "payload-a-list": ("ct2", _set("payload", []), DECRYPT, ("'payload'",)),
+    "c2-an-int": ("ct2", _set("payload", "c2", 5), DECRYPT, ("'c2'",)),
+    "dk-row-of-one": ("dk", _set("payload", "rows", lambda rows: [rows[0][:1]] + rows[1:]),
+                      DECRYPT, ("'rows'",)),
+    "formula-an-int": ("dk", _set("payload", "policy", "formula", 3), DECRYPT, ("'formula'",)),
+    "epoch_counter-missing": ("state", _drop("payload", "epoch_counter"), UPDATE_KEY,
+                              ("'epoch_counter'",)),
+    "leaves-a-list": ("state", _set("payload", "tree", "leaves", []), UPDATE_KEY, ("'leaves'",)),
+    "attrs-a-string": ("ct2", _set("payload", "attrs", "12"), DECRYPT, ("'attrs'",)),
+    "epoch-a-string": ("dk", _set("payload", "epoch", "7"), DECRYPT, ("'epoch'",)),
+    "n_users-a-string": ("state", _set("payload", "pp", "n_users", "8"), UPDATE_KEY,
+                         ("'n_users'",)),
+    "ku-row-of-three": ("ku", _set("payload", "parts", lambda parts: {
+        k: v + v[:1] for k, v in parts.items()}), DERIVE_DK, ("'parts'",)),
+    "e2-key-not-canonical": ("ct", _set("payload", "e2", lambda e2: {
+        "0" + k: v for k, v in e2.items()}), UPDATE_CT, ("'e2'",)),
+    "element-not-base64": ("ct2", _set("payload", "c1", "***"), DECRYPT, ("'c1'", "base64")),
+    "element-off-range": ("dk", _set("payload", "d0", "AQL//////////w=="), DECRYPT, ("'d0'",)),
+    "not-utf8": ("ct2", lambda path: path.write_bytes(b'{"kind": "\xff"}'), DECRYPT,
+                 ("utf-8", "can't decode")),
+    "nested-too-deep": ("ct2", lambda path: path.write_text("[" * 100000), DECRYPT,
+                        ("not valid JSON", "recursion")),
+    "int-too-long": ("ct2", lambda path: path.write_text("1" * 5000), DECRYPT,
+                     ("not valid JSON", "digits")),
+    "top-level-string": ("dk", lambda path: path.write_text(
+        '"kindversionbackendparams_hashpayload"'), DECRYPT, ("JSON object",)),
+    "version-a-string": ("ku", _set("version", "1"), DERIVE_DK, ("version '1'",)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MUTATIONS))
+def test_malformed_artifacts_exit_3_naming_file_and_field(artifacts, capsys, case):
+    target, tamper, command, words = MUTATIONS[case]
+    tamper(artifacts[target])
+    argv = [arg.format(**artifacts) for arg in command]
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_INVALID, err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert str(artifacts[target]) in err
+    for word in words:
+        assert word in err

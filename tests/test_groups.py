@@ -8,7 +8,6 @@ from rabe.groups import (
     SIDE_TWO,
     TRANSPARENT,
     Scalar,
-    lagrange_coefficient,
     new_context,
 )
 from rabe.rng import SeededRng
@@ -202,29 +201,3 @@ def test_context_determinism():
     with pytest.raises(ParameterError):
         new_context("imaginary")
 
-
-def test_lagrange_coefficient_basis_property(tctx):
-    points = [tctx.scalar(v) for v in (1, 2, 3, 5)]
-    for i in points:
-        for j in points:
-            expected = 1 if int(i) == int(j) else 0
-            assert int(lagrange_coefficient(i, points, j)) == expected
-
-
-def test_lagrange_interpolation_recovers_polynomial(tctx):
-    p = tctx.prime_order
-    rng = SeededRng("lagrange")
-    coeffs = [rng.randbelow(p) for _ in range(4)]
-
-    def poly(x):
-        return sum(c * pow(x, k, p) for k, c in enumerate(coeffs)) % p
-
-    points = [1, 2, 3, 4]
-    at = tctx.scalar(0)
-    total = 0
-    for i in points:
-        w = lagrange_coefficient(tctx.scalar(i), points, at)
-        total = (total + int(w) * poly(i)) % p
-    assert total == coeffs[0]
-    with pytest.raises(ZeroDivisionError):
-        lagrange_coefficient(tctx.scalar(1), [1, 1, 2], at)

@@ -1,6 +1,11 @@
+import base64
+import copy
 import json
+import tempfile
 
 import pytest
+from hypothesis import configuration, given, settings
+from hypothesis import strategies as st
 
 from rabe import serial
 from rabe.errors import EnvelopeError
@@ -211,3 +216,126 @@ def test_element_encoding_rejects_cross_backend_bytes():
     payload = serial.msg_payload(msg)
     with pytest.raises(EnvelopeError):
         serial.msg_from_payload(real, payload)
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: tampered envelopes end as EnvelopeError and nothing else
+
+# While collecting, hypothesis caches the constants it mines from source files
+# in its home directory, database=None or not.  Point that home at a directory
+# removed at exit, so test runs leave no .hypothesis/ in the checkout.
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
+configuration.set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
+
+DECODERS = {
+    "pp": lambda ctx, payload: serial.pp_from_payload(payload),
+    "mk": serial.mk_from_payload,
+    "sk": serial.sk_from_payload,
+    "ku": serial.ku_from_payload,
+    "dk": serial.dk_from_payload,
+    "ct-original": serial.ct_original_from_payload,
+    "ct-updated": serial.ct_updated_from_payload,
+    "msg": serial.msg_from_payload,
+    "state": lambda ctx, payload: serial.state_from_payload(payload),
+}
+
+
+def _valid_envelopes():
+    ctx, pp, mk, state, rl, sk, ku, dk, msg, ct, ct2 = build_artifacts()
+    payloads = {
+        "pp": serial.pp_payload(pp),
+        "mk": serial.mk_payload(mk),
+        "sk": serial.sk_payload(sk),
+        "ku": serial.ku_payload(ku),
+        "dk": serial.dk_payload(dk),
+        "ct-original": serial.ct_original_payload(ct),
+        "ct-updated": serial.ct_updated_payload(ct2),
+        "msg": serial.msg_payload(msg),
+        "state": serial.state_payload(pp, mk, state, rl, 6),
+    }
+    phash = serial.params_hash(payloads["pp"])
+    envs = {k: serial.envelope(k, TRANSPARENT, phash, p) for k, p in payloads.items()}
+    return ctx, json.loads(json.dumps(envs))
+
+
+FUZZ_CTX, VALID_ENVELOPES = _valid_envelopes()
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+
+
+def _paths(node, prefix=()):
+    """Every location below node, as a tuple of keys and indices."""
+    if isinstance(node, dict):
+        items = node.items()
+    else:
+        items = enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def _is_element(value):
+    try:
+        return isinstance(value, str) and len(base64.b64decode(value, validate=True)) > 0
+    except ValueError:
+        return False
+
+
+@st.composite
+def tampered_envelopes(draw):
+    env = copy.deepcopy(VALID_ENVELOPES[draw(st.sampled_from(sorted(VALID_ENVELOPES)))])
+    for _ in range(draw(st.integers(1, 2))):
+        op = draw(st.sampled_from(["drop", "retype", "duplicate", "flip", "swap-kind"]))
+        paths = list(_paths(env))
+        if op == "flip":
+            paths = [p for p in paths if _is_element(_get(env, p))]
+        if op == "swap-kind" or not paths:
+            env["kind"] = draw(st.sampled_from(sorted(DECODERS)))
+            continue
+        path = draw(st.sampled_from(paths))
+        parent, key = _get(env, path[:-1]), path[-1]
+        if op == "drop":
+            del parent[key]
+        elif op == "retype":
+            parent[key] = draw(JSON_VALUES)
+        elif op == "duplicate" and isinstance(parent, list):
+            parent.insert(key, copy.deepcopy(parent[key]))
+        elif op == "duplicate":
+            other = draw(st.sampled_from(sorted(parent)) | st.text(max_size=3))
+            parent[other] = copy.deepcopy(parent[key])
+        else:
+            data = bytearray(base64.b64decode(parent[key]))
+            bit = draw(st.integers(0, 8 * len(data) - 1))
+            data[bit // 8] ^= 1 << (bit % 8)
+            parent[key] = base64.b64encode(bytes(data)).decode("ascii")
+    return env
+
+
+def _get(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "artifact.json"
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(env=tampered_envelopes())
+def test_tampered_envelopes_raise_only_envelope_errors(fuzz_file, env):
+    fuzz_file.write_text(json.dumps(env))
+    try:
+        read = serial.read_envelope(fuzz_file)
+        decode = DECODERS.get(read["kind"])
+        if decode is not None:
+            decode(FUZZ_CTX, read["payload"])
+    except EnvelopeError:
+        pass

@@ -7,6 +7,11 @@ from rabe.timecode import (
     check_epoch,
     ct_epoch_bits,
     epoch_bits,
+    factored_regime_check,
+    lemma_row,
+    outside_vulnerable_count,
+    pairwise_counts,
+    regime_pair_count,
     zero_positions,
 )
 
@@ -104,3 +109,27 @@ def test_encoding_shapes():
             prefix = len(bits) - len(bits.lstrip("1"))
             assert cbits == "1" * prefix + "0" * (tau - prefix)
             assert zero_positions(cbits) >= zero_positions(bits)
+
+
+def test_lemma_counts_match_enumeration():
+    for tau in range(2, 9):
+        top = 1 << tau
+        regime, outside, samples = pairwise_counts(tau)
+        assert regime == regime_pair_count(tau)
+        assert outside == outside_vulnerable_count(tau)
+        # the same counts, epoch by epoch, from the rewindability criterion itself
+        per_epoch = [len(backdatable_epochs(t_star, top)) for t_star in range(1, top)]
+        assert sum(per_epoch[: top // 2 - 1]) == regime
+        assert sum(per_epoch[top // 2 - 1 :]) == outside
+        assert all(
+            t_star >= top // 2 and t in backdatable_epochs(t_star, top) for t, t_star in samples
+        )
+        row = lemma_row(tau)
+        assert row["check"] == "pairwise" and row["ok"]
+
+
+def test_factored_regime_check_holds_up_to_tau_12():
+    assert all(factored_regime_check(tau) for tau in range(2, 13))
+    row = lemma_row(12)
+    assert row["check"] == "factored" and row["ok"]
+    assert row["regime_vulnerable"] == regime_pair_count(12) == (2047 * 2046) // 2
