@@ -110,6 +110,8 @@ class PublicParams:
 
 
 def _lagrange_int(i: int, points, x: int, p: int) -> int:
+    if len(set(points)) != len(points):
+        raise ZeroDivisionError("duplicate interpolation points")
     num, den = 1, 1
     for j in points:
         if j == i:

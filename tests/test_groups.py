@@ -11,6 +11,7 @@ from rabe.groups import (
     new_context,
 )
 from rabe.rng import SeededRng
+from rabe.scheme import _lagrange_int
 
 SIDES = (SIDE_ONE, SIDE_TWO, SIDE_TARGET)
 
@@ -201,3 +202,24 @@ def test_context_determinism():
     with pytest.raises(ParameterError):
         new_context("imaginary")
 
+
+def test_lagrange_coefficient_basis_property(tctx):
+    p = tctx.prime_order
+    points = [1, 2, 3, 5]
+    for i in points:
+        for j in points:
+            assert _lagrange_int(i, points, j, p) == (1 if i == j else 0)
+
+
+def test_lagrange_interpolation_recovers_polynomial(tctx):
+    p = tctx.prime_order
+    rng = SeededRng("lagrange")
+    coeffs = [rng.randbelow(p) for _ in range(4)]
+
+    def poly(x):
+        return sum(c * pow(x, k, p) for k, c in enumerate(coeffs)) % p
+
+    points = [1, 2, 3, 4]
+    assert sum(_lagrange_int(i, points, 0, p) * poly(i) for i in points) % p == coeffs[0]
+    with pytest.raises(ZeroDivisionError):
+        _lagrange_int(1, [1, 1, 2], 0, p)

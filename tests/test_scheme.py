@@ -15,7 +15,6 @@ from rabe.policy import parse_policy, reconstruction_coefficients
 from rabe.rng import SeededRng
 from rabe.scheme import (
     KeyUpdate,
-    _lagrange_int,
     decrypt,
     derive_dk,
     encrypt,
@@ -93,22 +92,6 @@ def test_attribute_generator_matches_interpolation_oracle():
         assert pp.eval_t(x, SIDE_TWO).transparent_log == expected
     with pytest.raises(SideMismatchError):
         pp.eval_t(1, SIDE_TARGET)
-
-
-def test_lagrange_int_basis_property_and_interpolation():
-    p = new_context(TRANSPARENT, seed=0).prime_order
-    points = [1, 2, 3, 5]
-    for i in points:
-        for j in points:
-            assert _lagrange_int(i, points, j, p) == (1 if i == j else 0)
-    rng = SeededRng("lagrange")
-    coeffs = [rng.randbelow(p) for _ in range(4)]
-
-    def poly(x):
-        return sum(c * pow(x, k, p) for k, c in enumerate(coeffs)) % p
-
-    points = [1, 2, 3, 4]
-    assert sum(_lagrange_int(i, points, 0, p) * poly(i) for i in points) % p == coeffs[0]
 
 
 def test_private_key_components_carry_share_vectors():
