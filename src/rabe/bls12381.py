@@ -7,8 +7,11 @@ attribute lookups.
 
 G1 is E(Fq): y^2 = x^3 + 4, G2 is the sextic twist E'(Fq2): y^2 = x^3 +
 4(u+1).  Points are affine pairs (or None for infinity); scalar
-multiplication runs on Jacobian coordinates internally (EFD dbl-2009-l /
-add-2007-bl).  The pairing is the ate pairing: a Miller loop over the curve
+multiplication runs on Jacobian coordinates internally, with one doubling
+(EFD dbl-2009-l) and one mixed Jacobian + affine addition (madd-2007-bl)
+per group.  Multiples of the two fixed generators read a signed-digit
+fixed-window table, built on first use; every other base runs a width-4
+wNAF.  The pairing is the ate pairing: a Miller loop over the curve
 parameter that keeps the running point on the twist in homogeneous
 projective coordinates and multiplies each line into the accumulator as a
 sparse Fq12 element (no inversions), then the final exponentiation split
@@ -364,6 +367,95 @@ def final_exponentiation(f):
 
 
 # ---------------------------------------------------------------------------
+# Scalar multiplication, one driver for both source groups.  Each group
+# brings its Jacobian doubling, its one mixed addition (Jacobian + affine,
+# EFD madd-2007-bl), a batched conversion to affine and its negation.
+#
+# Multiples of the fixed generators read a signed-digit fixed-window table
+# (Brickell-Gordon-McCurley-Wilson, Eurocrypt 1992): row i holds the affine
+# points j * 2^(4i) * G for j = 1..8, so [k]G is one mixed addition per
+# nonzero base-16 digit of k and no doubling.  The tables are built on first
+# use and kept for the life of the process.  Every other base, and every k
+# of 2^256 or more, takes the width-4 wNAF path.
+
+_FB_WIDTH = 4
+_FB_WINDOWS = 65  # 64 digits cover k < 2^256; the 65th takes the last carry
+_FB_HALF = 1 << (_FB_WIDTH - 1)  # multiples per row; digits lie in [-7, 8]
+_FB_LIMIT = 1 << (_FB_WIDTH * (_FB_WINDOWS - 1))
+
+
+class _Group:
+    """The point arithmetic of one source group, as the drivers use it."""
+
+    def __init__(self, gen, zero, one, dbl, madd, to_affine, neg):
+        self.gen = gen
+        self.one = one  # the Z coordinate of an affine point
+        self.inf = (zero, one, zero)  # Jacobian infinity
+        self.dbl = dbl
+        self.madd = madd
+        self.to_affine = to_affine
+        self.neg = neg
+        self.table = None
+
+
+def _fb_digits(k):
+    """The _FB_WINDOWS signed digits of 0 <= k < _FB_LIMIT, least significant
+    first, each in [1 - _FB_HALF, _FB_HALF]."""
+    digits = []
+    for _ in range(_FB_WINDOWS):
+        d = k & ((1 << _FB_WIDTH) - 1)
+        k >>= _FB_WIDTH
+        if d > _FB_HALF:
+            d -= 1 << _FB_WIDTH
+            k += 1
+        digits.append(d)
+    return digits
+
+
+def _fixed_table(g):
+    rows = []
+    base = g.gen
+    for _ in range(_FB_WINDOWS):
+        jac = [(*base, g.one)]
+        for _ in range(_FB_HALF - 1):
+            jac.append(g.madd(jac[-1], base))
+        jac.append(g.dbl(jac[-1]))  # 2^_FB_WIDTH * base, the next row's base
+        *row, base = g.to_affine(jac)
+        rows.append(row)
+    return rows
+
+
+def _mul(g, pt, k):
+    """[k]pt for k > 0 and pt not None, in affine coordinates."""
+    madd = g.madd
+    acc = g.inf
+    if pt == g.gen and k < _FB_LIMIT:
+        if g.table is None:
+            g.table = _fixed_table(g)
+        for row, d in zip(g.table, _fb_digits(k)):
+            if d > 0:
+                acc = madd(acc, row[d - 1])
+            elif d < 0:
+                acc = madd(acc, g.neg(row[-d - 1]))
+        return g.to_affine([acc])[0]
+    # the odd multiples P, 3P, 5P, 7P of the wNAF digits: 2P is made affine
+    # first, then the four share one inversion
+    dbl = g.dbl
+    two = g.to_affine([dbl((*pt, g.one))])[0]
+    jac = [(*pt, g.one)]
+    for _ in range(3):
+        jac.append(madd(jac[-1], two))
+    table = {}
+    for d, q in zip((1, 3, 5, 7), g.to_affine(jac)):
+        table[d], table[-d] = q, g.neg(q)
+    for d in reversed(_naf(k, 4)):
+        acc = dbl(acc)
+        if d:
+            acc = madd(acc, table[d])
+    return g.to_affine([acc])[0]
+
+
+# ---------------------------------------------------------------------------
 # G1: y^2 = x^3 + 4 over Fq.  Affine points are (x, y) or None.
 
 
@@ -395,50 +487,60 @@ def _g1_dbl_jac(p):
     return (X3, Y3, Z3)
 
 
-def _g1_add_jac(p, q):
-    X1, Y1, Z1 = p
-    X2, Y2, Z2 = q
-    if not Z1:
-        return q
-    if not Z2:
+def _g1_madd(p, q):
+    """p + q for p Jacobian and q affine (None for infinity)."""
+    if q is None:
         return p
+    X1, Y1, Z1 = p
+    x2, y2 = q
+    if not Z1:
+        return (x2, y2, 1)
     Z1Z1 = Z1 * Z1 % P
-    Z2Z2 = Z2 * Z2 % P
-    U1 = X1 * Z2Z2 % P
-    U2 = X2 * Z1Z1 % P
-    S1 = Y1 * Z2 * Z2Z2 % P
-    S2 = Y2 * Z1 * Z1Z1 % P
-    H = (U2 - U1) % P
-    r = (S2 - S1) % P
+    H = (x2 * Z1Z1 - X1) % P
+    r = (y2 * Z1 * Z1Z1 - Y1) % P
     if H == 0:
         if r == 0:
-            return _g1_dbl_jac(p)
+            return _g1_dbl_jac((x2, y2, 1))
         return (0, 1, 0)
-    I = 4 * H * H % P
+    HH = H * H % P
+    I = 4 * HH % P
     J = H * I % P
     r = 2 * r % P
-    V = U1 * I % P
+    V = X1 * I % P
     X3 = (r * r - J - 2 * V) % P
-    Y3 = (r * (V - X3) - 2 * S1 * J) % P
-    Z3 = ((Z1 + Z2) ** 2 - Z1Z1 - Z2Z2) % P * H % P
+    Y3 = (r * (V - X3) - 2 * Y1 * J) % P
+    Z3 = ((Z1 + H) ** 2 - Z1Z1 - HH) % P
     return (X3, Y3, Z3)
 
 
-def _g1_from_jac(p):
-    X, Y, Z = p
-    if not Z:
-        return None
-    zinv = pow(Z, -1, P)
-    z2 = zinv * zinv % P
-    return (X * z2 % P, Y * z2 * zinv % P)
+def _g1_to_affine(points):
+    """Jacobian points to affine ones (None for infinity) with one inversion
+    (Montgomery's trick)."""
+    prefix = []
+    acc = 1
+    for _, _, Z in points:
+        prefix.append(acc)
+        if Z:
+            acc = acc * Z % P
+    inv = pow(acc, -1, P)
+    out = [None] * len(points)
+    for i in range(len(points) - 1, -1, -1):
+        X, Y, Z = points[i]
+        if Z:
+            zinv = inv * prefix[i] % P
+            inv = inv * Z % P
+            z2 = zinv * zinv % P
+            out[i] = (X * z2 % P, Y * z2 * zinv % P)
+    return out
+
+
+_G1 = _Group(G1_GEN, 0, 1, _g1_dbl_jac, _g1_madd, _g1_to_affine, g1_neg)
 
 
 def g1_add(p, q):
     if p is None:
         return q
-    if q is None:
-        return p
-    return _g1_from_jac(_g1_add_jac((*p, 1), (*q, 1)))
+    return _g1_to_affine([_g1_madd((*p, 1), q)])[0]
 
 
 def g1_mul(pt, k):
@@ -447,21 +549,7 @@ def g1_mul(pt, k):
         return g1_mul(g1_neg(pt), -k)
     if pt is None or k == 0:
         return None
-    digits = _naf(k, 4)
-    base = (*pt, 1)
-    dbl = _g1_dbl_jac(base)
-    table = {1: base}
-    for d in (3, 5, 7):
-        table[d] = _g1_add_jac(table[d - 2], dbl)
-    acc = (0, 1, 0)
-    for d in reversed(digits):
-        acc = _g1_dbl_jac(acc)
-        if d > 0:
-            acc = _g1_add_jac(acc, table[d])
-        elif d < 0:
-            X, Y, Z = table[-d]
-            acc = _g1_add_jac(acc, (X, -Y % P, Z))
-    return _g1_from_jac(acc)
+    return _mul(_G1, pt, k)
 
 
 def g1_in_subgroup(pt):
@@ -504,50 +592,57 @@ def _g2_dbl_jac(p):
     return (X3, Y3, Z3)
 
 
-def _g2_add_jac(p, q):
-    X1, Y1, Z1 = p
-    X2, Y2, Z2 = q
-    if Z1 == FQ2_ZERO:
-        return q
-    if Z2 == FQ2_ZERO:
+def _g2_madd(p, q):
+    if q is None:
         return p
+    X1, Y1, Z1 = p
+    x2, y2 = q
+    if Z1 == FQ2_ZERO:
+        return (x2, y2, FQ2_ONE)
     Z1Z1 = fq2_sqr(Z1)
-    Z2Z2 = fq2_sqr(Z2)
-    U1 = fq2_mul(X1, Z2Z2)
-    U2 = fq2_mul(X2, Z1Z1)
-    S1 = fq2_mul(fq2_mul(Y1, Z2), Z2Z2)
-    S2 = fq2_mul(fq2_mul(Y2, Z1), Z1Z1)
-    H = fq2_sub(U2, U1)
-    r = fq2_sub(S2, S1)
+    H = fq2_sub(fq2_mul(x2, Z1Z1), X1)
+    r = fq2_sub(fq2_mul(fq2_mul(y2, Z1), Z1Z1), Y1)
     if H == FQ2_ZERO:
         if r == FQ2_ZERO:
-            return _g2_dbl_jac(p)
+            return _g2_dbl_jac((x2, y2, FQ2_ONE))
         return (FQ2_ZERO, FQ2_ONE, FQ2_ZERO)
-    I = fq2_scalar(fq2_sqr(H), 4)
+    HH = fq2_sqr(H)
+    I = fq2_scalar(HH, 4)
     J = fq2_mul(H, I)
     r = fq2_scalar(r, 2)
-    V = fq2_mul(U1, I)
+    V = fq2_mul(X1, I)
     X3 = fq2_sub(fq2_sub(fq2_sqr(r), J), fq2_scalar(V, 2))
-    Y3 = fq2_sub(fq2_mul(r, fq2_sub(V, X3)), fq2_scalar(fq2_mul(S1, J), 2))
-    Z3 = fq2_mul(fq2_sub(fq2_sub(fq2_sqr(fq2_add(Z1, Z2)), Z1Z1), Z2Z2), H)
+    Y3 = fq2_sub(fq2_mul(r, fq2_sub(V, X3)), fq2_scalar(fq2_mul(Y1, J), 2))
+    Z3 = fq2_sub(fq2_sub(fq2_sqr(fq2_add(Z1, H)), Z1Z1), HH)
     return (X3, Y3, Z3)
 
 
-def _g2_from_jac(p):
-    X, Y, Z = p
-    if Z == FQ2_ZERO:
-        return None
-    zinv = fq2_inv(Z)
-    z2 = fq2_sqr(zinv)
-    return (fq2_mul(X, z2), fq2_mul(fq2_mul(Y, z2), zinv))
+def _g2_to_affine(points):
+    prefix = []
+    acc = FQ2_ONE
+    for _, _, Z in points:
+        prefix.append(acc)
+        if Z != FQ2_ZERO:
+            acc = fq2_mul(acc, Z)
+    inv = fq2_inv(acc)
+    out = [None] * len(points)
+    for i in range(len(points) - 1, -1, -1):
+        X, Y, Z = points[i]
+        if Z != FQ2_ZERO:
+            zinv = fq2_mul(inv, prefix[i])
+            inv = fq2_mul(inv, Z)
+            z2 = fq2_sqr(zinv)
+            out[i] = (fq2_mul(X, z2), fq2_mul(fq2_mul(Y, z2), zinv))
+    return out
+
+
+_G2 = _Group(G2_GEN, FQ2_ZERO, FQ2_ONE, _g2_dbl_jac, _g2_madd, _g2_to_affine, g2_neg)
 
 
 def g2_add(p, q):
     if p is None:
         return q
-    if q is None:
-        return p
-    return _g2_from_jac(_g2_add_jac((*p, FQ2_ONE), (*q, FQ2_ONE)))
+    return _g2_to_affine([_g2_madd((*p, FQ2_ONE), q)])[0]
 
 
 def g2_mul(pt, k):
@@ -555,21 +650,7 @@ def g2_mul(pt, k):
         return g2_mul(g2_neg(pt), -k)
     if pt is None or k == 0:
         return None
-    digits = _naf(k, 4)
-    base = (*pt, FQ2_ONE)
-    dbl = _g2_dbl_jac(base)
-    table = {1: base}
-    for d in (3, 5, 7):
-        table[d] = _g2_add_jac(table[d - 2], dbl)
-    acc = (FQ2_ZERO, FQ2_ONE, FQ2_ZERO)
-    for d in reversed(digits):
-        acc = _g2_dbl_jac(acc)
-        if d > 0:
-            acc = _g2_add_jac(acc, table[d])
-        elif d < 0:
-            X, Y, Z = table[-d]
-            acc = _g2_add_jac(acc, (X, fq2_neg(Y), Z))
-    return _g2_from_jac(acc)
+    return _mul(_G2, pt, k)
 
 
 def g2_in_subgroup(pt):

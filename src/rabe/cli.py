@@ -177,11 +177,11 @@ def cmd_decrypt(args):
     phash, pp, mk, tree, rl, counter = _load_state(args.state)
     env = serial.read_envelope(args.ct)
     if env["kind"] == "ct-original":
-        print("this ciphertext was never anchored to an epoch; run update-ct first")
-        return EXIT_INVALID
+        raise RabeError(
+            f"{args.ct}: this ciphertext was never anchored to an epoch; run update-ct first"
+        )
     if env["kind"] != "ct-updated":
-        print(f"{args.ct}: expected a ct-updated envelope, found {env['kind']!r}")
-        return EXIT_INVALID
+        raise EnvelopeError(f"{args.ct}: expected a ct-updated envelope, found {env['kind']!r}")
     serial.check_params_hash(env, phash, args.ct)
     ct = _decode(args.ct, serial.ct_updated_from_payload, pp.ctx, env["payload"])
     dk = _read_artifact(args.dk, "dk", phash, serial.dk_from_payload, pp.ctx)

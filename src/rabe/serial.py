@@ -19,6 +19,9 @@ import os
 from .errors import EnvelopeError, ParameterError, PolicyParseError
 from .groups import (
     REAL,
+    SIDE_ONE,
+    SIDE_TARGET,
+    SIDE_TWO,
     TRANSPARENT,
     BilinearContext,
     GroupElement,
@@ -94,12 +97,17 @@ def _unb64(decode, text, field: str):
         raise EnvelopeError(f"field {field!r}: {exc}") from None
 
 
-def _unel(ctx: BilinearContext, text, field: str) -> GroupElement:
-    return _unb64(ctx.decode_element, text, field)
+def _unel(ctx: BilinearContext, text, field: str, side: str) -> GroupElement:
+    element = _unb64(ctx.decode_element, text, field)
+    if element.side != side:
+        raise EnvelopeError(
+            f"field {field!r} holds an element of side {element.side}, expected side {side}"
+        )
+    return element
 
 
-def _element(ctx: BilinearContext, data: dict, key: str) -> GroupElement:
-    return _unel(ctx, _field(data, key, str), key)
+def _element(ctx: BilinearContext, data: dict, key: str, side: str) -> GroupElement:
+    return _unel(ctx, _field(data, key, str), key, side)
 
 
 def _row_payload(row) -> list:
@@ -108,10 +116,10 @@ def _row_payload(row) -> list:
 
 def _row_from(ctx: BilinearContext, value, field: str) -> tuple[GroupElement, GroupElement]:
     """A key row: the pair (k0, k1) of a private or decryption key, or (d0,
-    d1) of a key update."""
+    d1) of a key update; key elements live on side two."""
     if not isinstance(value, list) or len(value) != 2:
         raise EnvelopeError(f"field {field!r} holds a row that is not a list of 2 elements")
-    return _unel(ctx, value[0], field), _unel(ctx, value[1], field)
+    return _unel(ctx, value[0], field, SIDE_TWO), _unel(ctx, value[1], field, SIDE_TWO)
 
 
 def _map_payload(mapping: dict, encode) -> dict:
@@ -171,7 +179,9 @@ def _pair_payload(pair: MirroredPair) -> dict:
 
 def _pair_from(ctx, data, field) -> MirroredPair:
     _typed(data, dict, field)
-    return MirroredPair(one=_element(ctx, data, "one"), two=_element(ctx, data, "two"))
+    return MirroredPair(
+        one=_element(ctx, data, "one", SIDE_ONE), two=_element(ctx, data, "two", SIDE_TWO)
+    )
 
 
 def pp_payload(pp: PublicParams) -> dict:
@@ -195,7 +205,7 @@ def pp_from_payload(data: dict) -> PublicParams:
         n_users=_field(data, "n_users", int),
         max_time=_field(data, "max_time", int),
         attr_max=_field(data, "attr_max", int),
-        g1=_element(ctx, data, "g1"),
+        g1=_element(ctx, data, "g1", SIDE_ONE),
         g2=_pair_from(ctx, _field(data, "g2", dict), "g2"),
         t_gens=tuple(_pair_from(ctx, t, "t_gens") for t in _field(data, "t_gens", list)),
         u0=_pair_from(ctx, _field(data, "u0", dict), "u0"),
@@ -283,8 +293,8 @@ def dk_from_payload(ctx, data) -> DecryptionKey:
         node=_field(data, "node", int),
         policy=policy_from_payload(_field(data, "policy", dict)),
         rows=tuple(_row_from(ctx, row, "rows") for row in _field(data, "rows", list)),
-        d0=_element(ctx, data, "d0"),
-        d1=_element(ctx, data, "d1"),
+        d0=_element(ctx, data, "d0", SIDE_TWO),
+        d1=_element(ctx, data, "d1", SIDE_TWO),
     )
 
 
@@ -303,9 +313,9 @@ def _ct_from(ctx, data) -> dict:
     return {
         "attrs": frozenset(_typed(attr, int, "attrs") for attr in _field(data, "attrs", list)),
         "epoch": _field(data, "epoch", int),
-        "c": _element(ctx, data, "c"),
-        "c1": _element(ctx, data, "c1"),
-        "c2": _map_from(data, "c2", lambda text, f: _unel(ctx, text, f)),
+        "c": _element(ctx, data, "c", SIDE_TARGET),
+        "c1": _element(ctx, data, "c1", SIDE_ONE),
+        "c2": _map_from(data, "c2", lambda text, f: _unel(ctx, text, f, SIDE_ONE)),
     }
 
 
@@ -316,8 +326,8 @@ def ct_original_payload(ct: OriginalCiphertext) -> dict:
 def ct_original_from_payload(ctx, data) -> OriginalCiphertext:
     return OriginalCiphertext(
         **_ct_from(ctx, data),
-        e1=_element(ctx, data, "e1"),
-        e2=_map_from(data, "e2", lambda text, f: _unel(ctx, text, f)),
+        e1=_element(ctx, data, "e1", SIDE_ONE),
+        e2=_map_from(data, "e2", lambda text, f: _unel(ctx, text, f, SIDE_ONE)),
     )
 
 
@@ -326,7 +336,7 @@ def ct_updated_payload(ct: UpdatedCiphertext) -> dict:
 
 
 def ct_updated_from_payload(ctx, data) -> UpdatedCiphertext:
-    return UpdatedCiphertext(**_ct_from(ctx, data), e_t=_element(ctx, data, "e_t"))
+    return UpdatedCiphertext(**_ct_from(ctx, data), e_t=_element(ctx, data, "e_t", SIDE_ONE))
 
 
 def msg_payload(message: GroupElement) -> dict:
@@ -334,7 +344,7 @@ def msg_payload(message: GroupElement) -> dict:
 
 
 def msg_from_payload(ctx, data) -> GroupElement:
-    return _element(ctx, data, "value")
+    return _element(ctx, data, "value", SIDE_TARGET)
 
 
 def tree_payload(state: TreeState) -> dict:

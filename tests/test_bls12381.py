@@ -56,6 +56,55 @@ def test_point_arithmetic_matches_scalar_identities():
     assert bls.g2_add(q2, bls.g2_neg(q2)) is None
 
 
+GROUPS = {
+    "G1": (bls.G1_GEN, bls.g1_mul, bls.g1_add, bls.g1_neg),
+    "G2": (bls.G2_GEN, bls.g2_mul, bls.g2_add, bls.g2_neg),
+}
+
+
+@pytest.mark.parametrize("group", sorted(GROUPS))
+def test_generator_table_agrees_with_wnaf(group):
+    gen, mul, _, _ = GROUPS[group]
+    rng = SeededRng(f"fixed-base-{group}")
+    for _ in range(4):
+        a, b = rng.randbelow(bls.R), rng.randbelow(bls.R)
+        # the inner call reads the generator table, the outer one runs wNAF on [a]G
+        assert mul(gen, a * b % bls.R) == mul(mul(gen, a), b)
+
+
+@pytest.mark.parametrize("group", sorted(GROUPS))
+def test_generator_table_edge_scalars(group, monkeypatch):
+    gen, mul, add, neg = GROUPS[group]
+    last = (1 << 256) - 1  # the largest scalar the table covers
+    table_scalars = []
+    digits = bls._fb_digits
+    monkeypatch.setattr(bls, "_fb_digits", lambda k: table_scalars.append(k) or digits(k))
+    for k in (0, 1, 7, 8, 9, 16, bls.R - 1, bls.R, bls.R + 1, last, last + 1):
+        # -[k](-G) runs wNAF, since -G is not the generator; so does any negative k
+        kg = mul(gen, k)
+        assert kg == neg(mul(neg(gen), k)) and mul(gen, -k) == neg(kg), k
+    assert table_scalars == [1, 7, 8, 9, 16, bls.R - 1, bls.R, bls.R + 1, last]
+    monkeypatch.undo()
+    assert mul(gen, 0) is None and mul(gen, bls.R) is None
+    assert mul(gen, 1) == mul(gen, bls.R + 1) == gen and mul(gen, bls.R - 1) == neg(gen)
+    assert mul(gen, 9) == add(mul(gen, 8), gen) and mul(gen, 16) == add(mul(gen, 8), mul(gen, 8))
+    assert mul(gen, last + 1) == mul(gen, (last + 1) % bls.R)
+    # 65 rows of 8 affine multiples j * 16^i * G; the top row checked on the wNAF path
+    table = (bls._G1 if group == "G1" else bls._G2).table
+    assert len(table) == 65 and all(len(row) == 8 for row in table)
+    assert table[64] == [mul(gen, j << 256) for j in range(1, 9)]
+
+
+@pytest.mark.parametrize("group", sorted(GROUPS))
+def test_add_on_doubling_inverse_and_identity(group):
+    gen, mul, add, neg = GROUPS[group]
+    p = mul(gen, 12345)
+    assert add(p, p) == mul(p, 2)
+    assert add(p, neg(p)) is None
+    assert add(p, None) == p and add(None, p) == p and add(None, None) is None
+    assert add(p, gen) == mul(gen, 12346)
+
+
 def test_compressed_roundtrip_both_sign_branches():
     rng = SeededRng("bls-roundtrip")
     seen_signs = set()

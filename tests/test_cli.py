@@ -1,3 +1,4 @@
+import base64
 import json
 
 import pytest
@@ -62,9 +63,10 @@ def test_decrypt_refuses_unanchored_ciphertext(deployment, capsys):
         "--random-message", msg, "--out", ct, "--seed", 3)
     run(capsys, "update-key", "--state", state, "--epoch", 5, "--out", ku, "--seed", 4)
     run(capsys, "derive-dk", "--state", state, "--sk", sk, "--ku", ku, "--out", dk)
-    code, out, _ = run(capsys, "decrypt", "--state", state, "--ct", ct, "--dk", dk)
-    assert code == EXIT_INVALID
-    assert "update-ct first" in out
+    code, out, err = run(capsys, "decrypt", "--state", state, "--ct", ct, "--dk", dk)
+    assert code == EXIT_INVALID and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert str(ct) in err and "update-ct first" in err
 
 
 def test_epoch_mismatch_is_a_validation_error(deployment, capsys):
@@ -315,6 +317,13 @@ def _drop(*keys):
     return _edit(lambda env: _at(env, keys[:-1]).pop(keys[-1]))
 
 
+def _side_two(text):
+    """A base64 element encoding with its side byte set to side two."""
+    data = bytearray(base64.b64decode(text))
+    data[1] = 0x02
+    return base64.b64encode(bytes(data)).decode("ascii")
+
+
 DECRYPT = ("decrypt", "--state", "{state}", "--ct", "{ct2}", "--dk", "{dk}")
 UPDATE_KEY = ("update-key", "--state", "{state}", "--epoch", "8", "--out", "{out}")
 DERIVE_DK = ("derive-dk", "--state", "{state}", "--sk", "{sk}", "--ku", "{ku}", "--out", "{out}")
@@ -342,6 +351,8 @@ MUTATIONS = {
         k: v + v[:1] for k, v in parts.items()}), DERIVE_DK, ("'parts'",)),
     "e2-key-not-canonical": ("ct", _set("payload", "e2", lambda e2: {
         "0" + k: v for k, v in e2.items()}), UPDATE_CT, ("'e2'",)),
+    "kind-sk": ("ct2", _set("kind", "sk"), DECRYPT, ("expected a ct-updated envelope, found 'sk'",)),
+    "c1-side-two": ("ct2", _set("payload", "c1", _side_two), DECRYPT, ("'c1'", "side two")),
     "element-not-base64": ("ct2", _set("payload", "c1", "***"), DECRYPT, ("'c1'", "base64")),
     "element-off-range": ("dk", _set("payload", "d0", "AQL//////////w=="), DECRYPT, ("'d0'",)),
     "not-utf8": ("ct2", lambda path: path.write_bytes(b'{"kind": "\xff"}'), DECRYPT,

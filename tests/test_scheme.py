@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 
+from rabe import bls12381 as bls
 from rabe.errors import (
     EpochRangeError,
     MissingComponentError,
@@ -74,6 +75,38 @@ def test_full_roundtrip_real_backend():
     h = ctx.generator(SIDE_TWO)
     for pair in (pp.g2, pp.u0, pp.t_gens[0]):
         assert ctx.pair(pair.one, h) == ctx.pair(g, pair.two)
+
+
+def test_real_exponentiations_make_one_curve_call_each(monkeypatch):
+    """The benchmark's cost model: with T(x) warm, keygen makes 3 * rows *
+    (depth + 1) g2_mul calls, and fold_ciphertext one fq12_pow_cyclo."""
+    ctx = new_context(REAL)
+    rng = SeededRng("cost-model")
+    pp, mk, state, rl = make_world(ctx, rng, n_users=4, max_time=8, attr_max=3)
+    policy = parse_policy("1 AND (2 OR 3)")
+    for attr in policy.row_attrs:
+        pp.eval_t(attr, SIDE_TWO)
+    msg = ctx.random_element(SIDE_TARGET, rng)
+    ct = encrypt(pp, {1, 2}, 3, msg, rng)  # warms e(g1, g2) and T(x) on side one
+    calls = dict.fromkeys(("g2_mul", "fq12_pow_cyclo"), 0)
+
+    def count(name):
+        fn = getattr(bls, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(bls, name, counted)
+
+    for name in calls:
+        count(name)
+    monkeypatch.setattr(bls._G2, "table", None)  # building the table counts no call either
+    keygen(pp, mk, state, "alice", policy, rng)
+    depth = state.capacity.bit_length() - 1
+    assert calls == {"g2_mul": 3 * len(policy.rows) * (depth + 1), "fq12_pow_cyclo": 0}
+    calls.update(g2_mul=0)
+    fold_ciphertext(pp, ct, 3, rng)
+    assert calls == {"g2_mul": 0, "fq12_pow_cyclo": 1}
 
 
 def test_attribute_generator_matches_interpolation_oracle():

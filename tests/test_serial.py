@@ -339,3 +339,21 @@ def test_tampered_envelopes_raise_only_envelope_errors(fuzz_file, env):
             decode(FUZZ_CTX, read["payload"])
     except EnvelopeError:
         pass
+
+
+def test_every_element_field_checks_its_side():
+    checked = 0
+    for kind, env in VALID_ENVELOPES.items():
+        for path in _paths(env["payload"]):
+            value = _get(env["payload"], path)
+            if not _is_element(value) or len(base64.b64decode(value)) == 32:  # scalars
+                continue
+            data = bytearray(base64.b64decode(value))
+            for side in {1, 2, 3} - {data[1]}:
+                payload = copy.deepcopy(env["payload"])
+                data[1] = side
+                _get(payload, path[:-1])[path[-1]] = base64.b64encode(bytes(data)).decode("ascii")
+                with pytest.raises(EnvelopeError, match="expected side"):
+                    DECODERS[kind](FUZZ_CTX, payload)
+                checked += 1
+    assert checked > 100
