@@ -209,13 +209,14 @@ def cmd_decrypt(args):
 
 
 def _suggest_pairs(max_time, limit=5):
+    """(latest backdatable epoch, t*) for the first t* that have one."""
     pairs = []
     for t_star in range(2, max_time):
-        for t in backdatable_epochs(t_star, max_time)[::-1]:
-            pairs.append((t, t_star))
-            break
-        if len(pairs) >= limit:
-            break
+        candidates = backdatable_epochs(t_star, max_time)
+        if candidates:
+            pairs.append((candidates[-1], t_star))
+            if len(pairs) == limit:
+                break
     return pairs
 
 
@@ -318,7 +319,7 @@ def cmd_lemma_check(args):
         top = args.max_time
         need = zero_positions(epoch_bits(t, top))
         kept = zero_positions(ct_epoch_bits(t_star, top))
-        verdict = "vulnerable" if (need <= kept and t < t_star) else "not vulnerable"
+        verdict = "vulnerable" if t in backdatable_epochs(t_star, top) else "not vulnerable"
         print(f"epoch range {top}: pair (t={t}, t*={t_star}) is {verdict}")
         print(f"  slots needed by {t}:  {sorted(need)}")
         print(f"  slots kept by {t_star}'s ciphertext encoding: {sorted(kept)}")

@@ -526,13 +526,12 @@ def run_game_trials(
     n_users: int = 8,
     max_time: int = 32,
     attr_max: int = 4,
-    capture_first: bool = False,
     capture_all: bool = False,
 ) -> list[GameTranscript]:
     """Independent seeded games; trial i is reproducible from (seed, i).
 
-    capture_first keeps the in-memory artifacts of trial 0 for inspection;
-    capture_all keeps every trial's (transparent runs only, for audits).
+    capture_all keeps every trial's in-memory artifacts (transparent runs
+    only, for audits).
     """
     if trials < 1:
         raise ParameterError("need at least one trial")
@@ -547,7 +546,7 @@ def run_game_trials(
             n_users=n_users,
             max_time=max_time,
             attr_max=attr_max,
-            capture=capture_all or (capture_first and i == 0),
+            capture=capture_all,
         )
         out.append(transcript)
     return out

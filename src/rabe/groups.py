@@ -53,43 +53,6 @@ class Scalar:
         if not 0 <= self.value < self.modulus:
             raise ParameterError(f"scalar {self.value} outside [0, {self.modulus})")
 
-    def _coerce(self, other) -> "Scalar":
-        if isinstance(other, int):
-            return Scalar(other % self.modulus, self.modulus)
-        if isinstance(other, Scalar):
-            if other.modulus != self.modulus:
-                raise BackendMismatchError("scalars from different groups")
-            return other
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Scalar((self.value + other.value) % self.modulus, self.modulus)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Scalar((self.value - other.value) % self.modulus, self.modulus)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Scalar(self.value * other.value % self.modulus, self.modulus)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Scalar(-self.value % self.modulus, self.modulus)
-
-    def inverse(self) -> "Scalar":
-        return Scalar(pow(self.value, -1, self.modulus), self.modulus)
-
     def __int__(self):
         return self.value
 
@@ -160,9 +123,6 @@ class GroupElement:
     def inverse(self) -> "GroupElement":
         return GroupElement(self.ctx, self.side, self.ctx._inv(self.side, self.payload))
 
-    def is_identity(self) -> bool:
-        return self.payload == self.ctx._identity_payload(self.side)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, GroupElement)
@@ -198,9 +158,6 @@ class BilinearContext:
     def identity(self, side: str) -> GroupElement:
         self._check_side(side)
         return GroupElement(self, side, self._identity_payload(side))
-
-    def scalar(self, value: int) -> Scalar:
-        return Scalar(value % self.prime_order, self.prime_order)
 
     def random_scalar(self, rng) -> Scalar:
         return Scalar(rng.randbelow(self.prime_order), self.prime_order)

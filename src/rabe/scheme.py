@@ -76,10 +76,6 @@ class PublicParams:
     _t_cache: dict = field(default_factory=dict, repr=False)
     _blind_base: GroupElement | None = field(default=None, repr=False)
 
-    @property
-    def tau(self) -> int:
-        return bit_width(self.max_time)
-
     def blinding_base(self) -> GroupElement:
         """e(g1, g2), the target-group base every message is blinded with."""
         if self._blind_base is None:
@@ -245,7 +241,7 @@ def update_key(
     for node in sorted(cover_nodes(state, rl, epoch)):
         node_secret = state.get_or_create_secret(node, pp.ctx, rng)
         r = pp.ctx.random_scalar(rng)
-        d0 = pp.g2.two ** (mk.alpha - node_secret) * base ** r
+        d0 = pp.g2.two ** (mk.alpha.value - node_secret.value) * base ** r
         d1 = pp.ctx.generator(SIDE_TWO) ** r
         parts[node] = (d0, d1)
     return KeyUpdate(epoch=epoch, parts=parts)

@@ -1,10 +1,18 @@
 """Envelope serialization for every artifact the scheme produces.
 
 An envelope is a JSON document {kind, version, backend, params_hash,
-payload}; payloads hold base64 canonical element/scalar encodings in
-documented field orders.  params_hash is the SHA-256 of the canonical
-public-parameter payload, so every derived artifact states which parameter
-set it belongs to and loaders refuse mismatches.
+payload}.  params_hash is the SHA-256 of the canonical public-parameter
+payload, so every derived artifact states which parameter set it belongs to
+and loaders refuse mismatches.
+
+Each artifact's payload is stated once, as a record spec: a table that maps
+every payload key to a field codec, an (encode, decode) pair for an int, a
+string, a scalar, an element of a stated side, a sequence, an int-keyed map,
+an attribute set, a policy or a nested record.  One encoder (_encode) and
+one decoder (_decode) walk the specs.  Elements and scalars are stored as
+base64 canonical encodings, int-keyed maps with decimal string keys.
+Decoding type-checks every field, so a malformed payload ends as an
+EnvelopeError that names the field.
 
 Kinds: pp, mk, sk, ku, dk, ct-original, ct-updated, state, msg, transcript.
 """
@@ -25,7 +33,6 @@ from .groups import (
     TRANSPARENT,
     BilinearContext,
     GroupElement,
-    Scalar,
     TransparentContext,
     new_context,
 )
@@ -59,13 +66,9 @@ KINDS = (
 )
 
 
-def _b64(data: bytes) -> str:
-    return base64.b64encode(data).decode("ascii")
-
-
 # ---------------------------------------------------------------------------
-# type-checked field reading: every malformed payload ends as an
-# EnvelopeError that names the field
+# field codecs: every malformed payload ends as an EnvelopeError that names
+# the field
 
 
 def _typed(value, kind, field: str):
@@ -74,18 +77,18 @@ def _typed(value, kind, field: str):
     raise EnvelopeError(f"field {field!r} must be {kind.__name__}, got {type(value).__name__}")
 
 
-def _field(data: dict, key: str, kind):
+def _get(data: dict, key: str):
     if not isinstance(data, dict) or key not in data:
         raise EnvelopeError(f"missing field {key!r}")
-    return _typed(data[key], kind, key)
+    return data[key]
 
 
-def _el(element: GroupElement) -> str:
-    return _b64(element.encode())
+def _field(data: dict, key: str, kind):
+    return _typed(_get(data, key), kind, key)
 
 
-def _sc(scalar: Scalar) -> str:
-    return _b64(scalar.encode())
+def _b64(data: bytes) -> str:
+    return base64.b64encode(data).decode("ascii")
 
 
 def _unb64(decode, text, field: str):
@@ -97,6 +100,10 @@ def _unb64(decode, text, field: str):
         raise EnvelopeError(f"field {field!r}: {exc}") from None
 
 
+def _el(element: GroupElement) -> str:
+    return _b64(element.encode())
+
+
 def _unel(ctx: BilinearContext, text, field: str, side: str) -> GroupElement:
     element = _unb64(ctx.decode_element, text, field)
     if element.side != side:
@@ -106,35 +113,108 @@ def _unel(ctx: BilinearContext, text, field: str, side: str) -> GroupElement:
     return element
 
 
-def _element(ctx: BilinearContext, data: dict, key: str, side: str) -> GroupElement:
-    return _unel(ctx, _field(data, key, str), key, side)
+# A field codec is a pair (encode, decode): encode(value) gives the JSON
+# value, decode(ctx, json_value, field) reads it back.
 
 
-def _row_payload(row) -> list:
-    return [_el(element) for element in row]
+def _plain(kind):
+    return (lambda value: value), (lambda ctx, value, field: _typed(value, kind, field))
 
 
-def _row_from(ctx: BilinearContext, value, field: str) -> tuple[GroupElement, GroupElement]:
-    """A key row: the pair (k0, k1) of a private or decryption key, or (d0,
-    d1) of a key update; key elements live on side two."""
-    if not isinstance(value, list) or len(value) != 2:
-        raise EnvelopeError(f"field {field!r} holds a row that is not a list of 2 elements")
-    return _unel(ctx, value[0], field, SIDE_TWO), _unel(ctx, value[1], field, SIDE_TWO)
+def _element(side: str):
+    return _el, (lambda ctx, text, field: _unel(ctx, text, field, side))
 
 
-def _map_payload(mapping: dict, encode) -> dict:
-    return {str(key): encode(value) for key, value in sorted(mapping.items())}
+def _seq(item, length: int | None = None):
+    """A list of items, read back as a tuple; length, if given, is exact."""
+    encode, decode = item
+
+    def read(ctx, value, field):
+        _typed(value, list, field)
+        if length is not None and len(value) != length:
+            raise EnvelopeError(f"field {field!r} holds {len(value)} entries, not {length}")
+        return tuple(decode(ctx, entry, field) for entry in value)
+
+    return (lambda values: [encode(v) for v in values]), read
 
 
-def _map_from(data: dict, field: str, decode) -> dict:
-    """An int-keyed map stored with decimal string keys; decode(value, field)
-    reads each value."""
-    out = {}
-    for key, value in _field(data, field, dict).items():
-        if not (key.isascii() and key.isdigit()) or str(int(key)) != key:
-            raise EnvelopeError(f"field {field!r} has key {key!r}, not a decimal integer")
-        out[int(key)] = decode(value, field)
-    return out
+def _int_map(item):
+    """An int-keyed map, stored with canonical decimal string keys."""
+    encode, decode = item
+
+    def read(ctx, value, field):
+        out = {}
+        for key, entry in _typed(value, dict, field).items():
+            if not (key.isascii() and key.isdigit()) or str(int(key)) != key:
+                raise EnvelopeError(f"field {field!r} has key {key!r}, not a decimal integer")
+            out[int(key)] = decode(ctx, entry, field)
+        return out
+
+    return (lambda mapping: {str(k): encode(v) for k, v in sorted(mapping.items())}), read
+
+
+def _encode(spec: dict, obj) -> dict:
+    """The payload of obj under a record spec {key: codec}; every key names
+    an attribute of obj."""
+    return {key: encode(getattr(obj, key)) for key, (encode, _) in spec.items()}
+
+
+def _decode(spec: dict, ctx: BilinearContext, data) -> dict:
+    """The keyword arguments a record spec reads from a payload."""
+    return {key: decode(ctx, _get(data, key), key) for key, (_, decode) in spec.items()}
+
+
+def _record(cls, spec: dict):
+    """The codec of a record: a JSON object read back as cls(**fields).  Its
+    decoder also serves as a payload decoder, decode(ctx, payload)."""
+
+    def encode(obj) -> dict:
+        return _encode(spec, obj)
+
+    def decode(ctx, value, field="payload"):
+        return cls(**_decode(spec, ctx, _typed(value, dict, field)))
+
+    return encode, decode
+
+
+def _policy_from(ctx, value, field: str) -> AccessPolicy:
+    """A policy is stored with its matrix, which must be the one its formula
+    parses to."""
+    data = _typed(value, dict, field)
+    try:
+        policy = parse_policy(_field(data, "formula", str))
+    except PolicyParseError as exc:
+        raise EnvelopeError(f"field 'formula': {exc}") from None
+    matrix, row_attrs = _field(data, "matrix", list), _field(data, "row_attrs", list)
+    if [list(r) for r in policy.rows] != matrix or list(policy.row_attrs) != row_attrs:
+        raise EnvelopeError("policy matrix does not match its formula")
+    return policy
+
+
+def _policy_payload(policy: AccessPolicy) -> dict:
+    return {
+        "formula": policy.formula,
+        "matrix": [list(row) for row in policy.rows],
+        "row_attrs": list(policy.row_attrs),
+    }
+
+
+def _attrs_from(ctx, value, field: str) -> frozenset[int]:
+    return frozenset(_typed(attr, int, field) for attr in _typed(value, list, field))
+
+
+_INT = _plain(int)
+_STR = _plain(str)
+_SCALAR = (
+    lambda scalar: _b64(scalar.encode()),
+    lambda ctx, text, field: _unb64(ctx.decode_scalar, text, field),
+)
+_ATTRS = sorted, _attrs_from  # an attribute set, stored as a sorted list
+_POLICY = _policy_payload, _policy_from
+# a key row: (k0, k1) of a private or decryption key, (d0, d1) of a key update
+_ROW = _seq(_element(SIDE_TWO), 2)
+_PAIR = _record(MirroredPair, {"one": _element(SIDE_ONE), "two": _element(SIDE_TWO)})
+_secrets_payload, _secrets_from = _int_map(_SCALAR)  # a tree's node secrets
 
 
 def canonical_json(payload) -> str:
@@ -170,173 +250,61 @@ def context_from_payload(data: dict) -> BilinearContext:
 
 
 # ---------------------------------------------------------------------------
-# per-artifact payload codecs
+# one record spec per artifact; _record turns a spec into the artifact's
+# payload encoder and decoder, and pp adds the "group" it is read in
 
-
-def _pair_payload(pair: MirroredPair) -> dict:
-    return {"one": _el(pair.one), "two": _el(pair.two)}
-
-
-def _pair_from(ctx, data, field) -> MirroredPair:
-    _typed(data, dict, field)
-    return MirroredPair(
-        one=_element(ctx, data, "one", SIDE_ONE), two=_element(ctx, data, "two", SIDE_TWO)
-    )
+_PP = {
+    "n_users": _INT,
+    "max_time": _INT,
+    "attr_max": _INT,
+    "g1": _element(SIDE_ONE),
+    "g2": _PAIR,
+    "t_gens": _seq(_PAIR),
+    "u0": _PAIR,
+    "u_gens": _seq(_PAIR),
+}
 
 
 def pp_payload(pp: PublicParams) -> dict:
-    return {
-        "group": context_payload(pp.ctx),
-        "n_users": pp.n_users,
-        "max_time": pp.max_time,
-        "attr_max": pp.attr_max,
-        "g1": _el(pp.g1),
-        "g2": _pair_payload(pp.g2),
-        "t_gens": [_pair_payload(t) for t in pp.t_gens],
-        "u0": _pair_payload(pp.u0),
-        "u_gens": [_pair_payload(u) for u in pp.u_gens],
-    }
+    return {"group": context_payload(pp.ctx), **_encode(_PP, pp)}
 
 
 def pp_from_payload(data: dict) -> PublicParams:
     ctx = context_from_payload(_field(data, "group", dict))
-    pp = PublicParams(
-        ctx=ctx,
-        n_users=_field(data, "n_users", int),
-        max_time=_field(data, "max_time", int),
-        attr_max=_field(data, "attr_max", int),
-        g1=_element(ctx, data, "g1", SIDE_ONE),
-        g2=_pair_from(ctx, _field(data, "g2", dict), "g2"),
-        t_gens=tuple(_pair_from(ctx, t, "t_gens") for t in _field(data, "t_gens", list)),
-        u0=_pair_from(ctx, _field(data, "u0", dict), "u0"),
-        u_gens=tuple(_pair_from(ctx, u, "u_gens") for u in _field(data, "u_gens", list)),
-    )
+    pp = PublicParams(ctx=ctx, **_decode(_PP, ctx, data))
     tau = len(pp.u_gens)  # max_time = 2^tau, tau >= 2
     if len(pp.t_gens) != pp.attr_max + 1 or tau < 2 or pp.max_time != 1 << tau:
         raise EnvelopeError("generator counts do not match fields 'attr_max' and 'max_time'")
     return pp
 
 
-def mk_payload(mk: MasterKey) -> dict:
-    return {"alpha": _sc(mk.alpha)}
-
-
-def mk_from_payload(ctx, data) -> MasterKey:
-    return MasterKey(alpha=_unb64(ctx.decode_scalar, _field(data, "alpha", str), "alpha"))
-
-
-def policy_payload(policy: AccessPolicy) -> dict:
-    return {
-        "formula": policy.formula,
-        "matrix": [list(row) for row in policy.rows],
-        "row_attrs": list(policy.row_attrs),
-    }
-
-
-def policy_from_payload(data: dict) -> AccessPolicy:
-    try:
-        policy = parse_policy(_field(data, "formula", str))
-    except PolicyParseError as exc:
-        raise EnvelopeError(f"field 'formula': {exc}") from None
-    matrix, row_attrs = _field(data, "matrix", list), _field(data, "row_attrs", list)
-    if [list(r) for r in policy.rows] != matrix or list(policy.row_attrs) != row_attrs:
-        raise EnvelopeError("policy matrix does not match its formula")
-    return policy
-
-
-def sk_payload(sk: PrivateKey) -> dict:
-    return {
-        "identity": sk.identity,
-        "policy": policy_payload(sk.policy),
-        "parts": _map_payload(sk.parts, lambda rows: [_row_payload(row) for row in rows]),
-    }
-
-
-def sk_from_payload(ctx, data) -> PrivateKey:
-    return PrivateKey(
-        identity=_field(data, "identity", str),
-        policy=policy_from_payload(_field(data, "policy", dict)),
-        parts=_map_from(
-            data, "parts",
-            lambda rows, f: tuple(_row_from(ctx, row, f) for row in _typed(rows, list, f)),
-        ),
-    )
-
-
-def ku_payload(ku: KeyUpdate) -> dict:
-    return {"epoch": ku.epoch, "parts": _map_payload(ku.parts, _row_payload)}
-
-
-def ku_from_payload(ctx, data) -> KeyUpdate:
-    return KeyUpdate(
-        epoch=_field(data, "epoch", int),
-        parts=_map_from(data, "parts", lambda row, f: _row_from(ctx, row, f)),
-    )
-
-
-def dk_payload(dk: DecryptionKey) -> dict:
-    return {
-        "identity": dk.identity,
-        "epoch": dk.epoch,
-        "node": dk.node,
-        "policy": policy_payload(dk.policy),
-        "rows": [_row_payload(row) for row in dk.rows],
-        "d0": _el(dk.d0),
-        "d1": _el(dk.d1),
-    }
-
-
-def dk_from_payload(ctx, data) -> DecryptionKey:
-    return DecryptionKey(
-        identity=_field(data, "identity", str),
-        epoch=_field(data, "epoch", int),
-        node=_field(data, "node", int),
-        policy=policy_from_payload(_field(data, "policy", dict)),
-        rows=tuple(_row_from(ctx, row, "rows") for row in _field(data, "rows", list)),
-        d0=_element(ctx, data, "d0", SIDE_TWO),
-        d1=_element(ctx, data, "d1", SIDE_TWO),
-    )
-
-
-def _ct_payload(ct) -> dict:
-    """The fields both ciphertext kinds share."""
-    return {
-        "attrs": sorted(ct.attrs),
-        "epoch": ct.epoch,
-        "c": _el(ct.c),
-        "c1": _el(ct.c1),
-        "c2": _map_payload(ct.c2, _el),
-    }
-
-
-def _ct_from(ctx, data) -> dict:
-    return {
-        "attrs": frozenset(_typed(attr, int, "attrs") for attr in _field(data, "attrs", list)),
-        "epoch": _field(data, "epoch", int),
-        "c": _element(ctx, data, "c", SIDE_TARGET),
-        "c1": _element(ctx, data, "c1", SIDE_ONE),
-        "c2": _map_from(data, "c2", lambda text, f: _unel(ctx, text, f, SIDE_ONE)),
-    }
-
-
-def ct_original_payload(ct: OriginalCiphertext) -> dict:
-    return {**_ct_payload(ct), "e1": _el(ct.e1), "e2": _map_payload(ct.e2, _el)}
-
-
-def ct_original_from_payload(ctx, data) -> OriginalCiphertext:
-    return OriginalCiphertext(
-        **_ct_from(ctx, data),
-        e1=_element(ctx, data, "e1", SIDE_ONE),
-        e2=_map_from(data, "e2", lambda text, f: _unel(ctx, text, f, SIDE_ONE)),
-    )
-
-
-def ct_updated_payload(ct: UpdatedCiphertext) -> dict:
-    return {**_ct_payload(ct), "e_t": _el(ct.e_t)}
-
-
-def ct_updated_from_payload(ctx, data) -> UpdatedCiphertext:
-    return UpdatedCiphertext(**_ct_from(ctx, data), e_t=_element(ctx, data, "e_t", SIDE_ONE))
+mk_payload, mk_from_payload = _record(MasterKey, {"alpha": _SCALAR})
+sk_payload, sk_from_payload = _record(
+    PrivateKey, {"identity": _STR, "policy": _POLICY, "parts": _int_map(_seq(_ROW))}
+)
+ku_payload, ku_from_payload = _record(KeyUpdate, {"epoch": _INT, "parts": _int_map(_ROW)})
+dk_payload, dk_from_payload = _record(DecryptionKey, {
+    "identity": _STR,
+    "epoch": _INT,
+    "node": _INT,
+    "policy": _POLICY,
+    "rows": _seq(_ROW),
+    "d0": _element(SIDE_TWO),
+    "d1": _element(SIDE_TWO),
+})
+_CT = {  # the fields both ciphertext kinds share
+    "attrs": _ATTRS,
+    "epoch": _INT,
+    "c": _element(SIDE_TARGET),
+    "c1": _element(SIDE_ONE),
+    "c2": _int_map(_element(SIDE_ONE)),
+}
+ct_original_payload, ct_original_from_payload = _record(
+    OriginalCiphertext, {**_CT, "e1": _element(SIDE_ONE), "e2": _int_map(_element(SIDE_ONE))}
+)
+ct_updated_payload, ct_updated_from_payload = _record(
+    UpdatedCiphertext, {**_CT, "e_t": _element(SIDE_ONE)}
+)
 
 
 def msg_payload(message: GroupElement) -> dict:
@@ -344,13 +312,13 @@ def msg_payload(message: GroupElement) -> dict:
 
 
 def msg_from_payload(ctx, data) -> GroupElement:
-    return _element(ctx, data, "value", SIDE_TARGET)
+    return _unel(ctx, _get(data, "value"), "value", SIDE_TARGET)
 
 
 def tree_payload(state: TreeState) -> dict:
     return {
         "capacity": state.capacity,
-        "secrets": _map_payload(state.node_secrets, _sc),
+        "secrets": _secrets_payload(state.node_secrets),
         "leaves": dict(sorted(state.leaf_of.items())),
     }
 
@@ -360,9 +328,7 @@ def tree_from_payload(ctx, data) -> TreeState:
         state = TreeState(capacity=_field(data, "capacity", int))
     except ParameterError as exc:
         raise EnvelopeError(f"field 'capacity': {exc}") from None
-    state.node_secrets = _map_from(
-        data, "secrets", lambda text, f: _unb64(ctx.decode_scalar, text, f)
-    )
+    state.node_secrets = _secrets_from(ctx, _get(data, "secrets"), "secrets")
     for identity, leaf in _field(data, "leaves", dict).items():
         if not state.capacity <= _typed(leaf, int, "leaves") < 2 * state.capacity:
             raise EnvelopeError(f"field 'leaves': {identity!r} sits at {leaf}, not at a leaf")

