@@ -865,7 +865,7 @@ def fq12_from_bytes(data):
 
 
 def gt_is_valid(f):
-    """Membership test for pairing outputs: unitary and r-torsion."""
-    if fq12_mul(f, fq12_conj(f)) != FQ12_ONE:
+    """Membership test for pairing outputs: cyclotomic (hence unitary), then r-torsion."""
+    if fq12_mul(fq12_frob2(fq12_frob2(f)), f) != fq12_frob2(f):  # f^(p^4 - p^2 + 1) == 1
         return False
     return fq12_pow_cyclo(f, R) == FQ12_ONE

@@ -76,6 +76,16 @@ class PublicParams:
     _t_cache: dict = field(default_factory=dict, repr=False)
     _blind_base: GroupElement | None = field(default=None, repr=False)
 
+    def __post_init__(self):
+        if self.n_users < 1:
+            raise ParameterError(f"field 'n_users' is {self.n_users}, not at least 1")
+        if self.attr_max < 1:
+            raise ParameterError(f"field 'attr_max' is {self.attr_max}, not at least 1")
+        for name, count in ("t_gens", self.attr_max + 1), ("u_gens", bit_width(self.max_time)):
+            held = len(getattr(self, name))
+            if held != count:
+                raise ParameterError(f"field {name!r} holds {held} entries, not {count}")
+
     def blinding_base(self) -> GroupElement:
         """e(g1, g2), the target-group base every message is blinded with."""
         if self._blind_base is None:
@@ -122,12 +132,21 @@ class MasterKey:
     alpha: Scalar
 
 
+def _check_rows(name: str, rows, policy: AccessPolicy) -> None:
+    if len(rows) != len(policy.rows):
+        raise ParameterError(f"field {name!r} holds {len(rows)} rows, not {len(policy.rows)}")
+
+
 @dataclass(frozen=True)
 class PrivateKey:
     identity: str
     policy: AccessPolicy
     # node id -> one (k0, k1) pair per policy row
     parts: dict[int, tuple[tuple[GroupElement, GroupElement], ...]]
+
+    def __post_init__(self):
+        for rows in self.parts.values():
+            _check_rows("parts", rows, self.policy)
 
 
 @dataclass(frozen=True)
@@ -147,25 +166,33 @@ class DecryptionKey:
     d0: GroupElement
     d1: GroupElement
 
+    def __post_init__(self):
+        _check_rows("rows", self.rows, self.policy)
+
 
 @dataclass(frozen=True)
-class OriginalCiphertext:
+class _Ciphertext:
+    """The fields both ciphertext kinds share."""
+
     attrs: frozenset[int]
     epoch: int
     c: GroupElement
     c1: GroupElement
     c2: dict[int, GroupElement]   # per attribute
+
+    def __post_init__(self):
+        if self.c2.keys() != self.attrs:
+            raise ParameterError(f"field 'c2' has keys {sorted(self.c2)}, not {sorted(self.attrs)}")
+
+
+@dataclass(frozen=True)
+class OriginalCiphertext(_Ciphertext):
     e1: GroupElement
     e2: dict[int, GroupElement]   # per zero position of the ct encoding
 
 
 @dataclass(frozen=True)
-class UpdatedCiphertext:
-    attrs: frozenset[int]
-    epoch: int
-    c: GroupElement
-    c1: GroupElement
-    c2: dict[int, GroupElement]
+class UpdatedCiphertext(_Ciphertext):
     e_t: GroupElement
 
 
@@ -176,10 +203,6 @@ def setup(
     attr_max: int,
     rng,
 ) -> tuple[PublicParams, MasterKey, TreeState, RevocationList]:
-    if n_users < 1:
-        raise ParameterError("need at least one user")
-    if attr_max < 1:
-        raise ParameterError("need at least one attribute")
     tau = bit_width(max_time)
     alpha = ctx.random_scalar(rng)
     pp = PublicParams(
@@ -348,19 +371,6 @@ def update_ct(
 def decrypt(pp: PublicParams, ct: UpdatedCiphertext, dk: DecryptionKey) -> GroupElement:
     """Recover the message; the result is well-defined garbage when the
     key's epoch does not match the ciphertext's (no oracle here)."""
-    missing = sorted(ct.attrs - ct.c2.keys())
-    if missing:
-        raise MissingComponentError(f"ciphertext lacks the c2 component of attribute(s) {missing}")
-    extra = sorted(ct.c2.keys() - ct.attrs)
-    if extra:
-        raise ParameterError(f"ciphertext has c2 components for attribute(s) {extra} outside its set")
-    n_rows = len(dk.policy.rows)
-    if len(dk.rows) < n_rows:
-        raise MissingComponentError(
-            f"decryption key lacks policy row(s) {list(range(len(dk.rows), n_rows))}"
-        )
-    if len(dk.rows) > n_rows:
-        raise ParameterError(f"decryption key has {len(dk.rows)} rows for a {n_rows}-row policy")
     w = reconstruction_coefficients(dk.policy, ct.attrs, pp.ctx.prime_order)
     # A1 = prod_i (e(c1, k0_i) / e(c2[rho(i)], k1_i))^(w_i) collapses into
     # the product below by moving each w_i inside the pairing; A2 =

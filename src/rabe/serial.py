@@ -10,9 +10,9 @@ every payload key to a field codec, an (encode, decode) pair for an int, a
 string, a scalar, an element of a stated side, a sequence, an int-keyed map,
 an attribute set, a policy or a nested record.  One encoder (_encode) and
 one decoder (_decode) walk the specs.  Elements and scalars are stored as
-base64 canonical encodings, int-keyed maps with decimal string keys.
-Decoding type-checks every field, so a malformed payload ends as an
-EnvelopeError that names the field.
+base64 canonical encodings, int-keyed maps with decimal string keys.  Decoding
+type-checks every field and then builds the artifact, whose class checks its
+invariants; either way a malformed payload ends as an EnvelopeError naming the field.
 
 Kinds: pp, mk, sk, ku, dk, ct-original, ct-updated, state, msg, transcript.
 """
@@ -24,7 +24,7 @@ import hashlib
 import json
 import os
 
-from .errors import EnvelopeError, ParameterError, PolicyParseError
+from .errors import EnvelopeError, ParameterError, PolicyParseError, UnknownIdentityError
 from .groups import (
     REAL,
     SIDE_ONE,
@@ -47,6 +47,7 @@ from .scheme import (
     PrivateKey,
     PublicParams,
     UpdatedCiphertext,
+    revoke,
 )
 from .tree import RevocationList, TreeState
 
@@ -85,6 +86,15 @@ def _get(data: dict, key: str):
 
 def _field(data: dict, key: str, kind):
     return _typed(_get(data, key), kind, key)
+
+
+def _checked(build, *args, field: str | None = None, **kwargs):
+    """build(*args, **kwargs), with a broken artifact invariant ending as an
+    EnvelopeError; field names the field when the invariant's message does not."""
+    try:
+        return build(*args, **kwargs)
+    except (ParameterError, UnknownIdentityError) as exc:
+        raise EnvelopeError(f"field {field!r}: {exc}" if field else str(exc)) from None
 
 
 def _b64(data: bytes) -> str:
@@ -172,7 +182,7 @@ def _record(cls, spec: dict):
         return _encode(spec, obj)
 
     def decode(ctx, value, field="payload"):
-        return cls(**_decode(spec, ctx, _typed(value, dict, field)))
+        return _checked(cls, **_decode(spec, ctx, _typed(value, dict, field)))
 
     return encode, decode
 
@@ -271,11 +281,7 @@ def pp_payload(pp: PublicParams) -> dict:
 
 def pp_from_payload(data: dict) -> PublicParams:
     ctx = context_from_payload(_field(data, "group", dict))
-    pp = PublicParams(ctx=ctx, **_decode(_PP, ctx, data))
-    tau = len(pp.u_gens)  # max_time = 2^tau, tau >= 2
-    if len(pp.t_gens) != pp.attr_max + 1 or tau < 2 or pp.max_time != 1 << tau:
-        raise EnvelopeError("generator counts do not match fields 'attr_max' and 'max_time'")
-    return pp
+    return _checked(PublicParams, ctx=ctx, **_decode(_PP, ctx, data))
 
 
 mk_payload, mk_from_payload = _record(MasterKey, {"alpha": _SCALAR})
@@ -324,25 +330,14 @@ def tree_payload(state: TreeState) -> dict:
 
 
 def tree_from_payload(ctx, data) -> TreeState:
-    try:
-        state = TreeState(capacity=_field(data, "capacity", int))
-    except ParameterError as exc:
-        raise EnvelopeError(f"field 'capacity': {exc}") from None
-    state.node_secrets = _secrets_from(ctx, _get(data, "secrets"), "secrets")
-    for identity, leaf in _field(data, "leaves", dict).items():
-        if not state.capacity <= _typed(leaf, int, "leaves") < 2 * state.capacity:
-            raise EnvelopeError(f"field 'leaves': {identity!r} sits at {leaf}, not at a leaf")
-        state.leaf_of[identity] = leaf
-    return state
+    leaves = _field(data, "leaves", dict)
+    return _checked(TreeState, _field(data, "capacity", int),
+                    _secrets_from(ctx, _get(data, "secrets"), "secrets"),
+                    {who: _typed(leaf, int, "leaves") for who, leaf in leaves.items()})
 
 
 def rl_payload(rl: RevocationList) -> dict:
     return {"epochs": dict(sorted(rl.epochs.items()))}
-
-
-def rl_from_payload(data) -> RevocationList:
-    epochs = _field(data, "epochs", dict)
-    return RevocationList({who: _typed(t, int, "epochs") for who, t in epochs.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -425,11 +420,9 @@ def state_payload(pp, mk, state, rl, epoch_counter: int) -> dict:
 
 def state_from_payload(data: dict):
     pp = pp_from_payload(_field(data, "pp", dict))
-    ctx = pp.ctx
-    return (
-        pp,
-        mk_from_payload(ctx, _field(data, "mk", dict)),
-        tree_from_payload(ctx, _field(data, "tree", dict)),
-        rl_from_payload(_field(data, "rl", dict)),
-        _field(data, "epoch_counter", int),
-    )
+    mk = mk_from_payload(pp.ctx, _field(data, "mk", dict))
+    tree = tree_from_payload(pp.ctx, _field(data, "tree", dict))
+    rl = RevocationList()  # rebuilt through revoke, so each entry passes its checks
+    for who, t in _field(_field(data, "rl", dict), "epochs", dict).items():
+        _checked(revoke, tree, rl, who, _typed(t, int, "epochs"), pp.max_time, field="epochs")
+    return pp, mk, tree, rl, _field(data, "epoch_counter", int)

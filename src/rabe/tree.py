@@ -27,7 +27,12 @@ class TreeState:
 
     def __post_init__(self):
         if self.capacity < 1 or self.capacity & (self.capacity - 1) != 0:
-            raise ParameterError(f"capacity must be a power of two, got {self.capacity}")
+            raise ParameterError(f"field 'capacity' must be a power of two, got {self.capacity}")
+        for identity, leaf in self.leaf_of.items():
+            if not self.capacity <= leaf < 2 * self.capacity:
+                raise ParameterError(f"field 'leaves': {identity!r} sits at {leaf}, not at a leaf")
+        if len(set(self.leaf_of.values())) != len(self.leaf_of):
+            raise ParameterError("field 'leaves' puts two identities on one leaf")
 
     def check_node(self, node: int) -> None:
         if not 1 <= node < 2 * self.capacity:

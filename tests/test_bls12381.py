@@ -216,6 +216,28 @@ def _random_fq2(rng):
     return (rng.randbelow(bls.P), rng.randbelow(bls.P))
 
 
+def test_gt_check_rejects_unitary_non_cyclotomic_elements_without_a_power(monkeypatch):
+    # f = conj(g) / g is unitary, but for random g it lies outside the cyclotomic
+    # subgroup, where cyclotomic squaring does not square
+    rng = SeededRng("gt-unitary")
+    g = tuple(tuple(_random_fq2(rng) for _ in range(3)) for _ in range(2))
+    f = bls.fq12_mul(bls.fq12_conj(g), bls.fq12_inv(g))
+    assert bls.fq12_mul(f, bls.fq12_conj(f)) == bls.FQ12_ONE
+    assert bls.fq12_cyclo_sqr(f) != bls.fq12_sqr(f)
+    base = bls.pairing(bls.G1_GEN, bls.G2_GEN)
+    calls = []
+    pow_cyclo = bls.fq12_pow_cyclo
+
+    def counted(*args):
+        calls.append(args)
+        return pow_cyclo(*args)
+    monkeypatch.setattr(bls, "fq12_pow_cyclo", counted)
+    assert not bls.gt_is_valid(f)
+    assert calls == []
+    assert bls.gt_is_valid(base)
+    assert len(calls) == 1
+
+
 def test_sparse_line_multiply_and_squaring_match_dense():
     rng = SeededRng("fq12-sparse")
     for _ in range(4):

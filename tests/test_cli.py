@@ -140,14 +140,14 @@ def test_decrypt_of_incomplete_artifacts_is_a_validation_error(deployment, capsy
     short_ct = tmp / "short-ct.json"
     short_ct.write_text(json.dumps(env))
     code, _, err = run(capsys, "decrypt", "--state", state, "--ct", short_ct, "--dk", dk)
-    assert code == EXIT_INVALID and "attribute(s) [2]" in err
+    assert code == EXIT_INVALID and str(short_ct) in err and "'c2' has keys [1], not [1, 2]" in err
 
     env = json.loads(dk.read_text())
     env["payload"]["rows"] = env["payload"]["rows"][:1]
     short_dk = tmp / "short-dk.json"
     short_dk.write_text(json.dumps(env))
     code, _, err = run(capsys, "decrypt", "--state", state, "--ct", ct2, "--dk", short_dk)
-    assert code == EXIT_INVALID and "row(s) [1, 2]" in err
+    assert code == EXIT_INVALID and str(short_dk) in err and "'rows' holds 1 rows, not 3" in err
 
 
 def test_validation_and_io_exit_codes(tmp_path, capsys):
@@ -370,6 +370,25 @@ MUTATIONS = {
     "top-level-string": ("dk", lambda path: path.write_text(
         '"kindversionbackendparams_hashpayload"'), DECRYPT, ("JSON object",)),
     "version-a-string": ("ku", _set("version", "1"), DERIVE_DK, ("version '1'",)),
+    # invariants the artifact classes state: key sets and row counts that agree
+    "c2-key-dropped": ("ct2", _drop("payload", "c2", "2"), DECRYPT, ("'c2'",)),
+    "c2-key-added": ("ct2", _set("payload", "c2", lambda c2: {**c2, "3": c2["1"]}), DECRYPT,
+                     ("'c2'",)),
+    "dk-row-dropped": ("dk", _set("payload", "rows", lambda rows: rows[:-1]), DECRYPT, ("'rows'",)),
+    "sk-part-extra-row": ("sk", _set("payload", "parts", "1", lambda rows: rows + rows[:1]),
+                          DERIVE_DK, ("'parts'",)),
+    "t_gens-short": ("state", _set("payload", "pp", "t_gens", lambda gens: gens[:-1]), UPDATE_KEY,
+                     ("'t_gens'",)),
+    "leaves-shared": ("state", _set("payload", "tree", "leaves", lambda leaves: {
+        **leaves, "bob": leaves["alice"]}), UPDATE_KEY, ("'leaves'",)),
+    # a revocation entry passes the checks `rabe revoke` makes; alice is the one
+    # identity with a leaf here
+    "epochs-negative": ("state", _set("payload", "rl", "epochs", {"alice": -4}), UPDATE_KEY,
+                        ("'epochs'", "epoch -4")),
+    "epochs-zero": ("state", _set("payload", "rl", "epochs", {"alice": 0}), UPDATE_KEY,
+                    ("'epochs'", "epoch 0")),
+    "epochs-no-leaf": ("state", _set("payload", "rl", "epochs", {"ghost": -4}), UPDATE_KEY,
+                       ("'epochs'", "'ghost' has no leaf")),
 }
 
 

@@ -29,6 +29,14 @@ def test_capacity_must_be_power_of_two():
             TreeState(capacity=bad)
 
 
+def test_identities_sit_on_distinct_leaves():
+    TreeState(capacity=4, leaf_of={"a": 4, "b": 7})
+    with pytest.raises(ParameterError, match="'leaves': 'b' sits at 3, not at a leaf"):
+        TreeState(capacity=4, leaf_of={"a": 4, "b": 3})
+    with pytest.raises(ParameterError, match="two identities on one leaf"):
+        TreeState(capacity=4, leaf_of={"a": 5, "b": 5})
+
+
 def test_leaf_assignment_is_leftmost_and_idempotent():
     state = TreeState(capacity=4)
     assert state.assign_leaf("a") == 4
