@@ -99,14 +99,18 @@ def fq2_inv(x):
     return (a * norm_inv % P, -b * norm_inv % P)
 
 
-def fq2_pow(x, e):
-    result = FQ2_ONE
+def _pow(mul, sqr, result, x, e):
+    # result * x^e for e >= 0, by square-and-multiply
     while e:
         if e & 1:
-            result = fq2_mul(result, x)
-        x = fq2_sqr(x)
+            result = mul(result, x)
+        x = sqr(x)
         e >>= 1
     return result
+
+
+def fq2_pow(x, e):
+    return _pow(fq2_mul, fq2_sqr, FQ2_ONE, x, e)
 
 
 # ---------------------------------------------------------------------------
@@ -219,15 +223,7 @@ def fq12_inv(x):
 
 
 def fq12_pow(x, e):
-    if e < 0:
-        return fq12_pow(fq12_inv(x), -e)
-    result = FQ12_ONE
-    while e:
-        if e & 1:
-            result = fq12_mul(result, x)
-        x = fq12_sqr(x)
-        e >>= 1
-    return result
+    return _pow(fq12_mul, fq12_sqr, FQ12_ONE, x, e)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +365,9 @@ def final_exponentiation(f):
 # ---------------------------------------------------------------------------
 # Scalar multiplication, one driver for both source groups.  Each group
 # brings its Jacobian doubling, its one mixed addition (Jacobian + affine,
-# EFD madd-2007-bl), a batched conversion to affine and its negation.
+# EFD madd-2007-bl), its negation and its field's multiplication and
+# inversion; the conversion to affine, addition and the scalar driver are
+# shared.
 #
 # Multiples of the fixed generators read a signed-digit fixed-window table
 # (Brickell-Gordon-McCurley-Wilson, Eurocrypt 1992): row i holds the affine
@@ -387,15 +385,43 @@ _FB_LIMIT = 1 << (_FB_WIDTH * (_FB_WINDOWS - 1))
 class _Group:
     """The point arithmetic of one source group, as the drivers use it."""
 
-    def __init__(self, gen, zero, one, dbl, madd, to_affine, neg):
+    def __init__(self, gen, zero, one, dbl, madd, neg, fmul, finv):
         self.gen = gen
+        self.zero = zero
         self.one = one  # the Z coordinate of an affine point
         self.inf = (zero, one, zero)  # Jacobian infinity
         self.dbl = dbl
         self.madd = madd
-        self.to_affine = to_affine
         self.neg = neg
+        self.fmul = fmul
+        self.finv = finv
         self.table = None
+
+    def to_affine(self, points):
+        """Jacobian points to affine ones (None for infinity) with one
+        inversion (Montgomery's trick)."""
+        mul, zero = self.fmul, self.zero
+        prefix = []
+        acc = self.one
+        for _, _, Z in points:
+            prefix.append(acc)
+            if Z != zero:
+                acc = mul(acc, Z)
+        inv = self.finv(acc)
+        out = [None] * len(points)
+        for i in range(len(points) - 1, -1, -1):
+            X, Y, Z = points[i]
+            if Z != zero:
+                zinv = mul(inv, prefix[i])
+                inv = mul(inv, Z)
+                z2 = mul(zinv, zinv)
+                out[i] = (mul(X, z2), mul(mul(Y, z2), zinv))
+        return out
+
+    def add(self, p, q):
+        if p is None:
+            return q
+        return self.to_affine([self.madd((*p, self.one), q)])[0]
 
 
 def _fb_digits(k):
@@ -426,7 +452,12 @@ def _fixed_table(g):
 
 
 def _mul(g, pt, k):
-    """[k]pt for k > 0 and pt not None, in affine coordinates."""
+    """[k]pt in affine coordinates, None for infinity.  No reduction mod R:
+    subgroup checks rely on the raw multiple."""
+    if k < 0:
+        pt, k = g.neg(pt), -k
+    if pt is None or k == 0:
+        return None
     madd = g.madd
     acc = g.inf
     if pt == g.gen and k < _FB_LIMIT:
@@ -513,42 +544,15 @@ def _g1_madd(p, q):
     return (X3, Y3, Z3)
 
 
-def _g1_to_affine(points):
-    """Jacobian points to affine ones (None for infinity) with one inversion
-    (Montgomery's trick)."""
-    prefix = []
-    acc = 1
-    for _, _, Z in points:
-        prefix.append(acc)
-        if Z:
-            acc = acc * Z % P
-    inv = pow(acc, -1, P)
-    out = [None] * len(points)
-    for i in range(len(points) - 1, -1, -1):
-        X, Y, Z = points[i]
-        if Z:
-            zinv = inv * prefix[i] % P
-            inv = inv * Z % P
-            z2 = zinv * zinv % P
-            out[i] = (X * z2 % P, Y * z2 * zinv % P)
-    return out
-
-
-_G1 = _Group(G1_GEN, 0, 1, _g1_dbl_jac, _g1_madd, _g1_to_affine, g1_neg)
+_G1 = _Group(G1_GEN, 0, 1, _g1_dbl_jac, _g1_madd, g1_neg,
+             lambda a, b: a * b % P, lambda a: pow(a, -1, P))
 
 
 def g1_add(p, q):
-    if p is None:
-        return q
-    return _g1_to_affine([_g1_madd((*p, 1), q)])[0]
+    return _G1.add(p, q)
 
 
 def g1_mul(pt, k):
-    # no reduction mod R here: subgroup checks rely on the raw multiple
-    if k < 0:
-        return g1_mul(g1_neg(pt), -k)
-    if pt is None or k == 0:
-        return None
     return _mul(_G1, pt, k)
 
 
@@ -617,39 +621,14 @@ def _g2_madd(p, q):
     return (X3, Y3, Z3)
 
 
-def _g2_to_affine(points):
-    prefix = []
-    acc = FQ2_ONE
-    for _, _, Z in points:
-        prefix.append(acc)
-        if Z != FQ2_ZERO:
-            acc = fq2_mul(acc, Z)
-    inv = fq2_inv(acc)
-    out = [None] * len(points)
-    for i in range(len(points) - 1, -1, -1):
-        X, Y, Z = points[i]
-        if Z != FQ2_ZERO:
-            zinv = fq2_mul(inv, prefix[i])
-            inv = fq2_mul(inv, Z)
-            z2 = fq2_sqr(zinv)
-            out[i] = (fq2_mul(X, z2), fq2_mul(fq2_mul(Y, z2), zinv))
-    return out
-
-
-_G2 = _Group(G2_GEN, FQ2_ZERO, FQ2_ONE, _g2_dbl_jac, _g2_madd, _g2_to_affine, g2_neg)
+_G2 = _Group(G2_GEN, FQ2_ZERO, FQ2_ONE, _g2_dbl_jac, _g2_madd, g2_neg, fq2_mul, fq2_inv)
 
 
 def g2_add(p, q):
-    if p is None:
-        return q
-    return _g2_to_affine([_g2_madd((*p, FQ2_ONE), q)])[0]
+    return _G2.add(p, q)
 
 
 def g2_mul(pt, k):
-    if k < 0:
-        return g2_mul(g2_neg(pt), -k)
-    if pt is None or k == 0:
-        return None
     return _mul(_G2, pt, k)
 
 
@@ -736,42 +715,59 @@ def pairing(p, q):
 
 
 # ---------------------------------------------------------------------------
-# Canonical encodings: standard 48/96-byte compressed points (flag bits in
-# the top three bits of the first byte), 576-byte Fq12.
+# Canonical encodings: standard 48/96-byte compressed points, 576-byte Fq12.
+# A compressed point is x as 48-byte big-endian words (x1 before x0 on G2)
+# with three flags in the top bits of the first byte: compressed (0x80),
+# infinity (0x40) and the sign of y (0x20).
 
 
 def _fq_sign(a):
     return a > HALF_P
 
 
-def g1_to_bytes(pt):
-    if pt is None:
-        return bytes([0xC0]) + bytes(47)
-    x, y = pt
-    flags = 0x80 | (0x20 if _fq_sign(y) else 0)
-    data = bytearray(x.to_bytes(48, "big"))
-    data[0] |= flags
+def _compress(size, words=(), sign=False):
+    """The compressed encoding of x's words with y's sign; no words is infinity."""
+    if not words:
+        return bytes([0xC0]) + bytes(size - 1)
+    data = bytearray(b"".join(w.to_bytes(48, "big") for w in words))
+    data[0] |= 0x80 | (0x20 if sign else 0)
     return bytes(data)
 
 
-def g1_from_bytes(data):
-    if len(data) != 48:
-        raise ValueError("G1 encoding must be 48 bytes")
+def _decompress(data, size, group):
+    """(sign of y, x's words below P) of a compressed point, or None for infinity."""
+    if len(data) != size:
+        raise ValueError(f"{group} encoding must be {size} bytes")
     flags = data[0]
     if not flags & 0x80:
-        raise ValueError("uncompressed G1 encoding not supported")
+        raise ValueError(f"uncompressed {group} encoding not supported")
     if flags & 0x40:
         if any(data[1:]) or flags & 0x3F:
-            raise ValueError("malformed G1 infinity encoding")
+            raise ValueError(f"malformed {group} infinity encoding")
         return None
-    x = int.from_bytes(bytes([flags & 0x1F]) + data[1:], "big")
-    if x >= P:
-        raise ValueError("G1 x coordinate out of range")
+    body = bytes([flags & 0x1F]) + data[1:]
+    words = [int.from_bytes(body[i : i + 48], "big") for i in range(0, size, 48)]
+    if any(w >= P for w in words):
+        raise ValueError(f"{group} x coordinate out of range")
+    return bool(flags & 0x20), words
+
+
+def g1_to_bytes(pt):
+    if pt is None:
+        return _compress(48)
+    return _compress(48, (pt[0],), _fq_sign(pt[1]))
+
+
+def g1_from_bytes(data):
+    decoded = _decompress(data, 48, "G1")
+    if decoded is None:
+        return None
+    sign, (x,) = decoded
     rhs = (x * x * x + B1) % P
     y = pow(rhs, (P + 1) // 4, P)
     if y * y % P != rhs:
         raise ValueError("G1 x coordinate not on curve")
-    if _fq_sign(y) != bool(flags & 0x20):
+    if _fq_sign(y) != sign:
         y = -y % P
     pt = (x, y)
     if not g1_in_subgroup(pt):
@@ -805,34 +801,22 @@ def _fq2_sign(a):
 
 def g2_to_bytes(pt):
     if pt is None:
-        return bytes([0xC0]) + bytes(95)
+        return _compress(96)
     (x0, x1), y = pt
-    flags = 0x80 | (0x20 if _fq2_sign(y) else 0)
-    data = bytearray(x1.to_bytes(48, "big") + x0.to_bytes(48, "big"))
-    data[0] |= flags
-    return bytes(data)
+    return _compress(96, (x1, x0), _fq2_sign(y))
 
 
 def g2_from_bytes(data):
-    if len(data) != 96:
-        raise ValueError("G2 encoding must be 96 bytes")
-    flags = data[0]
-    if not flags & 0x80:
-        raise ValueError("uncompressed G2 encoding not supported")
-    if flags & 0x40:
-        if any(data[1:]) or flags & 0x3F:
-            raise ValueError("malformed G2 infinity encoding")
+    decoded = _decompress(data, 96, "G2")
+    if decoded is None:
         return None
-    x1 = int.from_bytes(bytes([flags & 0x1F]) + data[1:48], "big")
-    x0 = int.from_bytes(data[48:], "big")
-    if x0 >= P or x1 >= P:
-        raise ValueError("G2 x coordinate out of range")
+    sign, (x1, x0) = decoded
     x = (x0, x1)
     rhs = fq2_add(fq2_mul(fq2_sqr(x), x), B2)
     y = fq2_sqrt(rhs)
     if y is None:
         raise ValueError("G2 x coordinate not on curve")
-    if _fq2_sign(y) != bool(flags & 0x20):
+    if _fq2_sign(y) != sign:
         y = fq2_neg(y)
     pt = (x, y)
     if not g2_in_subgroup(pt):
@@ -865,7 +849,8 @@ def fq12_from_bytes(data):
 
 
 def gt_is_valid(f):
-    """Membership test for pairing outputs: cyclotomic (hence unitary), then r-torsion."""
+    """Membership test for pairing outputs: cyclotomic (hence unitary), then
+    f^p == f^z, which leaves order gcd(p - z, p^4 - p^2 + 1) = r."""
     if fq12_mul(fq12_frob2(fq12_frob2(f)), f) != fq12_frob2(f):  # f^(p^4 - p^2 + 1) == 1
         return False
-    return fq12_pow_cyclo(f, R) == FQ12_ONE
+    return fq12_frob1(f) == _exp_neg_z(f)

@@ -55,7 +55,9 @@ def _decode(path, decode, *args):
 def _load_state(path):
     env = serial.read_envelope(path, expect_kind="state")
     pp, mk, tree, rl, counter = _decode(path, serial.state_from_payload, env["payload"])
-    return env["params_hash"], pp, mk, tree, rl, counter
+    phash = serial.params_hash(serial.pp_payload(pp))
+    serial.check_params_hash(env, phash, path)
+    return phash, pp, mk, tree, rl, counter
 
 
 def _save_state(path, pp, mk, tree, rl, counter):
@@ -175,15 +177,7 @@ def cmd_derive_dk(args):
 
 def cmd_decrypt(args):
     phash, pp, mk, tree, rl, counter = _load_state(args.state)
-    env = serial.read_envelope(args.ct)
-    if env["kind"] == "ct-original":
-        raise RabeError(
-            f"{args.ct}: this ciphertext was never anchored to an epoch; run update-ct first"
-        )
-    if env["kind"] != "ct-updated":
-        raise EnvelopeError(f"{args.ct}: expected a ct-updated envelope, found {env['kind']!r}")
-    serial.check_params_hash(env, phash, args.ct)
-    ct = _decode(args.ct, serial.ct_updated_from_payload, pp.ctx, env["payload"])
+    ct = _read_artifact(args.ct, "ct-updated", phash, serial.ct_updated_from_payload, pp.ctx)
     dk = _read_artifact(args.dk, "dk", phash, serial.dk_from_payload, pp.ctx)
     if dk.epoch != ct.epoch:
         raise RabeError(

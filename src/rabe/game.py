@@ -196,23 +196,9 @@ def validate_transcript(tr: GameTranscript) -> ConstraintReport:
 
 
 class Oracles:
-    """Query handles the challenger exposes to the adversary."""
+    """The query handles the challenger exposes to the adversary; each logs
+    its query, then answers it."""
 
-    def __init__(self, runner: "_ChallengerState"):
-        self._runner = runner
-
-    def private_key(self, identity: str, policy: AccessPolicy):
-        """Returns the key, or None when the weaker model withholds it."""
-        return self._runner.query_key(identity, policy)
-
-    def key_update(self, epoch: int):
-        return self._runner.query_update(epoch)
-
-    def revoke(self, identity: str, epoch: int) -> None:
-        self._runner.query_revoke(identity, epoch)
-
-
-class _ChallengerState:
     def __init__(self, pp, mk, tree, rl, mode, target_attrs, rng):
         self.pp = pp
         self.mk = mk
@@ -223,7 +209,8 @@ class _ChallengerState:
         self.rng = rng
         self.log: list[QueryRecord] = []
 
-    def query_key(self, identity, policy):
+    def private_key(self, identity: str, policy: AccessPolicy):
+        """Returns the key, or None when the weaker model withholds it."""
         hits = satisfies(policy, self.target_attrs, self.pp.ctx.prime_order)
         withheld = self.mode == WEAKER and hits
         self.log.append(
@@ -238,11 +225,11 @@ class _ChallengerState:
         sk = keygen(self.pp, self.mk, self.tree, identity, policy, self.rng)
         return None if withheld else sk
 
-    def query_update(self, epoch):
+    def key_update(self, epoch: int):
         self.log.append(QueryRecord(kind="update", epoch=epoch))
         return update_key(self.pp, self.mk, self.tree, self.rl, epoch, self.rng)
 
-    def query_revoke(self, identity, epoch):
+    def revoke(self, identity: str, epoch: int) -> None:
         self.log.append(QueryRecord(kind="revoke", identity=identity, epoch=epoch))
         revoke(self.tree, self.rl, identity, epoch, self.pp.max_time)
 
@@ -275,8 +262,7 @@ def challenger_run(
         raise ParameterError("the target attribute set must be nonempty")
     pp, mk, tree, rl = setup(ctx, n_users, max_time, attr_max, rng)
     phash = _params_hash(_pp_payload(pp))
-    state = _ChallengerState(pp, mk, tree, rl, mode, target_attrs, rng)
-    oracles = Oracles(state)
+    oracles = Oracles(pp, mk, tree, rl, mode, target_attrs, rng)
     timings["setup"] = clock() - t0
 
     t0 = clock()
@@ -304,7 +290,7 @@ def challenger_run(
             challenge_bit=bit,
             guess=guess,
             outcome=outcome,
-            queries=tuple(state.log),
+            queries=tuple(oracles.log),
             params_hash=phash,
             timings=timings,
             notes=dict(getattr(adversary, "notes", {})),

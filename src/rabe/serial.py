@@ -392,14 +392,18 @@ def read_envelope(path, expect_kind: str | None = None) -> dict:
     if type(version) is not int or version != VERSION:
         raise EnvelopeError(f"{path}: unsupported envelope version {version!r}")
     if expect_kind is not None and env["kind"] != expect_kind:
-        raise EnvelopeError(f"{path}: expected kind {expect_kind!r}, found {env['kind']!r}")
+        unanchored = (expect_kind, env["kind"]) == ("ct-updated", "ct-original")
+        remedy = "; run update-ct first" if unanchored else ""
+        raise EnvelopeError(
+            f"{path}: expected a {expect_kind} envelope, found {env['kind']!r}{remedy}"
+        )
     return env
 
 
 def check_params_hash(env: dict, phash: str, path="") -> None:
     if env["params_hash"] != phash:
         raise EnvelopeError(
-            f"{path}: artifact belongs to parameter set {env['params_hash'][:12]}..., "
+            f"{path}: field 'params_hash' names parameter set {env['params_hash'][:12]}..., "
             f"not the loaded {phash[:12]}..."
         )
 

@@ -1,6 +1,7 @@
 """Curve-level checks against externally known BLS12-381 values."""
 
 import hashlib
+import math
 
 import pytest
 
@@ -164,6 +165,44 @@ def test_from_bytes_rejects_malformed():
         bls.g2_from_bytes(bytes.fromhex(G2_GEN_HEX)[:-1])
 
 
+def test_g2_from_bytes_rejects_malformed():
+    good = bytes.fromhex(G2_GEN_HEX)
+    p = bls.P.to_bytes(48, "big")  # x1 is the first word, x0 the second
+    bad = {
+        "compression bit off": bytes([good[0] & 0x7F]) + good[1:],
+        "dirty infinity": bytes([0xC0]) + bytes(94) + bytes([1]),
+        "x1 >= P": bytes([p[0] | 0x80]) + p[1:] + good[48:],
+        "x0 >= P": good[:48] + (bls.G2_GEN[0][0] + bls.P).to_bytes(48, "big"),
+    }
+    for case, data in bad.items():
+        assert len(data) == 96, case
+        with pytest.raises(ValueError):
+            bls.g2_from_bytes(data)
+
+
+@pytest.mark.parametrize("group", sorted(GROUPS))
+def test_affine_batch_with_infinity_matches_one_by_one(group):
+    gen, mul, _, _ = GROUPS[group]
+    g = bls._G1 if group == "G1" else bls._G2
+    p, q = mul(gen, 5), mul(gen, 11)
+    # Jacobian points with Z != 1, and infinity between them
+    two_q = g.dbl((*q, g.one))
+    batch = [g.dbl((*p, g.one)), g.inf, g.madd(two_q, p), g.inf, g.dbl(two_q)]
+    assert g.to_affine(batch) == [g.to_affine([pt])[0] for pt in batch]
+    assert g.to_affine(batch) == [mul(gen, 10), None, mul(gen, 27), None, mul(gen, 44)]
+    assert g.to_affine([g.inf]) == [None] and g.to_affine([]) == []
+
+
+@pytest.mark.parametrize("group", sorted(GROUPS))
+def test_mul_of_negative_zero_and_infinity(group):
+    gen, mul, _, neg = GROUPS[group]
+    p = mul(gen, 5)
+    assert mul(p, -3) == neg(mul(p, 3)) == mul(neg(p), 3)
+    assert mul(p, -bls.R) is None
+    assert mul(p, 0) is None
+    assert mul(None, 7) is None and mul(None, -7) is None and mul(None, 0) is None
+
+
 def test_from_bytes_rejects_non_square_x():
     # scan small x values; the first undecodable one must raise cleanly
     rejected = 0
@@ -236,6 +275,23 @@ def test_gt_check_rejects_unitary_non_cyclotomic_elements_without_a_power(monkey
     assert calls == []
     assert bls.gt_is_valid(base)
     assert len(calls) == 1
+
+
+def test_gt_check_rejects_cyclotomic_elements_outside_gt():
+    # the easy part of the final exponentiation takes a random element into the
+    # cyclotomic subgroup, whose order p^4 - p^2 + 1 is r times a cofactor
+    rng = SeededRng("gt-cyclotomic")
+    g = tuple(tuple(_random_fq2(rng) for _ in range(3)) for _ in range(2))
+    f = bls.fq12_mul(bls.fq12_conj(g), bls.fq12_inv(g))
+    f = bls.fq12_mul(bls.fq12_frob2(f), f)
+    assert bls.fq12_mul(bls.fq12_frob2(bls.fq12_frob2(f)), f) == bls.fq12_frob2(f)
+    assert bls.fq12_pow_cyclo(f, bls.R) != bls.FQ12_ONE
+    assert not bls.gt_is_valid(f)
+    # f^p == f^z leaves order gcd(p - z, p^4 - p^2 + 1), with z = -BLS_X
+    assert math.gcd(bls.P + bls.BLS_X, bls.P**4 - bls.P**2 + 1) == bls.R
+    assert bls.gt_is_valid(bls.FQ12_ONE)
+    for k in (1, 5):
+        assert bls.gt_is_valid(bls.pairing(bls.g1_mul(bls.G1_GEN, k), bls.G2_GEN))
 
 
 def test_sparse_line_multiply_and_squaring_match_dense():

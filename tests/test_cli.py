@@ -389,6 +389,9 @@ MUTATIONS = {
                     ("'epochs'", "epoch 0")),
     "epochs-no-leaf": ("state", _set("payload", "rl", "epochs", {"ghost": -4}), UPDATE_KEY,
                        ("'epochs'", "'ghost' has no leaf")),
+    # the state's label must be the hash of the parameters it holds
+    "params_hash-stale": ("state", _edit(lambda env: env["payload"]["pp"].update(
+        g1=env["payload"]["pp"]["g2"]["one"])), UPDATE_KEY, ("'params_hash'",)),
 }
 
 
