@@ -10,15 +10,23 @@ G1 is E(Fq): y^2 = x^3 + 4, G2 is the sextic twist E'(Fq2): y^2 = x^3 +
 multiplication runs on Jacobian coordinates internally, with one doubling
 (EFD dbl-2009-l) and one mixed Jacobian + affine addition (madd-2007-bl)
 per group.  Multiples of the two fixed generators read a signed-digit
-fixed-window table, built on first use; every other base runs a width-4
-wNAF.  The pairing is the ate pairing: a Miller loop over the curve
-parameter that keeps the running point on the twist in homogeneous
-projective coordinates and multiplies each line into the accumulator as a
-sparse Fq12 element (no inversions), then the final exponentiation split
-into the easy part and a NAF-windowed hard part using cyclotomic squaring.
+fixed-window table, built on first use.  Every other base runs a width-4
+wNAF, split by a cheap endomorphism of each group (GLV/GLS): -phi, with
+phi(x, y) = (beta x, y), acts on G1 as [z^2], and -psi, with psi the
+untwist-Frobenius-twist map, acts on G2 as [|z|].  A full-length scalar
+becomes two 128-bit or four 64-bit digits that share one doubling chain.
+The same maps give the G1 and G2 membership tests (Scott, ePrint
+2021/1130), which need only a multiplication by z^2 or |z|.  The pairing is
+the ate pairing: a Miller loop over the curve parameter that keeps the
+running point on the twist in homogeneous projective coordinates and
+multiplies each line into the accumulator as a sparse Fq12 element (no
+inversions), then the final exponentiation split into the easy part and a
+NAF-windowed hard part using cyclotomic squaring.
 """
 
 from __future__ import annotations
+
+from itertools import zip_longest
 
 # Base field prime, subgroup order, and |z| for the curve parameter z < 0.
 P = 0x1A0111EA397FE69A4B1BA7B6434BACD764774B84F38512BF6730D2A0F6B0F6241EABFFFEB153FFFFB9FEFFFFFFFFAAAB
@@ -374,7 +382,10 @@ def final_exponentiation(f):
 # points j * 2^(4i) * G for j = 1..8, so [k]G is one mixed addition per
 # nonzero base-16 digit of k and no doubling.  The tables are built on first
 # use and kept for the life of the process.  Every other base, and every k
-# of 2^256 or more, takes the width-4 wNAF path.
+# of 2^256 or more, takes the width-4 wNAF path, and a k longer than the
+# group's radix is split by its endomorphism: endo acts on the r-torsion as
+# [radix], and R < radix^4 on G2 (radix = |z|) and R < radix^2 on G1
+# (radix = z^2), since R = z^4 - z^2 + 1.
 
 _FB_WIDTH = 4
 _FB_WINDOWS = 65  # 64 digits cover k < 2^256; the 65th takes the last carry
@@ -385,7 +396,7 @@ _FB_LIMIT = 1 << (_FB_WIDTH * (_FB_WINDOWS - 1))
 class _Group:
     """The point arithmetic of one source group, as the drivers use it."""
 
-    def __init__(self, gen, zero, one, dbl, madd, neg, fmul, finv):
+    def __init__(self, gen, zero, one, dbl, madd, neg, fmul, finv, endo, radix):
         self.gen = gen
         self.zero = zero
         self.one = one  # the Z coordinate of an affine point
@@ -395,6 +406,8 @@ class _Group:
         self.neg = neg
         self.fmul = fmul
         self.finv = finv
+        self.endo = endo  # acts on the r-torsion as [radix]
+        self.radix = radix
         self.table = None
 
     def to_affine(self, points):
@@ -452,8 +465,16 @@ def _fixed_table(g):
 
 
 def _mul(g, pt, k):
-    """[k]pt in affine coordinates, None for infinity.  No reduction mod R:
-    subgroup checks rely on the raw multiple."""
+    """[k]pt in affine coordinates, None for infinity.
+
+    Plain path: a k no longer than g.radix runs one width-4 wNAF on pt,
+    which holds for any point on the curve; the membership tests rely on
+    it.  Split path: a longer k is reduced mod R and written in base
+    g.radix, and the digits run one interleaved wNAF over the bases
+    endo^i(pt).  The split holds only for pt in the r-torsion, where endo
+    acts as [radix]: every caller passes scheme outputs or decoded,
+    subgroup-checked points.
+    """
     if k < 0:
         pt, k = g.neg(pt), -k
     if pt is None or k == 0:
@@ -469,8 +490,15 @@ def _mul(g, pt, k):
             elif d < 0:
                 acc = madd(acc, g.neg(row[-d - 1]))
         return g.to_affine([acc])[0]
+    digits = [k]
+    if k.bit_length() > g.radix.bit_length():
+        k, digits = k % R, []
+        while k:
+            k, d = divmod(k, g.radix)
+            digits.append(d)
     # the odd multiples P, 3P, 5P, 7P of the wNAF digits: 2P is made affine
-    # first, then the four share one inversion
+    # first, then the four share one inversion; endo carries them to the
+    # odd multiples of the next base
     dbl = g.dbl
     two = g.to_affine([dbl((*pt, g.one))])[0]
     jac = [(*pt, g.one)]
@@ -479,10 +507,15 @@ def _mul(g, pt, k):
     table = {}
     for d, q in zip((1, 3, 5, 7), g.to_affine(jac)):
         table[d], table[-d] = q, g.neg(q)
-    for d in reversed(_naf(k, 4)):
+    tables = [table]
+    for _ in digits[1:]:
+        tables.append({d: g.endo(q) for d, q in tables[-1].items()})
+    nafs = [_naf(d, 4) for d in digits]
+    for column in reversed(list(zip_longest(*nafs, fillvalue=0))):
         acc = dbl(acc)
-        if d:
-            acc = madd(acc, table[d])
+        for d, table in zip(column, tables):
+            if d:
+                acc = madd(acc, table[d])
     return g.to_affine([acc])[0]
 
 
@@ -544,8 +577,12 @@ def _g1_madd(p, q):
     return (X3, Y3, Z3)
 
 
+# endo = -phi with phi(x, y) = (BETA x, y), BETA the cube root of unity for
+# which phi acts on G1 as [-z^2] (the other one gives [z^2 - 1])
+BETA = 0x5F19672FDF76CE51BA69C6076A0F77EADDB3A93BE6F89688DE17D813620A00022E01FFFFFFFEFFFE
 _G1 = _Group(G1_GEN, 0, 1, _g1_dbl_jac, _g1_madd, g1_neg,
-             lambda a, b: a * b % P, lambda a: pow(a, -1, P))
+             lambda a, b: a * b % P, lambda a: pow(a, -1, P),
+             lambda q: (q[0] * BETA % P, -q[1] % P), BLS_X * BLS_X)
 
 
 def g1_add(p, q):
@@ -557,7 +594,8 @@ def g1_mul(pt, k):
 
 
 def g1_in_subgroup(pt):
-    return pt is None or (g1_on_curve(pt) and g1_mul(pt, R) is None)
+    """Scott's test (ePrint 2021/1130): on the curve and -phi(P) == [z^2]P."""
+    return pt is None or (g1_on_curve(pt) and _G1.endo(pt) == g1_mul(pt, _G1.radix))
 
 
 # ---------------------------------------------------------------------------
@@ -621,7 +659,15 @@ def _g2_madd(p, q):
     return (X3, Y3, Z3)
 
 
-_G2 = _Group(G2_GEN, FQ2_ZERO, FQ2_ONE, _g2_dbl_jac, _g2_madd, g2_neg, fq2_mul, fq2_inv)
+# endo = -psi with psi = twist o Frobenius o untwist, (x, y) -> (conj(x) PSI_X,
+# conj(y) PSI_Y), PSI_X = 1/xi^((p-1)/3) and PSI_Y = 1/xi^((p-1)/2); psi acts
+# on G2 as [p] = [z]
+PSI_X = (0, 0x1A0111EA397FE699EC02408663D4DE85AA0D857D89759AD4897D29650FB85F9B409427EB4F49FFFD8BFD00000000AAAD)
+PSI_Y = (0x135203E60180A68EE2E9C448D77A2CD91C3DEDD930B1CF60EF396489F61EB45E304466CF3E67FA0AF1EE7B04121BDEA2,
+         0x06AF0E0437FF400B6831E36D6BD17FFE48395DABC2D3435E77F76E17009241C5EE67992F72EC05F4C81084FBEDE3CC09)
+_G2 = _Group(G2_GEN, FQ2_ZERO, FQ2_ONE, _g2_dbl_jac, _g2_madd, g2_neg, fq2_mul, fq2_inv,
+             lambda q: (fq2_mul(fq2_conj(q[0]), PSI_X), fq2_neg(fq2_mul(fq2_conj(q[1]), PSI_Y))),
+             BLS_X)
 
 
 def g2_add(p, q):
@@ -633,7 +679,8 @@ def g2_mul(pt, k):
 
 
 def g2_in_subgroup(pt):
-    return pt is None or (g2_on_curve(pt) and g2_mul(pt, R) is None)
+    """Scott's test (ePrint 2021/1130): on the curve and -psi(Q) == [|z|]Q."""
+    return pt is None or (g2_on_curve(pt) and _G2.endo(pt) == g2_mul(pt, _G2.radix))
 
 
 # ---------------------------------------------------------------------------

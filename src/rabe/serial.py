@@ -375,7 +375,7 @@ def write_envelope(path, env: dict) -> None:
         raise
 
 
-def read_envelope(path, expect_kind: str | None = None) -> dict:
+def read_envelope(path, expect_kind: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             env = json.load(fh)
@@ -391,7 +391,7 @@ def read_envelope(path, expect_kind: str | None = None) -> dict:
     version = env.get("version")
     if type(version) is not int or version != VERSION:
         raise EnvelopeError(f"{path}: unsupported envelope version {version!r}")
-    if expect_kind is not None and env["kind"] != expect_kind:
+    if env["kind"] != expect_kind:
         unanchored = (expect_kind, env["kind"]) == ("ct-updated", "ct-original")
         remedy = "; run update-ct first" if unanchored else ""
         raise EnvelopeError(

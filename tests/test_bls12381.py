@@ -218,6 +218,125 @@ def test_from_bytes_rejects_non_square_x():
     assert rejected > 0
 
 
+X = bls.BLS_X  # |z|; the curve parameter z is negative
+H1 = (X + 1) ** 2 // 3  # the G1 cofactor (z - 1)^2 / 3
+H1_PRIMES = (3, 11, 10177, 859267, 52437899)
+
+
+def _double_and_add(add, pt, k):
+    """[k]pt for k >= 0 by affine double-and-add: the reference for g1_mul and g2_mul."""
+    acc = None
+    for bit in bin(k)[2:]:
+        acc = add(acc, acc)
+        if bit == "1":
+            acc = add(acc, pt)
+    return acc
+
+
+@pytest.fixture(scope="module")
+def g1_small_order():
+    """A point of each prime order l dividing H1.
+
+    For l > 3, l^2 divides H1 and E(Fq) holds Z/l x Z/l (l divides p - 1),
+    so [H1 R / l] would be infinity: the multiplier strips every factor l.
+    """
+    rng = SeededRng("g1-cofactor")
+    points = {}
+    for _ in range(8):
+        x = rng.randbelow(bls.P)
+        rhs = (x**3 + bls.B1) % bls.P
+        y = pow(rhs, (bls.P + 1) // 4, bls.P)
+        if y * y % bls.P != rhs:
+            continue
+        for l in H1_PRIMES:
+            m = H1 * bls.R
+            while m % l == 0:
+                m //= l
+            q = _double_and_add(bls.g1_add, (x, y), m)
+            if l not in points and q is not None:
+                points[l] = q
+    assert sorted(points) == list(H1_PRIMES)
+    return points
+
+
+@pytest.fixture(scope="module")
+def g2_off_subgroup():
+    """Seeded points of the twist outside G2, found by scanning x for a square x^3 + b'."""
+    rng = SeededRng("g2-off-subgroup")
+    points = []
+    x = (rng.randbelow(bls.P), rng.randbelow(bls.P))
+    while len(points) < 3:
+        x = (x[0] + 1, x[1])
+        y = bls.fq2_sqrt(bls.fq2_add(bls.fq2_mul(bls.fq2_sqr(x), x), bls.B2))
+        if y is not None:
+            points.append((x, y))
+    return points
+
+
+def test_g1_membership_rejects_each_cofactor_order(g1_small_order):
+    assert H1 == 3 * 11**2 * 10177**2 * 859267**2 * 52437899**2
+    sub = bls.g1_mul(bls.G1_GEN, 5)
+    for l, q in g1_small_order.items():
+        assert q is not None and _double_and_add(bls.g1_add, q, l) is None  # order l
+        for pt in (q, bls.g1_add(q, sub)):
+            assert bls.g1_on_curve(pt) and not bls.g1_in_subgroup(pt), l
+            with pytest.raises(ValueError, match="prime-order subgroup"):
+                bls.g1_from_bytes(bls.g1_to_bytes(pt))
+
+
+def test_g2_membership_rejects_points_outside_g2(g2_off_subgroup):
+    sub = bls.g2_mul(bls.G2_GEN, 5)
+    for q in g2_off_subgroup:
+        assert _double_and_add(bls.g2_add, q, bls.R) is not None
+        for pt in (q, bls.g2_add(q, sub)):
+            assert bls.g2_on_curve(pt) and not bls.g2_in_subgroup(pt)
+            with pytest.raises(ValueError, match="prime-order subgroup"):
+                bls.g2_from_bytes(bls.g2_to_bytes(pt))
+
+
+SPLIT_EDGES = (
+    2**64 - 1, 2**64, X - 1, X, X + 1, X**2, X**2 + 1, X**3, bls.R - 1, bls.R, bls.R + 1, 2**256,
+)
+
+
+@pytest.mark.parametrize("group", sorted(GROUPS))
+def test_mul_agrees_with_double_and_add_across_the_split(group):
+    gen, mul, add, neg = GROUPS[group]
+    rng = SeededRng(f"split-{group}")
+    for _ in range(2):
+        pt = mul(gen, rng.randbelow(bls.R - 1) + 1)
+        for k in SPLIT_EDGES + (rng.randbelow(bls.R),):
+            want = _double_and_add(add, pt, k)
+            assert mul(pt, k) == want and mul(pt, -k) == neg(want), k
+
+
+def test_short_scalars_hold_off_the_subgroup(g1_small_order, g2_off_subgroup):
+    # scalars no longer than the radix (z^2 on G1, |z| on G2) skip the split,
+    # so they give the raw multiple of any curve point; the membership tests use them
+    rng = SeededRng("short-scalars")
+    sub = bls.g1_mul(bls.G1_GEN, 5)
+    cases = [(bls.g1_mul, bls.g1_add, q, X**2) for q in g1_small_order.values()]
+    cases += [(bls.g1_mul, bls.g1_add, bls.g1_add(q, sub), X**2) for q in g1_small_order.values()]
+    cases += [(bls.g2_mul, bls.g2_add, q, X) for q in g2_off_subgroup]
+    for mul, add, pt, radix in cases:
+        top = (1 << radix.bit_length()) - 1
+        for k in (3, radix - 1, radix, top, rng.randbelow(top)):
+            assert mul(pt, k) == _double_and_add(add, pt, k), k
+
+
+def test_endomorphism_constants():
+    assert pow(bls.BETA, 3, bls.P) == 1 and bls.BETA != 1
+    assert bls.PSI_X == bls.fq2_inv(bls.fq2_pow(bls.XI, (bls.P - 1) // 3))
+    assert bls.PSI_Y == bls.fq2_inv(bls.fq2_pow(bls.XI, (bls.P - 1) // 2))
+    # psi acts on G2 as [z] and phi on G1 as [-z^2]; with z = -X, each group's
+    # endo (-psi, -phi) acts as [radix]
+    assert (bls._G2.radix, bls._G1.radix) == (X, X**2)
+    assert bls._G2.endo(bls.G2_GEN) == _double_and_add(bls.g2_add, bls.G2_GEN, X)
+    assert bls._G1.endo(bls.G1_GEN) == _double_and_add(bls.g1_add, bls.G1_GEN, X**2)
+    # so a reduced scalar has 4 digits in base X and 2 in base X^2
+    assert bls.R == X**4 - X**2 + 1 < X**4
+
+
 def test_pairing_bilinear_and_nondegenerate():
     base = bls.pairing(bls.G1_GEN, bls.G2_GEN)
     assert base != bls.FQ12_ONE

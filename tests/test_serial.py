@@ -188,17 +188,17 @@ def test_envelope_rejects_malformed_files(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("not json")
     with pytest.raises(EnvelopeError):
-        serial.read_envelope(path)
+        serial.read_envelope(path, expect_kind="pp")
     path.write_text(json.dumps({"kind": "pp"}))
     with pytest.raises(EnvelopeError):
-        serial.read_envelope(path)
+        serial.read_envelope(path, expect_kind="pp")
     ctx, pp, *_ = build_artifacts()
     payload = serial.pp_payload(pp)
     env = serial.envelope("pp", TRANSPARENT, serial.params_hash(payload), payload)
     env["version"] = 99
     serial.write_envelope(path, env)
     with pytest.raises(EnvelopeError):
-        serial.read_envelope(path)
+        serial.read_envelope(path, expect_kind="pp")
     with pytest.raises(EnvelopeError):
         serial.envelope("not-a-kind", TRANSPARENT, "x", {})
 
@@ -332,7 +332,8 @@ def fuzz_file(tmp_path_factory):
 def test_tampered_envelopes_raise_only_envelope_errors(fuzz_file, env):
     fuzz_file.write_text(json.dumps(env))
     try:
-        read = serial.read_envelope(fuzz_file)
+        # read as the kind it claims, so swap-kind feeds decoders other kinds' payloads
+        read = serial.read_envelope(fuzz_file, expect_kind=env.get("kind"))
         decode = DECODERS.get(read["kind"])
         if decode is not None:
             decode(FUZZ_CTX, read["payload"])
