@@ -6,22 +6,23 @@ are free functions over those tuples, which keeps the hot paths free of
 attribute lookups.
 
 G1 is E(Fq): y^2 = x^3 + 4, G2 is the sextic twist E'(Fq2): y^2 = x^3 +
-4(u+1).  Points are affine pairs (or None for infinity); scalar
-multiplication runs on Jacobian coordinates internally, with one doubling
-(EFD dbl-2009-l) and one mixed Jacobian + affine addition (madd-2007-bl)
-per group.  Multiples of the two fixed generators read a signed-digit
-fixed-window table, built on first use.  Every other base runs a width-4
-wNAF, split by a cheap endomorphism of each group (GLV/GLS): -phi, with
-phi(x, y) = (beta x, y), acts on G1 as [z^2], and -psi, with psi the
-untwist-Frobenius-twist map, acts on G2 as [|z|].  A full-length scalar
-becomes two 128-bit or four 64-bit digits that share one doubling chain.
-The same maps give the G1 and G2 membership tests (Scott, ePrint
-2021/1130), which need only a multiplication by z^2 or |z|.  The pairing is
-the ate pairing: a Miller loop over the curve parameter that keeps the
-running point on the twist in homogeneous projective coordinates and
-multiplies each line into the accumulator as a sparse Fq12 element (no
-inversions), then the final exponentiation split into the easy part and a
-NAF-windowed hard part using cyclotomic squaring.
+4(u+1), and GT is the order-r subgroup of Fq12*.  Points are affine pairs
+(or None for infinity); scalar multiplication runs on Jacobian coordinates
+internally, with one doubling (EFD dbl-2009-l) and one mixed Jacobian +
+affine addition (madd-2007-bl) per group.  Multiples of the two fixed
+generators read a signed-digit fixed-window table, built on first use.
+Every other base, and every GT power, runs a width-4 wNAF in one driver,
+split by a cheap endomorphism of each group (GLV/GLS, Galbraith-Scott):
+-phi, with phi(x, y) = (beta x, y), acts on G1 as [z^2], -psi, with psi the
+untwist-Frobenius-twist map, acts on G2 as [|z|], and conj o Frobenius acts
+on GT as [|z|].  A full-length scalar becomes two 128-bit or four 64-bit
+digits that share one doubling chain.  The same maps give the membership
+tests (Scott, ePrint 2021/1130), which need only a power by z^2 or |z|.
+Fq2 square roots go by the norm.  The pairing is the ate pairing: a Miller
+loop over the curve parameter that keeps the running point on the twist in
+homogeneous projective coordinates and multiplies each line into the
+accumulator as a sparse Fq12 element (no inversions), then the final
+exponentiation split into the easy part and a hard part of powers by |z|.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ G2_GEN = (
 
 B1 = 4  # G1 curve constant
 HALF_P = (P - 1) // 2
+_SQRT_EXP = (P + 1) // 4  # v^_SQRT_EXP is a root of v, or of -v if v is not a square
 
 # ---------------------------------------------------------------------------
 # Fq2: a + b*u, u^2 = -1.  Elements are (a, b) with 0 <= a, b < P.
@@ -288,43 +290,25 @@ def _naf(e, width):
     return digits
 
 
-def fq12_pow_cyclo(f, e):
-    """Windowed-NAF power of a cyclotomic-subgroup element (e >= 0)."""
-    if e == 0:
-        return FQ12_ONE
-    digits = _naf(e, 4)
-    f2 = fq12_cyclo_sqr(f)
-    table = {1: f}
-    for d in (3, 5, 7):
-        table[d] = fq12_mul(table[d - 2], f2)
-    result = None
-    for d in reversed(digits):
-        if result is not None:
-            result = fq12_cyclo_sqr(result)
-        if d:
-            m = table[d] if d > 0 else fq12_conj(table[-d])
-            result = m if result is None else fq12_mul(result, m)
-    return result
-
-
 # Frobenius maps on Fq12 act coefficient-wise: the w^k coordinate picks up
-# gamma_n^k with gamma_n = xi^(k(p^n-1)/6), and odd powers also conjugate
-# the Fq2 coefficient.
-_FROB = {}
+# gamma_n^k with gamma_n = xi^((p^n-1)/6), and odd powers also conjugate
+# the Fq2 coefficient.  psi = twist o Frobenius o untwist on G2 maps (x, y)
+# to (conj(x) PSI_X, conj(y) PSI_Y) with PSI_X = 1/xi^((p-1)/3) and PSI_Y =
+# 1/xi^((p-1)/2), so gamma_1 = PSI_X / PSI_Y and gamma_2 = gamma_1^(p+1) =
+# gamma_1 conj(gamma_1).
+PSI_X = (0, 0x1A0111EA397FE699EC02408663D4DE85AA0D857D89759AD4897D29650FB85F9B409427EB4F49FFFD8BFD00000000AAAD)
+PSI_Y = (0x135203E60180A68EE2E9C448D77A2CD91C3DEDD930B1CF60EF396489F61EB45E304466CF3E67FA0AF1EE7B04121BDEA2,
+         0x06AF0E0437FF400B6831E36D6BD17FFE48395DABC2D3435E77F76E17009241C5EE67992F72EC05F4C81084FBEDE3CC09)
 
 
-def _frob_constants(n):
-    if n not in _FROB:
-        gamma = fq2_pow(XI, (P**n - 1) // 6)
-        row = [FQ2_ONE]
-        for _ in range(5):
-            row.append(fq2_mul(row[-1], gamma))
-        _FROB[n] = row
-    return _FROB[n]
+_GAMMA1 = [FQ2_ONE, fq2_mul(PSI_X, fq2_inv(PSI_Y))]
+for _ in range(4):
+    _GAMMA1.append(fq2_mul(_GAMMA1[-1], _GAMMA1[1]))
+_GAMMA2 = [fq2_mul(g, fq2_conj(g)) for g in _GAMMA1]
 
 
 def fq12_frob1(f):
-    g = _frob_constants(1)
+    g = _GAMMA1
     (a0, a1, a2), (b0, b1, b2) = f
     return (
         (fq2_conj(a0), fq2_mul(fq2_conj(a1), g[2]), fq2_mul(fq2_conj(a2), g[4])),
@@ -333,7 +317,7 @@ def fq12_frob1(f):
 
 
 def fq12_frob2(f):
-    g = _frob_constants(2)
+    g = _GAMMA2
     (a0, a1, a2), (b0, b1, b2) = f
     return (
         (a0, fq2_mul(a1, g[2]), fq2_mul(a2, g[4])),
@@ -371,11 +355,12 @@ def final_exponentiation(f):
 
 
 # ---------------------------------------------------------------------------
-# Scalar multiplication, one driver for both source groups.  Each group
+# Scalar multiplication, one driver for G1, G2 and GT.  Each source group
 # brings its Jacobian doubling, its one mixed addition (Jacobian + affine,
 # EFD madd-2007-bl), its negation and its field's multiplication and
 # inversion; the conversion to affine, addition and the scalar driver are
-# shared.
+# shared.  GT brings the cyclotomic squaring, the product and conjugation,
+# and its elements need no conversion.
 #
 # Multiples of the fixed generators read a signed-digit fixed-window table
 # (Brickell-Gordon-McCurley-Wilson, Eurocrypt 1992): row i holds the affine
@@ -384,8 +369,8 @@ def final_exponentiation(f):
 # use and kept for the life of the process.  Every other base, and every k
 # of 2^256 or more, takes the width-4 wNAF path, and a k longer than the
 # group's radix is split by its endomorphism: endo acts on the r-torsion as
-# [radix], and R < radix^4 on G2 (radix = |z|) and R < radix^2 on G1
-# (radix = z^2), since R = z^4 - z^2 + 1.
+# [radix], and R < radix^4 on G2 and GT (radix = |z|) and R < radix^2 on
+# G1 (radix = z^2), since R = z^4 - z^2 + 1.
 
 _FB_WIDTH = 4
 _FB_WINDOWS = 65  # 64 digits cover k < 2^256; the 65th takes the last carry
@@ -395,6 +380,8 @@ _FB_LIMIT = 1 << (_FB_WIDTH * (_FB_WINDOWS - 1))
 
 class _Group:
     """The point arithmetic of one source group, as the drivers use it."""
+
+    identity = None  # affine infinity
 
     def __init__(self, gen, zero, one, dbl, madd, neg, fmul, finv, endo, radix):
         self.gen = gen
@@ -409,6 +396,9 @@ class _Group:
         self.endo = endo  # acts on the r-torsion as [radix]
         self.radix = radix
         self.table = None
+
+    def lift(self, pt):  # affine, not infinity, to the driver's Jacobian form
+        return (*pt, self.one)
 
     def to_affine(self, points):
         """Jacobian points to affine ones (None for infinity) with one
@@ -434,7 +424,24 @@ class _Group:
     def add(self, p, q):
         if p is None:
             return q
-        return self.to_affine([self.madd((*p, self.one), q)])[0]
+        return self.to_affine([self.madd(self.lift(p), q)])[0]
+
+
+class _Cyclotomic(_Group):
+    """GT for the scalar driver: an element is its own working and output
+    form, no base has a table, and the accumulator starts at one, whose
+    square and product are skipped.  endo = conj o frob1 sends f to
+    f^(-p), and p = z (mod r), so it acts on GT as [|z|]."""
+
+    identity = FQ12_ONE
+
+    def __init__(self):
+        self.gen, self.inf, self.table, self.radix = None, FQ12_ONE, None, BLS_X
+        self.dbl = lambda f: f if f is FQ12_ONE else fq12_cyclo_sqr(f)
+        self.madd = lambda f, h: h if f is FQ12_ONE else fq12_mul(f, h)
+        self.neg = fq12_conj
+        self.endo = lambda f: fq12_conj(fq12_frob1(f))
+        self.lift = self.to_affine = lambda x: x
 
 
 def _fb_digits(k):
@@ -465,20 +472,23 @@ def _fixed_table(g):
 
 
 def _mul(g, pt, k):
-    """[k]pt in affine coordinates, None for infinity.
+    """[k]pt on G1 or G2 in affine coordinates (None for infinity), or
+    pt^k on GT.
 
     Plain path: a k no longer than g.radix runs one width-4 wNAF on pt,
-    which holds for any point on the curve; the membership tests rely on
-    it.  Split path: a longer k is reduced mod R and written in base
-    g.radix, and the digits run one interleaved wNAF over the bases
-    endo^i(pt).  The split holds only for pt in the r-torsion, where endo
-    acts as [radix]: every caller passes scheme outputs or decoded,
-    subgroup-checked points.
+    which holds for any point on the curve and any cyclotomic Fq12
+    element; the membership tests and the final exponentiation rely on it.
+    Split path: a longer k is reduced mod R and written in base g.radix,
+    and the digits run one interleaved wNAF over the bases endo^i(pt).  The
+    split holds only for pt in the r-torsion, where endo acts as [radix]:
+    every caller passes scheme outputs or decoded, subgroup-checked points;
+    on GT, pairing outputs, decodes checked by gt_is_valid, and their
+    products and powers.
     """
     if k < 0:
         pt, k = g.neg(pt), -k
-    if pt is None or k == 0:
-        return None
+    if pt == g.identity or k == 0:
+        return g.identity
     madd = g.madd
     acc = g.inf
     if pt == g.gen and k < _FB_LIMIT:
@@ -500,16 +510,15 @@ def _mul(g, pt, k):
     # first, then the four share one inversion; endo carries them to the
     # odd multiples of the next base
     dbl = g.dbl
-    two = g.to_affine([dbl((*pt, g.one))])[0]
-    jac = [(*pt, g.one)]
+    two = g.to_affine([dbl(g.lift(pt))])[0]
+    jac = [g.lift(pt)]
     for _ in range(3):
         jac.append(madd(jac[-1], two))
-    table = {}
-    for d, q in zip((1, 3, 5, 7), g.to_affine(jac)):
-        table[d], table[-d] = q, g.neg(q)
-    tables = [table]
-    for _ in digits[1:]:
-        tables.append({d: g.endo(q) for d, q in tables[-1].items()})
+    tables, odd = [], g.to_affine(jac)
+    for i in range(len(digits)):
+        if i:
+            odd = [g.endo(q) for q in odd]
+        tables.append(dict(zip((1, 3, 5, 7, -1, -3, -5, -7), odd + [g.neg(q) for q in odd])))
     nafs = [_naf(d, 4) for d in digits]
     for column in reversed(list(zip_longest(*nafs, fillvalue=0))):
         acc = dbl(acc)
@@ -517,6 +526,16 @@ def _mul(g, pt, k):
             if d:
                 acc = madd(acc, table[d])
     return g.to_affine([acc])[0]
+
+
+_GT = _Cyclotomic()
+
+
+def fq12_pow_cyclo(f, e):
+    """f^e by the shared driver.  An e with |e| <= |z| holds for any
+    cyclotomic f; a longer one holds only on GT: pairing outputs, decodes
+    checked by gt_is_valid, and their products and powers."""
+    return _mul(_GT, f, e)
 
 
 # ---------------------------------------------------------------------------
@@ -659,12 +678,7 @@ def _g2_madd(p, q):
     return (X3, Y3, Z3)
 
 
-# endo = -psi with psi = twist o Frobenius o untwist, (x, y) -> (conj(x) PSI_X,
-# conj(y) PSI_Y), PSI_X = 1/xi^((p-1)/3) and PSI_Y = 1/xi^((p-1)/2); psi acts
-# on G2 as [p] = [z]
-PSI_X = (0, 0x1A0111EA397FE699EC02408663D4DE85AA0D857D89759AD4897D29650FB85F9B409427EB4F49FFFD8BFD00000000AAAD)
-PSI_Y = (0x135203E60180A68EE2E9C448D77A2CD91C3DEDD930B1CF60EF396489F61EB45E304466CF3E67FA0AF1EE7B04121BDEA2,
-         0x06AF0E0437FF400B6831E36D6BD17FFE48395DABC2D3435E77F76E17009241C5EE67992F72EC05F4C81084FBEDE3CC09)
+# endo = -psi, with psi (above) acting on G2 as [p] = [z]
 _G2 = _Group(G2_GEN, FQ2_ZERO, FQ2_ONE, _g2_dbl_jac, _g2_madd, g2_neg, fq2_mul, fq2_inv,
              lambda q: (fq2_mul(fq2_conj(q[0]), PSI_X), fq2_neg(fq2_mul(fq2_conj(q[1]), PSI_Y))),
              BLS_X)
@@ -811,7 +825,7 @@ def g1_from_bytes(data):
         return None
     sign, (x,) = decoded
     rhs = (x * x * x + B1) % P
-    y = pow(rhs, (P + 1) // 4, P)
+    y = pow(rhs, _SQRT_EXP, P)
     if y * y % P != rhs:
         raise ValueError("G1 x coordinate not on curve")
     if _fq_sign(y) != sign:
@@ -825,19 +839,23 @@ def g1_from_bytes(data):
 def fq2_sqrt(a):
     """Square root in Fq2, or None if a is not a square.
 
-    Closed form for p = 3 (mod 4): Adj and Rodriguez-Henriquez, "Square
-    root computation over even extension fields" (ePrint 2012/685), Alg. 9.
-    With alpha = a^((p-1)/2), a root is u*a^((p+1)/4) when alpha = -1 and
-    (1 + alpha)^((p-1)/2) * a^((p+1)/4) otherwise; the final check rejects
-    non-squares.
+    By the norm, for p = 3 (mod 4): a = a0 + a1 u is a square iff its norm
+    is one in Fq.  With lam a root of the norm, d = (a0 + lam)/2 and
+    (a0 - lam)/2 multiply to -a1^2/4, which is not a square when a1 != 0;
+    d = a0 when a1 = 0.  r = d^((p+1)/4) is a root of d, giving
+    r + (a1/2r) u, or of -d, giving (a1/2r) + r u.
     """
-    a1 = fq2_pow(a, (P - 3) // 4)
-    x0 = fq2_mul(a1, a)
-    alpha = fq2_mul(a1, x0)
-    if alpha == (P - 1, 0):
-        x = (-x0[1] % P, x0[0])  # u * x0
-    else:
-        x = fq2_mul(fq2_pow(fq2_add(FQ2_ONE, alpha), HALF_P), x0)
+    a0, a1 = a
+    d = a0
+    if a1:
+        norm = (a0 * a0 + a1 * a1) % P
+        lam = pow(norm, _SQRT_EXP, P)
+        if lam * lam % P != norm:
+            return None
+        d = (a0 + lam) * (HALF_P + 1) % P  # HALF_P + 1 = 1/2
+    r = pow(d, _SQRT_EXP, P)
+    s = a1 * pow(2 * r, -1, P) % P if a1 else 0
+    x = (r, s) if r * r % P == d else (s, r)
     return x if fq2_sqr(x) == a else None
 
 

@@ -283,7 +283,8 @@ class RealContext(BilinearContext):
             return bls.g1_mul(x, k)
         if side == SIDE_TWO:
             return bls.g2_mul(x, k)
-        # target elements are r-torsion, hence cyclotomic
+        # target elements are pairing outputs, decodes checked by gt_is_valid,
+        # and their products and powers: in GT, where the Frobenius split holds
         return bls.fq12_pow_cyclo(x, k)
 
     def _inv(self, side, x):

@@ -141,6 +141,60 @@ def test_fq2_sqrt_roots_non_squares_and_g2_roundtrip():
             assert bls.g2_from_bytes(bls.g2_to_bytes(q)) == q
 
 
+def _fq_is_square(v):
+    return pow(v, bls.HALF_P, bls.P) <= 1
+
+
+FQ2_SQRT_BRANCHES = {
+    "zero", "non-square", "a1 = 0, a0 square", "a1 = 0, a0 non-square", "d square", "d non-square",
+}
+
+
+def test_fq2_sqrt_matches_euler_criterion_on_every_branch():
+    # the test sorts each input into a branch of the root by the norm itself,
+    # with d = (a0 + lam)/2 and lam = norm^((p+1)/4), and checks only the roots
+    rng = SeededRng("fq2-sqrt-branches")
+    inputs = [bls.FQ2_ZERO, (4, 0), (bls.P - 1, 0)]
+    for _ in range(8):
+        x = _random_fq2(rng)
+        inputs += [bls.fq2_sqr(x), bls.fq2_mul_xi(bls.fq2_sqr(x)), (x[0], 0), _random_fq2(rng)]
+    hit = set()
+    for a in inputs:
+        a0, a1 = a
+        euler = bls.fq2_pow(a, (bls.P**2 - 1) // 2)
+        if a == bls.FQ2_ZERO:
+            branch = "zero"
+        elif euler != bls.FQ2_ONE:
+            branch = "non-square"
+        elif a1 == 0:
+            branch = "a1 = 0, a0 square" if _fq_is_square(a0) else "a1 = 0, a0 non-square"
+        else:
+            lam = pow((a0 * a0 + a1 * a1) % bls.P, (bls.P + 1) // 4, bls.P)
+            d = (a0 + lam) * pow(2, -1, bls.P) % bls.P
+            branch = "d square" if _fq_is_square(d) else "d non-square"
+        hit.add(branch)
+        x = bls.fq2_sqrt(a)
+        if branch == "non-square":
+            assert x is None, a
+            continue
+        assert x is not None and bls.fq2_sqr(x) == a, (branch, a)
+        if branch == "a1 = 0, a0 non-square":
+            assert x[0] == 0 and _fq_is_square(-a0 % bls.P)  # the roots are +-u sqrt(-a0)
+    assert hit == FQ2_SQRT_BRANCHES
+
+
+def test_g2_from_bytes_roundtrips_both_signs_of_y():
+    rng = SeededRng("g2-signs")
+    signs = set()
+    for _ in range(3):
+        q = bls.g2_mul(bls.G2_GEN, rng.randbelow(bls.R - 1) + 1)
+        for pt in (q, bls.g2_neg(q)):
+            data = bls.g2_to_bytes(pt)
+            signs.add(bool(data[0] & 0x20))
+            assert bls.g2_from_bytes(data) == pt
+    assert signs == {True, False}
+
+
 def test_infinity_encoding():
     inf = bls.g1_to_bytes(None)
     assert inf[0] == 0xC0 and set(inf[1:]) == {0}
@@ -310,6 +364,35 @@ def test_mul_agrees_with_double_and_add_across_the_split(group):
             assert mul(pt, k) == want and mul(pt, -k) == neg(want), k
 
 
+def test_gt_pow_agrees_with_reference_across_the_split():
+    rng = SeededRng("split-GT")
+    f = bls.pairing(bls.g1_mul(bls.G1_GEN, rng.randbelow(bls.R - 1) + 1), bls.G2_GEN)
+    for k in SPLIT_EDGES + (rng.randbelow(bls.R),):
+        want = bls.fq12_pow(f, k)
+        assert bls.fq12_pow_cyclo(f, k) == want, k
+        assert bls.fq12_pow_cyclo(f, -k) == bls.fq12_inv(want), k
+
+
+def _cyclotomic_outside_gt():
+    """The easy part of the final exponentiation of a random Fq12 element:
+    in the cyclotomic subgroup, whose order is r times a cofactor, not in GT."""
+    rng = SeededRng("gt-cyclotomic")
+    g = tuple(tuple(_random_fq2(rng) for _ in range(3)) for _ in range(2))
+    f = bls.fq12_mul(bls.fq12_conj(g), bls.fq12_inv(g))
+    return bls.fq12_mul(bls.fq12_frob2(f), f)
+
+
+def test_short_gt_powers_hold_off_gt():
+    # exponents no longer than |z| skip the split, so they hold on any
+    # cyclotomic element; the final exponentiation and gt_is_valid use them
+    f = _cyclotomic_outside_gt()
+    assert bls.fq12_pow(f, bls.R) != bls.FQ12_ONE and not bls.gt_is_valid(f)
+    rng = SeededRng("short-gt")
+    top = (1 << X.bit_length()) - 1
+    for k in (3, X - 1, X, top, rng.randbelow(top)):
+        assert bls.fq12_pow_cyclo(f, k) == bls.fq12_pow(f, k), k
+
+
 def test_short_scalars_hold_off_the_subgroup(g1_small_order, g2_off_subgroup):
     # scalars no longer than the radix (z^2 on G1, |z| on G2) skip the split,
     # so they give the raw multiple of any curve point; the membership tests use them
@@ -333,6 +416,10 @@ def test_endomorphism_constants():
     assert (bls._G2.radix, bls._G1.radix) == (X, X**2)
     assert bls._G2.endo(bls.G2_GEN) == _double_and_add(bls.g2_add, bls.G2_GEN, X)
     assert bls._G1.endo(bls.G1_GEN) == _double_and_add(bls.g1_add, bls.G1_GEN, X**2)
+    # on GT, conj o frob1 sends g to g^(-p) = g^(-z) = g^X
+    g = bls.pairing(bls.G1_GEN, bls.G2_GEN)
+    assert bls._GT.radix == X
+    assert bls._GT.endo(g) == bls.fq12_conj(bls.fq12_frob1(g)) == bls.fq12_pow(g, X)
     # so a reduced scalar has 4 digits in base X and 2 in base X^2
     assert bls.R == X**4 - X**2 + 1 < X**4
 
@@ -404,7 +491,8 @@ def test_gt_check_rejects_cyclotomic_elements_outside_gt():
     f = bls.fq12_mul(bls.fq12_conj(g), bls.fq12_inv(g))
     f = bls.fq12_mul(bls.fq12_frob2(f), f)
     assert bls.fq12_mul(bls.fq12_frob2(bls.fq12_frob2(f)), f) == bls.fq12_frob2(f)
-    assert bls.fq12_pow_cyclo(f, bls.R) != bls.FQ12_ONE
+    # the reference power: fq12_pow_cyclo splits a long exponent, which holds only on GT
+    assert bls.fq12_pow(f, bls.R) != bls.FQ12_ONE
     assert not bls.gt_is_valid(f)
     # f^p == f^z leaves order gcd(p - z, p^4 - p^2 + 1), with z = -BLS_X
     assert math.gcd(bls.P + bls.BLS_X, bls.P**4 - bls.P**2 + 1) == bls.R
@@ -437,6 +525,13 @@ def test_frobenius_is_pth_power():
     f = bls.pairing(bls.g1_mul(bls.G1_GEN, 5), bls.G2_GEN)
     assert bls.fq12_frob1(f) == bls.fq12_pow(f, bls.P)
     assert bls.fq12_frob2(f) == bls.fq12_pow(bls.fq12_pow(f, bls.P), bls.P)
+
+
+def test_frobenius_rows_match_their_derivation():
+    # gamma_n^k = xi^(k(p^n - 1)/6), read off the psi literals
+    for k in range(6):
+        assert bls._GAMMA1[k] == bls.fq2_pow(bls.XI, k * (bls.P - 1) // 6)
+        assert bls._GAMMA2[k] == bls.fq2_pow(bls.XI, k * (bls.P**2 - 1) // 6)
 
 
 def test_fq12_bytes_roundtrip_and_validity():
