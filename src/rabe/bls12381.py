@@ -3,7 +3,9 @@
 Field tower: Fq2 = Fq[u]/(u^2+1), Fq6 = Fq2[v]/(v^3 - xi) with xi = u+1,
 Fq12 = Fq6[w]/(w^2 - v).  Elements are nested tuples of ints; all functions
 are free functions over those tuples, which keeps the hot paths free of
-attribute lookups.
+attribute lookups.  Every coefficient a function takes or returns lies in
+[0, P); inside, the Fq6 and Fq12 kernels reduce lazily, keeping their
+Karatsuba products unreduced and reducing each output coefficient once.
 
 G1 is E(Fq): y^2 = x^3 + 4, G2 is the sextic twist E'(Fq2): y^2 = x^3 +
 4(u+1), and GT is the order-r subgroup of Fq12*.  Points are affine pairs
@@ -109,55 +111,69 @@ def fq2_inv(x):
     return (a * norm_inv % P, -b * norm_inv % P)
 
 
-def _pow(mul, sqr, result, x, e):
-    # result * x^e for e >= 0, by square-and-multiply
-    while e:
-        if e & 1:
-            result = mul(result, x)
-        x = sqr(x)
-        e >>= 1
-    return result
-
-
-def fq2_pow(x, e):
-    return _pow(fq2_mul, fq2_sqr, FQ2_ONE, x, e)
-
-
 # ---------------------------------------------------------------------------
 # Fq6: a + b*v + c*v^2 over Fq2, v^3 = xi.
+#
+# The Fq6 and Fq12 products reduce lazily (Aranha et al., Eurocrypt 2011):
+# each kernel unpacks its arguments once, keeps its Karatsuba products and
+# their sums as unreduced ints, and reduces each output coefficient mod P
+# once.  xi (r + s u) = (r - s) + (r + s) u, so a product by xi is two sums.
 
 FQ6_ZERO = (FQ2_ZERO, FQ2_ZERO, FQ2_ZERO)
 FQ6_ONE = (FQ2_ONE, FQ2_ZERO, FQ2_ZERO)
-
-
-def fq6_add(x, y):
-    return (fq2_add(x[0], y[0]), fq2_add(x[1], y[1]), fq2_add(x[2], y[2]))
-
-
-def fq6_sub(x, y):
-    return (fq2_sub(x[0], y[0]), fq2_sub(x[1], y[1]), fq2_sub(x[2], y[2]))
 
 
 def fq6_neg(x):
     return (fq2_neg(x[0]), fq2_neg(x[1]), fq2_neg(x[2]))
 
 
+def _fq6_mul_wide(x, y):
+    """x * y as six unreduced ints, the Fq coefficients of (c0 + c1 u) +
+    (c2 + c3 u) v + (c4 + c5 u) v^2.  Karatsuba over Fq2 (6 Fq2 products)
+    and over Fq (3 products each); x and y may be unreduced.
+
+    Below, x = x0 + x1 v + x2 v^2 with x0 = a0 + a1 u, x1 = a2 + a3 u and
+    x2 = a4 + a5 u, and y likewise over the b's.
+    """
+    (a0, a1), (a2, a3), (a4, a5) = x
+    (b0, b1), (b2, b3), (b4, b5) = y
+    # (v0, v1), (v2, v3), (v4, v5) = x0 y0, x1 y1, x2 y2
+    t0 = a0 * b0
+    t1 = a1 * b1
+    v0 = t0 - t1
+    v1 = (a0 + a1) * (b0 + b1) - t0 - t1
+    t0 = a2 * b2
+    t1 = a3 * b3
+    v2 = t0 - t1
+    v3 = (a2 + a3) * (b2 + b3) - t0 - t1
+    t0 = a4 * b4
+    t1 = a5 * b5
+    v4 = t0 - t1
+    v5 = (a4 + a5) * (b4 + b5) - t0 - t1
+    # c0 + c1 u = x0 y0 + xi ((x1 + x2)(y1 + y2) - x1 y1 - x2 y2)
+    s0, s1, r0, r1 = a2 + a4, a3 + a5, b2 + b4, b3 + b5
+    t0 = s0 * r0
+    t1 = s1 * r1
+    m0 = t0 - t1 - v2 - v4
+    m1 = (s0 + s1) * (r0 + r1) - t0 - t1 - v3 - v5
+    # c2 + c3 u = (x0 + x1)(y0 + y1) - x0 y0 - x1 y1 + xi x2 y2
+    s0, s1, r0, r1 = a0 + a2, a1 + a3, b0 + b2, b1 + b3
+    t0 = s0 * r0
+    t1 = s1 * r1
+    c2 = t0 - t1 - v0 - v2 + v4 - v5
+    c3 = (s0 + s1) * (r0 + r1) - t0 - t1 - v1 - v3 + v4 + v5
+    # c4 + c5 u = (x0 + x2)(y0 + y2) - x0 y0 - x2 y2 + x1 y1
+    s0, s1, r0, r1 = a0 + a4, a1 + a5, b0 + b4, b1 + b5
+    t0 = s0 * r0
+    t1 = s1 * r1
+    c4 = t0 - t1 - v0 - v4 + v2
+    c5 = (s0 + s1) * (r0 + r1) - t0 - t1 - v1 - v5 + v3
+    return v0 + m0 - m1, v1 + m0 + m1, c2, c3, c4, c5
+
+
 def fq6_mul(x, y):
-    # Toom-style interpolation: 6 Fq2 multiplications
-    a0, a1, a2 = x
-    b0, b1, b2 = y
-    v0 = fq2_mul(a0, b0)
-    v1 = fq2_mul(a1, b1)
-    v2 = fq2_mul(a2, b2)
-    c0 = fq2_add(v0, fq2_mul_xi(fq2_sub(fq2_mul(fq2_add(a1, a2), fq2_add(b1, b2)), fq2_add(v1, v2))))
-    c1 = fq2_add(fq2_sub(fq2_mul(fq2_add(a0, a1), fq2_add(b0, b1)), fq2_add(v0, v1)), fq2_mul_xi(v2))
-    c2 = fq2_add(fq2_sub(fq2_mul(fq2_add(a0, a2), fq2_add(b0, b2)), fq2_add(v0, v2)), v1)
-    return (c0, c1, c2)
-
-
-def fq6_mul_v(x):
-    # (a0 + a1 v + a2 v^2) * v = xi*a2 + a0 v + a1 v^2
-    return (fq2_mul_xi(x[2]), x[0], x[1])
+    c0, c1, c2, c3, c4, c5 = _fq6_mul_wide(x, y)
+    return ((c0 % P, c1 % P), (c2 % P, c3 % P), (c4 % P, c5 % P))
 
 
 def fq6_inv(x):
@@ -172,38 +188,48 @@ def fq6_inv(x):
 
 
 # ---------------------------------------------------------------------------
-# Fq12: a + b*w over Fq6, w^2 = v.
+# Fq12: a + b*w over Fq6, w^2 = v.  With x = a + b w in storage order, the
+# product by v of an Fq6 element (e0, e1, e2) is (xi e2, e0, e1).
 
 FQ12_ONE = (FQ6_ONE, FQ6_ZERO)
 
 
 def fq12_mul(x, y):
-    a0, a1 = x
-    b0, b1 = y
-    v0 = fq6_mul(a0, b0)
-    v1 = fq6_mul(a1, b1)
-    c0 = fq6_add(v0, fq6_mul_v(v1))
-    c1 = fq6_sub(fq6_sub(fq6_mul(fq6_add(a0, a1), fq6_add(b0, b1)), v0), v1)
-    return (c0, c1)
+    # Karatsuba over Fq6: (a + b w)(c + d w) = ac + v bd + ((a + b)(c + d) - ac - bd) w
+    a, b = x
+    c, d = y
+    (a0, a1), (a2, a3), (a4, a5) = a
+    (b0, b1), (b2, b3), (b4, b5) = b
+    (c0, c1), (c2, c3), (c4, c5) = c
+    (d0, d1), (d2, d3), (d4, d5) = d
+    e0, e1, e2, e3, e4, e5 = _fq6_mul_wide(a, c)
+    f0, f1, f2, f3, f4, f5 = _fq6_mul_wide(b, d)
+    g0, g1, g2, g3, g4, g5 = _fq6_mul_wide(
+        ((a0 + b0, a1 + b1), (a2 + b2, a3 + b3), (a4 + b4, a5 + b5)),
+        ((c0 + d0, c1 + d1), (c2 + d2, c3 + d3), (c4 + d4, c5 + d5)),
+    )
+    return (
+        (((e0 + f4 - f5) % P, (e1 + f4 + f5) % P), ((e2 + f0) % P, (e3 + f1) % P),
+         ((e4 + f2) % P, (e5 + f3) % P)),
+        (((g0 - e0 - f0) % P, (g1 - e1 - f1) % P), ((g2 - e2 - f2) % P, (g3 - e3 - f3) % P),
+         ((g4 - e4 - f4) % P, (g5 - e5 - f5) % P)),
+    )
 
 
 def fq12_sqr(x):
     # complex squaring: (a + b w)^2 = (a + b)(a + v b) - (1 + v) ab + 2ab w
-    a0, a1 = x
-    t = fq6_mul(a0, a1)
-    c0 = fq6_mul(fq6_add(a0, a1), fq6_add(a0, fq6_mul_v(a1)))
-    return (fq6_sub(fq6_sub(c0, t), fq6_mul_v(t)), fq6_add(t, t))
-
-
-def _fq6_mul_01(x, c0, c1):
-    # x * (c0 + c1 v): 5 Fq2 multiplications
-    a0, a1, a2 = x
-    t0 = fq2_mul(a0, c0)
-    t1 = fq2_mul(a1, c1)
+    a, b = x
+    (a0, a1), (a2, a3), (a4, a5) = a
+    (b0, b1), (b2, b3), (b4, b5) = b
+    t0, t1, t2, t3, t4, t5 = _fq6_mul_wide(a, b)
+    s0, s1, s2, s3, s4, s5 = _fq6_mul_wide(
+        ((a0 + b0, a1 + b1), (a2 + b2, a3 + b3), (a4 + b4, a5 + b5)),
+        ((a0 + b4 - b5, a1 + b4 + b5), (a2 + b0, a3 + b1), (a4 + b2, a5 + b3)),
+    )
     return (
-        fq2_add(fq2_mul_xi(fq2_sub(fq2_mul(fq2_add(a1, a2), c1), t1)), t0),
-        fq2_sub(fq2_sub(fq2_mul(fq2_add(a0, a1), fq2_add(c0, c1)), t0), t1),
-        fq2_add(fq2_sub(fq2_mul(fq2_add(a0, a2), c0), t0), t1),
+        (((s0 - t0 - t4 + t5) % P, (s1 - t1 - t4 - t5) % P), ((s2 - t2 - t0) % P, (s3 - t3 - t1) % P),
+         ((s4 - t4 - t2) % P, (s5 - t5 - t3) % P)),
+        ((2 * t0 % P, 2 * t1 % P), (2 * t2 % P, 2 * t3 % P), (2 * t4 % P, 2 * t5 % P)),
     )
 
 
@@ -212,14 +238,11 @@ def fq12_mul_014(x, c0, c1, c4):
 
     Numbering the six Fq2 coefficients of an Fq12 element 0..5 in storage
     order ((0, 1, 2), (3, 4, 5)), the line is nonzero in slots 0, 1 and 4.
-    13 Fq2 multiplications against 18 for a dense fq12_mul.
+    fq12_mul's Karatsuba products by the zero slots cost next to nothing,
+    which leaves 39 base multiplications, as many as a dedicated sparse
+    product makes, against 54 for a dense one.
     """
-    a, b = x
-    b0, b1, b2 = b
-    aa = _fq6_mul_01(a, c0, c1)
-    bb = (fq2_mul_xi(fq2_mul(b2, c4)), fq2_mul(b0, c4), fq2_mul(b1, c4))  # b * c4 v
-    c = _fq6_mul_01(fq6_add(a, b), c0, fq2_add(c1, c4))
-    return (fq6_add(aa, fq6_mul_v(bb)), fq6_sub(fq6_sub(c, aa), bb))
+    return fq12_mul(x, ((c0, c1, FQ2_ZERO), (FQ2_ZERO, c4, FQ2_ZERO)))
 
 
 def fq12_conj(x):
@@ -227,51 +250,47 @@ def fq12_conj(x):
 
 
 def fq12_inv(x):
-    a0, a1 = x
-    t = fq6_inv(fq6_sub(fq6_mul(a0, a0), fq6_mul_v(fq6_mul(a1, a1))))
-    return (fq6_mul(a0, t), fq6_neg(fq6_mul(a1, t)))
-
-
-def fq12_pow(x, e):
-    return _pow(fq12_mul, fq12_sqr, FQ12_ONE, x, e)
+    # 1/(a + b w) = (a - b w) / (a^2 - v b^2)
+    a, b = x
+    e0, e1, e2, e3, e4, e5 = _fq6_mul_wide(a, a)
+    f0, f1, f2, f3, f4, f5 = _fq6_mul_wide(b, b)
+    t = fq6_inv((((e0 - f4 + f5) % P, (e1 - f4 - f5) % P), ((e2 - f0) % P, (e3 - f1) % P),
+                 ((e4 - f2) % P, (e5 - f3) % P)))
+    return (fq6_mul(a, t), fq6_neg(fq6_mul(b, t)))
 
 
 # ---------------------------------------------------------------------------
 # Cyclotomic subgroup helpers.  After the easy part of the final
-# exponentiation every element satisfies f^(p^6+1) = const... more to the
-# point conj(f) = f^-1, which makes negative NAF digits free and enables the
-# compressed squaring below.
+# exponentiation every element is unitary, conj(f) = f^-1, which makes
+# negative NAF digits free and enables the compressed squaring below.
 
 
-def _fq4_sqr(a, b):
-    # (a + b*s)^2 in Fq2[s]/(s^2 - xi): (a^2 + xi b^2, (a+b)^2 - a^2 - b^2)
-    a2 = fq2_sqr(a)
-    b2 = fq2_sqr(b)
-    return (
-        fq2_add(a2, fq2_mul_xi(b2)),
-        fq2_sub(fq2_sqr(fq2_add(a, b)), fq2_add(a2, b2)),
-    )
+def _fq4_sqr_wide(a0, a1, b0, b1):
+    # (A + B s)^2 in Fq2[s]/(s^2 - xi), A = a0 + a1 u, B = b0 + b1 u, as the
+    # unreduced (A^2 + xi B^2, (A + B)^2 - A^2 - B^2)
+    ar = (a0 + a1) * (a0 - a1)
+    ai = 2 * a0 * a1
+    br = (b0 + b1) * (b0 - b1)
+    bi = 2 * b0 * b1
+    s0 = a0 + b0
+    s1 = a1 + b1
+    return ar + br - bi, ai + br + bi, (s0 + s1) * (s0 - s1) - ar - br, 2 * s0 * s1 - ai - bi
 
 
 def fq12_cyclo_sqr(f):
-    # Granger-Scott squaring, valid only in the cyclotomic subgroup
-    (z0, z4, z3), (z2, z1, z5) = f
-
-    t0, t1 = _fq4_sqr(z0, z1)
-    z0 = fq2_add(fq2_scalar(fq2_sub(t0, z0), 2), t0)
-    z1 = fq2_add(fq2_scalar(fq2_add(t1, z1), 2), t1)
-
-    t0, t1 = _fq4_sqr(z2, z3)
-    t2, t3 = _fq4_sqr(z4, z5)
-
-    z4 = fq2_add(fq2_scalar(fq2_sub(t0, z4), 2), t0)
-    z5 = fq2_add(fq2_scalar(fq2_add(t1, z5), 2), t1)
-
-    t0 = fq2_mul_xi(t3)
-    z2 = fq2_add(fq2_scalar(fq2_add(t0, z2), 2), t0)
-    z3 = fq2_add(fq2_scalar(fq2_sub(t2, z3), 2), t2)
-
-    return ((z0, z4, z3), (z2, z1, z5))
+    """Granger-Scott squaring (PKC 2010), valid only in the cyclotomic
+    subgroup: three Fq4 squarings t, and each output coefficient is
+    3 t - 2 z or 3 t + 2 z for the input coefficient z it replaces."""
+    ((x0, y0), (x4, y4), (x3, y3)), ((x2, y2), (x1, y1), (x5, y5)) = f
+    a0, a1, b0, b1 = _fq4_sqr_wide(x0, y0, x1, y1)
+    c0, c1, d0, d1 = _fq4_sqr_wide(x2, y2, x3, y3)
+    e0, e1, g0, g1 = _fq4_sqr_wide(x4, y4, x5, y5)
+    return (
+        (((3 * a0 - 2 * x0) % P, (3 * a1 - 2 * y0) % P), ((3 * c0 - 2 * x4) % P, (3 * c1 - 2 * y4) % P),
+         ((3 * e0 - 2 * x3) % P, (3 * e1 - 2 * y3) % P)),
+        (((3 * (g0 - g1) + 2 * x2) % P, (3 * (g0 + g1) + 2 * y2) % P),
+         ((3 * b0 + 2 * x1) % P, (3 * b1 + 2 * y1) % P), ((3 * d0 + 2 * x5) % P, (3 * d1 + 2 * y5) % P)),
+    )
 
 
 def _naf(e, width):

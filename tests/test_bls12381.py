@@ -22,6 +22,25 @@ G2_GEN_HEX = (
 )
 
 
+def _pow(mul, sqr, result, x, e):
+    """result * x^e for e >= 0 by plain square-and-multiply: the reference
+    that the library's windowed, split powers are checked against."""
+    while e:
+        if e & 1:
+            result = mul(result, x)
+        x = sqr(x)
+        e >>= 1
+    return result
+
+
+def fq2_pow(x, e):
+    return _pow(bls.fq2_mul, bls.fq2_sqr, bls.FQ2_ONE, x, e)
+
+
+def fq12_pow(x, e):
+    return _pow(bls.fq12_mul, bls.fq12_sqr, bls.FQ12_ONE, x, e)
+
+
 def test_field_and_order_constants():
     assert bls.P % 4 == 3
     assert bls.R.bit_length() == 255
@@ -133,7 +152,7 @@ def test_fq2_sqrt_roots_non_squares_and_g2_roundtrip():
         assert bls.fq2_sqrt(bls.fq2_mul_xi(square)) is None
     assert bls.fq2_sqrt(bls.XI) is None
     assert bls.fq2_sqrt(bls.FQ2_ZERO) == bls.FQ2_ZERO
-    # a = -1 takes the alpha == -1 branch; its roots are +-u
+    # a = -1 takes the a1 = 0, a0-not-a-square branch; its roots are +-u
     assert bls.fq2_sqrt((bls.P - 1, 0)) in ((0, 1), (0, bls.P - 1))
     for _ in range(3):
         pt = bls.g2_mul(bls.G2_GEN, rng.randbelow(bls.R - 1) + 1)
@@ -161,7 +180,7 @@ def test_fq2_sqrt_matches_euler_criterion_on_every_branch():
     hit = set()
     for a in inputs:
         a0, a1 = a
-        euler = bls.fq2_pow(a, (bls.P**2 - 1) // 2)
+        euler = fq2_pow(a, (bls.P**2 - 1) // 2)
         if a == bls.FQ2_ZERO:
             branch = "zero"
         elif euler != bls.FQ2_ONE:
@@ -368,7 +387,7 @@ def test_gt_pow_agrees_with_reference_across_the_split():
     rng = SeededRng("split-GT")
     f = bls.pairing(bls.g1_mul(bls.G1_GEN, rng.randbelow(bls.R - 1) + 1), bls.G2_GEN)
     for k in SPLIT_EDGES + (rng.randbelow(bls.R),):
-        want = bls.fq12_pow(f, k)
+        want = fq12_pow(f, k)
         assert bls.fq12_pow_cyclo(f, k) == want, k
         assert bls.fq12_pow_cyclo(f, -k) == bls.fq12_inv(want), k
 
@@ -386,11 +405,11 @@ def test_short_gt_powers_hold_off_gt():
     # exponents no longer than |z| skip the split, so they hold on any
     # cyclotomic element; the final exponentiation and gt_is_valid use them
     f = _cyclotomic_outside_gt()
-    assert bls.fq12_pow(f, bls.R) != bls.FQ12_ONE and not bls.gt_is_valid(f)
+    assert fq12_pow(f, bls.R) != bls.FQ12_ONE and not bls.gt_is_valid(f)
     rng = SeededRng("short-gt")
     top = (1 << X.bit_length()) - 1
     for k in (3, X - 1, X, top, rng.randbelow(top)):
-        assert bls.fq12_pow_cyclo(f, k) == bls.fq12_pow(f, k), k
+        assert bls.fq12_pow_cyclo(f, k) == fq12_pow(f, k), k
 
 
 def test_short_scalars_hold_off_the_subgroup(g1_small_order, g2_off_subgroup):
@@ -409,8 +428,8 @@ def test_short_scalars_hold_off_the_subgroup(g1_small_order, g2_off_subgroup):
 
 def test_endomorphism_constants():
     assert pow(bls.BETA, 3, bls.P) == 1 and bls.BETA != 1
-    assert bls.PSI_X == bls.fq2_inv(bls.fq2_pow(bls.XI, (bls.P - 1) // 3))
-    assert bls.PSI_Y == bls.fq2_inv(bls.fq2_pow(bls.XI, (bls.P - 1) // 2))
+    assert bls.PSI_X == bls.fq2_inv(fq2_pow(bls.XI, (bls.P - 1) // 3))
+    assert bls.PSI_Y == bls.fq2_inv(fq2_pow(bls.XI, (bls.P - 1) // 2))
     # psi acts on G2 as [z] and phi on G1 as [-z^2]; with z = -X, each group's
     # endo (-psi, -phi) acts as [radix]
     assert (bls._G2.radix, bls._G1.radix) == (X, X**2)
@@ -419,7 +438,7 @@ def test_endomorphism_constants():
     # on GT, conj o frob1 sends g to g^(-p) = g^(-z) = g^X
     g = bls.pairing(bls.G1_GEN, bls.G2_GEN)
     assert bls._GT.radix == X
-    assert bls._GT.endo(g) == bls.fq12_conj(bls.fq12_frob1(g)) == bls.fq12_pow(g, X)
+    assert bls._GT.endo(g) == bls.fq12_conj(bls.fq12_frob1(g)) == fq12_pow(g, X)
     # so a reduced scalar has 4 digits in base X and 2 in base X^2
     assert bls.R == X**4 - X**2 + 1 < X**4
 
@@ -430,7 +449,7 @@ def test_pairing_bilinear_and_nondegenerate():
     assert bls.gt_is_valid(base)
     a, b = 6, 11
     lhs = bls.pairing(bls.g1_mul(bls.G1_GEN, a), bls.g2_mul(bls.G2_GEN, b))
-    assert lhs == bls.fq12_pow(base, a * b)
+    assert lhs == fq12_pow(base, a * b)
     assert lhs == bls.fq12_pow_cyclo(base, a * b)
     # pairing with infinity degenerates to one
     assert bls.final_exponentiation(bls.FQ12_ONE) == bls.FQ12_ONE
@@ -492,7 +511,7 @@ def test_gt_check_rejects_cyclotomic_elements_outside_gt():
     f = bls.fq12_mul(bls.fq12_frob2(f), f)
     assert bls.fq12_mul(bls.fq12_frob2(bls.fq12_frob2(f)), f) == bls.fq12_frob2(f)
     # the reference power: fq12_pow_cyclo splits a long exponent, which holds only on GT
-    assert bls.fq12_pow(f, bls.R) != bls.FQ12_ONE
+    assert fq12_pow(f, bls.R) != bls.FQ12_ONE
     assert not bls.gt_is_valid(f)
     # f^p == f^z leaves order gcd(p - z, p^4 - p^2 + 1), with z = -BLS_X
     assert math.gcd(bls.P + bls.BLS_X, bls.P**4 - bls.P**2 + 1) == bls.R
@@ -511,27 +530,86 @@ def test_sparse_line_multiply_and_squaring_match_dense():
         assert bls.fq12_sqr(x) == bls.fq12_mul(x, x)
 
 
+def _schoolbook_fq12_mul(x, y):
+    """x * y in the w-power basis: an element is six Fq2 coefficients of
+    w^0..w^5 (storage order (w^0, w^2, w^4), (w^1, w^3, w^5)), and w^6 = xi."""
+    def w_coeffs(f):
+        (a0, a1, a2), (b0, b1, b2) = f
+        return [a0, b0, a1, b1, a2, b2]
+    c = [[0, 0] for _ in range(11)]
+    for i, (p, q) in enumerate(w_coeffs(x)):
+        for j, (r, s) in enumerate(w_coeffs(y)):
+            c[i + j][0] += p * r - q * s
+            c[i + j][1] += p * s + q * r
+    for k in range(10, 5, -1):  # w^k = (1 + u) w^(k-6)
+        re, im = c[k]
+        c[k - 6][0] += re - im
+        c[k - 6][1] += re + im
+    c = [(re % bls.P, im % bls.P) for re, im in c[:6]]
+    return ((c[0], c[2], c[4]), (c[1], c[3], c[5]))
+
+
+def _assert_reduced(f):
+    assert all(0 <= v < bls.P for half in f for c in half for v in c), f
+
+
+def test_tower_kernels_match_a_schoolbook_product():
+    # every coefficient P - 1 gives the largest unreduced intermediates
+    rng = SeededRng("fq12-schoolbook")
+    top = ((bls.P - 1, bls.P - 1),) * 3
+    zero = (bls.FQ6_ZERO, bls.FQ6_ZERO)
+    inputs = [zero, bls.FQ12_ONE, (top, top)]
+    inputs += [tuple(tuple(_random_fq2(rng) for _ in range(3)) for _ in range(2)) for _ in range(4)]
+    for x in inputs:
+        for y in inputs:
+            out = bls.fq12_mul(x, y)
+            assert out == _schoolbook_fq12_mul(x, y)
+            _assert_reduced(out)
+            out = bls.fq6_mul(x[0], y[1])
+            assert (out, bls.FQ6_ZERO) == _schoolbook_fq12_mul((x[0], bls.FQ6_ZERO), (y[1], bls.FQ6_ZERO))
+            _assert_reduced((out, bls.FQ6_ZERO))
+            c0, c1, c4 = y[0][0], y[0][1], y[1][1]
+            out = bls.fq12_mul_014(x, c0, c1, c4)
+            line = ((c0, c1, bls.FQ2_ZERO), (bls.FQ2_ZERO, c4, bls.FQ2_ZERO))
+            assert out == _schoolbook_fq12_mul(x, line)
+            _assert_reduced(out)
+        out = bls.fq12_sqr(x)
+        assert out == _schoolbook_fq12_mul(x, x)
+        _assert_reduced(out)
+        if x != zero:
+            inv = bls.fq12_inv(x)
+            assert bls.fq12_mul(x, inv) == _schoolbook_fq12_mul(x, inv) == bls.FQ12_ONE
+            _assert_reduced(inv)
+    for k in (1, 2, rng.randbelow(bls.R - 1) + 1):
+        f = bls.pairing(bls.g1_mul(bls.G1_GEN, k), bls.G2_GEN)
+        for _ in range(3):
+            out = bls.fq12_cyclo_sqr(f)
+            assert out == _schoolbook_fq12_mul(f, f)
+            _assert_reduced(out)
+            f = out
+
+
 def test_cyclotomic_pow_agrees_with_generic_pow():
     rng = SeededRng("cyclo")
     f = bls.pairing(bls.G1_GEN, bls.G2_GEN)
     for _ in range(3):
         k = rng.randbelow(bls.R)
-        assert bls.fq12_pow_cyclo(f, k) == bls.fq12_pow(f, k)
+        assert bls.fq12_pow_cyclo(f, k) == fq12_pow(f, k)
     assert bls.fq12_pow_cyclo(f, 0) == bls.FQ12_ONE
     assert bls.fq12_mul(bls.fq12_pow_cyclo(f, bls.R - 1), f) == bls.FQ12_ONE
 
 
 def test_frobenius_is_pth_power():
     f = bls.pairing(bls.g1_mul(bls.G1_GEN, 5), bls.G2_GEN)
-    assert bls.fq12_frob1(f) == bls.fq12_pow(f, bls.P)
-    assert bls.fq12_frob2(f) == bls.fq12_pow(bls.fq12_pow(f, bls.P), bls.P)
+    assert bls.fq12_frob1(f) == fq12_pow(f, bls.P)
+    assert bls.fq12_frob2(f) == fq12_pow(fq12_pow(f, bls.P), bls.P)
 
 
 def test_frobenius_rows_match_their_derivation():
     # gamma_n^k = xi^(k(p^n - 1)/6), read off the psi literals
     for k in range(6):
-        assert bls._GAMMA1[k] == bls.fq2_pow(bls.XI, k * (bls.P - 1) // 6)
-        assert bls._GAMMA2[k] == bls.fq2_pow(bls.XI, k * (bls.P**2 - 1) // 6)
+        assert bls._GAMMA1[k] == fq2_pow(bls.XI, k * (bls.P - 1) // 6)
+        assert bls._GAMMA2[k] == fq2_pow(bls.XI, k * (bls.P**2 - 1) // 6)
 
 
 def test_fq12_bytes_roundtrip_and_validity():
