@@ -257,10 +257,11 @@ def challenger_run(
     clock = time.perf_counter
 
     t0 = clock()
+    # setup checks the sizes before the adversary is handed them
+    pp, mk, tree, rl = setup(ctx, n_users, max_time, attr_max, rng)
     target_attrs = frozenset(adversary.begin(attr_max, max_time))
     if not target_attrs:
         raise ParameterError("the target attribute set must be nonempty")
-    pp, mk, tree, rl = setup(ctx, n_users, max_time, attr_max, rng)
     phash = _params_hash(_pp_payload(pp))
     oracles = Oracles(pp, mk, tree, rl, mode, target_attrs, rng)
     timings["setup"] = clock() - t0

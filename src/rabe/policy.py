@@ -1,15 +1,25 @@
 """Monotone access policies as linear secret sharing matrices.
 
-A policy is a boolean formula over positive integer attributes with AND/OR
-and parentheses ("1 AND (2 OR 3)"; AND binds tighter than OR).  It compiles
-to a share-generating matrix M (one row per leaf, in left-to-right formula
-order) and a row -> attribute map, by the usual inductive construction: the
-root starts with vector (1) and counter c = 1; an OR node passes its vector
-to both children; an AND node gives one child the vector padded to length c
-with 1 appended, the other c zeros with -1 appended, and bumps c.  An
+A policy is a boolean formula over positive integer attributes:
+
+    expr   := term (OR term)*        AND/OR in any letter case;
+    term   := factor (AND factor)*   AND binds tighter than OR and
+    factor := INT | '(' expr ')'     both associate to the left
+
+It compiles to a share-generating matrix M (one row per leaf, in
+left-to-right formula order) and a row -> attribute map, by the counter
+construction of Lewko-Waters (Eurocrypt 2011, App. G): the root starts with
+vector (1) and counter c = 1; an OR node passes its vector to both children;
+an AND node gives its left child the vector padded to length c with 1
+appended, its right child c zeros with -1 appended, and bumps c.  An
 attribute set satisfies the policy iff the target vector (1, 0, ..., 0) lies
 in the span of its rows, in which case the secret is recovered as a linear
 combination of the row shares.
+
+Parsing and compiling run on explicit stacks, never on Python's call stack,
+so the nesting depth needs no cap of its own: a formula of at most
+MAX_FORMULA_TOKENS tokens parses whatever its shape, and a longer one is a
+PolicyParseError.
 
 The matrix entries are backend-independent small integers; all linear
 algebra takes the group order explicitly.
@@ -23,6 +33,11 @@ from dataclasses import dataclass
 from .errors import ParameterError, PolicyParseError, UnsatisfiedPolicyError
 
 _TOKEN = re.compile(r"\s*(\(|\)|\d+|[A-Za-z]+)")
+
+# The matrix has a row per leaf and a column per AND gate (plus one), so its
+# size grows with the square of the formula's length; the cap bounds it at
+# 512 x 512 entries.
+MAX_FORMULA_TOKENS = 1024
 
 
 @dataclass(frozen=True)
@@ -63,105 +78,83 @@ def _tokenize(formula: str) -> list[str]:
     return tokens
 
 
-class _Parser:
-    # expr := term (OR term)* ; term := factor (AND factor)* ;
-    # factor := INT | '(' expr ')'
-    def __init__(self, tokens: list[str]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-    def parse(self):
-        node = self.expr()
-        if self.peek() is not None:
-            raise PolicyParseError(f"trailing tokens at {self.peek()!r}")
-        return node
-
-    def expr(self):
-        node = self.term()
-        while self.peek() == "OR":
-            self.take()
-            node = ("OR", node, self.term())
-        return node
-
-    def term(self):
-        node = self.factor()
-        while self.peek() == "AND":
-            self.take()
-            node = ("AND", node, self.factor())
-        return node
-
-    def factor(self):
-        tok = self.take()
-        if tok == "(":
-            node = self.expr()
-            if self.take() != ")":
-                raise PolicyParseError("unbalanced parentheses")
-            return node
-        if tok is None:
-            raise PolicyParseError("unexpected end of formula")
-        if tok.isdigit():
-            attr = int(tok)
-            if attr < 1:
-                raise PolicyParseError("attributes are positive integers")
-            return ("ATTR", attr)
-        raise PolicyParseError(f"expected an attribute or '(', got {tok!r}")
+_PRECEDENCE = {"OR": 1, "AND": 2}
 
 
 def parse_policy(formula: str) -> AccessPolicy:
     tokens = _tokenize(formula)
     if not tokens:
         raise PolicyParseError("empty formula")
-    tree = _Parser(tokens).parse()
+    if len(tokens) > MAX_FORMULA_TOKENS:
+        raise PolicyParseError(
+            f"formula has {len(tokens)} tokens, over the cap of {MAX_FORMULA_TOKENS}"
+        )
 
-    rows: list[tuple[int, list[int]]] = []
+    # The tree, by shunting-yard: a leaf is its attribute, a gate is
+    # (operator, left, right).  Reducing operators of equal precedence before
+    # pushing the next one makes chains left-associative.
+    operands: list = []
+    ops: list[str] = []
+
+    def reduce() -> None:
+        right = operands.pop()
+        operands.append((ops.pop(), operands.pop(), right))
+
+    want_operand = True
+    for tok in tokens:
+        if want_operand:
+            if tok == "(":
+                ops.append(tok)
+                continue
+            if not tok.isdigit():
+                raise PolicyParseError(f"expected an attribute or '(', got {tok!r}")
+            if int(tok) < 1:
+                raise PolicyParseError("attributes are positive integers")
+            operands.append(int(tok))
+            want_operand = False
+        elif tok in _PRECEDENCE:
+            while ops and ops[-1] != "(" and _PRECEDENCE[ops[-1]] >= _PRECEDENCE[tok]:
+                reduce()
+            ops.append(tok)
+            want_operand = True
+        elif tok == ")":
+            while ops and ops[-1] != "(":
+                reduce()
+            if not ops:
+                raise PolicyParseError("unbalanced parentheses")
+            ops.pop()
+        else:
+            raise PolicyParseError(f"expected AND, OR or ')', got {tok!r}")
+    if want_operand:
+        raise PolicyParseError("unexpected end of formula")
+    while ops:
+        if ops[-1] == "(":
+            raise PolicyParseError("unbalanced parentheses")
+        reduce()
+
+    # The matrix, by a depth-first walk that pops the left child first, so
+    # rows come out in formula order and AND gates take their coordinates in
+    # preorder.
+    rows: list[list[int]] = []
+    row_attrs: list[int] = []
     counter = 1
-
-    def build(node, vec: list[int]) -> None:
-        nonlocal counter
-        kind = node[0]
-        if kind == "ATTR":
-            rows.append((node[1], vec))
-        elif kind == "OR":
-            build(node[1], vec)
-            build(node[2], vec)
-        else:  # AND
-            padded = vec + [0] * (counter - len(vec))
-            pos = counter  # the coordinate this gate introduces
+    stack = [(operands[0], [1])]
+    while stack:
+        node, vec = stack.pop()
+        if isinstance(node, int):
+            rows.append(vec)
+            row_attrs.append(node)
+        elif node[0] == "OR":
+            stack += [(node[2], vec), (node[1], vec)]
+        else:
+            stack += [(node[2], [0] * counter + [-1]),
+                      (node[1], vec + [0] * (counter - len(vec)) + [1])]
             counter += 1
-            build(node[1], padded + [1])
-            build(node[2], [0] * pos + [-1])
-
-    build(tree, [1])
-    width = counter
     return AccessPolicy(
-        rows=tuple(tuple(vec + [0] * (width - len(vec))) for _, vec in rows),
-        row_attrs=tuple(attr for attr, _ in rows),
+        rows=tuple(tuple(vec + [0] * (counter - len(vec))) for vec in rows),
+        row_attrs=tuple(row_attrs),
         formula=" ".join(tokens),
     )
-
-
-def evaluate_formula(policy: AccessPolicy, attrs) -> bool:
-    """Direct boolean evaluation of the stored formula; the oracle the
-    matrix semantics must agree with."""
-    tree = _Parser(_tokenize(policy.formula)).parse()
-    have = set(attrs)
-
-    def walk(node):
-        if node[0] == "ATTR":
-            return node[1] in have
-        if node[0] == "OR":
-            return walk(node[1]) or walk(node[2])
-        return walk(node[1]) and walk(node[2])
-
-    return walk(tree)
 
 
 def _solve_target(policy: AccessPolicy, attrs, modulus: int):

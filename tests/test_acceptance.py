@@ -14,6 +14,8 @@ a reduced pool for itself.
 
 from time import perf_counter
 
+from formula_oracle import formula_holds
+
 from rabe.audit import (
     audit_decryption_key,
     audit_key_update,
@@ -25,7 +27,7 @@ from rabe.audit import (
 )
 from rabe.game import WEAKER, NullAdversary, run_game_trials
 from rabe.groups import SIDE_TARGET, new_context
-from rabe.policy import evaluate_formula, parse_policy
+from rabe.policy import parse_policy
 from rabe.rng import SeededRng
 from rabe.scheme import (
     decrypt,
@@ -317,9 +319,9 @@ def _random_scenario(rng, max_time: int, attr_max: int):
     for a in _shuffled(sorted(attrs), rng):
         if len(attrs) > 1 and rng.randbelow(2) == 0:
             smaller = attrs - {a}
-            if evaluate_formula(policy, smaller):
+            if formula_holds(policy.formula, smaller):
                 attrs = smaller
-    assert evaluate_formula(policy, attrs)
+    assert formula_holds(policy.formula, attrs)
     t_prime = 1 + rng.randbelow(max_time - 1)
     t = 1 + rng.randbelow(t_prime)
     return policy, attrs, t, t_prime

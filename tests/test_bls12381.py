@@ -503,12 +503,8 @@ def test_gt_check_rejects_unitary_non_cyclotomic_elements_without_a_power(monkey
 
 
 def test_gt_check_rejects_cyclotomic_elements_outside_gt():
-    # the easy part of the final exponentiation takes a random element into the
-    # cyclotomic subgroup, whose order p^4 - p^2 + 1 is r times a cofactor
-    rng = SeededRng("gt-cyclotomic")
-    g = tuple(tuple(_random_fq2(rng) for _ in range(3)) for _ in range(2))
-    f = bls.fq12_mul(bls.fq12_conj(g), bls.fq12_inv(g))
-    f = bls.fq12_mul(bls.fq12_frob2(f), f)
+    # the cyclotomic subgroup's order p^4 - p^2 + 1 is r times a cofactor
+    f = _cyclotomic_outside_gt()
     assert bls.fq12_mul(bls.fq12_frob2(bls.fq12_frob2(f)), f) == bls.fq12_frob2(f)
     # the reference power: fq12_pow_cyclo splits a long exponent, which holds only on GT
     assert fq12_pow(f, bls.R) != bls.FQ12_ONE

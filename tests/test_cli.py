@@ -161,6 +161,13 @@ def test_validation_and_io_exit_codes(tmp_path, capsys):
     code, _, err = run(capsys, "keygen", "--state", state, "--id", "x",
                        "--policy", "1 XOR 2", "--out", tmp_path / "o.json")
     assert code == EXIT_INVALID
+    # no depth cap: 400 nested parentheses are 801 tokens, under the token cap
+    code, _, err = run(capsys, "keygen", "--state", state, "--id", "x",
+                       "--policy", "(" * 400 + "1" + ")" * 400, "--out", tmp_path / "o.json")
+    assert code == EXIT_OK, err
+    code, _, err = run(capsys, "keygen", "--state", state, "--id", "x",
+                       "--policy", " OR ".join(["1"] * 1000), "--out", tmp_path / "o.json")
+    assert code == EXIT_INVALID and "over the cap of 1024" in err
     code, _, err = run(capsys, "encrypt", "--state", state, "--attrs", "one,two",
                        "--epoch", 3, "--random-message", tmp_path / "m.json",
                        "--out", tmp_path / "c.json")
@@ -225,6 +232,11 @@ def test_attack_demo_rejects_dead_pair_with_suggestions(capsys):
     assert code == EXIT_INVALID
     assert "not vulnerable" in out
     assert "pairs to try" in out
+
+
+def test_attack_demo_checks_sizes_before_the_adversary_sees_them(capsys):
+    code, _, err = run(capsys, "attack-demo", "--attr-bound", 0, "--trials", 1, "--seed", 1)
+    assert code == EXIT_INVALID and "'attr_max' is 0" in err
 
 
 def test_attack_demo_on_existing_state(tmp_path, capsys):
@@ -346,6 +358,8 @@ MUTATIONS = {
     "dk-row-of-one": ("dk", _set("payload", "rows", lambda rows: [rows[0][:1]] + rows[1:]),
                       DECRYPT, ("'rows'",)),
     "formula-an-int": ("dk", _set("payload", "policy", "formula", 3), DECRYPT, ("'formula'",)),
+    "formula-over-the-cap": ("sk", _set("payload", "policy", "formula", " OR ".join(["1"] * 1000)),
+                             DERIVE_DK, ("'formula'", "over the cap")),
     "epoch_counter-missing": ("state", _drop("payload", "epoch_counter"), UPDATE_KEY,
                               ("'epoch_counter'",)),
     "leaves-a-list": ("state", _set("payload", "tree", "leaves", []), UPDATE_KEY, ("'leaves'",)),

@@ -1,11 +1,15 @@
 from itertools import chain, combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from formula_oracle import formula_holds, nesting, words
 
 from rabe.errors import ParameterError, PolicyParseError, UnsatisfiedPolicyError
 from rabe.policy import (
+    MAX_FORMULA_TOKENS,
     check_attributes,
-    evaluate_formula,
     parse_policy,
     reconstruction_coefficients,
     satisfies,
@@ -50,12 +54,12 @@ def test_nested_matrix_shape():
 
 def test_precedence_and_binds_tighter():
     policy = parse_policy("1 OR 2 AND 3")
-    assert evaluate_formula(policy, {1}) is True
-    assert evaluate_formula(policy, {2}) is False
-    assert evaluate_formula(policy, {2, 3}) is True
+    assert satisfies(policy, {1}, MOD)
+    assert not satisfies(policy, {2}, MOD)
+    assert satisfies(policy, {2, 3}, MOD)
     # parenthesized form changes the meaning
     other = parse_policy("(1 OR 2) AND 3")
-    assert evaluate_formula(other, {1}) is False
+    assert not satisfies(other, {1}, MOD)
 
 
 def test_formula_normalization_and_repeated_attrs():
@@ -70,6 +74,18 @@ def test_parse_errors():
     for bad in ("", "AND", "1 AND", "(1 OR 2", "1 XOR 2", "0", "1 & 2", "1 2", "1 )"):
         with pytest.raises(PolicyParseError):
             parse_policy(bad)
+
+
+def test_deepest_and_longest_formulas_under_the_token_cap():
+    # 2 * 511 + 1 and 2 * 512 - 1 tokens; neither shape's depth reaches the call stack
+    deep = parse_policy("(" * 511 + "7" + ")" * 511)
+    assert deep.rows == ((1,),) and deep.row_attrs == (7,)
+    chain = parse_policy(" AND ".join(["1"] * 512))
+    assert len(chain.rows) == chain.width == 512
+    assert chain.rows[0] == (1,) * 512 and chain.rows[-1] == (0, -1) + (0,) * 510
+    for over in ("(" * 512 + "7" + ")" * 512, " OR ".join(["1"] * 513)):
+        with pytest.raises(PolicyParseError, match="1025 tokens, over the cap of 1024"):
+            parse_policy(over)
 
 
 def test_matrix_semantics_match_boolean_oracle_500_random_formulas():
@@ -87,10 +103,79 @@ def test_matrix_semantics_match_boolean_oracle_500_random_formulas():
     for _ in range(500):
         policy = parse_policy(random_formula(3))
         for attrs in powerset(policy.attributes()):
-            assert satisfies(policy, attrs, MOD) == evaluate_formula(policy, attrs), (
+            assert satisfies(policy, attrs, MOD) == formula_holds(policy.formula, attrs), (
                 policy.formula,
                 attrs,
             )
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: formulas of any shape parse or end as PolicyParseError
+
+OPERATORS = st.sampled_from(["AND", "OR", "and", "or", "And", "oR"])
+ATTR_SETS = st.lists(st.sets(st.integers(1, 5), min_size=1), min_size=1, max_size=3)
+
+
+@st.composite
+def formulas(draw):
+    """A random bracketing of up to eight leaves, wrapped in up to 600
+    parentheses, then maybe chained with leaves until its token count lands
+    anywhere up to twice the cap, or right next to it."""
+    parts = draw(st.lists(st.integers(1, 5).map(str), min_size=1, max_size=8))
+    while len(parts) > 1:
+        k = draw(st.integers(0, len(parts) - 2))
+        joined = f"{parts[k]} {draw(OPERATORS)} {parts[k + 1]}"
+        parts[k:k + 2] = [f"({joined})" if draw(st.booleans()) else joined]
+    depth = draw(st.integers(0, 3) | st.integers(150, 600))
+    formula = "(" * depth + parts[0] + ")" * depth
+    target = draw(st.just(0) | st.integers(0, 2 * MAX_FORMULA_TOKENS)
+                  | st.integers(MAX_FORMULA_TOKENS - 2, MAX_FORMULA_TOKENS + 2))
+    links = max(0, target - len(words(formula)) + 1) // 2
+    if links:
+        op = draw(OPERATORS)
+        chain = f" {op} ".join(str(1 + i % 5) for i in range(links))
+        formula = f"{chain} {op} {formula}" if draw(st.booleans()) else f"{formula} {op} {chain}"
+    return formula
+
+
+@st.composite
+def mutated_formulas(draw):
+    """A grammar formula with one token dropped, repeated or inserted.  Any
+    such edit leaves operands and operators out of turn or the parentheses
+    unbalanced, so the result is always malformed."""
+    tokens = words(draw(formulas()))
+    i = draw(st.integers(0, len(tokens) - 1))
+    edit = draw(st.sampled_from(["drop", "repeat", "insert"]))
+    if edit == "drop":
+        del tokens[i]
+    elif edit == "repeat":
+        tokens.insert(i, tokens[i])
+    else:
+        tokens.insert(i, draw(st.sampled_from(["(", ")", "AND", "or", "3"])))
+    return " ".join(tokens)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(formulas(), ATTR_SETS)
+def test_grammar_formulas_parse_up_to_the_token_cap(formula, attr_sets):
+    tokens = words(formula)
+    if len(tokens) > MAX_FORMULA_TOKENS:
+        with pytest.raises(PolicyParseError, match=f"over the cap of {MAX_FORMULA_TOKENS}"):
+            parse_policy(formula)
+        return
+    policy = parse_policy(formula)
+    assert len(policy.rows) == sum(t.isdigit() for t in tokens)
+    assert policy.width == 1 + sum(t.upper() == "AND" for t in tokens)
+    if nesting(formula) < 200:
+        for attrs in attr_sets:
+            assert satisfies(policy, attrs, MOD) == formula_holds(formula, attrs), attrs
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(mutated_formulas())
+def test_mutated_formulas_raise_policy_parse_error(formula):
+    with pytest.raises(PolicyParseError):
+        parse_policy(formula)
 
 
 def test_share_and_reconstruct_roundtrip():
@@ -101,7 +186,7 @@ def test_share_and_reconstruct_roundtrip():
             secret = rng.randbelow(MOD)
             shares = share_secret(policy, secret, MOD, rng)
             assert len(shares) == len(policy.rows)
-            if evaluate_formula(policy, attrs):
+            if formula_holds(policy.formula, attrs):
                 w = reconstruction_coefficients(policy, attrs, MOD)
                 assert set(w) <= {i for i, a in enumerate(policy.row_attrs) if a in set(attrs)}
                 got = sum(c * shares[i] for i, c in w.items()) % MOD

@@ -2,10 +2,9 @@ import base64
 import copy
 import hashlib
 import json
-import tempfile
 
 import pytest
-from hypothesis import configuration, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rabe import serial
@@ -219,12 +218,6 @@ def test_element_encoding_rejects_cross_backend_bytes():
 
 # ---------------------------------------------------------------------------
 # fuzzing: tampered envelopes end as EnvelopeError and nothing else
-
-# While collecting, hypothesis caches the constants it mines from source files
-# in its home directory, database=None or not.  Point that home at a directory
-# removed at exit, so test runs leave no .hypothesis/ in the checkout.
-_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
-configuration.set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 DECODERS = {
     "pp": lambda ctx, payload: serial.pp_from_payload(payload),
