@@ -11,14 +11,15 @@ G1 is E(Fq): y^2 = x^3 + 4, G2 is the sextic twist E'(Fq2): y^2 = x^3 +
 4(u+1), and GT is the order-r subgroup of Fq12*.  Points are affine pairs
 (or None for infinity); scalar multiplication runs on Jacobian coordinates
 internally, with one doubling (EFD dbl-2009-l) and one mixed Jacobian +
-affine addition (madd-2007-bl) per group.  Multiples of the two fixed
-generators read a signed-digit fixed-window table, built on first use.
-Every other base, and every GT power, runs a width-4 wNAF in one driver,
-split by a cheap endomorphism of each group (GLV/GLS, Galbraith-Scott):
--phi, with phi(x, y) = (beta x, y), acts on G1 as [z^2], -psi, with psi the
-untwist-Frobenius-twist map, acts on G2 as [|z|], and conj o Frobenius acts
-on GT as [|z|].  A full-length scalar becomes two 128-bit or four 64-bit
-digits that share one doubling chain.  The same maps give the membership
+affine addition (madd-2007-bl) per group.  One scalar driver serves G1,
+G2 and GT.  It splits a full-length scalar by a cheap endomorphism of each
+group (GLV/GLS, Galbraith-Scott): -phi, with phi(x, y) = (beta x, y), acts
+on G1 as [z^2], -psi, with psi the untwist-Frobenius-twist map, acts on G2
+as [|z|], and conj o Frobenius acts on GT as [|z|], so the scalar becomes
+two 128-bit or four 64-bit digits.  The digits share one width-4 wNAF
+doubling chain, or, for a base that has taken a few such scalars (the
+generators from the start), run Horner-style over a fixed-base table of
+that base for one digit.  The same maps give the membership
 tests (Scott, ePrint 2021/1130), which need only a power by z^2 or |z|.
 Fq2 square roots go by the norm.  The pairing is the ate pairing: a Miller
 loop over the curve parameter that keeps the running point on the twist in
@@ -381,20 +382,28 @@ def final_exponentiation(f):
 # shared.  GT brings the cyclotomic squaring, the product and conjugation,
 # and its elements need no conversion.
 #
-# Multiples of the fixed generators read a signed-digit fixed-window table
-# (Brickell-Gordon-McCurley-Wilson, Eurocrypt 1992): row i holds the affine
-# points j * 2^(4i) * G for j = 1..8, so [k]G is one mixed addition per
-# nonzero base-16 digit of k and no doubling.  The tables are built on first
-# use and kept for the life of the process.  Every other base, and every k
-# of 2^256 or more, takes the width-4 wNAF path, and a k longer than the
-# group's radix is split by its endomorphism: endo acts on the r-torsion as
-# [radix], and R < radix^4 on G2 and GT (radix = |z|) and R < radix^2 on
-# G1 (radix = z^2), since R = z^4 - z^2 + 1.
+# A k no longer than the group's radix runs one width-4 wNAF.  A longer k
+# is split by the group's endomorphism: endo acts on the r-torsion as
+# [radix], and R < radix^4 on G2 and GT (radix = |z|) and R < radix^2 on G1
+# (radix = z^2), since R = z^4 - z^2 + 1.  The digits run as one interleaved
+# wNAF over the bases endo^i(pt) or, for a hot base, Horner-style over its
+# signed-digit fixed-base table for one digit (Brickell-Gordon-McCurley-
+# Wilson, Eurocrypt 1992): row i holds the affine points j * 2^(4i) * B for
+# j = 1..8, so [d]B is one mixed addition per nonzero base-16 digit of d and
+# no doubling.  Each point is packed into one int of 384-bit words, which
+# takes 40 % less memory than its nested tuples on G1 and over half less on
+# G2 and GT, and unpacks in a few shifts.  Each group keeps one LRU dict,
+# keyed by the base, of the split-path uses of its recent bases.  The
+# _HOT_USES-th use builds the table, past _HOT_TABLES tables the least
+# recently used one goes, and the generators start hot.  Nothing cached
+# here is ever serialized.
 
 _FB_WIDTH = 4
-_FB_WINDOWS = 65  # 64 digits cover k < 2^256; the 65th takes the last carry
 _FB_HALF = 1 << (_FB_WIDTH - 1)  # multiples per row; digits lie in [-7, 8]
-_FB_LIMIT = 1 << (_FB_WIDTH * (_FB_WINDOWS - 1))
+_HOT_USES = 5  # a table costs about five split wNAF multiplications to build
+_HOT_TABLES = 24  # tables held per group: 35 KiB each on G1, 31 KiB on G2, 83 KiB on GT
+_HOT_BASES = 2 * _HOT_TABLES  # bases tracked per group, tables included
+_WORD = (1 << 384) - 1  # a coordinate of a packed point; P < 2^381
 
 
 class _Group:
@@ -402,8 +411,7 @@ class _Group:
 
     identity = None  # affine infinity
 
-    def __init__(self, gen, zero, one, dbl, madd, neg, fmul, finv, endo, radix):
-        self.gen = gen
+    def __init__(self, gen, zero, one, dbl, madd, neg, fmul, finv, endo, radix, pack, unpack):
         self.zero = zero
         self.one = one  # the Z coordinate of an affine point
         self.inf = (zero, one, zero)  # Jacobian infinity
@@ -412,9 +420,11 @@ class _Group:
         self.neg = neg
         self.fmul = fmul
         self.finv = finv
-        self.endo = endo  # acts on the r-torsion as [radix]
+        self.endo = endo  # acts on the r-torsion as [radix], on affine and Jacobian points
         self.radix = radix
-        self.table = None
+        self.pack = pack  # an affine point as one int of 384-bit words, for the tables
+        self.unpack = unpack
+        self.hot = {gen: _HOT_USES - 1}  # base -> split-path uses, or its table
 
     def lift(self, pt):  # affine, not infinity, to the driver's Jacobian form
         return (*pt, self.one)
@@ -448,14 +458,16 @@ class _Group:
 
 class _Cyclotomic(_Group):
     """GT for the scalar driver: an element is its own working and output
-    form, no base has a table, and the accumulator starts at one, whose
-    square and product are skipped.  endo = conj o frob1 sends f to
-    f^(-p), and p = z (mod r), so it acts on GT as [|z|]."""
+    form, and the accumulator starts at one, whose square and product are
+    skipped.  endo = conj o frob1 sends f to f^(-p), and p = z (mod r), so
+    it acts on GT as [|z|]."""
 
     identity = FQ12_ONE
 
     def __init__(self):
-        self.gen, self.inf, self.table, self.radix = None, FQ12_ONE, None, BLS_X
+        self.inf, self.radix, self.hot = FQ12_ONE, BLS_X, {}
+        self.pack = lambda f: _pack(c for half in f for pair in half for c in pair)
+        self.unpack = _fq12_unpack
         self.dbl = lambda f: f if f is FQ12_ONE else fq12_cyclo_sqr(f)
         self.madd = lambda f, h: h if f is FQ12_ONE else fq12_mul(f, h)
         self.neg = fq12_conj
@@ -463,11 +475,11 @@ class _Cyclotomic(_Group):
         self.lift = self.to_affine = lambda x: x
 
 
-def _fb_digits(k):
-    """The _FB_WINDOWS signed digits of 0 <= k < _FB_LIMIT, least significant
-    first, each in [1 - _FB_HALF, _FB_HALF]."""
+def _fb_digits(k, rows):
+    """The rows signed digits of 0 <= k < 2^(_FB_WIDTH (rows - 1)), least
+    significant first, each in [1 - _FB_HALF, _FB_HALF]."""
     digits = []
-    for _ in range(_FB_WINDOWS):
+    for _ in range(rows):
         d = k & ((1 << _FB_WIDTH) - 1)
         k >>= _FB_WIDTH
         if d > _FB_HALF:
@@ -477,17 +489,46 @@ def _fb_digits(k):
     return digits
 
 
-def _fixed_table(g):
+def _pack(words):
+    """Coordinates below 2^384 as one int, the first in the lowest word."""
+    return sum(w << 384 * i for i, w in enumerate(words))
+
+
+def _fq12_unpack(v):
+    c = [v >> s & _WORD for s in range(0, 12 * 384, 384)]
+    return (((c[0], c[1]), (c[2], c[3]), (c[4], c[5])), ((c[6], c[7]), (c[8], c[9]), (c[10], c[11])))
+
+
+def _fixed_table(g, base):
+    """The rows j * 2^(4i) * base, j = 1..8, for every window of a radix
+    digit, packed, and a last row for the carry out of the top window,
+    which is at most one."""
     rows = []
-    base = g.gen
-    for _ in range(_FB_WINDOWS):
-        jac = [(*base, g.one)]
+    for _ in range(-(-g.radix.bit_length() // _FB_WIDTH)):
+        jac = [g.lift(base)]
         for _ in range(_FB_HALF - 1):
             jac.append(g.madd(jac[-1], base))
         jac.append(g.dbl(jac[-1]))  # 2^_FB_WIDTH * base, the next row's base
         *row, base = g.to_affine(jac)
-        rows.append(row)
-    return rows
+        rows.append([g.pack(q) for q in row])
+    return rows + [[g.pack(base)]]
+
+
+def _hot_table(g, pt):
+    """Count one split-path use of pt; its table once it has earned one."""
+    hot = g.hot
+    uses = hot.pop(pt, 0)
+    if isinstance(uses, int):
+        uses += 1
+        if uses == _HOT_USES:
+            tables = [b for b, v in hot.items() if not isinstance(v, int)]
+            if len(tables) >= _HOT_TABLES:
+                del hot[tables[0]]
+            uses = _fixed_table(g, pt)
+    hot[pt] = uses
+    if len(hot) > _HOT_BASES:
+        del hot[next(iter(hot))]
+    return None if isinstance(uses, int) else uses
 
 
 def _mul(g, pt, k):
@@ -497,12 +538,12 @@ def _mul(g, pt, k):
     Plain path: a k no longer than g.radix runs one width-4 wNAF on pt,
     which holds for any point on the curve and any cyclotomic Fq12
     element; the membership tests and the final exponentiation rely on it.
-    Split path: a longer k is reduced mod R and written in base g.radix,
-    and the digits run one interleaved wNAF over the bases endo^i(pt).  The
-    split holds only for pt in the r-torsion, where endo acts as [radix]:
-    every caller passes scheme outputs or decoded, subgroup-checked points;
-    on GT, pairing outputs, decodes checked by gt_is_valid, and their
-    products and powers.
+    Such a k never counts toward a table.  Split path: a longer k is
+    reduced mod R and written in base g.radix, and the digits run over pt's
+    table or one interleaved wNAF.  The split holds only for pt in the
+    r-torsion, where endo acts as [radix]: every caller passes scheme
+    outputs or decoded, subgroup-checked points; on GT, pairing outputs,
+    decodes checked by gt_is_valid, and their products and powers.
     """
     if k < 0:
         pt, k = g.neg(pt), -k
@@ -510,21 +551,24 @@ def _mul(g, pt, k):
         return g.identity
     madd = g.madd
     acc = g.inf
-    if pt == g.gen and k < _FB_LIMIT:
-        if g.table is None:
-            g.table = _fixed_table(g)
-        for row, d in zip(g.table, _fb_digits(k)):
-            if d > 0:
-                acc = madd(acc, row[d - 1])
-            elif d < 0:
-                acc = madd(acc, g.neg(row[-d - 1]))
-        return g.to_affine([acc])[0]
     digits = [k]
     if k.bit_length() > g.radix.bit_length():
         k, digits = k % R, []
         while k:
             k, d = divmod(k, g.radix)
             digits.append(d)
+        table = _hot_table(g, pt)
+        if table is not None:
+            unpack = g.unpack
+            for i, d in enumerate(reversed(digits)):
+                if i:
+                    acc = g.endo(acc)
+                for row, e in zip(table, _fb_digits(d, len(table))):
+                    if e > 0:
+                        acc = madd(acc, unpack(row[e - 1]))
+                    elif e < 0:
+                        acc = madd(acc, g.neg(unpack(row[-e - 1])))
+            return g.to_affine([acc])[0]
     # the odd multiples P, 3P, 5P, 7P of the wNAF digits: 2P is made affine
     # first, then the four share one inversion; endo carries them to the
     # odd multiples of the next base
@@ -616,11 +660,13 @@ def _g1_madd(p, q):
 
 
 # endo = -phi with phi(x, y) = (BETA x, y), BETA the cube root of unity for
-# which phi acts on G1 as [-z^2] (the other one gives [z^2 - 1])
+# which phi acts on G1 as [-z^2] (the other one gives [z^2 - 1]); on a
+# Jacobian point it is (BETA X, -Y, Z)
 BETA = 0x5F19672FDF76CE51BA69C6076A0F77EADDB3A93BE6F89688DE17D813620A00022E01FFFFFFFEFFFE
 _G1 = _Group(G1_GEN, 0, 1, _g1_dbl_jac, _g1_madd, g1_neg,
              lambda a, b: a * b % P, lambda a: pow(a, -1, P),
-             lambda q: (q[0] * BETA % P, -q[1] % P), BLS_X * BLS_X)
+             lambda q: (q[0] * BETA % P, -q[1] % P, *q[2:]), BLS_X * BLS_X,
+             _pack, lambda v: (v & _WORD, v >> 384))
 
 
 def g1_add(p, q):
@@ -697,10 +743,13 @@ def _g2_madd(p, q):
     return (X3, Y3, Z3)
 
 
-# endo = -psi, with psi (above) acting on G2 as [p] = [z]
+# endo = -psi, with psi (above) acting on G2 as [p] = [z]; on a Jacobian
+# point psi also conjugates Z
 _G2 = _Group(G2_GEN, FQ2_ZERO, FQ2_ONE, _g2_dbl_jac, _g2_madd, g2_neg, fq2_mul, fq2_inv,
-             lambda q: (fq2_mul(fq2_conj(q[0]), PSI_X), fq2_neg(fq2_mul(fq2_conj(q[1]), PSI_Y))),
-             BLS_X)
+             lambda q: (fq2_mul(fq2_conj(q[0]), PSI_X), fq2_neg(fq2_mul(fq2_conj(q[1]), PSI_Y)),
+                        *map(fq2_conj, q[2:])),
+             BLS_X, lambda q: _pack((*q[0], *q[1])),
+             lambda v: ((v & _WORD, v >> 384 & _WORD), (v >> 768 & _WORD, v >> 1152)))
 
 
 def g2_add(p, q):

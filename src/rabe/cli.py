@@ -24,7 +24,7 @@ from .groups import BACKENDS, SIDE_TARGET, TRANSPARENT, new_context
 from .policy import parse_policy
 from .rng import SeededRng, SystemRng
 from .scheme import decrypt, derive_dk, encrypt, keygen, revoke, setup, update_ct, update_key
-from .timecode import backdatable_epochs, ct_epoch_bits, epoch_bits, lemma_row, zero_positions
+from .timecode import backdatable_epochs, bit_width, ct_epoch_bits, epoch_bits, lemma_row, zero_positions
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -227,6 +227,7 @@ def cmd_attack_demo(args):
         ctx = new_context(args.backend, seed=seed)
         n_users, max_time, attr_max = args.users, args.max_time, args.attr_bound
 
+    bit_width(max_time)  # the range first: the default t* below presumes a valid one
     t_star = args.t_star
     if t_star is None:
         t_star = 7 if max_time >= 16 else max(2, max_time // 2 - 1)

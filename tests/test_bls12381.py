@@ -92,27 +92,36 @@ def test_generator_table_agrees_with_wnaf(group):
         assert mul(gen, a * b % bls.R) == mul(mul(gen, a), b)
 
 
+def _on_wnaf(mul, pt, k):
+    """mul(pt, k) with every base cold: the wNAF path, which counts no use."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bls, "_hot_table", lambda g, pt: None)
+        return mul(pt, k)
+
+
 @pytest.mark.parametrize("group", sorted(GROUPS))
 def test_generator_table_edge_scalars(group, monkeypatch):
     gen, mul, add, neg = GROUPS[group]
-    last = (1 << 256) - 1  # the largest scalar the table covers
-    table_scalars = []
-    digits = bls._fb_digits
-    monkeypatch.setattr(bls, "_fb_digits", lambda k: table_scalars.append(k) or digits(k))
+    g = bls._G1 if group == "G1" else bls._G2
+    monkeypatch.setattr(g, "hot", {gen: bls._HOT_USES - 1})  # as at import: the generator starts hot
+    last = (1 << 256) - 1
     for k in (0, 1, 7, 8, 9, 16, bls.R - 1, bls.R, bls.R + 1, last, last + 1):
-        # -[k](-G) runs wNAF, since -G is not the generator; so does any negative k
         kg = mul(gen, k)
-        assert kg == neg(mul(neg(gen), k)) and mul(gen, -k) == neg(kg), k
-    assert table_scalars == [1, 7, 8, 9, 16, bls.R - 1, bls.R, bls.R + 1, last]
-    monkeypatch.undo()
+        assert kg == _on_wnaf(mul, gen, k) and mul(gen, -k) == neg(kg) == _on_wnaf(mul, neg(gen), k), k
+        # the first scalar longer than the radix builds the generator's table
+        assert isinstance(g.hot[gen], list) == (k >= bls.R - 1), k
     assert mul(gen, 0) is None and mul(gen, bls.R) is None
     assert mul(gen, 1) == mul(gen, bls.R + 1) == gen and mul(gen, bls.R - 1) == neg(gen)
     assert mul(gen, 9) == add(mul(gen, 8), gen) and mul(gen, 16) == add(mul(gen, 8), mul(gen, 8))
     assert mul(gen, last + 1) == mul(gen, (last + 1) % bls.R)
-    # 65 rows of 8 affine multiples j * 16^i * G; the top row checked on the wNAF path
-    table = (bls._G1 if group == "G1" else bls._G2).table
-    assert len(table) == 65 and all(len(row) == 8 for row in table)
-    assert table[64] == [mul(gen, j << 256) for j in range(1, 9)]
+    # one radix digit's rows of 8 packed affine multiples j * 16^i * G (32 on
+    # G1, 16 on G2), then a row for the last carry, all checked on the wNAF path
+    table = g.hot[gen]
+    top = 4 * (len(table) - 1)
+    assert len(table) == {"G1": 33, "G2": 17}[group] and top == g.radix.bit_length()
+    assert all(len(row) == 8 for row in table[:-1]) and len(table[-1]) == 1
+    for i, row in enumerate(table):
+        assert [g.unpack(v) for v in row] == [_on_wnaf(mul, gen, j << 4 * i) for j in range(1, len(row) + 1)]
 
 
 @pytest.mark.parametrize("group", sorted(GROUPS))
@@ -381,6 +390,74 @@ def test_mul_agrees_with_double_and_add_across_the_split(group):
         for k in SPLIT_EDGES + (rng.randbelow(bls.R),):
             want = _double_and_add(add, pt, k)
             assert mul(pt, k) == want and mul(pt, -k) == neg(want), k
+
+
+# the hot-base rule on each group: (group state, mul, the r-torsion base
+# with a given exponent)
+HOT = {
+    "G1": (bls._G1, bls.g1_mul, lambda a: bls.g1_mul(bls.G1_GEN, a)),
+    "G2": (bls._G2, bls.g2_mul, lambda a: bls.g2_mul(bls.G2_GEN, a)),
+    "GT": (bls._GT, bls.fq12_pow_cyclo,
+           lambda a: bls.fq12_pow_cyclo(bls.pairing(bls.G1_GEN, bls.G2_GEN), a)),
+}
+
+
+@pytest.mark.parametrize("group", sorted(HOT))
+def test_hot_base_results_match_wnaf_across_the_threshold(group, monkeypatch):
+    g, mul, base = HOT[group]
+    rng = SeededRng(f"hot-{group}")
+    pt = base(rng.randbelow(bls.R - 1) + 1)
+    monkeypatch.setattr(g, "hot", {})
+    scalars = [bls.R - 1, bls.R, bls.R + 1, 2**256] + [rng.randbelow(bls.R) for _ in range(4)]
+    for uses, k in enumerate(scalars, 1):
+        assert mul(pt, k) == _on_wnaf(mul, pt, k), k
+        if uses < bls._HOT_USES:
+            assert g.hot[pt] == uses
+        else:  # the threshold use builds the table, later ones read it
+            assert isinstance(g.hot[pt], list)
+    assert list(g.hot) == [pt]
+
+
+@pytest.mark.parametrize("group", sorted(HOT))
+def test_short_scalars_never_count_toward_a_table(group, monkeypatch):
+    g, mul, base = HOT[group]
+    pt = base(SeededRng(f"short-hot-{group}").randbelow(bls.R - 1) + 1)
+    monkeypatch.setattr(g, "hot", {})
+    top = (1 << g.radix.bit_length()) - 1
+    for _ in range(bls._HOT_USES + 1):
+        for k in (3, g.radix, top, -top):
+            mul(pt, k)
+        # decoding checks membership by powers no longer than the radix, and
+        # the pairing's final exponentiation by powers of |z|
+        if group == "G1":
+            assert bls.g1_from_bytes(bls.g1_to_bytes(pt)) == pt
+        elif group == "G2":
+            assert bls.g2_from_bytes(bls.g2_to_bytes(pt)) == pt
+        else:
+            assert bls.gt_is_valid(pt)
+            bls.pairing(bls.G1_GEN, bls.G2_GEN)
+    assert g.hot == {}
+
+
+@pytest.mark.parametrize("group", sorted(HOT))
+def test_hot_tables_stay_under_the_cap(group, monkeypatch):
+    g, mul, base = HOT[group]
+    rng = SeededRng(f"hot-cap-{group}")
+    bases = [base(rng.randbelow(bls.R - 1) + 1) for _ in range(bls._HOT_TABLES + 2)]
+    monkeypatch.setattr(g, "hot", {})
+    for i, pt in enumerate(bases):
+        for _ in range(bls._HOT_USES):
+            mul(pt, bls.R - 1)
+        # past the cap, the least recently used table goes
+        tables = [b for b, v in g.hot.items() if isinstance(v, list)]
+        assert tables == bases[max(0, i + 1 - bls._HOT_TABLES) : i + 1], i
+    # an evicted base counts its uses again, from one
+    assert mul(bases[0], bls.R - 2) == _on_wnaf(mul, bases[0], bls.R - 2) and g.hot[bases[0]] == 1
+    # so do cold bases, up to a bound; past it the least recently used entries go
+    fresh = [mul(bases[-1], a) for a in range(2, bls._HOT_BASES + 3)]
+    for pt in fresh:
+        mul(pt, bls.R - 1)
+    assert list(g.hot) == fresh[1:] and all(v == 1 for v in g.hot.values())
 
 
 def test_gt_pow_agrees_with_reference_across_the_split():

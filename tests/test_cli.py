@@ -239,6 +239,15 @@ def test_attack_demo_checks_sizes_before_the_adversary_sees_them(capsys):
     assert code == EXIT_INVALID and "'attr_max' is 0" in err
 
 
+@pytest.mark.parametrize("max_time", [0, 1, 2])
+def test_attack_demo_rejects_an_epoch_range_too_small_for_any_pair(capsys, max_time):
+    # the range is checked before a default t* is picked, so the error names it
+    code, out, err = run(capsys, "attack-demo", "--max-time", max_time, "--trials", 1, "--seed", 1)
+    assert code == EXIT_INVALID
+    assert f"max_time must be a power of two >= 4, got {max_time}" in err
+    assert "epoch" not in err and "Traceback" not in out + err
+
+
 def test_attack_demo_on_existing_state(tmp_path, capsys):
     state = tmp_path / "state.json"
     run(capsys, "setup", "--state", state, "--max-time", 16, "--seed", 2)
