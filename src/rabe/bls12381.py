@@ -26,6 +26,8 @@ loop over the curve parameter that keeps the running point on the twist in
 homogeneous projective coordinates and multiplies each line into the
 accumulator as a sparse Fq12 element (no inversions), then the final
 exponentiation split into the easy part and a hard part of powers by |z|.
+The one pairing entry, pairing_product, multiplies the Miller loops of all
+its pairs and runs one final exponentiation over the product.
 """
 
 from __future__ import annotations
@@ -193,6 +195,15 @@ def fq6_inv(x):
 # product by v of an Fq6 element (e0, e1, e2) is (xi e2, e0, e1).
 
 FQ12_ONE = (FQ6_ONE, FQ6_ZERO)
+
+
+# the twelve Fq coefficients in storage order: the words of the encoding and of a packed GT point
+def _fq12_coeffs(f):
+    return [c for half in f for pair in half for c in pair]
+
+
+def _fq12_of(c):
+    return (((c[0], c[1]), (c[2], c[3]), (c[4], c[5])), ((c[6], c[7]), (c[8], c[9]), (c[10], c[11])))
 
 
 def fq12_mul(x, y):
@@ -466,8 +477,8 @@ class _Cyclotomic(_Group):
 
     def __init__(self):
         self.inf, self.radix, self.hot = FQ12_ONE, BLS_X, {}
-        self.pack = lambda f: _pack(c for half in f for pair in half for c in pair)
-        self.unpack = _fq12_unpack
+        self.pack = lambda f: _pack(_fq12_coeffs(f))
+        self.unpack = lambda v: _fq12_of([v >> s & _WORD for s in range(0, 12 * 384, 384)])
         self.dbl = lambda f: f if f is FQ12_ONE else fq12_cyclo_sqr(f)
         self.madd = lambda f, h: h if f is FQ12_ONE else fq12_mul(f, h)
         self.neg = fq12_conj
@@ -492,11 +503,6 @@ def _fb_digits(k, rows):
 def _pack(words):
     """Coordinates below 2^384 as one int, the first in the lowest word."""
     return sum(w << 384 * i for i, w in enumerate(words))
-
-
-def _fq12_unpack(v):
-    c = [v >> s & _WORD for s in range(0, 12 * 384, 384)]
-    return (((c[0], c[1]), (c[2], c[3]), (c[4], c[5])), ((c[6], c[7]), (c[8], c[9]), (c[10], c[11])))
 
 
 def _fixed_table(g, base):
@@ -836,11 +842,15 @@ def miller_loop(p, q):
     return fq12_conj(f)
 
 
-def pairing(p, q):
-    """e(P, Q) for P in G1, Q in G2, final exponentiation included."""
-    if p is None or q is None:
-        return FQ12_ONE
-    return final_exponentiation(miller_loop(p, q))
+def pairing_product(pairs):
+    """prod e(P_i, Q_i), P_i in G1, Q_i in G2: the Miller loops of the pairs
+    without infinity multiplied, one final exponentiation; one if none."""
+    f = None
+    for p, q in pairs:
+        if p is not None and q is not None:
+            ml = miller_loop(p, q)
+            f = ml if f is None else fq12_mul(f, ml)
+    return FQ12_ONE if f is None else final_exponentiation(f)
 
 
 # ---------------------------------------------------------------------------
@@ -854,11 +864,23 @@ def _fq_sign(a):
     return a > HALF_P
 
 
+def _word_bytes(words):
+    return b"".join(w.to_bytes(48, "big") for w in words)
+
+
+def _words(data, what):
+    """data as 48-byte big-endian words, each below P."""
+    words = [int.from_bytes(data[i : i + 48], "big") for i in range(0, len(data), 48)]
+    if any(w >= P for w in words):
+        raise ValueError(f"{what} out of range")
+    return words
+
+
 def _compress(size, words=(), sign=False):
     """The compressed encoding of x's words with y's sign; no words is infinity."""
     if not words:
         return bytes([0xC0]) + bytes(size - 1)
-    data = bytearray(b"".join(w.to_bytes(48, "big") for w in words))
+    data = bytearray(_word_bytes(words))
     data[0] |= 0x80 | (0x20 if sign else 0)
     return bytes(data)
 
@@ -874,11 +896,7 @@ def _decompress(data, size, group):
         if any(data[1:]) or flags & 0x3F:
             raise ValueError(f"malformed {group} infinity encoding")
         return None
-    body = bytes([flags & 0x1F]) + data[1:]
-    words = [int.from_bytes(body[i : i + 48], "big") for i in range(0, size, 48)]
-    if any(w >= P for w in words):
-        raise ValueError(f"{group} x coordinate out of range")
-    return bool(flags & 0x20), words
+    return bool(flags & 0x20), _words(bytes([flags & 0x1F]) + data[1:], f"{group} x coordinate")
 
 
 def g1_to_bytes(pt):
@@ -958,27 +976,13 @@ def g2_from_bytes(data):
 
 
 def fq12_to_bytes(f):
-    out = bytearray()
-    for half in f:
-        for c in half:
-            out += c[0].to_bytes(48, "big")
-            out += c[1].to_bytes(48, "big")
-    return bytes(out)
+    return _word_bytes(_fq12_coeffs(f))
 
 
 def fq12_from_bytes(data):
     if len(data) != 576:
         raise ValueError("Fq12 encoding must be 576 bytes")
-    vals = []
-    for i in range(12):
-        v = int.from_bytes(data[48 * i : 48 * (i + 1)], "big")
-        if v >= P:
-            raise ValueError("Fq12 coefficient out of range")
-        vals.append(v)
-    return (
-        ((vals[0], vals[1]), (vals[2], vals[3]), (vals[4], vals[5])),
-        ((vals[6], vals[7]), (vals[8], vals[9]), (vals[10], vals[11])),
-    )
+    return _fq12_of(_words(data, "Fq12 coefficient"))
 
 
 def gt_is_valid(f):

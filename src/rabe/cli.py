@@ -34,10 +34,17 @@ EXIT_IO = 4
 
 
 def _resolve_seed(args):
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("RABE_SEED")
-    return int(env) if env else None
+    """--seed, else RABE_SEED, else None; either must lie in [0, 2^256)."""
+    name, seed = "--seed", args.seed
+    if seed is None:
+        name, seed = "RABE_SEED", os.environ.get("RABE_SEED") or None
+    try:
+        value = None if seed is None else int(seed)
+    except ValueError:
+        value = -1
+    if value is not None and not 0 <= value < 1 << 256:
+        raise RabeError(f"{name} must be an integer in [0, 2^256), got {seed!r}")
+    return value
 
 
 def _rng_for(seed):

@@ -152,12 +152,9 @@ class BilinearContext:
     # -- element construction ------------------------------------------------
 
     def generator(self, side: str) -> GroupElement:
-        self._check_side(side)
+        if side not in (SIDE_ONE, SIDE_TWO, SIDE_TARGET):
+            raise ParameterError(f"unknown side {side!r}")
         return GroupElement(self, side, self._generator_payload(side))
-
-    def identity(self, side: str) -> GroupElement:
-        self._check_side(side)
-        return GroupElement(self, side, self._identity_payload(side))
 
     def random_scalar(self, rng) -> Scalar:
         return Scalar(rng.randbelow(self.prime_order), self.prime_order)
@@ -166,9 +163,6 @@ class BilinearContext:
         return self.generator(side) ** self.random_scalar(rng)
 
     # -- pairing -------------------------------------------------------------
-
-    def pair(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        return self.pair_product([(a, b)])
 
     def pair_product(self, pairs) -> GroupElement:
         """prod e(a_i, b_i); on the real backend one shared final
@@ -201,13 +195,6 @@ class BilinearContext:
     def decode_scalar(self, data: bytes) -> Scalar:
         return Scalar.decode(data, self.prime_order)
 
-    # -- misc ----------------------------------------------------------------
-
-    @staticmethod
-    def _check_side(side: str) -> None:
-        if side not in (SIDE_ONE, SIDE_TWO, SIDE_TARGET):
-            raise ParameterError(f"unknown side {side!r}")
-
 
 class TransparentContext(BilinearContext):
     """Exponent-bookkeeping backend: an element is its discrete log."""
@@ -221,9 +208,6 @@ class TransparentContext(BilinearContext):
 
     def _generator_payload(self, side):
         return 1
-
-    def _identity_payload(self, side):
-        return 0
 
     def _op(self, side, x, y):
         return (x + y) % self.prime_order
@@ -265,11 +249,8 @@ class RealContext(BilinearContext):
         if side == SIDE_TWO:
             return bls.G2_GEN
         if self._target_gen is None:
-            self._target_gen = bls.pairing(bls.G1_GEN, bls.G2_GEN)
+            self._target_gen = bls.pairing_product([(bls.G1_GEN, bls.G2_GEN)])
         return self._target_gen
-
-    def _identity_payload(self, side):
-        return None if side in (SIDE_ONE, SIDE_TWO) else bls.FQ12_ONE
 
     def _op(self, side, x, y):
         if side == SIDE_ONE:
@@ -284,7 +265,8 @@ class RealContext(BilinearContext):
         if side == SIDE_TWO:
             return bls.g2_mul(x, k)
         # target elements are pairing outputs, decodes checked by gt_is_valid,
-        # and their products and powers: in GT, where the Frobenius split holds
+        # and their products, powers and inverses: in GT, where the Frobenius
+        # split holds and, in _inv, the inverse is the conjugate
         return bls.fq12_pow_cyclo(x, k)
 
     def _inv(self, side, x):
@@ -292,18 +274,10 @@ class RealContext(BilinearContext):
             return bls.g1_neg(x)
         if side == SIDE_TWO:
             return bls.g2_neg(x)
-        return bls.fq12_inv(x)
+        return bls.fq12_conj(x)
 
     def _pair_product_payload(self, pairs):
-        f = None
-        for a, b in pairs:
-            if a is None or b is None:
-                continue
-            ml = bls.miller_loop(a, b)
-            f = ml if f is None else bls.fq12_mul(f, ml)
-        if f is None:
-            return bls.FQ12_ONE
-        return bls.final_exponentiation(f)
+        return bls.pairing_product(pairs)
 
     def _encode_payload(self, side, payload):
         if side == SIDE_ONE:

@@ -3,8 +3,9 @@
 Two interchangeable sources: SeededRng is a deterministic stream derived from
 a seed via SHAKE-256 with domain-separation labels, so seeded runs are
 bit-for-bit reproducible; SystemRng draws from the OS CSPRNG for production
-use.  Every consumer in the package takes either through the same two-method
-interface (randbelow / randbytes).
+use.  Every consumer in the package takes either through the same one-method
+interface, randbelow; independent child streams (child) come from SeededRng
+only.
 """
 
 from __future__ import annotations
@@ -74,16 +75,8 @@ class SeededRng:
 class SystemRng:
     """OS-backed randomness with the same interface."""
 
-    def randbytes(self, n: int) -> bytes:
-        return secrets.token_bytes(n)
-
     def randbelow(self, bound: int) -> int:
-        if bound <= 0:
-            raise ValueError("bound must be positive")
-        return secrets.randbelow(bound)
-
-    def child(self, label: str | bytes) -> "SystemRng":
-        return self
+        return secrets.randbelow(bound)  # ValueError unless bound > 0
 
 
 def _is_probable_prime(n: int) -> bool:

@@ -89,7 +89,7 @@ class PublicParams:
     def blinding_base(self) -> GroupElement:
         """e(g1, g2), the target-group base every message is blinded with."""
         if self._blind_base is None:
-            self._blind_base = self.ctx.pair(self.g1, self.g2.two)
+            self._blind_base = self.ctx.pair_product([(self.g1, self.g2.two)])
         return self._blind_base
 
     def eval_t(self, x: int, side: str) -> GroupElement:

@@ -6,7 +6,7 @@ import math
 import pytest
 
 import rabe.bls12381 as bls
-from rabe.groups import REAL, SIDE_ONE, SIDE_TARGET, SIDE_TWO, new_context
+from rabe.groups import REAL, SIDE_ONE, SIDE_TARGET, SIDE_TWO, GroupElement, new_context
 from rabe.rng import SeededRng
 
 # standard compressed serializations of the fixed generators
@@ -398,7 +398,7 @@ HOT = {
     "G1": (bls._G1, bls.g1_mul, lambda a: bls.g1_mul(bls.G1_GEN, a)),
     "G2": (bls._G2, bls.g2_mul, lambda a: bls.g2_mul(bls.G2_GEN, a)),
     "GT": (bls._GT, bls.fq12_pow_cyclo,
-           lambda a: bls.fq12_pow_cyclo(bls.pairing(bls.G1_GEN, bls.G2_GEN), a)),
+           lambda a: bls.fq12_pow_cyclo(bls.pairing_product([(bls.G1_GEN, bls.G2_GEN)]), a)),
 }
 
 
@@ -435,7 +435,7 @@ def test_short_scalars_never_count_toward_a_table(group, monkeypatch):
             assert bls.g2_from_bytes(bls.g2_to_bytes(pt)) == pt
         else:
             assert bls.gt_is_valid(pt)
-            bls.pairing(bls.G1_GEN, bls.G2_GEN)
+            bls.pairing_product([(bls.G1_GEN, bls.G2_GEN)])
     assert g.hot == {}
 
 
@@ -462,7 +462,8 @@ def test_hot_tables_stay_under_the_cap(group, monkeypatch):
 
 def test_gt_pow_agrees_with_reference_across_the_split():
     rng = SeededRng("split-GT")
-    f = bls.pairing(bls.g1_mul(bls.G1_GEN, rng.randbelow(bls.R - 1) + 1), bls.G2_GEN)
+    p = bls.g1_mul(bls.G1_GEN, rng.randbelow(bls.R - 1) + 1)
+    f = bls.pairing_product([(p, bls.G2_GEN)])
     for k in SPLIT_EDGES + (rng.randbelow(bls.R),):
         want = fq12_pow(f, k)
         assert bls.fq12_pow_cyclo(f, k) == want, k
@@ -513,7 +514,7 @@ def test_endomorphism_constants():
     assert bls._G2.endo(bls.G2_GEN) == _double_and_add(bls.g2_add, bls.G2_GEN, X)
     assert bls._G1.endo(bls.G1_GEN) == _double_and_add(bls.g1_add, bls.G1_GEN, X**2)
     # on GT, conj o frob1 sends g to g^(-p) = g^(-z) = g^X
-    g = bls.pairing(bls.G1_GEN, bls.G2_GEN)
+    g = bls.pairing_product([(bls.G1_GEN, bls.G2_GEN)])
     assert bls._GT.radix == X
     assert bls._GT.endo(g) == bls.fq12_conj(bls.fq12_frob1(g)) == fq12_pow(g, X)
     # so a reduced scalar has 4 digits in base X and 2 in base X^2
@@ -521,27 +522,49 @@ def test_endomorphism_constants():
 
 
 def test_pairing_bilinear_and_nondegenerate():
-    base = bls.pairing(bls.G1_GEN, bls.G2_GEN)
+    base = bls.pairing_product([(bls.G1_GEN, bls.G2_GEN)])
     assert base != bls.FQ12_ONE
     assert bls.gt_is_valid(base)
     a, b = 6, 11
-    lhs = bls.pairing(bls.g1_mul(bls.G1_GEN, a), bls.g2_mul(bls.G2_GEN, b))
+    lhs = bls.pairing_product([(bls.g1_mul(bls.G1_GEN, a), bls.g2_mul(bls.G2_GEN, b))])
     assert lhs == fq12_pow(base, a * b)
     assert lhs == bls.fq12_pow_cyclo(base, a * b)
     # pairing with infinity degenerates to one
     assert bls.final_exponentiation(bls.FQ12_ONE) == bls.FQ12_ONE
+    for pairs in ([], [(None, bls.G2_GEN)], [(bls.G1_GEN, None)], [(None, None)]):
+        assert bls.pairing_product(pairs) == bls.FQ12_ONE
     rng = SeededRng("bilinear")
     for _ in range(2):
         a = rng.randbelow(bls.R - 1) + 1
         b = rng.randbelow(bls.R - 1) + 1
-        lhs = bls.pairing(bls.g1_mul(bls.G1_GEN, a), bls.g2_mul(bls.G2_GEN, b))
+        lhs = bls.pairing_product([(bls.g1_mul(bls.G1_GEN, a), bls.g2_mul(bls.G2_GEN, b))])
         assert lhs == bls.fq12_pow_cyclo(base, a * b % bls.R)
 
 
 def test_pairing_known_answer():
     # pins the GT convention: outputs are the cube of the standard pairing
-    digest = hashlib.sha256(bls.fq12_to_bytes(bls.pairing(bls.G1_GEN, bls.G2_GEN))).hexdigest()
+    out = bls.pairing_product([(bls.G1_GEN, bls.G2_GEN)])
+    digest = hashlib.sha256(bls.fq12_to_bytes(out)).hexdigest()
     assert digest == "06fa588b89fdfb034dbc1c163ecb3dfac228f552b643c7294cc5f2c4dc170b84"
+
+
+def test_pairing_product_matches_termwise_pairings(monkeypatch):
+    # Miller loops multiplied under one final exponentiation, infinity skipped
+    rng = SeededRng("pairing-product")
+    pairs = [(bls.g1_mul(bls.G1_GEN, rng.randbelow(bls.R - 1) + 1),
+              bls.g2_mul(bls.G2_GEN, rng.randbelow(bls.R - 1) + 1)) for _ in range(3)]
+    termwise = bls.FQ12_ONE
+    for p, q in pairs:
+        termwise = bls.fq12_mul(termwise, bls.pairing_product([(p, q)]))
+    calls = []
+    final_exp = bls.final_exponentiation
+
+    def counted(f):
+        calls.append(f)
+        return final_exp(f)
+    monkeypatch.setattr(bls, "final_exponentiation", counted)
+    assert bls.pairing_product(pairs[:1] + [(None, bls.G2_GEN)] + pairs[1:]) == termwise
+    assert len(calls) == 1
 
 
 def test_pair_product_of_inverse_pairs_is_identity():
@@ -550,7 +573,7 @@ def test_pair_product_of_inverse_pairs_is_identity():
     g, h = ctx.generator(SIDE_ONE), ctx.generator(SIDE_TWO)
     a = ctx.random_scalar(rng)
     out = ctx.pair_product([(g ** a, h), (g.inverse(), h ** a)])
-    assert out == ctx.identity(SIDE_TARGET)
+    assert out == GroupElement(ctx, SIDE_TARGET, bls.FQ12_ONE)
 
 
 def _random_fq2(rng):
@@ -565,7 +588,7 @@ def test_gt_check_rejects_unitary_non_cyclotomic_elements_without_a_power(monkey
     f = bls.fq12_mul(bls.fq12_conj(g), bls.fq12_inv(g))
     assert bls.fq12_mul(f, bls.fq12_conj(f)) == bls.FQ12_ONE
     assert bls.fq12_cyclo_sqr(f) != bls.fq12_sqr(f)
-    base = bls.pairing(bls.G1_GEN, bls.G2_GEN)
+    base = bls.pairing_product([(bls.G1_GEN, bls.G2_GEN)])
     calls = []
     pow_cyclo = bls.fq12_pow_cyclo
 
@@ -590,7 +613,7 @@ def test_gt_check_rejects_cyclotomic_elements_outside_gt():
     assert math.gcd(bls.P + bls.BLS_X, bls.P**4 - bls.P**2 + 1) == bls.R
     assert bls.gt_is_valid(bls.FQ12_ONE)
     for k in (1, 5):
-        assert bls.gt_is_valid(bls.pairing(bls.g1_mul(bls.G1_GEN, k), bls.G2_GEN))
+        assert bls.gt_is_valid(bls.pairing_product([(bls.g1_mul(bls.G1_GEN, k), bls.G2_GEN)]))
 
 
 def test_sparse_line_multiply_and_squaring_match_dense():
@@ -654,7 +677,7 @@ def test_tower_kernels_match_a_schoolbook_product():
             assert bls.fq12_mul(x, inv) == _schoolbook_fq12_mul(x, inv) == bls.FQ12_ONE
             _assert_reduced(inv)
     for k in (1, 2, rng.randbelow(bls.R - 1) + 1):
-        f = bls.pairing(bls.g1_mul(bls.G1_GEN, k), bls.G2_GEN)
+        f = bls.pairing_product([(bls.g1_mul(bls.G1_GEN, k), bls.G2_GEN)])
         for _ in range(3):
             out = bls.fq12_cyclo_sqr(f)
             assert out == _schoolbook_fq12_mul(f, f)
@@ -664,7 +687,7 @@ def test_tower_kernels_match_a_schoolbook_product():
 
 def test_cyclotomic_pow_agrees_with_generic_pow():
     rng = SeededRng("cyclo")
-    f = bls.pairing(bls.G1_GEN, bls.G2_GEN)
+    f = bls.pairing_product([(bls.G1_GEN, bls.G2_GEN)])
     for _ in range(3):
         k = rng.randbelow(bls.R)
         assert bls.fq12_pow_cyclo(f, k) == fq12_pow(f, k)
@@ -673,7 +696,7 @@ def test_cyclotomic_pow_agrees_with_generic_pow():
 
 
 def test_frobenius_is_pth_power():
-    f = bls.pairing(bls.g1_mul(bls.G1_GEN, 5), bls.G2_GEN)
+    f = bls.pairing_product([(bls.g1_mul(bls.G1_GEN, 5), bls.G2_GEN)])
     assert bls.fq12_frob1(f) == fq12_pow(f, bls.P)
     assert bls.fq12_frob2(f) == fq12_pow(fq12_pow(f, bls.P), bls.P)
 
@@ -686,11 +709,16 @@ def test_frobenius_rows_match_their_derivation():
 
 
 def test_fq12_bytes_roundtrip_and_validity():
-    f = bls.pairing(bls.G1_GEN, bls.g2_mul(bls.G2_GEN, 9))
+    f = bls.pairing_product([(bls.G1_GEN, bls.g2_mul(bls.G2_GEN, 9))])
     data = bls.fq12_to_bytes(f)
     assert len(data) == 576
     assert bls.fq12_from_bytes(data) == f
     with pytest.raises(ValueError):
         bls.fq12_from_bytes(data[:-1])
+    # every coefficient, the last one too, is checked to lie below P
+    for i in (0, 11):
+        bad = data[: 48 * i] + bls.P.to_bytes(48, "big") + data[48 * (i + 1) :]
+        with pytest.raises(ValueError, match="out of range"):
+            bls.fq12_from_bytes(bad)
     # a field constant outside the r-torsion is not a valid pairing value
     assert not bls.gt_is_valid((((2, 0), bls.FQ2_ZERO, bls.FQ2_ZERO), bls.FQ6_ZERO))

@@ -301,6 +301,73 @@ def test_seed_env_variable(tmp_path, capsys, monkeypatch):
     assert state_c.read_bytes() != state_d.read_bytes()
 
 
+# (--seed value, RABE_SEED value): each names its source and the range
+BAD_SEEDS = {
+    "flag-negative": ("-5", None),
+    "flag-too-big": (str(2**256), None),
+    "env-not-a-number": (None, "abc"),
+    "env-negative": (None, "-5"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SEEDS))
+def test_bad_seeds_exit_3_naming_their_source(tmp_path, capsys, monkeypatch, case):
+    flag, env = BAD_SEEDS[case]
+    if env is not None:
+        monkeypatch.setenv("RABE_SEED", env)
+    argv = ["setup", "--state", tmp_path / "state.json"] + (["--seed", flag] if flag else [])
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_INVALID and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert ("--seed" if flag else "RABE_SEED") in err and "[0, 2^256)" in err
+    assert not (tmp_path / "state.json").exists()
+    # the top of the range is still a seed
+    monkeypatch.delenv("RABE_SEED", raising=False)
+    code, _, err = run(capsys, "setup", "--state", tmp_path / "state.json", "--seed", 2**256 - 1)
+    assert code == EXIT_OK, err
+
+
+# hostile arguments: (argv, RABE_SEED or None); {state} is a seeded
+# deployment's state file, {fresh} a state file not yet made
+HOSTILE = {
+    "seed-negative": (["setup", "--state", "{fresh}", "--seed", -5], None),
+    "seed-too-big": (["setup", "--state", "{fresh}", "--seed", 2**256], None),
+    "env-seed-not-a-number": (["setup", "--state", "{fresh}"], "abc"),
+    "env-seed-negative": (["setup", "--state", "{fresh}"], "-5"),
+    "users-zero": (["setup", "--state", "{fresh}", "--users", 0], None),
+    "users-negative": (["setup", "--state", "{fresh}", "--users", -3], None),
+    "max-time-not-a-power-of-two": (["setup", "--state", "{fresh}", "--max-time", 3], None),
+    "trials-zero": (["attack-demo", "--trials", 0, "--seed", 1], None),
+    "trials-negative": (["attack-demo", "--trials", -1, "--seed", 1], None),
+    "t-star-zero": (["attack-demo", "--t-star", 0, "--trials", 1, "--seed", 1], None),
+    "t-star-past-the-range": (["attack-demo", "--t-star", 40, "--trials", 1, "--seed", 1], None),
+    "epoch-zero": (["update-key", "--state", "{state}", "--epoch", 0, "--out", "{out}"], None),
+    "epoch-past-the-range": (
+        ["update-key", "--state", "{state}", "--epoch", 99, "--out", "{out}"], None),
+    "attrs-zero": (["encrypt", "--state", "{state}", "--attrs", "0", "--epoch", 3,
+                    "--random-message", "{out}", "--out", "{out}"], None),
+    "attrs-negative": (["encrypt", "--state", "{state}", "--attrs", "-1", "--epoch", 3,
+                        "--random-message", "{out}", "--out", "{out}"], None),
+    "attrs-past-the-bound": (["encrypt", "--state", "{state}", "--attrs", "9", "--epoch", 3,
+                              "--random-message", "{out}", "--out", "{out}"], None),
+    "tau-min-one": (["lemma-check", "--tau-min", 1], None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE))
+def test_hostile_arguments_exit_cleanly(deployment, capsys, monkeypatch, case):
+    tmp, state, _ = deployment
+    command, env = HOSTILE[case]
+    if env is not None:
+        monkeypatch.setenv("RABE_SEED", env)
+    argv = [str(a).format(state=state, fresh=tmp / "fresh.json", out=tmp / "out.json")
+            for a in command]
+    code, out, err = run(capsys, *argv)
+    assert code in (EXIT_REFUSED, EXIT_INVALID, EXIT_IO), (code, out, err)
+    assert "Traceback" not in out + err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 @pytest.fixture
 def artifacts(deployment, capsys):
     """Every artifact kind of one transparent deployment, ready to tamper with."""

@@ -1,5 +1,6 @@
 import pytest
 
+import rabe.bls12381 as bls
 from rabe.errors import BackendMismatchError, EnvelopeError, ParameterError, SideMismatchError
 from rabe.groups import (
     REAL,
@@ -7,6 +8,7 @@ from rabe.groups import (
     SIDE_TARGET,
     SIDE_TWO,
     TRANSPARENT,
+    GroupElement,
     Scalar,
     new_context,
 )
@@ -14,6 +16,14 @@ from rabe.rng import SeededRng
 from rabe.scheme import _lagrange_int
 
 SIDES = (SIDE_ONE, SIDE_TWO, SIDE_TARGET)
+# the payload of each side's identity: exponent 0 on the transparent backend;
+# infinity and one on the real one
+IDENTITY = {TRANSPARENT: {side: 0 for side in SIDES},
+            REAL: {SIDE_ONE: None, SIDE_TWO: None, SIDE_TARGET: bls.FQ12_ONE}}
+
+
+def identity(ctx, side):
+    return GroupElement(ctx, side, IDENTITY[ctx.backend][side])
 
 
 @pytest.fixture(scope="module")
@@ -34,9 +44,9 @@ def test_transparent_bilinearity_100_trials(tctx):
     for _ in range(100):
         x = tctx.random_scalar(rng)
         y = tctx.random_scalar(rng)
-        out = tctx.pair(g ** x, h ** y)
+        out = tctx.pair_product([(g ** x, h ** y)])
         assert out.transparent_log == int(x) * int(y) % tctx.prime_order
-        assert out == tctx.pair(g ** y, h ** x)
+        assert out == tctx.pair_product([(g ** y, h ** x)])
 
 
 def test_real_bilinearity(rctx):
@@ -47,8 +57,8 @@ def test_real_bilinearity(rctx):
     for _ in range(3):
         x = rctx.random_scalar(rng)
         y = rctx.random_scalar(rng)
-        lhs = rctx.pair(g ** x, h ** y)
-        assert lhs == rctx.pair(g ** y, h ** x)
+        lhs = rctx.pair_product([(g ** x, h ** y)])
+        assert lhs == rctx.pair_product([(g ** y, h ** x)])
         assert lhs == gt ** (int(x) * int(y))
 
 
@@ -57,9 +67,9 @@ def test_pair_product_matches_termwise(tctx):
     g = tctx.generator(SIDE_ONE)
     h = tctx.generator(SIDE_TWO)
     pairs = [(g ** tctx.random_scalar(rng), h ** tctx.random_scalar(rng)) for _ in range(6)]
-    prod = tctx.identity(SIDE_TARGET)
+    prod = identity(tctx, SIDE_TARGET)
     for a, b in pairs:
-        prod = prod * tctx.pair(a, b)
+        prod = prod * tctx.pair_product([(a, b)])
     assert tctx.pair_product(pairs) == prod
 
 
@@ -68,9 +78,9 @@ def test_real_pair_product_matches_termwise(rctx):
     g = rctx.generator(SIDE_ONE)
     h = rctx.generator(SIDE_TWO)
     pairs = [(g ** rctx.random_scalar(rng), h ** rctx.random_scalar(rng)) for _ in range(3)]
-    prod = rctx.identity(SIDE_TARGET)
+    prod = identity(rctx, SIDE_TARGET)
     for a, b in pairs:
-        prod = prod * rctx.pair(a, b)
+        prod = prod * rctx.pair_product([(a, b)])
     assert rctx.pair_product(pairs) == prod
 
 
@@ -80,14 +90,38 @@ def test_group_laws(tctx):
         a = tctx.random_element(side, rng)
         b = tctx.random_element(side, rng)
         c = tctx.random_element(side, rng)
+        one = identity(tctx, side)
         assert (a * b) * c == a * (b * c)
         assert a * b == b * a
-        assert a * tctx.identity(side) == a
-        assert a * a.inverse() == tctx.identity(side)
+        assert a * one == a
+        assert a * a.inverse() == one
         assert a / b == a * b.inverse()
-        assert a ** 0 == tctx.identity(side)
+        assert a ** 0 == one
         assert a ** 1 == a
         assert a ** (tctx.prime_order - 1) == a.inverse()
+
+
+def test_real_group_laws(rctx):
+    rng = SeededRng("laws-real")
+    for side in SIDES:
+        a = rctx.random_element(side, rng)
+        b = rctx.random_element(side, rng)
+        one = identity(rctx, side)
+        assert a * b == b * a
+        assert a * one == a and one * a == a
+        assert a * a.inverse() == one
+        assert a / b == a * b.inverse()
+        assert a ** 0 == one
+        assert a ** (rctx.prime_order - 1) == a.inverse()
+
+
+def test_real_target_inverse_is_the_field_inverse(rctx):
+    # target payloads lie in GT, which is unitary, so the conjugate that
+    # inverse() takes is the Fq12 inverse
+    rng = SeededRng("target-inverse")
+    for _ in range(2):
+        a = rctx.random_element(SIDE_TARGET, rng)
+        assert a.inverse().payload == bls.fq12_inv(a.payload)
 
 
 def test_encode_roundtrip_transparent_1000_per_side(tctx):
@@ -109,7 +143,7 @@ def test_encode_roundtrip_real(rctx):
             data = el.encode()
             assert len(data) == lengths[side]
             assert rctx.decode_element(data) == el
-        ident = rctx.identity(side)
+        ident = identity(rctx, side)
         assert rctx.decode_element(ident.encode()) == ident
 
 
@@ -120,9 +154,9 @@ def test_side_mixing_is_rejected(tctx):
     with pytest.raises(SideMismatchError):
         one * two
     with pytest.raises(SideMismatchError):
-        tctx.pair(two, one)
+        tctx.pair_product([(two, one)])
     with pytest.raises(SideMismatchError):
-        tctx.pair(one, one)
+        tctx.pair_product([(one, one)])
 
 
 def test_cross_context_mixing_is_rejected(tctx):

@@ -1,3 +1,5 @@
+import pytest
+
 from rabe.rng import SeededRng, SystemRng, derive_transparent_modulus, _is_probable_prime
 
 
@@ -36,6 +38,9 @@ def test_system_rng_draws_in_range():
     seen = {rng.randbelow(4) for _ in range(200)}
     assert seen <= {0, 1, 2, 3}
     assert len(seen) > 1
+    for bound in (0, -1):
+        with pytest.raises(ValueError):
+            rng.randbelow(bound)
 
 
 def test_transparent_modulus_is_a_stable_prime():

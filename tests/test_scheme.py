@@ -1,7 +1,9 @@
 import dataclasses
+import doctest
 
 import pytest
 
+import rabe
 from rabe import bls12381 as bls
 from rabe.errors import (
     EpochRangeError,
@@ -11,7 +13,9 @@ from rabe.errors import (
     UnknownIdentityError,
     UnsatisfiedPolicyError,
 )
-from rabe.groups import REAL, SIDE_ONE, SIDE_TARGET, SIDE_TWO, TRANSPARENT, new_context
+from rabe.groups import (
+    REAL, SIDE_ONE, SIDE_TARGET, SIDE_TWO, TRANSPARENT, GroupElement, new_context,
+)
 from rabe.policy import parse_policy, reconstruction_coefficients
 from rabe.rng import SeededRng
 from rabe.scheme import (
@@ -74,7 +78,7 @@ def test_full_roundtrip_real_backend():
     g = ctx.generator(SIDE_ONE)
     h = ctx.generator(SIDE_TWO)
     for pair in (pp.g2, pp.u0, pp.t_gens[0]):
-        assert ctx.pair(pair.one, h) == ctx.pair(g, pair.two)
+        assert ctx.pair_product([(pair.one, h)]) == ctx.pair_product([(g, pair.two)])
 
 
 def test_real_exponentiations_make_one_curve_call_each(monkeypatch):
@@ -228,13 +232,13 @@ def test_decrypt_decomposes_into_share_and_epoch_layers():
     s = ct2.c1.transparent_log
     x_node = int(state.node_secrets[dk.node])
     w = reconstruction_coefficients(policy, ct2.attrs, p)
-    a1 = ctx.identity(SIDE_TARGET)
+    a1 = GroupElement(ctx, SIDE_TARGET, 0)
     for i, w_i in w.items():
         k0, k1 = dk.rows[i]
-        num = ctx.pair(ct2.c1, k0)
-        den = ctx.pair(ct2.c2[policy.row_attrs[i]], k1)
+        num = ctx.pair_product([(ct2.c1, k0)])
+        den = ctx.pair_product([(ct2.c2[policy.row_attrs[i]], k1)])
         a1 = a1 * (num / den) ** w_i
-    a2 = ctx.pair(ct2.c1, dk.d0) / ctx.pair(ct2.e_t, dk.d1)
+    a2 = ctx.pair_product([(ct2.c1, dk.d0)]) / ctx.pair_product([(ct2.e_t, dk.d1)])
     assert a1.transparent_log == s * b * x_node % p
     assert a2.transparent_log == s * b * (int(mk.alpha) - x_node) % p
     assert ct2.c / (a1 * a2) == msg
@@ -422,3 +426,8 @@ def test_seeded_runs_reproduce_artifacts_bit_for_bit():
 
     assert build(42) == build(42)
     assert build(42) != build(43)
+
+
+def test_quick_tour_in_the_package_docstring_runs():
+    result = doctest.testmod(rabe)
+    assert result.failed == 0 and result.attempted >= 11, result
