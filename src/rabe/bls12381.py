@@ -23,11 +23,12 @@ that base for one digit.  The same maps give the membership
 tests (Scott, ePrint 2021/1130), which need only a power by z^2 or |z|.
 Fq2 square roots go by the norm.  The pairing is the ate pairing: a Miller
 loop over the curve parameter that keeps the running point on the twist in
-homogeneous projective coordinates and multiplies each line into the
-accumulator as a sparse Fq12 element (no inversions), then the final
-exponentiation split into the easy part and a hard part of powers by |z|.
-The one pairing entry, pairing_product, multiplies the Miller loops of all
-its pairs and runs one final exponentiation over the product.
+homogeneous projective coordinates and yields each line as a sparse Fq12
+element (no inversions), then the final exponentiation split into the easy
+part and a hard part of powers by |z|.  The one pairing entry,
+pairing_product, runs one shared Miller loop for all its pairs: one
+squaring per bit, the lines of every pair multiplied in, and one final
+exponentiation over the product.
 """
 
 from __future__ import annotations
@@ -245,16 +246,77 @@ def fq12_sqr(x):
     )
 
 
+def _fq6_mul_01_wide(x, c0, c1):
+    """x * (c0 + c1 v) as six unreduced ints, as _fq6_mul_wide does it for a
+    dense y: 5 Fq2 products.  x, c0 and c1 may be unreduced."""
+    (a0, a1), (a2, a3), (a4, a5) = x
+    b0, b1 = c0
+    b2, b3 = c1
+    # x0 c0, x1 c1, x2 c0 and x2 c1
+    t0 = a0 * b0
+    t1 = a1 * b1
+    v0 = t0 - t1
+    v1 = (a0 + a1) * (b0 + b1) - t0 - t1
+    t0 = a2 * b2
+    t1 = a3 * b3
+    v2 = t0 - t1
+    v3 = (a2 + a3) * (b2 + b3) - t0 - t1
+    s = a4 + a5
+    t0 = a4 * b0
+    t1 = a5 * b1
+    w0 = t0 - t1
+    w1 = s * (b0 + b1) - t0 - t1
+    t0 = a4 * b2
+    t1 = a5 * b3
+    r0 = t0 - t1
+    r1 = s * (b2 + b3) - t0 - t1
+    # the v coefficient, (x0 + x1)(c0 + c1) - x0 c0 - x1 c1
+    s0, s1, q0, q1 = a0 + a2, a1 + a3, b0 + b2, b1 + b3
+    t0 = s0 * q0
+    t1 = s1 * q1
+    m0 = t0 - t1 - v0 - v2
+    m1 = (s0 + s1) * (q0 + q1) - t0 - t1 - v1 - v3
+    # x0 c0 + xi x2 c1 (v^3 = xi), the v coefficient, x1 c1 + x2 c0
+    return v0 + r0 - r1, v1 + r0 + r1, m0, m1, v2 + w0, v3 + w1
+
+
 def fq12_mul_014(x, c0, c1, c4):
     """x * (c0 + c1 v + c4 v w), the sparse shape of a Miller-loop line.
 
     Numbering the six Fq2 coefficients of an Fq12 element 0..5 in storage
     order ((0, 1, 2), (3, 4, 5)), the line is nonzero in slots 0, 1 and 4.
-    fq12_mul's Karatsuba products by the zero slots cost next to nothing,
-    which leaves 39 base multiplications, as many as a dedicated sparse
-    product makes, against 54 for a dense one.
+    Karatsuba over Fq6 as in fq12_mul, with the line's halves c0 + c1 v and
+    c4 v and their sum: 13 Fq2 products, 39 base multiplications against
+    54 for a dense product, and one reduction per output coefficient.
     """
-    return fq12_mul(x, ((c0, c1, FQ2_ZERO), (FQ2_ZERO, c4, FQ2_ZERO)))
+    a, b = x
+    (a0, a1), (a2, a3), (a4, a5) = a
+    (b0, b1), (b2, b3), (b4, b5) = b
+    d0, d1 = c4
+    e0, e1, e2, e3, e4, e5 = _fq6_mul_01_wide(a, c0, c1)
+    # b c4 v = xi b2 c4 + b0 c4 v + b1 c4 v^2
+    s = d0 + d1
+    t0 = b4 * d0
+    t1 = b5 * d1
+    r0 = t0 - t1
+    r1 = (b4 + b5) * s - t0 - t1
+    f0, f1 = r0 - r1, r0 + r1
+    t0 = b0 * d0
+    t1 = b1 * d1
+    f2 = t0 - t1
+    f3 = (b0 + b1) * s - t0 - t1
+    t0 = b2 * d0
+    t1 = b3 * d1
+    f4 = t0 - t1
+    f5 = (b2 + b3) * s - t0 - t1
+    g0, g1, g2, g3, g4, g5 = _fq6_mul_01_wide(
+        ((a0 + b0, a1 + b1), (a2 + b2, a3 + b3), (a4 + b4, a5 + b5)), c0, (c1[0] + d0, c1[1] + d1))
+    return (
+        (((e0 + f4 - f5) % P, (e1 + f4 + f5) % P), ((e2 + f0) % P, (e3 + f1) % P),
+         ((e4 + f2) % P, (e5 + f3) % P)),
+        (((g0 - e0 - f0) % P, (g1 - e1 - f1) % P), ((g2 - e2 - f2) % P, (g3 - e3 - f3) % P),
+         ((g4 - e4 - f4) % P, (g5 - e5 - f5) % P)),
+    )
 
 
 def fq12_conj(x):
@@ -783,27 +845,54 @@ def g2_in_subgroup(pt):
 # Fq2 constants and powers of w^3; the final exponentiation sends all of
 # them to one, so pairing outputs are those of the affine textbook loop.
 # Doubling and mixed addition follow Costello-Lange-Naehrig (PKC 2010) and
-# Aranha et al. (Eurocrypt 2011).
+# Aranha et al. (Eurocrypt 2011); the doubling step, which runs at every
+# bit, is written on ints with lazy reduction.
+#
+# miller_loop is a generator of one pair's lines; it holds the pair's T and
+# no accumulator.  pairing_product steps the generators of all its pairs
+# together (Granger-Smart, "On computing products of pairings", 2006): the
+# product of the per-pair Miller functions is the same field element, since
+# squaring and multiplication commute, but f is squared once per bit for all
+# pairs instead of once per bit and pair.
 
 _LOOP_BITS = bin(BLS_X)[3:]
 
 
 def _dbl_line(t, xp3, nyp):
-    """2T and the tangent line at T; xp3 = 3 xP, nyp = -yP."""
-    X, Y, Z = t
-    xx = fq2_sqr(X)
-    yy = fq2_sqr(Y)
-    zz = fq2_sqr(Z)
-    e = fq2_scalar(fq2_mul_xi(zz), 12)  # 3 b' Z^2, b' = 4 xi
-    f = fq2_scalar(e, 3)
-    h = fq2_sub(fq2_sqr(fq2_add(Y, Z)), fq2_add(yy, zz))  # 2 Y Z
-    # the CLN formulas scaled by 4 so that no halving is needed
-    t3 = (
-        fq2_scalar(fq2_mul(fq2_mul(X, Y), fq2_sub(yy, f)), 2),
-        fq2_sub(fq2_sqr(fq2_add(yy, f)), fq2_scalar(fq2_sqr(e), 12)),
-        fq2_scalar(fq2_mul(yy, h), 4),
+    """2T and the tangent line at T; xp3 = 3 xP, nyp = -yP.  On unpacked
+    ints, reducing what later products take and each output once."""
+    (x0, x1), (y0, y1), (z0, z1) = t
+    yy0 = (y0 + y1) * (y0 - y1) % P
+    yy1 = 2 * y0 * y1 % P
+    zz0 = (z0 + z1) * (z0 - z1)
+    zz1 = 2 * z0 * z1
+    e0 = 12 * (zz0 - zz1) % P  # e = 3 b' Z^2, b' = 4 xi
+    e1 = 12 * (zz0 + zz1) % P
+    s0, s1 = y0 + z0, y1 + z1
+    h0 = ((s0 + s1) * (s0 - s1) - yy0 - zz0) % P  # h = 2 Y Z
+    h1 = (2 * s0 * s1 - yy1 - zz1) % P
+    t0 = x0 * y0
+    t1 = x1 * y1
+    m0 = (t0 - t1) % P  # X Y
+    m1 = ((x0 + x1) * (y0 + y1) - t0 - t1) % P
+    # the CLN formulas scaled by 4 so that no halving is needed:
+    # 2 X Y (yy - 3e), (yy + 3e)^2 - 12 e^2, 4 yy h
+    n0, n1 = yy0 - 3 * e0, yy1 - 3 * e1
+    t0 = m0 * n0
+    t1 = m1 * n1
+    X3 = (2 * (t0 - t1) % P, 2 * ((m0 + m1) * (n0 + n1) - t0 - t1) % P)
+    n0, n1 = yy0 + 3 * e0, yy1 + 3 * e1
+    Y3 = (((n0 + n1) * (n0 - n1) - 12 * (e0 + e1) * (e0 - e1)) % P,
+          (2 * n0 * n1 - 24 * e0 * e1) % P)
+    t0 = yy0 * h0
+    t1 = yy1 * h1
+    Z3 = (4 * (t0 - t1) % P, 4 * ((yy0 + yy1) * (h0 + h1) - t0 - t1) % P)
+    # the line e - yy + (xp3 X^2) v + (nyp h) v w
+    return (X3, Y3, Z3), (
+        ((e0 - yy0) % P, (e1 - yy1) % P),
+        ((x0 + x1) * (x0 - x1) * xp3 % P, 2 * x0 * x1 * xp3 % P),
+        (h0 * nyp % P, h1 * nyp % P),
     )
-    return t3, (fq2_sub(e, yy), fq2_scalar(xx, xp3), fq2_scalar(h, nyp))
 
 
 def _add_line(t, q, xp, nyp):
@@ -826,31 +915,41 @@ def _add_line(t, q, xp, nyp):
 
 
 def miller_loop(p, q):
-    """Miller function f_{|z|,Q}(P) in Fq12, conjugated at the end because
-    the curve parameter is negative."""
+    """The lines of the Miller function f_{|z|,Q}(P), in loop order, each
+    as (c0, c1, c4) for fq12_mul_014: per bit of |z| below the top one the
+    tangent line at T, and after a set bit the line through T and Q."""
     xp, yp = p
     xp3 = 3 * xp % P
     nyp = -yp % P
     t = (*q, FQ2_ONE)
-    f = FQ12_ONE
     for bit in _LOOP_BITS:
         t, line = _dbl_line(t, xp3, nyp)
-        f = fq12_mul_014(fq12_sqr(f), *line)
+        yield line
         if bit == "1":
             t, line = _add_line(t, q, xp, nyp)
-            f = fq12_mul_014(f, *line)
-    return fq12_conj(f)
+            yield line
+
+
+# per line of a Miller loop, whether the accumulator is squared before it
+_LOOP_SQUARES = [sq for bit in _LOOP_BITS for sq in ((True, False) if bit == "1" else (True,))]
 
 
 def pairing_product(pairs):
-    """prod e(P_i, Q_i), P_i in G1, Q_i in G2: the Miller loops of the pairs
-    without infinity multiplied, one final exponentiation; one if none."""
-    f = None
-    for p, q in pairs:
-        if p is not None and q is not None:
-            ml = miller_loop(p, q)
-            f = ml if f is None else fq12_mul(f, ml)
-    return FQ12_ONE if f is None else final_exponentiation(f)
+    """prod e(P_i, Q_i), P_i in G1, Q_i in G2; one if every pair has an
+    infinity.  One Miller loop for all pairs without infinity (Granger-
+    Smart, 2006): f is squared once per bit and takes each pair's line of
+    that step, then conjugated, because the curve parameter is negative,
+    and raised by one final exponentiation."""
+    loops = [miller_loop(p, q) for p, q in pairs if p is not None and q is not None]
+    if not loops:
+        return FQ12_ONE
+    f = FQ12_ONE
+    for square, lines in zip(_LOOP_SQUARES, zip(*loops)):
+        if square and f is not FQ12_ONE:
+            f = fq12_sqr(f)
+        for line in lines:
+            f = fq12_mul_014(f, *line)
+    return final_exponentiation(fq12_conj(f))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import os
 import sys
 
 from . import game, serial
-from .errors import EnvelopeError, RabeError
+from .errors import EnvelopeError, ParameterError, RabeError
 from .groups import BACKENDS, SIDE_TARGET, TRANSPARENT, new_context
 from .policy import parse_policy
 from .rng import SeededRng, SystemRng
@@ -147,8 +147,10 @@ def cmd_encrypt(args):
         message = _read_artifact(args.message, "msg", phash, serial.msg_from_payload, pp.ctx)
     else:
         message = pp.ctx.random_element(SIDE_TARGET, rng)
-        _write_artifact(args.random_message, "msg", pp, phash, serial.msg_payload(message))
     ct = encrypt(pp, attrs, args.epoch, message, rng)
+    # written only once encrypt has accepted the attributes and the epoch
+    if args.random_message:
+        _write_artifact(args.random_message, "msg", pp, phash, serial.msg_payload(message))
     print(
         f"encrypted for attributes {sorted(attrs)} at epoch {args.epoch}; "
         f"update slots {sorted(ct.e2)}"
@@ -222,6 +224,8 @@ def _suggest_pairs(max_time, limit=5):
 
 
 def cmd_attack_demo(args):
+    if args.trials < 1:  # before the run header or a drawn seed is printed
+        raise ParameterError("need at least one trial")
     seed = _resolve_seed(args)
     if seed is None:
         seed = int.from_bytes(os.urandom(4), "big")

@@ -567,6 +567,82 @@ def test_pairing_product_matches_termwise_pairings(monkeypatch):
     assert len(calls) == 1
 
 
+def _reference_dbl_line(t, xp3, nyp):
+    """The tangent-line step of the Miller loop on the fq2_* helpers: the
+    reference for the flat _dbl_line."""
+    X, Y, Z = t
+    xx = bls.fq2_sqr(X)
+    yy = bls.fq2_sqr(Y)
+    zz = bls.fq2_sqr(Z)
+    e = bls.fq2_scalar(bls.fq2_mul_xi(zz), 12)  # 3 b' Z^2, b' = 4 xi
+    f = bls.fq2_scalar(e, 3)
+    h = bls.fq2_sub(bls.fq2_sqr(bls.fq2_add(Y, Z)), bls.fq2_add(yy, zz))  # 2 Y Z
+    t3 = (
+        bls.fq2_scalar(bls.fq2_mul(bls.fq2_mul(X, Y), bls.fq2_sub(yy, f)), 2),
+        bls.fq2_sub(bls.fq2_sqr(bls.fq2_add(yy, f)), bls.fq2_scalar(bls.fq2_sqr(e), 12)),
+        bls.fq2_scalar(bls.fq2_mul(yy, h), 4),
+    )
+    return t3, (bls.fq2_sub(e, yy), bls.fq2_scalar(xx, xp3), bls.fq2_scalar(h, nyp))
+
+
+def _reference_miller_loop(p, q):
+    """f_{|z|,Q}(P) for one pair, unconjugated: the per-pair loop that the
+    shared loop of pairing_product is checked against, with dense line
+    products."""
+    xp, yp = p
+    xp3, nyp = 3 * xp % bls.P, -yp % bls.P
+    t = (*q, bls.FQ2_ONE)
+    f = bls.FQ12_ONE
+
+    def times_line(f, line):
+        c0, c1, c4 = line
+        return bls.fq12_mul(f, ((c0, c1, bls.FQ2_ZERO), (bls.FQ2_ZERO, c4, bls.FQ2_ZERO)))
+    for bit in bin(bls.BLS_X)[3:]:
+        t, line = _reference_dbl_line(t, xp3, nyp)
+        f = times_line(bls.fq12_sqr(f), line)
+        if bit == "1":
+            t, line = bls._add_line(t, q, xp, nyp)
+            f = times_line(f, line)
+    return f
+
+
+def test_shared_miller_loop_matches_per_pair_loops(monkeypatch):
+    rng = SeededRng("shared-miller-loop")
+    g1 = [bls.g1_mul(bls.G1_GEN, rng.randbelow(bls.R - 1) + 1) for _ in range(7)]
+    g2 = [bls.g2_mul(bls.G2_GEN, rng.randbelow(bls.R - 1) + 1) for _ in range(7)]
+    pairs = list(zip(g1, g2))
+    cases = [pairs[:1], pairs[:2], pairs[:5], pairs]
+    cases += [[(None, g2[0])] + pairs[1:3], pairs[:1] + [(g1[1], None)] + pairs[2:3],
+              pairs[:2] + [(None, None)]]
+    cases.append([(g1[0], g2[0]), (g1[1], g2[0]), (g1[2], g2[0])])  # a repeated Q
+    cases.append([(g1[0], g2[0]), (bls.g1_neg(g1[0]), g2[0])])  # a pair and its negation
+    inputs = []
+    monkeypatch.setattr(bls, "final_exponentiation", lambda f: inputs.append(f) or f)
+    for case in cases:
+        del inputs[:]
+        bls.pairing_product(case)
+        expected = bls.FQ12_ONE
+        for p, q in case:
+            if p is not None and q is not None:
+                expected = bls.fq12_mul(expected, _reference_miller_loop(p, q))
+        assert inputs == [bls.fq12_conj(expected)]
+
+
+def test_flat_doubling_line_matches_the_reference():
+    # every coordinate P - 1 gives the largest unreduced intermediates
+    rng = SeededRng("dbl-line")
+    top = bls.P - 1
+    inputs = [(((top, top),) * 3, top, top), (((0, 0), (1, 0), (0, 1)), 0, 1)]
+    inputs += [(tuple(_random_fq2(rng) for _ in range(3)), rng.randbelow(bls.P), rng.randbelow(bls.P))
+               for _ in range(8)]
+    q = bls.g2_mul(bls.G2_GEN, 7)
+    inputs.append(((*q, bls.FQ2_ONE), 3 * bls.G1_GEN[0] % bls.P, -bls.G1_GEN[1] % bls.P))
+    for t, xp3, nyp in inputs:
+        out = bls._dbl_line(t, xp3, nyp)
+        assert out == _reference_dbl_line(t, xp3, nyp)
+        _assert_reduced(out)  # (2T, line): two triples of Fq2 values, as an Fq12
+
+
 def test_pair_product_of_inverse_pairs_is_identity():
     ctx = new_context(REAL)
     rng = SeededRng("pair-product")

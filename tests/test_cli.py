@@ -328,7 +328,8 @@ def test_bad_seeds_exit_3_naming_their_source(tmp_path, capsys, monkeypatch, cas
 
 
 # hostile arguments: (argv, RABE_SEED or None); {state} is a seeded
-# deployment's state file, {fresh} a state file not yet made
+# deployment's state file, {fresh} a state file not yet made, {msg} and
+# {out} output files not yet made
 HOSTILE = {
     "seed-negative": (["setup", "--state", "{fresh}", "--seed", -5], None),
     "seed-too-big": (["setup", "--state", "{fresh}", "--seed", 2**256], None),
@@ -345,11 +346,11 @@ HOSTILE = {
     "epoch-past-the-range": (
         ["update-key", "--state", "{state}", "--epoch", 99, "--out", "{out}"], None),
     "attrs-zero": (["encrypt", "--state", "{state}", "--attrs", "0", "--epoch", 3,
-                    "--random-message", "{out}", "--out", "{out}"], None),
+                    "--random-message", "{msg}", "--out", "{out}"], None),
     "attrs-negative": (["encrypt", "--state", "{state}", "--attrs", "-1", "--epoch", 3,
-                        "--random-message", "{out}", "--out", "{out}"], None),
+                        "--random-message", "{msg}", "--out", "{out}"], None),
     "attrs-past-the-bound": (["encrypt", "--state", "{state}", "--attrs", "9", "--epoch", 3,
-                              "--random-message", "{out}", "--out", "{out}"], None),
+                              "--random-message", "{msg}", "--out", "{out}"], None),
     "tau-min-one": (["lemma-check", "--tau-min", 1], None),
 }
 
@@ -360,12 +361,17 @@ def test_hostile_arguments_exit_cleanly(deployment, capsys, monkeypatch, case):
     command, env = HOSTILE[case]
     if env is not None:
         monkeypatch.setenv("RABE_SEED", env)
-    argv = [str(a).format(state=state, fresh=tmp / "fresh.json", out=tmp / "out.json")
+    argv = [str(a).format(state=state, fresh=tmp / "fresh.json", msg=tmp / "msg.json",
+                          out=tmp / "out.json")
             for a in command]
     code, out, err = run(capsys, *argv)
     assert code in (EXIT_REFUSED, EXIT_INVALID, EXIT_IO), (code, out, err)
     assert "Traceback" not in out + err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    # a rejected command leaves no output file behind and announces no run
+    assert not (tmp / "msg.json").exists() and not (tmp / "out.json").exists()
+    if case.startswith("trials-"):
+        assert out == "", out
 
 
 @pytest.fixture
