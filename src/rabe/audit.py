@@ -202,6 +202,12 @@ def audit_private_key(pp, mk, state, sk) -> list[Check]:
     return checks
 
 
+def _d0_check(logs: ParamLogs, pp, epoch: int, secret: int, d0, d1, label: str) -> Check:
+    base = _epoch_base_log(logs, epoch, pp.max_time, exact=True)
+    want = (logs.g2 * (logs.alpha - secret) + base * _log(d1)) % logs.p
+    return Check(f"{label}: d0 = g2^(alpha - secret) * base^r", _log(d0) == want, want, _log(d0))
+
+
 def audit_key_update(pp, mk, state, rl, ku) -> list[Check]:
     logs, checks = read_params(pp, mk)
     want = cover_nodes(state, rl, ku.epoch)
@@ -213,21 +219,13 @@ def audit_key_update(pp, mk, state, rl, ku) -> list[Check]:
             sorted(ku.parts),
         )
     )
-    base = _epoch_base_log(logs, ku.epoch, pp.max_time, exact=True)
     for node, (d0, d1) in sorted(ku.parts.items()):
         secret = state.node_secrets.get(node)
         if secret is None:
             checks.append(Check(f"ku@{ku.epoch} node {node}: secret known", False))
             continue
-        r = _log(d1)
-        want_d0 = (logs.g2 * (logs.alpha - int(secret)) + base * r) % logs.p
         checks.append(
-            Check(
-                f"ku@{ku.epoch} node {node}: d0 = g2^(alpha - secret) * base^r",
-                _log(d0) == want_d0,
-                want_d0,
-                _log(d0),
-            )
+            _d0_check(logs, pp, ku.epoch, int(secret), d0, d1, f"ku@{ku.epoch} node {node}")
         )
     return checks
 
@@ -240,12 +238,7 @@ def audit_decryption_key(pp, mk, state, dk) -> list[Check]:
         return checks
     label = f"dk[{dk.identity}]@{dk.epoch} node {dk.node}"
     checks.extend(_audit_key_rows(logs, dk.policy, dk.rows, int(secret), label))
-    base = _epoch_base_log(logs, dk.epoch, pp.max_time, exact=True)
-    r = _log(dk.d1)
-    want_d0 = (logs.g2 * (logs.alpha - int(secret)) + base * r) % logs.p
-    checks.append(
-        Check(f"{label}: d0 = g2^(alpha - secret) * base^r", _log(dk.d0) == want_d0, want_d0, _log(dk.d0))
-    )
+    checks.append(_d0_check(logs, pp, dk.epoch, int(secret), dk.d0, dk.d1, label))
     return checks
 
 

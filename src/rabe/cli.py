@@ -245,7 +245,10 @@ def cmd_attack_demo(args):
     candidates = backdatable_epochs(t_star, max_time)
     t = args.t if args.t is not None else (candidates[-1] if candidates else None)
     if t is None or t not in candidates:
-        print(f"pair (t={t}, t*={t_star}) is not vulnerable at epoch range {max_time}.")
+        if t is None:
+            print(f"no epoch before {t_star} can be rewound to at epoch range {max_time}.")
+        else:
+            print(f"pair (t={t}, t*={t_star}) is not vulnerable at epoch range {max_time}.")
         if candidates:
             print(f"backdatable epochs from {t_star}: {candidates}")
         suggestions = _suggest_pairs(max_time)

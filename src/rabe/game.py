@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .errors import EpochRangeError, ParameterError, SideMismatchError
@@ -75,6 +76,14 @@ def backdate_ciphertext(pp, ct: OriginalCiphertext, epoch: int, rng) -> UpdatedC
     return fold_ciphertext(pp, ct, epoch, rng)
 
 
+@contextmanager
+def _timed(timings: dict[str, float], step: str):
+    """Record the wall time of the with-block as timings[step]."""
+    t0 = time.perf_counter()
+    yield
+    timings[step] = time.perf_counter() - t0
+
+
 # ---------------------------------------------------------------------------
 # transcripts
 
@@ -103,7 +112,7 @@ class GameTranscript:
     outcome: str                   # win | lose | abort (abort counts as a loss)
     queries: tuple[QueryRecord, ...]
     params_hash: str = ""
-    timings: dict[str, float] = field(default_factory=dict)
+    timings: dict[str, float] = field(default_factory=dict)  # phases and adversary steps
     notes: dict = field(default_factory=dict)
     artifacts: dict | None = None  # in-memory objects for post-hoc audits
 
@@ -133,7 +142,7 @@ def transcript_payload(tr: GameTranscript) -> dict:
             {k: v for k, v in vars(q).items() if v is not None}
             for q in tr.queries
         ],
-        "notes": {k: v for k, v in tr.notes.items() if k != "step_seconds"},
+        "notes": dict(tr.notes),
     }
 
 
@@ -254,55 +263,47 @@ def challenger_run(
     if mode not in MODES:
         raise ParameterError(f"unknown game mode {mode!r}")
     timings: dict[str, float] = {}
-    clock = time.perf_counter
 
-    t0 = clock()
-    # setup checks the sizes before the adversary is handed them
-    pp, mk, tree, rl = setup(ctx, n_users, max_time, attr_max, rng)
-    target_attrs = frozenset(adversary.begin(attr_max, max_time))
-    if not target_attrs:
-        raise ParameterError("the target attribute set must be nonempty")
-    phash = _params_hash(_pp_payload(pp))
-    oracles = Oracles(pp, mk, tree, rl, mode, target_attrs, rng)
-    timings["setup"] = clock() - t0
+    with _timed(timings, "setup"):
+        # setup checks the sizes before the adversary is handed them
+        pp, mk, tree, rl = setup(ctx, n_users, max_time, attr_max, rng)
+        target_attrs = frozenset(adversary.begin(attr_max, max_time))
+        if not target_attrs:
+            raise ParameterError("the target attribute set must be nonempty")
+        phash = _params_hash(_pp_payload(pp))
+        oracles = Oracles(pp, mk, tree, rl, mode, target_attrs, rng)
 
-    t0 = clock()
-    adversary.phase1(pp, oracles)
-    timings["phase1"] = clock() - t0
+    with _timed(timings, "phase1"):
+        adversary.phase1(pp, oracles)
 
-    t0 = clock()
-    t_star, m0, m1 = adversary.challenge()
-    check_epoch(t_star, max_time, allow_zero=False)
-    for m in (m0, m1):
-        if not isinstance(m, GroupElement) or m.side != SIDE_TARGET:
-            raise SideMismatchError("challenge messages must be target-group elements")
-    if m0 == m1:
-        raise ParameterError("challenge messages must differ")
+    with _timed(timings, "challenge"):
+        t_star, m0, m1 = adversary.challenge()
+        check_epoch(t_star, max_time, allow_zero=False)
+        for m in (m0, m1):
+            if not isinstance(m, GroupElement) or m.side != SIDE_TARGET:
+                raise SideMismatchError("challenge messages must be target-group elements")
+        if m0 == m1:
+            raise ParameterError("challenge messages must differ")
+        bit = rng.randbelow(2)
+        ct_star = encrypt(pp, target_attrs, t_star, (m0, m1)[bit], rng)
 
-    def finish(bit, guess, outcome):
-        return GameTranscript(
-            mode=mode,
-            backend=ctx.backend,
-            n_users=n_users,
-            max_time=max_time,
-            attr_max=attr_max,
-            challenge_attrs=target_attrs,
-            challenge_epoch=t_star,
-            challenge_bit=bit,
-            guess=guess,
-            outcome=outcome,
-            queries=tuple(oracles.log),
-            params_hash=phash,
-            timings=timings,
-            notes=dict(getattr(adversary, "notes", {})),
-            artifacts=artifacts,
-        )
-
-    artifacts = None
-    bit = rng.randbelow(2)
-    ct_star = encrypt(pp, target_attrs, t_star, (m0, m1)[bit], rng)
+    tr = GameTranscript(
+        mode=mode,
+        backend=ctx.backend,
+        n_users=n_users,
+        max_time=max_time,
+        attr_max=attr_max,
+        challenge_attrs=target_attrs,
+        challenge_epoch=t_star,
+        challenge_bit=bit,
+        guess=-1,
+        outcome=ABORT,
+        queries=tuple(oracles.log),
+        params_hash=phash,
+        timings=timings,
+    )
     if capture:
-        artifacts = {
+        tr.artifacts = {
             "pp": pp,
             "mk": mk,
             "tree": tree,
@@ -310,27 +311,20 @@ def challenger_run(
             "ct_star": ct_star,
             "messages": (m0, m1),
         }
-    timings["challenge"] = clock() - t0
-
-    probe = finish(bit, -1, ABORT)
-    if not validate_transcript(probe).ok:
-        return probe
-
-    t0 = clock()
-    adversary.phase2(ct_star, oracles)
-    timings["phase2"] = clock() - t0
-
-    t0 = clock()
-    guess = adversary.guess()
-    timings["guess"] = clock() - t0
-    if capture and getattr(adversary, "artifacts", None):
-        artifacts.update(adversary.artifacts)
-
-    # revalidate on a fresh snapshot: phase 2 may have added queries
-    outcome = ABORT
-    if validate_transcript(finish(bit, guess, ABORT)).ok:
-        outcome = WIN if guess == bit else LOSE
-    return finish(bit, guess, outcome)
+    if validate_transcript(tr).ok:
+        with _timed(timings, "phase2"):
+            adversary.phase2(ct_star, oracles)
+        with _timed(timings, "guess"):
+            tr.guess = adversary.guess()
+        if capture and getattr(adversary, "artifacts", None):
+            tr.artifacts.update(adversary.artifacts)
+        # revalidate: phase 2 may have added queries
+        tr.queries = tuple(oracles.log)
+        if validate_transcript(tr).ok:
+            tr.outcome = WIN if tr.guess == bit else LOSE
+    tr.notes = dict(getattr(adversary, "notes", {}))
+    timings.update(getattr(adversary, "step_seconds", {}))
+    return tr
 
 
 # ---------------------------------------------------------------------------
@@ -409,40 +403,30 @@ class BackdateAdversary:
         self.artifacts = {}
         self.step_seconds: dict[str, float] = {}
 
-    def _timed(self, step, fn, *args):
-        t0 = time.perf_counter()
-        result = fn(*args)
-        self.step_seconds[step] = time.perf_counter() - t0
-        self.notes["step_seconds"] = {k: round(v, 6) for k, v in self.step_seconds.items()}
-        return result
-
     def begin(self, attr_max, max_time):
-        return self._timed("1-commit", self._begin, attr_max, max_time)
-
-    def _begin(self, attr_max, max_time):
-        self.max_time = max_time
-        self.target_attrs = _draw_target_attrs(self.rng, attr_max)
-        if self.forced_t_star is not None:
-            check_epoch(self.forced_t_star, max_time, allow_zero=False)
-            self.t_star = self.forced_t_star
-        else:
-            if max_time < 8:
-                raise ParameterError("the attack needs an epoch range of at least 8")
-            # strictly inside the lower half: every earlier epoch is reachable
-            self.t_star = 2 + self.rng.randbelow(max_time // 2 - 2)
+        with _timed(self.step_seconds, "1-commit"):
+            self.max_time = max_time
+            self.target_attrs = _draw_target_attrs(self.rng, attr_max)
+            if self.forced_t_star is not None:
+                check_epoch(self.forced_t_star, max_time, allow_zero=False)
+                self.t_star = self.forced_t_star
+            else:
+                if max_time < 8:
+                    raise ParameterError("the attack needs an epoch range of at least 8")
+                # strictly inside the lower half: every earlier epoch is reachable
+                self.t_star = 2 + self.rng.randbelow(max_time // 2 - 2)
         return self.target_attrs
 
     def phase1(self, pp, oracles):
-        self._timed("2-harvest", self._harvest, pp, oracles)
-        self._timed("3-derive-key", self._derive_key, oracles)
-
-    def _harvest(self, pp, oracles):
-        self.pp = pp
-        policy = parse_policy(" AND ".join(str(x) for x in sorted(self.target_attrs)))
-        self.sk = oracles.private_key("harvested-leak", policy)
-        oracles.revoke("harvested-leak", self.t_star)
-        self.notes["harvested"] = self.sk is not None
-        self.notes["t_star"] = self.t_star
+        with _timed(self.step_seconds, "2-harvest"):
+            self.pp = pp
+            policy = parse_policy(" AND ".join(str(x) for x in sorted(self.target_attrs)))
+            self.sk = oracles.private_key("harvested-leak", policy)
+            oracles.revoke("harvested-leak", self.t_star)
+            self.notes["harvested"] = self.sk is not None
+            self.notes["t_star"] = self.t_star
+        with _timed(self.step_seconds, "3-derive-key"):
+            self._derive_key(oracles)
 
     def _derive_key(self, oracles):
         candidates = backdatable_epochs(self.t_star, self.max_time)
@@ -478,13 +462,13 @@ class BackdateAdversary:
             self._guess = self.rng.randbelow(2)
             self.notes["strategy"] = "coin-flip (harvest withheld)"
             return
-        outdated = self._timed(
-            "4-backdate", backdate_ciphertext, self.pp, ct_star, self.t, self.rng
-        )
+        with _timed(self.step_seconds, "4-backdate"):
+            outdated = backdate_ciphertext(self.pp, ct_star, self.t, self.rng)
         self.notes["folded_slots"] = sorted(
             zero_positions(epoch_bits(self.t, self.max_time))
         )
-        recovered = self._timed("5-decrypt", decrypt, self.pp, outdated, self.dk)
+        with _timed(self.step_seconds, "5-decrypt"):
+            recovered = decrypt(self.pp, outdated, self.dk)
         if recovered == self.m0:
             self._guess = 0
         elif recovered == self.m1:
@@ -523,9 +507,8 @@ def run_game_trials(
     if trials < 1:
         raise ParameterError("need at least one trial")
     root = SeededRng(seed)
-    out = []
-    for i in range(trials):
-        transcript = challenger_run(
+    return [
+        challenger_run(
             adversary_cls(root.child(f"trial/{i}/adversary")),
             ctx=ctx,
             rng=root.child(f"trial/{i}/challenger"),
@@ -535,8 +518,8 @@ def run_game_trials(
             attr_max=attr_max,
             capture=capture_all,
         )
-        out.append(transcript)
-    return out
+        for i in range(trials)
+    ]
 
 
 def wilson_interval(wins: int, trials: int, z: float = 1.96) -> tuple[float, float]:
@@ -566,8 +549,6 @@ def advantage_report(transcripts, seed=None) -> dict:
     steps: dict[str, list[float]] = {}
     for tr in transcripts:
         for k, v in tr.timings.items():
-            steps.setdefault(k, []).append(v)
-        for k, v in tr.notes.get("step_seconds", {}).items():
             steps.setdefault(k, []).append(v)
     return {
         "trials": trials,

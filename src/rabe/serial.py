@@ -362,14 +362,20 @@ def write_envelope(path, env: dict) -> None:
     (the state file holds the master key)."""
     path = os.fspath(path)
     tmp = f"{path}.{os.urandom(6).hex()}.tmp"
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:  # name the caller's path, not the temporary one
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             json.dump(env, fh, indent=2, sort_keys=True)
             fh.write("\n")
             fh.flush()
             os.fsync(fh.fileno())
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from None
     except BaseException:
         os.unlink(tmp)
         raise

@@ -62,38 +62,31 @@ def backdatable_epochs(t_star: int, max_time: int) -> list[int]:
 
     A ciphertext issued for t_star can be rewound to exactly these epochs.
     For every t_star < max_time/2 the ciphertext encoding is all zeros, so
-    the whole range [1, t_star) qualifies.
+    the whole range [1, t_star) qualifies.  Read as integers, the covering
+    says t has a 1 wherever the ciphertext encoding kept one.
     """
     check_epoch(t_star, max_time, allow_zero=False)
-    cover = zero_positions(ct_epoch_bits(t_star, max_time))
-    return [
-        t for t in range(1, t_star)
-        if zero_positions(epoch_bits(t, max_time)) <= cover
-    ]
+    kept = int(ct_epoch_bits(t_star, max_time), 2)
+    return [t for t in range(1, t_star) if t & kept == kept]
 
 
 PAIRWISE_TAU_MAX = 10  # widths up to this are checked pair by pair
 
 
 def pairwise_counts(tau: int) -> tuple[int, int, list[tuple[int, int]]]:
-    """Literal enumeration of every pair 0 < t < t* < 2^tau: the vulnerable
-    pairs with t* in the lower half, those outside it, and up to five
-    samples of the latter."""
+    """Literal enumeration of every pair 0 < t < t* < 2^tau, through
+    backdatable_epochs: the vulnerable pairs with t* in the lower half,
+    those outside it, and up to five samples of the latter."""
     top = 1 << tau
-    half = top >> 1
-    zeros_exact = [zero_positions(epoch_bits(t, top)) for t in range(top)]
     regime = outside = 0
     samples = []
     for t_star in range(2, top):
-        kept = zero_positions(ct_epoch_bits(t_star, top))
-        for t in range(1, t_star):
-            if zeros_exact[t] <= kept:
-                if t_star < half:
-                    regime += 1
-                else:
-                    outside += 1
-                    if len(samples) < 5:
-                        samples.append((t, t_star))
+        listed = backdatable_epochs(t_star, top)
+        if t_star < top >> 1:
+            regime += len(listed)
+        else:
+            outside += len(listed)
+            samples += [(t, t_star) for t in listed[:5 - len(samples)]]
     return regime, outside, samples
 
 

@@ -174,6 +174,25 @@ def test_validation_and_io_exit_codes(tmp_path, capsys):
     assert code == EXIT_INVALID
 
 
+def test_io_error_names_the_missing_directory_not_a_temp_file(tmp_path, capsys):
+    state = tmp_path / "absent" / "s.json"
+    code, _, err = run(capsys, "setup", "--state", state, "--seed", 1)
+    assert code == EXIT_IO
+    assert str(state) in err and ".tmp" not in err
+    assert not (tmp_path / "absent").exists()
+
+
+def test_io_error_names_an_output_that_is_a_directory(deployment, capsys):
+    tmp, state, _ = deployment
+    adir = tmp / "adir"
+    adir.mkdir()
+    code, _, err = run(capsys, "keygen", "--state", state, "--id", "bob",
+                       "--policy", "1", "--out", adir, "--seed", 3)
+    assert code == EXIT_IO
+    assert str(adir) in err and ".tmp" not in err
+    assert not any(".tmp" in p.name for p in tmp.rglob("*"))
+
+
 def test_artifacts_from_different_deployments_do_not_mix(tmp_path, capsys):
     state_a, state_b = tmp_path / "a.json", tmp_path / "b.json"
     run(capsys, "setup", "--state", state_a, "--seed", 1)
@@ -232,6 +251,18 @@ def test_attack_demo_rejects_dead_pair_with_suggestions(capsys):
     assert code == EXIT_INVALID
     assert "not vulnerable" in out
     assert "pairs to try" in out
+
+
+@pytest.mark.parametrize("argv, suggested", [
+    (["--t-star", 16], True),   # 16 = "10000": every earlier epoch needs slot 1
+    (["--max-time", 4], False),  # default t* 2 = "10"; range 4 has no vulnerable pair
+])
+def test_attack_demo_names_a_t_star_with_no_backdatable_epoch(capsys, argv, suggested):
+    code, out, _ = run(capsys, "attack-demo", "--trials", 1, "--seed", 1, *argv)
+    assert code == EXIT_INVALID
+    assert "None" not in out
+    assert "no epoch before" in out and "can be rewound to" in out
+    assert ("pairs to try" in out) == suggested
 
 
 def test_attack_demo_checks_sizes_before_the_adversary_sees_them(capsys):

@@ -87,7 +87,7 @@ def test_backdatable_epochs_upper_half():
 
 
 def test_backdatable_epochs_is_sound_and_complete():
-    for max_time in (8, 16, 32):
+    for max_time in (4, 8, 16, 32, 64):
         for t_star in range(1, max_time):
             kept = zero_positions(ct_epoch_bits(t_star, max_time))
             listed = backdatable_epochs(t_star, max_time)
