@@ -14,7 +14,6 @@ unseeded runs draw from the operating system.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -67,22 +66,41 @@ def _load_state(path):
     return phash, pp, mk, tree, rl, counter
 
 
-def _save_state(path, pp, mk, tree, rl, counter):
+def _state(path, pp, mk, tree, rl, counter):
+    """The state's (path, envelope), which a command writes last, after its
+    artifacts, in its one serial.write_envelopes call.  Once staged, a rename
+    fails only if its directory changed meanwhile; had the state's failed
+    after a key landed, the key's leaf would be unrecorded: it decrypts
+    through an existing node secret, yet revoke refuses it as unknown."""
     payload = serial.state_payload(pp, mk, tree, rl, counter)
-    phash = serial.params_hash(payload["pp"])
-    serial.write_envelope(path, serial.envelope("state", pp.ctx.backend, phash, payload))
-    return phash
+    return path, serial.envelope("state", pp.ctx.backend, serial.params_hash(payload["pp"]), payload)
 
 
-def _write_artifact(path, kind, pp, phash, payload):
-    serial.write_envelope(path, serial.envelope(kind, pp.ctx.backend, phash, payload))
-    print(f"wrote {kind} to {path}")
+def _artifact(path, kind, pp, phash, payload):
+    return path, serial.envelope(kind, pp.ctx.backend, phash, payload)
 
 
 def _read_artifact(path, kind, phash, decode, ctx):
     env = serial.read_envelope(path, expect_kind=kind)
     serial.check_params_hash(env, phash, path)
     return _decode(path, decode, ctx, env["payload"])
+
+
+def _check_paths(args):
+    """Refuse an output that names the state, an input or another output: the
+    same file by os.path.samefile when both exist, else by real path."""
+    outputs = ("out", "random_message", "transcripts")
+    named = [(f"--{name.replace('_', '-')}", getattr(args, name, None), name in outputs)
+             for name in ("state", "ct", "sk", "ku", "dk", "message", "expect") + outputs]
+    named = [entry for entry in named if entry[1]]
+    for i, (opt, path, _) in enumerate(named):
+        for other, other_path, written in named[i + 1:]:  # outputs come last
+            try:
+                same = written and os.path.samefile(path, other_path)
+            except OSError:  # one of them does not exist yet
+                same = os.path.realpath(path) == os.path.realpath(other_path)
+            if same:
+                raise RabeError(f"{other} {other_path} names the same file as {opt} {path}")
 
 
 def _parse_attrs(text):
@@ -103,9 +121,11 @@ def cmd_setup(args):
     seed = _resolve_seed(args)
     ctx = new_context(args.backend, seed=seed or 0)
     pp, mk, tree, rl = setup(ctx, args.users, args.max_time, args.attr_bound, _rng_for(seed))
-    phash = _save_state(args.state, pp, mk, tree, rl, 0)
+    state = _state(args.state, pp, mk, tree, rl, 0)
+    serial.write_envelopes([state])
     print(
-        f"new {args.backend} deployment in {args.state}: parameter set {phash[:12]}, "
+        f"new {args.backend} deployment in {args.state}: "
+        f"parameter set {state[1]['params_hash'][:12]}, "
         f"tree capacity {tree.capacity}, epochs 1..{pp.max_time - 1}, "
         f"attributes 1..{pp.attr_max}"
     )
@@ -116,25 +136,27 @@ def cmd_keygen(args):
     phash, pp, mk, tree, rl, counter = _load_state(args.state)
     policy = parse_policy(args.policy)
     sk = keygen(pp, mk, tree, args.id, policy, _rng_for(_resolve_seed(args)))
-    _save_state(args.state, pp, mk, tree, rl, counter)
+    serial.write_envelopes([_artifact(args.out, "sk", pp, phash, serial.sk_payload(sk)),
+                            _state(args.state, pp, mk, tree, rl, counter)])
     print(f"key for {args.id!r} at leaf {tree.leaf_for(args.id)}, policy {policy.formula!r}")
-    _write_artifact(args.out, "sk", pp, phash, serial.sk_payload(sk))
+    print(f"wrote sk to {args.out}")
     return EXIT_OK
 
 
 def cmd_update_key(args):
     phash, pp, mk, tree, rl, counter = _load_state(args.state)
     ku = update_key(pp, mk, tree, rl, args.epoch, _rng_for(_resolve_seed(args)))
-    _save_state(args.state, pp, mk, tree, rl, max(counter, args.epoch))
+    serial.write_envelopes([_artifact(args.out, "ku", pp, phash, serial.ku_payload(ku)),
+                            _state(args.state, pp, mk, tree, rl, max(counter, args.epoch))])
     print(f"key update for epoch {args.epoch}: {len(ku.parts)} cover node(s)")
-    _write_artifact(args.out, "ku", pp, phash, serial.ku_payload(ku))
+    print(f"wrote ku to {args.out}")
     return EXIT_OK
 
 
 def cmd_revoke(args):
     phash, pp, mk, tree, rl, counter = _load_state(args.state)
     revoke(tree, rl, args.id, args.epoch, pp.max_time)
-    _save_state(args.state, pp, mk, tree, rl, counter)
+    serial.write_envelopes([_state(args.state, pp, mk, tree, rl, counter)])
     print(f"revoked {args.id!r} from epoch {rl.epochs[args.id]} onward")
     return EXIT_OK
 
@@ -148,14 +170,17 @@ def cmd_encrypt(args):
     else:
         message = pp.ctx.random_element(SIDE_TARGET, rng)
     ct = encrypt(pp, attrs, args.epoch, message, rng)
-    # written only once encrypt has accepted the attributes and the epoch
+    pairs = [_artifact(args.out, "ct-original", pp, phash, serial.ct_original_payload(ct))]
     if args.random_message:
-        _write_artifact(args.random_message, "msg", pp, phash, serial.msg_payload(message))
+        pairs.insert(0, _artifact(args.random_message, "msg", pp, phash, serial.msg_payload(message)))
+    serial.write_envelopes(pairs)
+    if args.random_message:
+        print(f"wrote msg to {args.random_message}")
     print(
         f"encrypted for attributes {sorted(attrs)} at epoch {args.epoch}; "
         f"update slots {sorted(ct.e2)}"
     )
-    _write_artifact(args.out, "ct-original", pp, phash, serial.ct_original_payload(ct))
+    print(f"wrote ct-original to {args.out}")
     return EXIT_OK
 
 
@@ -166,8 +191,10 @@ def cmd_update_ct(args):
     if updated is None:
         print(f"refused: epoch {args.epoch} lies before the ciphertext's epoch {ct.epoch}")
         return EXIT_REFUSED
+    serial.write_envelopes(
+        [_artifact(args.out, "ct-updated", pp, phash, serial.ct_updated_payload(updated))])
     print(f"ciphertext moved from epoch {ct.epoch} to {updated.epoch}")
-    _write_artifact(args.out, "ct-updated", pp, phash, serial.ct_updated_payload(updated))
+    print(f"wrote ct-updated to {args.out}")
     return EXIT_OK
 
 
@@ -179,8 +206,9 @@ def cmd_derive_dk(args):
     if dk is None:
         print(f"no decryption key: {sk.identity!r} is revoked at epoch {ku.epoch}")
         return EXIT_REFUSED
+    serial.write_envelopes([_artifact(args.out, "dk", pp, phash, serial.dk_payload(dk))])
     print(f"decryption key for {sk.identity!r} at epoch {ku.epoch} (tree node {dk.node})")
-    _write_artifact(args.out, "dk", pp, phash, serial.dk_payload(dk))
+    print(f"wrote dk to {args.out}")
     return EXIT_OK
 
 
@@ -193,17 +221,17 @@ def cmd_decrypt(args):
             f"key epoch {dk.epoch} does not match ciphertext epoch {ct.epoch}; "
             "decrypting would yield noise"
         )
-    message = decrypt(pp, ct, dk)
-    print(f"recovered: {serial.msg_payload(message)['value']}")
-    if args.out:
-        _write_artifact(args.out, "msg", pp, phash, serial.msg_payload(message))
     if args.expect:
         expected = _read_artifact(args.expect, "msg", phash, serial.msg_from_payload, pp.ctx)
-        if message == expected:
-            print("verdict: MATCH")
-        else:
-            print("verdict: MISMATCH")
-            return EXIT_MISMATCH
+    message = decrypt(pp, ct, dk)
+    payload = serial.msg_payload(message)
+    serial.write_envelopes([_artifact(args.out, "msg", pp, phash, payload)] if args.out else [])
+    print(f"recovered: {payload['value']}")
+    if args.out:
+        print(f"wrote msg to {args.out}")
+    if args.expect:
+        print(f"verdict: {'MATCH' if message == expected else 'MISMATCH'}")
+        return EXIT_OK if message == expected else EXIT_MISMATCH
     return EXIT_OK
 
 
@@ -275,20 +303,18 @@ def cmd_attack_demo(args):
     report = game.advantage_report(transcripts, seed=seed)
     print()
     print(game.format_report(report))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote report to {args.out}")
+    pairs = [(args.out, report)] if args.out else []
     if args.transcripts:
         os.makedirs(args.transcripts, exist_ok=True)
-        for i, tr in enumerate(transcripts):
-            path = os.path.join(args.transcripts, f"trial-{i:04d}.json")
-            serial.write_envelope(
-                path,
-                serial.envelope("transcript", tr.backend, tr.params_hash,
-                                game.transcript_payload(tr)),
-            )
+        pairs += [
+            (os.path.join(args.transcripts, f"trial-{i:04d}.json"),
+             serial.envelope("transcript", tr.backend, tr.params_hash, game.transcript_payload(tr)))
+            for i, tr in enumerate(transcripts)
+        ]
+    serial.write_envelopes(pairs)
+    if args.out:
+        print(f"wrote report to {args.out}")
+    if args.transcripts:
         print(f"wrote {len(transcripts)} transcript envelope(s) to {args.transcripts}/")
     return EXIT_OK
 
@@ -356,10 +382,8 @@ def cmd_lemma_check(args):
         if all_ok
         else "MISMATCH between enumeration and closed form"
     )
+    serial.write_envelopes([(args.out, rows)] if args.out else [])
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(rows, fh, indent=2)
-            fh.write("\n")
         print(f"wrote table to {args.out}")
     return EXIT_OK if all_ok else EXIT_INVALID
 
@@ -376,37 +400,34 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text):
+    def add(name, func, help_text, state=True):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
         p.add_argument("--seed", type=int, default=None, help="deterministic randomness")
+        if state:
+            p.add_argument("--state", required=True)
         return p
 
     p = add("setup", cmd_setup, "create a deployment state file")
-    p.add_argument("--state", required=True)
     p.add_argument("--backend", choices=BACKENDS, default=TRANSPARENT)
     p.add_argument("--users", type=int, default=8, help="tree capacity (rounded up to 2^k)")
     p.add_argument("--max-time", type=int, default=32, help="epoch range, a power of two")
     p.add_argument("--attr-bound", type=int, default=4, help="largest attribute value")
 
     p = add("keygen", cmd_keygen, "issue a private key for an identity and policy")
-    p.add_argument("--state", required=True)
     p.add_argument("--id", required=True)
     p.add_argument("--policy", required=True, help='e.g. "1 AND (2 OR 3)"')
     p.add_argument("--out", required=True)
 
     p = add("update-key", cmd_update_key, "broadcast key update for an epoch")
-    p.add_argument("--state", required=True)
     p.add_argument("--epoch", type=int, required=True)
     p.add_argument("--out", required=True)
 
     p = add("revoke", cmd_revoke, "revoke an identity from an epoch onward")
-    p.add_argument("--state", required=True)
     p.add_argument("--id", required=True)
     p.add_argument("--epoch", type=int, required=True)
 
     p = add("encrypt", cmd_encrypt, "encrypt a message to attributes and an epoch")
-    p.add_argument("--state", required=True)
     p.add_argument("--attrs", required=True, help="comma-separated, e.g. 1,2")
     p.add_argument("--epoch", type=int, required=True)
     group = p.add_mutually_exclusive_group(required=True)
@@ -419,25 +440,22 @@ def _build_parser():
     p.add_argument("--out", required=True)
 
     p = add("update-ct", cmd_update_ct, "move a ciphertext forward in time")
-    p.add_argument("--state", required=True)
     p.add_argument("--ct", required=True, help="ct-original envelope")
     p.add_argument("--epoch", type=int, required=True)
     p.add_argument("--out", required=True)
 
     p = add("derive-dk", cmd_derive_dk, "combine a private key with a key update")
-    p.add_argument("--state", required=True)
     p.add_argument("--sk", required=True)
     p.add_argument("--ku", required=True)
     p.add_argument("--out", required=True)
 
     p = add("decrypt", cmd_decrypt, "decrypt an updated ciphertext")
-    p.add_argument("--state", required=True)
     p.add_argument("--ct", required=True, help="ct-updated envelope")
     p.add_argument("--dk", required=True)
     p.add_argument("--expect", help="msg envelope to compare against")
     p.add_argument("--out", help="write the recovered msg envelope")
 
-    p = add("attack-demo", cmd_attack_demo, "run the five-step backdating adversary")
+    p = add("attack-demo", cmd_attack_demo, "run the five-step backdating adversary", state=False)
     p.add_argument("--state", help="borrow parameters from a state file")
     p.add_argument("--backend", choices=BACKENDS, default=TRANSPARENT)
     p.add_argument("--users", type=int, default=8)
@@ -451,7 +469,7 @@ def _build_parser():
     p.add_argument("--out", help="write the report as JSON")
     p.add_argument("--transcripts", metavar="DIR", help="write one transcript envelope per trial")
 
-    p = add("lemma-check", cmd_lemma_check, "enumerate rewindable epoch pairs")
+    p = add("lemma-check", cmd_lemma_check, "enumerate rewindable epoch pairs", state=False)
     p.add_argument("--tau-min", type=int, default=2)
     p.add_argument("--tau-max", type=int, default=10)
     p.add_argument("--pair", help="check one 't,t*' pair instead")
@@ -464,6 +482,7 @@ def _build_parser():
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _check_paths(args)
         return args.func(args)
     except RabeError as exc:
         print(f"error: {exc}", file=sys.stderr)

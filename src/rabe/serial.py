@@ -20,6 +20,7 @@ Kinds: pp, mk, sk, ku, dk, ct-original, ct-updated, state, msg, transcript.
 from __future__ import annotations
 
 import base64
+import errno
 import hashlib
 import json
 import os
@@ -357,27 +358,37 @@ def envelope(kind: str, backend: str, phash: str, payload: dict) -> dict:
 
 
 def write_envelope(path, env: dict) -> None:
-    """Write through a temporary file in the same directory and rename it
-    over `path`, so a failed write never leaves a half-written artifact
-    (the state file holds the master key)."""
-    path = os.fspath(path)
-    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+    write_envelopes([(path, env)])
+
+
+def write_envelopes(pairs) -> None:
+    """Write each (path, JSON document) pair in two phases: every document to
+    a temporary file beside its path, fsynced, then each renamed over its
+    path in order.  A full disk, an unwritable directory or a path that is a
+    directory fails before any path changes.  A failure removes the temporary
+    files left and names the caller's path, not a temporary one."""
+    staged = []  # (temporary file, path), not yet renamed
     try:
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    except OSError as exc:  # name the caller's path, not the temporary one
-        raise OSError(exc.errno, exc.strerror, path) from None
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(env, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        try:
+        for path, env in pairs:
+            if os.path.isdir(path) and not os.path.islink(path):  # no rename can replace it
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            tmp = f"{os.fspath(path)}.{os.urandom(6).hex()}.tmp"
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            staged.append((tmp, path))
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                json.dump(env, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+                fh.flush()
+                os.fsync(fh.fileno())
+        while staged:
+            tmp, path = staged[0]
             os.replace(tmp, path)
-        except OSError as exc:
-            raise OSError(exc.errno, exc.strerror, path) from None
-    except BaseException:
-        os.unlink(tmp)
+            staged.pop(0)
+    except BaseException as exc:
+        for tmp, _ in staged:
+            os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror or str(exc), os.fspath(path)) from None
         raise
 
 
