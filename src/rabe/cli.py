@@ -6,7 +6,7 @@ plays the backdating adversary against the challenger, lemma-check
 enumerates which epoch pairs make a ciphertext rewindable.
 
 Exit codes: 0 success, 1 decrypt verdict MISMATCH, 2 refusal outcomes
-(revoked key, backwards update), 3 validation errors, 4 I/O problems.
+(revoked key, backwards update), 3 validation and usage errors, 4 I/O problems.
 A seed can come from --seed or the RABE_SEED environment variable;
 unseeded runs draw from the operating system.
 """
@@ -14,6 +14,7 @@ unseeded runs draw from the operating system.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -298,6 +299,7 @@ def cmd_attack_demo(args):
         n_users=n_users,
         max_time=max_time,
         attr_max=attr_max,
+        capture_all=bool(args.transcripts),  # each envelope names its trial's parameters
     )
     _print_narrative(transcripts[0])
     report = game.advantage_report(transcripts, seed=seed)
@@ -305,13 +307,27 @@ def cmd_attack_demo(args):
     print(game.format_report(report))
     pairs = [(args.out, report)] if args.out else []
     if args.transcripts:
-        os.makedirs(args.transcripts, exist_ok=True)
         pairs += [
             (os.path.join(args.transcripts, f"trial-{i:04d}.json"),
-             serial.envelope("transcript", tr.backend, tr.params_hash, game.transcript_payload(tr)))
+             serial.envelope("transcript", tr.backend,
+                             serial.params_hash(serial.pp_payload(tr.artifacts["pp"])),
+                             game.transcript_payload(tr)))
             for i, tr in enumerate(transcripts)
         ]
-    serial.write_envelopes(pairs)
+    made = []  # the directories this run makes, deepest first
+    path = os.path.normpath(args.transcripts or os.curdir)
+    while path and not os.path.lexists(path):
+        made.append(path)
+        path = os.path.dirname(path)
+    try:
+        for path in reversed(made):
+            os.mkdir(path)
+        serial.write_envelopes(pairs)
+    except BaseException:
+        for path in made:  # a failed write leaves no directory behind that it made
+            with contextlib.suppress(OSError):  # not empty, or never made
+                os.rmdir(path)
+        raise
     if args.out:
         print(f"wrote report to {args.out}")
     if args.transcripts:
@@ -392,8 +408,13 @@ def cmd_lemma_check(args):
 # argument wiring
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is invalid input: exit 3, one error line
+        raise RabeError(f"{self.prog}: {message}")
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rabe",
         description="Revocable attribute-based encryption with epoch-bound "
         "ciphertexts, and the backdating attack against it.",
@@ -480,8 +501,8 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         _check_paths(args)
         return args.func(args)
     except RabeError as exc:

@@ -35,8 +35,6 @@ from .errors import EpochRangeError, ParameterError, SideMismatchError
 from .groups import SIDE_TARGET, BilinearContext, GroupElement
 from .policy import AccessPolicy, parse_policy, satisfies
 from .rng import SeededRng
-from .serial import params_hash as _params_hash
-from .serial import pp_payload as _pp_payload
 from .scheme import (
     OriginalCiphertext,
     UpdatedCiphertext,
@@ -111,7 +109,6 @@ class GameTranscript:
     guess: int
     outcome: str                   # win | lose | abort (abort counts as a loss)
     queries: tuple[QueryRecord, ...]
-    params_hash: str = ""
     timings: dict[str, float] = field(default_factory=dict)  # phases and adversary steps
     notes: dict = field(default_factory=dict)
     artifacts: dict | None = None  # in-memory objects for post-hoc audits
@@ -270,7 +267,6 @@ def challenger_run(
         target_attrs = frozenset(adversary.begin(attr_max, max_time))
         if not target_attrs:
             raise ParameterError("the target attribute set must be nonempty")
-        phash = _params_hash(_pp_payload(pp))
         oracles = Oracles(pp, mk, tree, rl, mode, target_attrs, rng)
 
     with _timed(timings, "phase1"):
@@ -299,7 +295,6 @@ def challenger_run(
         guess=-1,
         outcome=ABORT,
         queries=tuple(oracles.log),
-        params_hash=phash,
         timings=timings,
     )
     if capture:
@@ -501,8 +496,8 @@ def run_game_trials(
 ) -> list[GameTranscript]:
     """Independent seeded games; trial i is reproducible from (seed, i).
 
-    capture_all keeps every trial's in-memory artifacts (transparent runs
-    only, for audits).
+    capture_all keeps every trial's in-memory artifacts: for audits, and
+    for the parameters each attack-demo transcript envelope names.
     """
     if trials < 1:
         raise ParameterError("need at least one trial")

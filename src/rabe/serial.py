@@ -25,7 +25,7 @@ import hashlib
 import json
 import os
 
-from .errors import EnvelopeError, ParameterError, PolicyParseError, UnknownIdentityError
+from .errors import EnvelopeError, ParameterError, PolicyParseError, RabeError, UnknownIdentityError
 from .groups import (
     REAL,
     SIDE_ONE,
@@ -366,7 +366,14 @@ def write_envelopes(pairs) -> None:
     a temporary file beside its path, fsynced, then each renamed over its
     path in order.  A full disk, an unwritable directory or a path that is a
     directory fails before any path changes.  A failure removes the temporary
-    files left and names the caller's path, not a temporary one."""
+    files left and names the caller's path, not a temporary one.  Two pairs
+    that name one file (one real path) are refused before anything is staged."""
+    named = {}  # real path -> the caller's path
+    for path, _ in pairs:
+        real = os.path.realpath(path)
+        if real in named:
+            raise RabeError(f"two outputs name one file: {named[real]} and {path}")
+        named[real] = path
     staged = []  # (temporary file, path), not yet renamed
     try:
         for path, env in pairs:

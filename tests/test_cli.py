@@ -358,6 +358,27 @@ def test_bad_seeds_exit_3_naming_their_source(tmp_path, capsys, monkeypatch, cas
     assert code == EXIT_OK, err
 
 
+# usage errors argparse finds: invalid input, so exit 3 with one error line
+USAGE_ERRORS = {
+    "setup-without-state": ["setup"],
+    "epoch-not-an-integer": ["update-key", "--state", "s.json", "--epoch", "x", "--out", "k.json"],
+    "unknown-subcommand": ["frobnicate", "--state", "s.json"],
+    "unknown-flag": ["setup", "--state", "s.json", "--frobnicate"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+def test_usage_errors_exit_3_with_one_error_line(tmp_path, capsys, monkeypatch, case):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *USAGE_ERRORS[case])
+    assert code == EXIT_INVALID and out == ""
+    assert err.startswith("error: rabe") and err.count("\n") == 1, err
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(SystemExit) as help_exit:  # --help still prints and exits 0
+        main(["setup", "--help"])
+    assert help_exit.value.code == EXIT_OK and "--state" in capsys.readouterr().out
+
+
 # hostile arguments: (argv, RABE_SEED or None); {state} is a seeded
 # deployment's state file, {fresh} a state file not yet made, {msg} and
 # {out} output files not yet made

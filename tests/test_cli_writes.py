@@ -197,6 +197,21 @@ def test_outputs_naming_an_input_or_output_exit_3(walked, capsys, case, via):
     assert _snapshot(walked) == before
 
 
+@pytest.mark.parametrize("via", ["relative", "symlink"])
+def test_an_output_naming_a_transcript_exits_3(walked, capsys, via):
+    """The transcripts are named inside --transcripts, out of the options'
+    sight: the write step refuses the pair, and the new directory goes."""
+    (walked / "link.json").symlink_to("runs/trial-0000.json")  # dangling
+    same = "./runs/trial-0000.json" if via == "relative" else "link.json"
+    before = _snapshot(walked)
+    code, out, err = run(capsys, "attack-demo", "--seed", 1, "--trials", 2, "--out", same,
+                         "--transcripts", "runs")
+    assert code == EXIT_INVALID and "wrote" not in out
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert same in err and "runs/trial-0000.json" in err.replace(same, "", 1)
+    assert _snapshot(walked) == before and not (walked / "runs").exists()
+
+
 # ---------------------------------------------------------------------------
 # all or nothing: a failed write changes neither the state nor the tree
 
@@ -318,6 +333,7 @@ def test_every_write_fault_leaves_the_state_and_no_temp_file(seeded, tmp_path, m
             shutil.copytree(seeded, work)
             monkeypatch.chdir(work)
             before = _snapshot(work)
+            dirs = {p for p in work.rglob("*") if p.is_dir()}
             fake = _FaultyOs(fault, k)
             code, err = _run_with(fake, argv, monkeypatch)
             where = (fault, k, err)
@@ -327,6 +343,9 @@ def test_every_write_fault_leaves_the_state_and_no_temp_file(seeded, tmp_path, m
             changed = {n for n, data in _snapshot(work).items() if before.get(n) != data}
             renamed = fake.calls["replace"] - (fault == "replace")
             assert changed == set(outputs[:renamed]), where
+            # a directory the run made stays only if a renamed output lies in it
+            made = {p for p in work.rglob("*") if p.is_dir()} - dirs
+            assert made == {(work / n).parent for n in changed} - {work}, where
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import ast
 import hashlib
+import pathlib
 
 import pytest
 
@@ -323,3 +325,26 @@ def test_challenger_rejects_degenerate_challenges():
         challenger_run(SameMessages(rng.child("a")), ctx=ctx, rng=rng.child("c"))
     with pytest.raises(ParameterError):
         challenger_run(NullAdversary(rng.child("a2")), ctx=ctx, rng=rng.child("c2"), mode="bogus")
+
+
+def _rabe_imports(tree):
+    """The rabe modules a module's source imports, by name within the package."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.removeprefix("rabe.") for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level or f"{node.module}.".startswith("rabe.")):
+            module = (node.module or "").removeprefix("rabe").lstrip(".")
+            yield from [module] if module else (alias.name for alias in node.names)
+
+
+def test_the_game_scheme_and_audit_stand_below_serialization():
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "rabe"
+    found = {
+        name: sorted({m for m in _rabe_imports(ast.parse((src / name).read_text()))
+                      if m in ("serial", "cli")})
+        for name in ("game.py", "scheme.py", "audit.py")
+    }
+    assert found == {"game.py": [], "scheme.py": [], "audit.py": []}
+    cli = set(_rabe_imports(ast.parse((src / "cli.py").read_text())))
+    assert {"game", "serial"} <= cli, "the guard sees cli's imports"
