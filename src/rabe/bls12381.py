@@ -4,14 +4,17 @@ Field tower: Fq2 = Fq[u]/(u^2+1), Fq6 = Fq2[v]/(v^3 - xi) with xi = u+1,
 Fq12 = Fq6[w]/(w^2 - v).  Elements are nested tuples of ints; all functions
 are free functions over those tuples, which keeps the hot paths free of
 attribute lookups.  Every coefficient a function takes or returns lies in
-[0, P); inside, the Fq6 and Fq12 kernels reduce lazily, keeping their
-Karatsuba products unreduced and reducing each output coefficient once.
+[0, P); inside, the Fq6 and Fq12 kernels, the G2 point formulas and the
+Miller doubling line work on unpacked ints and reduce lazily, keeping
+products unreduced where only sums take them and reducing each output
+coefficient once.
 
 G1 is E(Fq): y^2 = x^3 + 4, G2 is the sextic twist E'(Fq2): y^2 = x^3 +
 4(u+1), and GT is the order-r subgroup of Fq12*.  Points are affine pairs
 (or None for infinity); scalar multiplication runs on Jacobian coordinates
 internally, with one doubling (EFD dbl-2009-l) and one mixed Jacobian +
-affine addition (madd-2007-bl) per group.  One scalar driver serves G1,
+affine addition (madd-2007-bl) per group, written on plain ints on G1 and
+on unpacked Fq2 coefficients on G2.  One scalar driver serves G1,
 G2 and GT.  It splits a full-length scalar by a cheap endomorphism of each
 group (GLV/GLS, Galbraith-Scott): -phi, with phi(x, y) = (beta x, y), acts
 on G1 as [z^2], -psi, with psi the untwist-Frobenius-twist map, acts on G2
@@ -97,10 +100,6 @@ def fq2_sqr(x):
     a, b = x
     # (a+b)(a-b), 2ab
     return ((a + b) * (a - b) % P, 2 * a * b % P)
-
-
-def fq2_scalar(x, k):
-    return (x[0] * k % P, x[1] * k % P)
 
 
 def fq2_mul_xi(x):
@@ -753,7 +752,7 @@ def g1_in_subgroup(pt):
 # ---------------------------------------------------------------------------
 # G2: y^2 = x^3 + 4(u+1) over Fq2.  Same formulas over Fq2.
 
-B2 = fq2_scalar(XI, 4)
+B2 = (4, 4)  # 4 xi
 
 
 def g2_neg(pt):
@@ -772,50 +771,101 @@ def g2_on_curve(pt):
 
 
 def _g2_dbl_jac(p):
-    X, Y, Z = p
-    if Z == FQ2_ZERO or Y == FQ2_ZERO:
+    """dbl-2009-l on unpacked ints: C stays unreduced, D is reduced for its
+    product, and each output coefficient is reduced once."""
+    (x0, x1), (y0, y1), (z0, z1) = p
+    if not (z0 or z1) or not (y0 or y1):
         return (FQ2_ZERO, FQ2_ONE, FQ2_ZERO)
-    A = fq2_sqr(X)
-    B = fq2_sqr(Y)
-    C = fq2_sqr(B)
-    D = fq2_scalar(fq2_sub(fq2_sub(fq2_sqr(fq2_add(X, B)), A), C), 2)
-    E = fq2_scalar(A, 3)
-    X3 = fq2_sub(fq2_sqr(E), fq2_scalar(D, 2))
-    Y3 = fq2_sub(fq2_mul(E, fq2_sub(D, X3)), fq2_scalar(C, 8))
-    Z3 = fq2_scalar(fq2_mul(Y, Z), 2)
-    return (X3, Y3, Z3)
+    a0 = (x0 + x1) * (x0 - x1) % P  # A = X^2
+    a1 = 2 * x0 * x1 % P
+    b0 = (y0 + y1) * (y0 - y1) % P  # B = Y^2
+    b1 = 2 * y0 * y1 % P
+    c0 = (b0 + b1) * (b0 - b1)  # C = B^2
+    c1 = 2 * b0 * b1
+    s0, s1 = x0 + b0, x1 + b1
+    d0 = 2 * ((s0 + s1) * (s0 - s1) - a0 - c0) % P  # D = 2((X + B)^2 - A - C)
+    d1 = 2 * (2 * s0 * s1 - a1 - c1) % P
+    e0, e1 = 3 * a0, 3 * a1  # E = 3A
+    X3 = ((e0 + e1) * (e0 - e1) - 2 * d0) % P, (2 * e0 * e1 - 2 * d1) % P
+    n0, n1 = d0 - X3[0], d1 - X3[1]
+    t0 = e0 * n0
+    t1 = e1 * n1
+    Y3 = (t0 - t1 - 8 * c0) % P, ((e0 + e1) * (n0 + n1) - t0 - t1 - 8 * c1) % P
+    t0 = y0 * z0
+    t1 = y1 * z1
+    return X3, Y3, (2 * (t0 - t1) % P, 2 * ((y0 + y1) * (z0 + z1) - t0 - t1) % P)
 
 
 def _g2_madd(p, q):
+    """madd-2007-bl on unpacked ints, reducing what later products take and
+    each output coefficient once."""
     if q is None:
         return p
-    X1, Y1, Z1 = p
-    x2, y2 = q
-    if Z1 == FQ2_ZERO:
-        return (x2, y2, FQ2_ONE)
-    Z1Z1 = fq2_sqr(Z1)
-    H = fq2_sub(fq2_mul(x2, Z1Z1), X1)
-    r = fq2_sub(fq2_mul(fq2_mul(y2, Z1), Z1Z1), Y1)
-    if H == FQ2_ZERO:
-        if r == FQ2_ZERO:
-            return _g2_dbl_jac((x2, y2, FQ2_ONE))
+    (x0, x1), (y0, y1), (z0, z1) = p
+    (u0, u1), (v0, v1) = q
+    if not (z0 or z1):
+        return (*q, FQ2_ONE)
+    zz0 = (z0 + z1) * (z0 - z1) % P  # Z1Z1
+    zz1 = 2 * z0 * z1 % P
+    t0 = u0 * zz0
+    t1 = u1 * zz1
+    h0 = (t0 - t1 - x0) % P  # H = x2 Z1Z1 - X1
+    h1 = ((u0 + u1) * (zz0 + zz1) - t0 - t1 - x1) % P
+    t0 = z0 * zz0
+    t1 = z1 * zz1
+    w0 = (t0 - t1) % P  # Z1^3
+    w1 = ((z0 + z1) * (zz0 + zz1) - t0 - t1) % P
+    t0 = v0 * w0
+    t1 = v1 * w1
+    r0 = (t0 - t1 - y0) % P  # y2 Z1^3 - Y1
+    r1 = ((v0 + v1) * (w0 + w1) - t0 - t1 - y1) % P
+    if not (h0 or h1):
+        if not (r0 or r1):
+            return _g2_dbl_jac((*q, FQ2_ONE))
         return (FQ2_ZERO, FQ2_ONE, FQ2_ZERO)
-    HH = fq2_sqr(H)
-    I = fq2_scalar(HH, 4)
-    J = fq2_mul(H, I)
-    r = fq2_scalar(r, 2)
-    V = fq2_mul(X1, I)
-    X3 = fq2_sub(fq2_sub(fq2_sqr(r), J), fq2_scalar(V, 2))
-    Y3 = fq2_sub(fq2_mul(r, fq2_sub(V, X3)), fq2_scalar(fq2_mul(Y1, J), 2))
-    Z3 = fq2_sub(fq2_sub(fq2_sqr(fq2_add(Z1, H)), Z1Z1), HH)
-    return (X3, Y3, Z3)
+    hh0 = (h0 + h1) * (h0 - h1) % P  # HH
+    hh1 = 2 * h0 * h1 % P
+    i0, i1 = 4 * hh0, 4 * hh1  # I = 4 HH
+    t0 = h0 * i0
+    t1 = h1 * i1
+    j0 = (t0 - t1) % P  # J = H I
+    j1 = ((h0 + h1) * (i0 + i1) - t0 - t1) % P
+    t0 = x0 * i0
+    t1 = x1 * i1
+    V0 = (t0 - t1) % P  # V = X1 I
+    V1 = ((x0 + x1) * (i0 + i1) - t0 - t1) % P
+    r0, r1 = 2 * r0, 2 * r1
+    X3 = ((r0 + r1) * (r0 - r1) - j0 - 2 * V0) % P, (2 * r0 * r1 - j1 - 2 * V1) % P
+    n0, n1 = V0 - X3[0], V1 - X3[1]
+    t0 = r0 * n0
+    t1 = r1 * n1
+    m0 = y0 * j0
+    m1 = y1 * j1
+    Y3 = ((t0 - t1 - 2 * (m0 - m1)) % P,
+          ((r0 + r1) * (n0 + n1) - t0 - t1 - 2 * ((y0 + y1) * (j0 + j1) - m0 - m1)) % P)
+    s0, s1 = z0 + h0, z1 + h1
+    return X3, Y3, (((s0 + s1) * (s0 - s1) - zz0 - hh0) % P, (2 * s0 * s1 - zz1 - hh1) % P)
 
 
-# endo = -psi, with psi (above) acting on G2 as [p] = [z]; on a Jacobian
-# point psi also conjugates Z
-_G2 = _Group(G2_GEN, FQ2_ZERO, FQ2_ONE, _g2_dbl_jac, _g2_madd, g2_neg, fq2_mul, fq2_inv,
-             lambda q: (fq2_mul(fq2_conj(q[0]), PSI_X), fq2_neg(fq2_mul(fq2_conj(q[1]), PSI_Y)),
-                        *map(fq2_conj, q[2:])),
+# endo = -psi, with psi (above) acting on G2 as [p] = [z].  PSI_X = c u, so
+# conj(x) PSI_X = (c x1, c x0); on a Jacobian point psi also conjugates Z.
+_PSI_C = PSI_X[1]
+_PSI_Y0, _PSI_Y1 = PSI_Y
+_PSI_YS = _PSI_Y0 + _PSI_Y1
+
+
+def _g2_endo(q):
+    (x0, x1), (y0, y1), *z = q
+    t0 = y0 * _PSI_Y0
+    t1 = y1 * _PSI_Y1
+    out = ((x1 * _PSI_C % P, x0 * _PSI_C % P), (-(t0 + t1) % P, (t0 - t1 - (y0 - y1) * _PSI_YS) % P))
+    if z:
+        (z0, z1), = z
+        return (*out, (z0, -z1 % P))
+    return out
+
+
+_G2 = _Group(G2_GEN, FQ2_ZERO, FQ2_ONE, _g2_dbl_jac, _g2_madd, g2_neg, fq2_mul, fq2_inv, _g2_endo,
              BLS_X, lambda q: _pack((*q[0], *q[1])),
              lambda v: ((v & _WORD, v >> 384 & _WORD), (v >> 768 & _WORD, v >> 1152)))
 
@@ -911,7 +961,7 @@ def _add_line(t, q, xp, nyp):
         fq2_mul(Z, e),
     )
     c0 = fq2_sub(fq2_mul(lam, y2), fq2_mul(theta, x2))
-    return t3, (c0, fq2_scalar(theta, xp), fq2_scalar(lam, nyp))
+    return t3, (c0, (theta[0] * xp % P, theta[1] * xp % P), (lam[0] * nyp % P, lam[1] * nyp % P))
 
 
 def miller_loop(p, q):

@@ -255,6 +255,12 @@ def _suggest_pairs(max_time, limit=5):
 def cmd_attack_demo(args):
     if args.trials < 1:  # before the run header or a drawn seed is printed
         raise ParameterError("need at least one trial")
+    names = [os.path.join(args.transcripts, f"trial-{i:04d}.json")
+             for i in range(args.trials)] if args.transcripts else []
+    out = args.out and os.path.realpath(args.out)
+    for name in names:  # before any trial runs; write_envelopes refuses it too
+        if os.path.realpath(name) == out:
+            raise RabeError(f"--out {args.out} names the same file as transcript {name}")
     seed = _resolve_seed(args)
     if seed is None:
         seed = int.from_bytes(os.urandom(4), "big")
@@ -306,14 +312,12 @@ def cmd_attack_demo(args):
     print()
     print(game.format_report(report))
     pairs = [(args.out, report)] if args.out else []
-    if args.transcripts:
-        pairs += [
-            (os.path.join(args.transcripts, f"trial-{i:04d}.json"),
-             serial.envelope("transcript", tr.backend,
-                             serial.params_hash(serial.pp_payload(tr.artifacts["pp"])),
-                             game.transcript_payload(tr)))
-            for i, tr in enumerate(transcripts)
-        ]
+    pairs += [
+        (name, serial.envelope("transcript", tr.backend,
+                               serial.params_hash(serial.pp_payload(tr.artifacts["pp"])),
+                               game.transcript_payload(tr)))
+        for name, tr in zip(names, transcripts)
+    ]
     made = []  # the directories this run makes, deepest first
     path = os.path.normpath(args.transcripts or os.curdir)
     while path and not os.path.lexists(path):
@@ -477,7 +481,8 @@ def _build_parser():
     p.add_argument("--out", help="write the recovered msg envelope")
 
     p = add("attack-demo", cmd_attack_demo, "run the five-step backdating adversary", state=False)
-    p.add_argument("--state", help="borrow parameters from a state file")
+    p.add_argument("--state", help="take the backend and sizes from a state file "
+                   "(each trial still runs its own setup)")
     p.add_argument("--backend", choices=BACKENDS, default=TRANSPARENT)
     p.add_argument("--users", type=int, default=8)
     p.add_argument("--max-time", type=int, default=32)

@@ -567,6 +567,10 @@ def test_pairing_product_matches_termwise_pairings(monkeypatch):
     assert len(calls) == 1
 
 
+def _fq2_scalar(x, k):
+    return (x[0] * k % bls.P, x[1] * k % bls.P)
+
+
 def _reference_dbl_line(t, xp3, nyp):
     """The tangent-line step of the Miller loop on the fq2_* helpers: the
     reference for the flat _dbl_line."""
@@ -574,15 +578,15 @@ def _reference_dbl_line(t, xp3, nyp):
     xx = bls.fq2_sqr(X)
     yy = bls.fq2_sqr(Y)
     zz = bls.fq2_sqr(Z)
-    e = bls.fq2_scalar(bls.fq2_mul_xi(zz), 12)  # 3 b' Z^2, b' = 4 xi
-    f = bls.fq2_scalar(e, 3)
+    e = _fq2_scalar(bls.fq2_mul_xi(zz), 12)  # 3 b' Z^2, b' = 4 xi
+    f = _fq2_scalar(e, 3)
     h = bls.fq2_sub(bls.fq2_sqr(bls.fq2_add(Y, Z)), bls.fq2_add(yy, zz))  # 2 Y Z
     t3 = (
-        bls.fq2_scalar(bls.fq2_mul(bls.fq2_mul(X, Y), bls.fq2_sub(yy, f)), 2),
-        bls.fq2_sub(bls.fq2_sqr(bls.fq2_add(yy, f)), bls.fq2_scalar(bls.fq2_sqr(e), 12)),
-        bls.fq2_scalar(bls.fq2_mul(yy, h), 4),
+        _fq2_scalar(bls.fq2_mul(bls.fq2_mul(X, Y), bls.fq2_sub(yy, f)), 2),
+        bls.fq2_sub(bls.fq2_sqr(bls.fq2_add(yy, f)), _fq2_scalar(bls.fq2_sqr(e), 12)),
+        _fq2_scalar(bls.fq2_mul(yy, h), 4),
     )
-    return t3, (bls.fq2_sub(e, yy), bls.fq2_scalar(xx, xp3), bls.fq2_scalar(h, nyp))
+    return t3, (bls.fq2_sub(e, yy), _fq2_scalar(xx, xp3), _fq2_scalar(h, nyp))
 
 
 def _reference_miller_loop(p, q):
@@ -641,6 +645,118 @@ def test_flat_doubling_line_matches_the_reference():
         out = bls._dbl_line(t, xp3, nyp)
         assert out == _reference_dbl_line(t, xp3, nyp)
         _assert_reduced(out)  # (2T, line): two triples of Fq2 values, as an Fq12
+
+
+_G2_INF = (bls.FQ2_ZERO, bls.FQ2_ONE, bls.FQ2_ZERO)
+
+
+def _reference_g2_dbl_jac(p):
+    """dbl-2009-l on the fq2_* helpers: the reference for the flat
+    _g2_dbl_jac."""
+    X, Y, Z = p
+    if Z == bls.FQ2_ZERO or Y == bls.FQ2_ZERO:
+        return _G2_INF
+    A = bls.fq2_sqr(X)
+    B = bls.fq2_sqr(Y)
+    C = bls.fq2_sqr(B)
+    D = _fq2_scalar(bls.fq2_sub(bls.fq2_sub(bls.fq2_sqr(bls.fq2_add(X, B)), A), C), 2)
+    E = _fq2_scalar(A, 3)
+    X3 = bls.fq2_sub(bls.fq2_sqr(E), _fq2_scalar(D, 2))
+    Y3 = bls.fq2_sub(bls.fq2_mul(E, bls.fq2_sub(D, X3)), _fq2_scalar(C, 8))
+    return X3, Y3, _fq2_scalar(bls.fq2_mul(Y, Z), 2)
+
+
+def _reference_g2_madd(p, q):
+    """madd-2007-bl on the fq2_* helpers: the reference for the flat
+    _g2_madd."""
+    if q is None:
+        return p
+    X1, Y1, Z1 = p
+    x2, y2 = q
+    if Z1 == bls.FQ2_ZERO:
+        return (x2, y2, bls.FQ2_ONE)
+    Z1Z1 = bls.fq2_sqr(Z1)
+    H = bls.fq2_sub(bls.fq2_mul(x2, Z1Z1), X1)
+    r = bls.fq2_sub(bls.fq2_mul(bls.fq2_mul(y2, Z1), Z1Z1), Y1)
+    if H == bls.FQ2_ZERO:
+        return _reference_g2_dbl_jac((x2, y2, bls.FQ2_ONE)) if r == bls.FQ2_ZERO else _G2_INF
+    HH = bls.fq2_sqr(H)
+    I = _fq2_scalar(HH, 4)
+    J = bls.fq2_mul(H, I)
+    r = _fq2_scalar(r, 2)
+    V = bls.fq2_mul(X1, I)
+    X3 = bls.fq2_sub(bls.fq2_sub(bls.fq2_sqr(r), J), _fq2_scalar(V, 2))
+    Y3 = bls.fq2_sub(bls.fq2_mul(r, bls.fq2_sub(V, X3)), _fq2_scalar(bls.fq2_mul(Y1, J), 2))
+    Z3 = bls.fq2_sub(bls.fq2_sub(bls.fq2_sqr(bls.fq2_add(Z1, H)), Z1Z1), HH)
+    return X3, Y3, Z3
+
+
+def _reference_g2_endo(q):
+    """-psi on the fq2_* helpers, conjugating Z on a Jacobian point."""
+    x = bls.fq2_mul(bls.fq2_conj(q[0]), bls.PSI_X)
+    y = bls.fq2_neg(bls.fq2_mul(bls.fq2_conj(q[1]), bls.PSI_Y))
+    return (x, y, *map(bls.fq2_conj, q[2:]))
+
+
+def test_flat_g2_formulas_match_the_references():
+    # every coordinate P - 1 gives the largest unreduced intermediates
+    rng = SeededRng("g2-flat-formulas")
+    top = (bls.P - 1, bls.P - 1)
+    jacobian = [(top,) * 3] + [tuple(_random_fq2(rng) for _ in range(3)) for _ in range(12)]
+    affine = [(top, top)] + [(_random_fq2(rng), _random_fq2(rng)) for _ in range(12)]
+    q = bls.g2_mul(bls.G2_GEN, 11)
+    jacobian.append(bls._g2_dbl_jac(bls._G2.lift(q)))
+    affine.append(q)
+    for p in jacobian:
+        for out, ref in ((bls._g2_dbl_jac(p), _reference_g2_dbl_jac(p)),
+                         (bls._G2.endo(p), _reference_g2_endo(p))):
+            assert out == ref
+            _assert_reduced([out])  # one point as one half
+        for a in affine:
+            out = bls._g2_madd(p, a)
+            assert out == _reference_g2_madd(p, a)
+            _assert_reduced([out])
+    for a in affine:
+        out = bls._G2.endo(a)
+        assert len(out) == 2 and out == _reference_g2_endo(a)
+        _assert_reduced([out])
+
+
+def test_flat_g2_formulas_agree_over_chained_steps():
+    rng = SeededRng("g2-flat-chain")
+    base = bls.g2_mul(bls.G2_GEN, rng.randbelow(bls.R - 1) + 1)
+    step = bls.g2_mul(bls.G2_GEN, rng.randbelow(bls.R - 1) + 1)
+    acc = ref = bls._G2.lift(base)
+    for _ in range(50):
+        acc = bls._g2_madd(bls._g2_dbl_jac(acc), step)
+        ref = _reference_g2_madd(_reference_g2_dbl_jac(ref), step)
+        assert acc == ref
+        _assert_reduced([acc])
+        acc = ref = bls._G2.endo(acc)
+    assert bls.g2_on_curve(bls._G2.to_affine([acc])[0])
+
+
+def test_flat_g2_formulas_on_their_special_cases():
+    q = bls.g2_mul(bls.G2_GEN, 5)
+    lifted = bls._G2.lift(q)
+    scaled = bls._g2_madd(bls._g2_dbl_jac(lifted), bls.g2_neg(q))  # q again, with Z != 1
+    assert scaled[2] != bls.FQ2_ONE and bls._G2.to_affine([scaled])[0] == q
+    for p in (lifted, scaled):
+        # P == Q takes the doubling branch, P == -Q gives infinity
+        doubled = bls._g2_madd(p, q)
+        assert doubled == _reference_g2_madd(p, q) == bls._g2_dbl_jac(lifted)
+        assert bls._G2.to_affine([doubled])[0] == bls.g2_mul(bls.G2_GEN, 10)
+        assert bls._g2_madd(p, bls.g2_neg(q)) == _reference_g2_madd(p, bls.g2_neg(q)) == _G2_INF
+        assert bls._g2_madd(p, None) is p
+    # infinity as the Jacobian input, and a doubling with Y = 0
+    assert bls._g2_madd(_G2_INF, q) == _reference_g2_madd(_G2_INF, q) == (*q, bls.FQ2_ONE)
+    assert bls._g2_dbl_jac(_G2_INF) == _G2_INF
+    assert bls._g2_dbl_jac((q[0], bls.FQ2_ZERO, bls.FQ2_ONE)) == _G2_INF
+    # -psi keeps a Jacobian infinity at infinity and acts as [|z|] on G2
+    assert bls._G2.endo(_G2_INF) == _reference_g2_endo(_G2_INF)
+    assert bls._G2.endo(_G2_INF)[2] == bls.FQ2_ZERO
+    assert bls._G2.endo(q) == bls.g2_mul(q, bls.BLS_X)
+    assert bls._G2.to_affine([bls._G2.endo(scaled)])[0] == bls._G2.endo(q)
 
 
 def test_pair_product_of_inverse_pairs_is_identity():

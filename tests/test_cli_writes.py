@@ -200,16 +200,30 @@ def test_outputs_naming_an_input_or_output_exit_3(walked, capsys, case, via):
 @pytest.mark.parametrize("via", ["relative", "symlink"])
 def test_an_output_naming_a_transcript_exits_3(walked, capsys, via):
     """The transcripts are named inside --transcripts, out of the options'
-    sight: the write step refuses the pair, and the new directory goes."""
+    sight: attack-demo refuses the pair before any trial runs or prints."""
     (walked / "link.json").symlink_to("runs/trial-0000.json")  # dangling
     same = "./runs/trial-0000.json" if via == "relative" else "link.json"
     before = _snapshot(walked)
     code, out, err = run(capsys, "attack-demo", "--seed", 1, "--trials", 2, "--out", same,
                          "--transcripts", "runs")
-    assert code == EXIT_INVALID and "wrote" not in out
+    assert code == EXIT_INVALID and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert same in err and "runs/trial-0000.json" in err.replace(same, "", 1)
     assert _snapshot(walked) == before and not (walked / "runs").exists()
+
+
+def test_only_the_trials_transcript_names_collide_with_out(walked, capsys):
+    """The last trial's name is refused before any trial runs; a name past
+    the last trial is no transcript, and the report lands there."""
+    argv = ("attack-demo", "--seed", 1, "--trials", 2, "--transcripts", "runs")
+    code, out, err = run(capsys, *argv, "--out", "runs/trial-0001.json")
+    assert code == EXIT_INVALID and out == "" and "runs/trial-0001.json" in err
+    assert not (walked / "runs").exists()
+    code, out, _ = run(capsys, *argv, "--out", "runs/trial-0002.json")
+    assert code == EXIT_OK and "wrote report to runs/trial-0002.json" in out
+    assert sorted(p.name for p in (walked / "runs").iterdir()) == [
+        "trial-0000.json", "trial-0001.json", "trial-0002.json"]
+    assert json.loads((walked / "runs" / "trial-0002.json").read_text())["trials"] == 2
 
 
 # ---------------------------------------------------------------------------
