@@ -28,7 +28,9 @@ Fq2 square roots go by the norm.  The pairing is the ate pairing: a Miller
 loop over the curve parameter that keeps the running point on the twist in
 homogeneous projective coordinates and yields each line as a sparse Fq12
 element (no inversions), then the final exponentiation split into the easy
-part and a hard part of powers by |z|.  The one pairing entry,
+part and a hard part of powers by |z|.  A G2 argument's lines are made
+once, free of the G1 argument, and kept while it is in repeated use; a
+pair then costs the scaling of its lines.  The one pairing entry,
 pairing_product, runs one shared Miller loop for all its pairs: one
 squaring per bit, the lines of every pair multiplied in, and one final
 exponentiation over the product.
@@ -464,8 +466,8 @@ def final_exponentiation(f):
 # j = 1..8, so [d]B is one mixed addition per nonzero base-16 digit of d and
 # no doubling.  Each point is packed into one int of 384-bit words, which
 # takes 40 % less memory than its nested tuples on G1 and over half less on
-# G2 and GT, and unpacks in a few shifts.  Each group keeps one LRU dict,
-# keyed by the base, of the split-path uses of its recent bases.  The
+# G2 and GT, and unpacks in a few shifts.  Each group keeps one _kept LRU
+# dict, keyed by the base, of the split-path uses of its recent bases.  The
 # _HOT_USES-th use builds the table, past _HOT_TABLES tables the least
 # recently used one goes, and the generators start hot.  Nothing cached
 # here is ever serialized.
@@ -474,7 +476,6 @@ _FB_WIDTH = 4
 _FB_HALF = 1 << (_FB_WIDTH - 1)  # multiples per row; digits lie in [-7, 8]
 _HOT_USES = 5  # a table costs about five split wNAF multiplications to build
 _HOT_TABLES = 24  # tables held per group: 35 KiB each on G1, 31 KiB on G2, 83 KiB on GT
-_HOT_BASES = 2 * _HOT_TABLES  # bases tracked per group, tables included
 _WORD = (1 << 384) - 1  # a coordinate of a packed point; P < 2^381
 
 
@@ -573,7 +574,8 @@ def _fixed_table(g, base):
     rows = []
     for _ in range(-(-g.radix.bit_length() // _FB_WIDTH)):
         jac = [g.lift(base)]
-        for _ in range(_FB_HALF - 1):
+        jac.append(g.dbl(jac[0]))
+        for _ in range(_FB_HALF - 2):
             jac.append(g.madd(jac[-1], base))
         jac.append(g.dbl(jac[-1]))  # 2^_FB_WIDTH * base, the next row's base
         *row, base = g.to_affine(jac)
@@ -581,21 +583,25 @@ def _fixed_table(g, base):
     return rows + [[g.pack(base)]]
 
 
-def _hot_table(g, pt):
-    """Count one split-path use of pt; its table once it has earned one."""
-    hot = g.hot
-    uses = hot.pop(pt, 0)
-    if isinstance(uses, int):
-        uses += 1
-        if uses == _HOT_USES:
-            tables = [b for b, v in hot.items() if not isinstance(v, int)]
-            if len(tables) >= _HOT_TABLES:
-                del hot[tables[0]]
-            uses = _fixed_table(g, pt)
-    hot[pt] = uses
-    if len(hot) > _HOT_BASES:
-        del hot[next(iter(hot))]
-    return None if isinstance(uses, int) else uses
+def _kept(cache, key, build, uses, cap):
+    """Count one use of key in cache, an LRU dict of key -> its use count
+    or its value, and return the value once key has earned one: its
+    uses-th use runs build(key).  At most cap values and 2 cap keys are
+    held.  Past the first bound the least recently used value goes, past
+    the second the least recently used count, so keys that are still
+    counting never push out a value."""
+    value = cache.pop(key, 0)
+    if isinstance(value, int):
+        value += 1
+        if value == uses:
+            values = [k for k, v in cache.items() if not isinstance(v, int)]
+            if len(values) >= cap:
+                del cache[values[0]]
+            value = build(key)
+        elif len(cache) >= 2 * cap:
+            del cache[next(k for k, v in cache.items() if isinstance(v, int))]
+    cache[key] = value
+    return None if isinstance(value, int) else value
 
 
 def _mul(g, pt, k):
@@ -616,6 +622,8 @@ def _mul(g, pt, k):
         pt, k = g.neg(pt), -k
     if pt == g.identity or k == 0:
         return g.identity
+    if k == 1:  # the reconstruction coefficients of AND/OR policies are ones
+        return pt
     madd = g.madd
     acc = g.inf
     digits = [k]
@@ -624,7 +632,7 @@ def _mul(g, pt, k):
         while k:
             k, d = divmod(k, g.radix)
             digits.append(d)
-        table = _hot_table(g, pt)
+        table = _kept(g.hot, pt, lambda b: _fixed_table(g, b), _HOT_USES, _HOT_TABLES)
         if table is not None:
             unpack = g.unpack
             for i, d in enumerate(reversed(digits)):
@@ -898,19 +906,30 @@ def g2_in_subgroup(pt):
 # Aranha et al. (Eurocrypt 2011); the doubling step, which runs at every
 # bit, is written on ints with lazy reduction.
 #
-# miller_loop is a generator of one pair's lines; it holds the pair's T and
-# no accumulator.  pairing_product steps the generators of all its pairs
-# together (Granger-Smart, "On computing products of pairings", 2006): the
-# product of the per-pair Miller functions is the same field element, since
+# P enters a line only through the factors xP and yP of that shape, so a
+# Q's lines are prepared once, free of P: _g2_lines walks T over the loop
+# and keeps each line as the flat (c0, c1, -c4), that is 3 X^2 and h for a
+# doubling, theta and lambda for an addition.  miller_loop makes or fetches
+# Q's lines and yields each one times xP and -yP, four Fq products a line.
+# Most G2 arguments of a decryption are long-lived key elements, so lines
+# are kept by use in a _kept LRU dict keyed by Q: from Q's second use, each
+# line packed into one int, so a one-shot Q never pushes out a reused one.
+# Nothing cached here is ever serialized.
+#
+# pairing_product steps the line generators of all its pairs together
+# (Granger-Smart, "On computing products of pairings", 2006): the product
+# of the per-pair Miller functions is the same field element, since
 # squaring and multiplication commute, but f is squared once per bit for all
 # pairs instead of once per bit and pair.
 
 _LOOP_BITS = bin(BLS_X)[3:]
+_LINE_QS = 64  # Qs whose lines are kept, 23 KiB each: 1.5 MiB; 24 kept too few reused Qs to pay
+_LINES = {}  # Q -> its uses, or its packed P-free lines
 
 
-def _dbl_line(t, xp3, nyp):
-    """2T and the tangent line at T; xp3 = 3 xP, nyp = -yP.  On unpacked
-    ints, reducing what later products take and each output once."""
+def _dbl_line(t):
+    """2T and the P-free tangent line at T, (e - yy, 3 X^2, h) flat.  On
+    unpacked ints, reducing what later products take and each output once."""
     (x0, x1), (y0, y1), (z0, z1) = t
     yy0 = (y0 + y1) * (y0 - y1) % P
     yy1 = 2 * y0 * y1 % P
@@ -937,16 +956,14 @@ def _dbl_line(t, xp3, nyp):
     t0 = yy0 * h0
     t1 = yy1 * h1
     Z3 = (4 * (t0 - t1) % P, 4 * ((yy0 + yy1) * (h0 + h1) - t0 - t1) % P)
-    # the line e - yy + (xp3 X^2) v + (nyp h) v w
-    return (X3, Y3, Z3), (
-        ((e0 - yy0) % P, (e1 - yy1) % P),
-        ((x0 + x1) * (x0 - x1) * xp3 % P, 2 * x0 * x1 * xp3 % P),
-        (h0 * nyp % P, h1 * nyp % P),
-    )
+    # the line e - yy + (3 X^2 xP) v + (h (-yP)) v w
+    return (X3, Y3, Z3), ((e0 - yy0) % P, (e1 - yy1) % P,
+                          3 * (x0 + x1) * (x0 - x1) % P, 6 * x0 * x1 % P, h0, h1)
 
 
-def _add_line(t, q, xp, nyp):
-    """T + Q (Q affine, T != +-Q) and the line through them."""
+def _add_line(t, q):
+    """T + Q (Q affine, T != +-Q) and the P-free line through them,
+    (lambda y2 - theta x2, theta, lambda) flat."""
     X, Y, Z = t
     x2, y2 = q
     theta = fq2_sub(Y, fq2_mul(y2, Z))
@@ -960,24 +977,37 @@ def _add_line(t, q, xp, nyp):
         fq2_sub(fq2_mul(theta, fq2_sub(g, h)), fq2_mul(Y, e)),
         fq2_mul(Z, e),
     )
-    c0 = fq2_sub(fq2_mul(lam, y2), fq2_mul(theta, x2))
-    return t3, (c0, (theta[0] * xp % P, theta[1] * xp % P), (lam[0] * nyp % P, lam[1] * nyp % P))
+    return t3, (*fq2_sub(fq2_mul(lam, y2), fq2_mul(theta, x2)), *theta, *lam)
+
+
+def _g2_lines(q):
+    """Q's P-free lines in loop order: per bit of |z| below the top one the
+    tangent line at T, and after a set bit the line through T and Q."""
+    t = (*q, FQ2_ONE)
+    lines = []
+    for bit in _LOOP_BITS:
+        t, line = _dbl_line(t)
+        lines.append(line)
+        if bit == "1":
+            t, line = _add_line(t, q)
+            lines.append(line)
+    return lines
+
+
+def _unpack_line(v):
+    return v & _WORD, v >> 384 & _WORD, v >> 768 & _WORD, v >> 1152 & _WORD, v >> 1536 & _WORD, v >> 1920
 
 
 def miller_loop(p, q):
     """The lines of the Miller function f_{|z|,Q}(P), in loop order, each
-    as (c0, c1, c4) for fq12_mul_014: per bit of |z| below the top one the
-    tangent line at T, and after a set bit the line through T and Q."""
+    as (c0, c1, c4) for fq12_mul_014.  Q's lines are made, or fetched, in
+    this call; the generator it returns scales them by P."""
+    packed = _kept(_LINES, q, lambda q: [_pack(line) for line in _g2_lines(q)], 2, _LINE_QS)
+    lines = _g2_lines(q) if packed is None else map(_unpack_line, packed)
     xp, yp = p
-    xp3 = 3 * xp % P
     nyp = -yp % P
-    t = (*q, FQ2_ONE)
-    for bit in _LOOP_BITS:
-        t, line = _dbl_line(t, xp3, nyp)
-        yield line
-        if bit == "1":
-            t, line = _add_line(t, q, xp, nyp)
-            yield line
+    return (((a0, a1), (b0 * xp % P, b1 * xp % P), (c0 * nyp % P, c1 * nyp % P))
+            for a0, a1, b0, b1, c0, c1 in lines)
 
 
 # per line of a Miller loop, whether the accumulator is squared before it

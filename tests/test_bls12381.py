@@ -95,7 +95,7 @@ def test_generator_table_agrees_with_wnaf(group):
 def _on_wnaf(mul, pt, k):
     """mul(pt, k) with every base cold: the wNAF path, which counts no use."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(bls, "_hot_table", lambda g, pt: None)
+        mp.setattr(bls, "_kept", lambda *args: None)
         return mul(pt, k)
 
 
@@ -453,11 +453,48 @@ def test_hot_tables_stay_under_the_cap(group, monkeypatch):
         assert tables == bases[max(0, i + 1 - bls._HOT_TABLES) : i + 1], i
     # an evicted base counts its uses again, from one
     assert mul(bases[0], bls.R - 2) == _on_wnaf(mul, bases[0], bls.R - 2) and g.hot[bases[0]] == 1
-    # so do cold bases, up to a bound; past it the least recently used entries go
-    fresh = [mul(bases[-1], a) for a in range(2, bls._HOT_BASES + 3)]
+    # so do cold bases, up to a bound of keys; past it the least recently
+    # used count goes, and no table
+    fresh = [mul(bases[-1], a) for a in range(2, 2 * bls._HOT_TABLES + 3)]
     for pt in fresh:
         mul(pt, bls.R - 1)
-    assert list(g.hot) == fresh[1:] and all(v == 1 for v in g.hot.values())
+    assert [b for b, v in g.hot.items() if isinstance(v, list)] == tables
+    assert list(g.hot) == tables + fresh[-bls._HOT_TABLES:]
+    assert all(g.hot[pt] == 1 for pt in fresh[-bls._HOT_TABLES:])
+
+
+def _madd_first_table(g, base):
+    """_fixed_table as it was built when each row made 2B as B + B with the
+    mixed addition, which falls into its doubling branch."""
+    rows = []
+    for _ in range(-(-g.radix.bit_length() // bls._FB_WIDTH)):
+        jac = [g.lift(base)]
+        for _ in range(bls._FB_HALF - 1):
+            jac.append(g.madd(jac[-1], base))
+        jac.append(g.dbl(jac[-1]))
+        *row, base = g.to_affine(jac)
+        rows.append([g.pack(q) for q in row])
+    return rows + [[g.pack(base)]]
+
+
+@pytest.mark.parametrize("group", sorted(HOT))
+def test_fixed_table_rows_start_with_a_doubling(group):
+    g, _, base = HOT[group]
+    pt = base(SeededRng(f"table-row-{group}").randbelow(bls.R - 1) + 1)
+    assert bls._fixed_table(g, pt) == _madd_first_table(g, pt)
+
+
+@pytest.mark.parametrize("group", sorted(HOT))
+def test_unit_scalars_return_the_base(group, monkeypatch):
+    # decrypt raises c2 and k0 to reconstruction coefficients, which are
+    # ones for AND/OR policies
+    g, mul, base = HOT[group]
+    pt = base(SeededRng(f"unit-{group}").randbelow(bls.R - 1) + 1)
+    monkeypatch.setattr(g, "hot", {})
+    assert mul(pt, 1) is pt and mul(pt, -1) == g.neg(pt)
+    # the split path reaches the same points, and only it counts a use
+    assert mul(pt, bls.R + 1) == pt and mul(pt, bls.R - 1) == g.neg(pt)
+    assert g.hot == {pt: 2}
 
 
 def test_gt_pow_agrees_with_reference_across_the_split():
@@ -571,9 +608,9 @@ def _fq2_scalar(x, k):
     return (x[0] * k % bls.P, x[1] * k % bls.P)
 
 
-def _reference_dbl_line(t, xp3, nyp):
+def _reference_dbl_line(t):
     """The tangent-line step of the Miller loop on the fq2_* helpers: the
-    reference for the flat _dbl_line."""
+    reference for the flat, P-free _dbl_line."""
     X, Y, Z = t
     xx = bls.fq2_sqr(X)
     yy = bls.fq2_sqr(Y)
@@ -586,28 +623,37 @@ def _reference_dbl_line(t, xp3, nyp):
         bls.fq2_sub(bls.fq2_sqr(bls.fq2_add(yy, f)), _fq2_scalar(bls.fq2_sqr(e), 12)),
         _fq2_scalar(bls.fq2_mul(yy, h), 4),
     )
-    return t3, (bls.fq2_sub(e, yy), _fq2_scalar(xx, xp3), _fq2_scalar(h, nyp))
+    return t3, (*bls.fq2_sub(e, yy), *_fq2_scalar(xx, 3), *h)
 
 
 def _reference_miller_loop(p, q):
-    """f_{|z|,Q}(P) for one pair, unconjugated: the per-pair loop that the
-    shared loop of pairing_product is checked against, with dense line
-    products."""
+    """f_{|z|,Q}(P) for one pair, unconjugated: a per-pair loop that walks T
+    beside its products, scales each P-free line by xP and -yP and
+    multiplies it in densely; the reference for the prepared lines and the
+    shared loop of pairing_product."""
     xp, yp = p
-    xp3, nyp = 3 * xp % bls.P, -yp % bls.P
+    nyp = -yp % bls.P
     t = (*q, bls.FQ2_ONE)
     f = bls.FQ12_ONE
 
     def times_line(f, line):
-        c0, c1, c4 = line
+        c0, c1, c4 = line[:2], _fq2_scalar(line[2:4], xp), _fq2_scalar(line[4:], nyp)
         return bls.fq12_mul(f, ((c0, c1, bls.FQ2_ZERO), (bls.FQ2_ZERO, c4, bls.FQ2_ZERO)))
     for bit in bin(bls.BLS_X)[3:]:
-        t, line = _reference_dbl_line(t, xp3, nyp)
+        t, line = _reference_dbl_line(t)
         f = times_line(bls.fq12_sqr(f), line)
         if bit == "1":
-            t, line = bls._add_line(t, q, xp, nyp)
+            t, line = bls._add_line(t, q)
             f = times_line(f, line)
     return f
+
+
+def _miller_inputs(monkeypatch):
+    """pairing_product with the final exponentiation taken out: the list of
+    the conjugated shared-loop products it would have raised."""
+    inputs = []
+    monkeypatch.setattr(bls, "final_exponentiation", lambda f: inputs.append(f) or f)
+    return inputs
 
 
 def test_shared_miller_loop_matches_per_pair_loops(monkeypatch):
@@ -620,8 +666,7 @@ def test_shared_miller_loop_matches_per_pair_loops(monkeypatch):
               pairs[:2] + [(None, None)]]
     cases.append([(g1[0], g2[0]), (g1[1], g2[0]), (g1[2], g2[0])])  # a repeated Q
     cases.append([(g1[0], g2[0]), (bls.g1_neg(g1[0]), g2[0])])  # a pair and its negation
-    inputs = []
-    monkeypatch.setattr(bls, "final_exponentiation", lambda f: inputs.append(f) or f)
+    inputs = _miller_inputs(monkeypatch)
     for case in cases:
         del inputs[:]
         bls.pairing_product(case)
@@ -632,19 +677,93 @@ def test_shared_miller_loop_matches_per_pair_loops(monkeypatch):
         assert inputs == [bls.fq12_conj(expected)]
 
 
+def test_prepared_lines_match_the_reference_loop(monkeypatch):
+    # each Q's first use makes its lines and counts, the second stores them,
+    # later ones read them; every use matches the per-pair loop
+    rng = SeededRng("prepared-lines")
+    monkeypatch.setattr(bls, "_LINES", {})
+    inputs = _miller_inputs(monkeypatch)
+    qs = [bls.g2_mul(bls.G2_GEN, rng.randbelow(bls.R - 1) + 1) for _ in range(3)]
+    for uses in range(1, 5):
+        for q in qs:
+            p = bls.g1_mul(bls.G1_GEN, rng.randbelow(bls.R - 1) + 1)
+            del inputs[:]
+            bls.pairing_product([(p, q)])
+            assert inputs == [bls.fq12_conj(_reference_miller_loop(p, q))], uses
+            stored = bls._LINES[q]
+            assert stored == 1 if uses == 1 else stored == [bls._pack(line) for line in bls._g2_lines(q)]
+    assert list(bls._LINES) == qs and len(bls._LINES[qs[0]]) == 68  # 63 doublings, 5 additions
+
+
+def test_products_mix_kept_and_fresh_lines(monkeypatch):
+    rng = SeededRng("mixed-lines")
+    monkeypatch.setattr(bls, "_LINES", {})
+    inputs = _miller_inputs(monkeypatch)
+    g1 = [bls.g1_mul(bls.G1_GEN, rng.randbelow(bls.R - 1) + 1) for _ in range(3)]
+    kept, fresh, twice = (bls.g2_mul(bls.G2_GEN, rng.randbelow(bls.R - 1) + 1) for _ in range(3))
+    bls.pairing_product([(g1[0], kept)] * 2)
+    assert isinstance(bls._LINES[kept], list)
+    cases = [
+        [(g1[0], kept), (g1[1], fresh)],  # a kept Q beside one on its first use
+        [(g1[0], twice), (g1[1], kept), (g1[2], twice)],  # a Q twice in one product
+    ]
+    for case in cases:
+        del inputs[:]
+        bls.pairing_product(case)
+        expected = bls.FQ12_ONE
+        for p, q in case:
+            expected = bls.fq12_mul(expected, _reference_miller_loop(p, q))
+        assert inputs == [bls.fq12_conj(expected)]
+    # the repeated Q's second use, inside the product, stored its lines
+    assert bls._LINES[fresh] == 1 and isinstance(bls._LINES[twice], list)
+
+
+def _lines_of(a):
+    """The pairing of G1 with [a]G2 for an a no longer than |z|, which makes
+    no table, and the Q it used."""
+    q = bls.g2_mul(bls.G2_GEN, a)
+    bls.pairing_product([(bls.G1_GEN, q)])
+    return q
+
+
+def test_one_shot_qs_never_push_out_kept_lines(monkeypatch):
+    monkeypatch.setattr(bls, "_LINES", {})
+    monkeypatch.setattr(bls, "_LINE_QS", 2)
+    reused = [_lines_of(a) for a in (2, 3) for _ in range(2)][::2]
+    one_shot = [_lines_of(a) for a in range(4, 10)]
+    assert [q for q, v in bls._LINES.items() if isinstance(v, list)] == reused
+    # two values and four keys in all: the least recently used counts went
+    assert list(bls._LINES) == reused + one_shot[-2:]
+    assert all(bls._LINES[q] == 1 for q in one_shot[-2:])
+
+
+def test_kept_lines_stay_under_the_cap(monkeypatch):
+    monkeypatch.setattr(bls, "_LINES", {})
+    monkeypatch.setattr(bls, "_LINE_QS", 3)
+    qs = []
+    for a in range(2, 7):
+        qs.append(_lines_of(a))
+        _lines_of(a)
+        # past the cap, the least recently used lines go
+        kept = [q for q, v in bls._LINES.items() if isinstance(v, list)]
+        assert kept == qs[-3:], a
+    # an evicted Q counts its uses again, from one
+    assert _lines_of(2) == qs[0] and bls._LINES[qs[0]] == 1
+    assert list(bls._LINES) == qs[-3:] + qs[:1]
+
+
 def test_flat_doubling_line_matches_the_reference():
     # every coordinate P - 1 gives the largest unreduced intermediates
     rng = SeededRng("dbl-line")
     top = bls.P - 1
-    inputs = [(((top, top),) * 3, top, top), (((0, 0), (1, 0), (0, 1)), 0, 1)]
-    inputs += [(tuple(_random_fq2(rng) for _ in range(3)), rng.randbelow(bls.P), rng.randbelow(bls.P))
-               for _ in range(8)]
-    q = bls.g2_mul(bls.G2_GEN, 7)
-    inputs.append(((*q, bls.FQ2_ONE), 3 * bls.G1_GEN[0] % bls.P, -bls.G1_GEN[1] % bls.P))
-    for t, xp3, nyp in inputs:
-        out = bls._dbl_line(t, xp3, nyp)
-        assert out == _reference_dbl_line(t, xp3, nyp)
-        _assert_reduced(out)  # (2T, line): two triples of Fq2 values, as an Fq12
+    inputs = [((top, top),) * 3, ((0, 0), (1, 0), (0, 1))]
+    inputs += [tuple(_random_fq2(rng) for _ in range(3)) for _ in range(8)]
+    inputs.append((*bls.g2_mul(bls.G2_GEN, 7), bls.FQ2_ONE))
+    for t in inputs:
+        out = bls._dbl_line(t)
+        assert out == _reference_dbl_line(t)
+        t3, line = out
+        _assert_reduced((t3, (line[:2], line[2:4], line[4:])))  # (2T, line) as an Fq12
 
 
 _G2_INF = (bls.FQ2_ZERO, bls.FQ2_ONE, bls.FQ2_ZERO)

@@ -116,6 +116,40 @@ def test_real_exponentiations_make_one_curve_call_each(monkeypatch):
     assert calls == {"g2_mul": 0, "fq12_pow_cyclo": 1}
 
 
+def test_real_decrypt_makes_one_miller_loop_per_pair(monkeypatch):
+    """The benchmark's decrypt cost model on BLS12-381: |I| + 2 Miller
+    loops and one final exponentiation per decrypt, also once the key's G2
+    elements have their lines kept."""
+    ctx = new_context(REAL)
+    rng = SeededRng("decrypt-cost-model")
+    pp, mk, state, rl = make_world(ctx, rng, n_users=2, max_time=4, attr_max=3)
+    policy = parse_policy("1 AND (2 OR 3)")
+    dk = derive_dk(keygen(pp, mk, state, "alice", policy, rng), update_key(pp, mk, state, rl, 2, rng))
+    msg = ctx.random_element(SIDE_TARGET, rng)
+    ct = update_ct(pp, encrypt(pp, {1, 3}, 2, msg, rng), 2, rng)
+    w = reconstruction_coefficients(policy, ct.attrs, ctx.prime_order)
+    key_qs = [dk.d1.payload] + [dk.rows[i][1].payload for i in w]
+    calls = {}
+
+    def count(name):
+        fn = getattr(bls, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(bls, name, counted)
+
+    for name in ("miller_loop", "final_exponentiation"):
+        count(name)
+    monkeypatch.setattr(bls, "_LINES", {})
+    for uses in range(1, 4):
+        # the first use counts each Q, the second stores its lines, the third reads them
+        assert all(isinstance(bls._LINES.get(q), list) == (uses == 3) for q in key_qs), uses
+        calls.update(miller_loop=0, final_exponentiation=0)
+        assert decrypt(pp, ct, dk) == msg
+        assert calls == {"miller_loop": len(w) + 2, "final_exponentiation": 1}, uses
+
+
 def test_attribute_generator_matches_interpolation_oracle():
     ctx = new_context(TRANSPARENT, seed=0)
     rng = SeededRng("tgen")
