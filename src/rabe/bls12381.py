@@ -1089,15 +1089,13 @@ def g1_from_bytes(data):
     if decoded is None:
         return None
     sign, (x,) = decoded
-    rhs = (x * x * x + B1) % P
-    y = pow(rhs, _SQRT_EXP, P)
-    if y * y % P != rhs:
-        raise ValueError("G1 x coordinate not on curve")
+    # a square root of x^3 + 4 only if x is on the curve, which g1_in_subgroup checks
+    y = pow((x * x * x + B1) % P, _SQRT_EXP, P)
     if _fq_sign(y) != sign:
         y = -y % P
     pt = (x, y)
     if not g1_in_subgroup(pt):
-        raise ValueError("G1 point not in the prime-order subgroup")
+        raise ValueError("G1 point not on the curve or not in the prime-order subgroup")
     return pt
 
 

@@ -87,15 +87,25 @@ def _read_artifact(path, kind, phash, decode, ctx):
     return _decode(path, decode, ctx, env["payload"])
 
 
+def _transcript_names(args):
+    """The files attack-demo writes inside --transcripts, one per trial."""
+    if not getattr(args, "transcripts", None):
+        return []
+    return [os.path.join(args.transcripts, f"trial-{i:04d}.json") for i in range(args.trials)]
+
+
 def _check_paths(args):
     """Refuse an output that names the state, an input or another output: the
-    same file by os.path.samefile when both exist, else by real path."""
+    same file by os.path.samefile when both exist, else by real path.  The
+    transcript files are outputs too; as distinct names in one directory they
+    are checked against the options' paths only, not against each other."""
     outputs = ("out", "random_message", "transcripts")
     named = [(f"--{name.replace('_', '-')}", getattr(args, name, None), name in outputs)
              for name in ("state", "ct", "sk", "ku", "dk", "message", "expect") + outputs]
     named = [entry for entry in named if entry[1]]
+    transcripts = [("transcript", name, True) for name in _transcript_names(args)]
     for i, (opt, path, _) in enumerate(named):
-        for other, other_path, written in named[i + 1:]:  # outputs come last
+        for other, other_path, written in named[i + 1:] + transcripts:  # outputs come last
             try:
                 same = written and os.path.samefile(path, other_path)
             except OSError:  # one of them does not exist yet
@@ -255,12 +265,6 @@ def _suggest_pairs(max_time, limit=5):
 def cmd_attack_demo(args):
     if args.trials < 1:  # before the run header or a drawn seed is printed
         raise ParameterError("need at least one trial")
-    names = [os.path.join(args.transcripts, f"trial-{i:04d}.json")
-             for i in range(args.trials)] if args.transcripts else []
-    out = args.out and os.path.realpath(args.out)
-    for name in names:  # before any trial runs; write_envelopes refuses it too
-        if os.path.realpath(name) == out:
-            raise RabeError(f"--out {args.out} names the same file as transcript {name}")
     seed = _resolve_seed(args)
     if seed is None:
         seed = int.from_bytes(os.urandom(4), "big")
@@ -316,7 +320,7 @@ def cmd_attack_demo(args):
         (name, serial.envelope("transcript", tr.backend,
                                serial.params_hash(serial.pp_payload(tr.artifacts["pp"])),
                                game.transcript_payload(tr)))
-        for name, tr in zip(names, transcripts)
+        for name, tr in zip(_transcript_names(args), transcripts)
     ]
     made = []  # the directories this run makes, deepest first
     path = os.path.normpath(args.transcripts or os.curdir)

@@ -17,7 +17,9 @@ Backends:
 
 Canonical element encoding: one backend byte, one side byte, then the
 payload (8-byte big-endian exponent, or a 48/96-byte compressed point /
-576-byte Fq12 coefficient block).  Scalars encode as 32-byte little-endian.
+576-byte Fq12 coefficient block).  Decoding takes the side the caller
+expects and refuses any other header before it reads the payload.  Scalars
+encode as 32-byte little-endian.
 """
 
 from __future__ import annotations
@@ -38,8 +40,6 @@ SIDE_TARGET = "target"
 
 _BACKEND_BYTE = {TRANSPARENT: 0x01, REAL: 0x02}
 _SIDE_BYTE = {SIDE_ONE: 0x01, SIDE_TWO: 0x02, SIDE_TARGET: 0x03}
-_BYTE_BACKEND = {v: k for k, v in _BACKEND_BYTE.items()}
-_BYTE_SIDE = {v: k for k, v in _SIDE_BYTE.items()}
 
 
 @dataclass(frozen=True)
@@ -179,13 +179,14 @@ class BilinearContext:
 
     # -- decoding ------------------------------------------------------------
 
-    def decode_element(self, data: bytes) -> GroupElement:
-        if len(data) < 2:
-            raise EnvelopeError("element encoding too short")
-        backend = _BYTE_BACKEND.get(data[0])
-        side = _BYTE_SIDE.get(data[1])
-        if backend != self.backend or side is None:
-            raise EnvelopeError("element encoding does not match this context")
+    def decode_element(self, data: bytes, side: str) -> GroupElement:
+        """The element of `side` that data encodes; both header bytes are
+        compared before any payload or curve work."""
+        if data[:1] != bytes([_BACKEND_BYTE[self.backend]]):
+            raise EnvelopeError(f"element encoding is not of the {self.backend} backend")
+        if data[1:2] != bytes([_SIDE_BYTE[side]]):
+            found = next((s for s, b in _SIDE_BYTE.items() if data[1:2] == bytes([b])), "unknown")
+            raise EnvelopeError(f"element encoding of side {found}, expected side {side}")
         try:
             payload = self._decode_payload(side, data[2:])
         except ValueError as exc:

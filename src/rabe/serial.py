@@ -25,7 +25,7 @@ import hashlib
 import json
 import os
 
-from .errors import EnvelopeError, ParameterError, PolicyParseError, RabeError, UnknownIdentityError
+from .errors import EnvelopeError, ParameterError, PolicyParseError, UnknownIdentityError
 from .groups import (
     REAL,
     SIDE_ONE,
@@ -102,26 +102,17 @@ def _b64(data: bytes) -> str:
     return base64.b64encode(data).decode("ascii")
 
 
-def _unb64(decode, text, field: str):
-    """decode() applied to the bytes of a base64 field."""
+def _unb64(decode, text, field: str, *args):
+    """decode(bytes, *args) applied to the bytes of a base64 field."""
     _typed(text, str, field)
     try:
-        return decode(base64.b64decode(text.encode("ascii"), validate=True))
+        return decode(base64.b64decode(text.encode("ascii"), validate=True), *args)
     except (ValueError, EnvelopeError) as exc:  # bad base64, or bytes decode() rejects
         raise EnvelopeError(f"field {field!r}: {exc}") from None
 
 
 def _el(element: GroupElement) -> str:
     return _b64(element.encode())
-
-
-def _unel(ctx: BilinearContext, text, field: str, side: str) -> GroupElement:
-    element = _unb64(ctx.decode_element, text, field)
-    if element.side != side:
-        raise EnvelopeError(
-            f"field {field!r} holds an element of side {element.side}, expected side {side}"
-        )
-    return element
 
 
 # A field codec is a pair (encode, decode): encode(value) gives the JSON
@@ -133,7 +124,7 @@ def _plain(kind):
 
 
 def _element(side: str):
-    return _el, (lambda ctx, text, field: _unel(ctx, text, field, side))
+    return _el, (lambda ctx, text, field: _unb64(ctx.decode_element, text, field, side))
 
 
 def _seq(item, length: int | None = None):
@@ -319,7 +310,7 @@ def msg_payload(message: GroupElement) -> dict:
 
 
 def msg_from_payload(ctx, data) -> GroupElement:
-    return _unel(ctx, _get(data, "value"), "value", SIDE_TARGET)
+    return _unb64(ctx.decode_element, _get(data, "value"), "value", SIDE_TARGET)
 
 
 def tree_payload(state: TreeState) -> dict:
@@ -366,14 +357,7 @@ def write_envelopes(pairs) -> None:
     a temporary file beside its path, fsynced, then each renamed over its
     path in order.  A full disk, an unwritable directory or a path that is a
     directory fails before any path changes.  A failure removes the temporary
-    files left and names the caller's path, not a temporary one.  Two pairs
-    that name one file (one real path) are refused before anything is staged."""
-    named = {}  # real path -> the caller's path
-    for path, _ in pairs:
-        real = os.path.realpath(path)
-        if real in named:
-            raise RabeError(f"two outputs name one file: {named[real]} and {path}")
-        named[real] = path
+    files left and names the caller's path, not a temporary one."""
     staged = []  # (temporary file, path), not yet renamed
     try:
         for path, env in pairs:

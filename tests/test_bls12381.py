@@ -238,6 +238,9 @@ def test_from_bytes_rejects_malformed():
         bls.g1_from_bytes(bytes([good[0] & 0x7F]) + good[1:])  # compression bit off
     with pytest.raises(ValueError):
         bls.g1_from_bytes(bytes([0xC0, 1]) + bytes(46))  # dirty infinity
+    for flags in (0xE0, 0xC1):  # infinity with the sign bit or an x bit: 0xC0 00.. is the one
+        with pytest.raises(ValueError, match="malformed G1 infinity"):
+            bls.g1_from_bytes(bytes([flags]) + bytes(47))
     oversized = (1 << 380) + bls.P  # x coordinate >= field modulus
     data = bytearray(oversized.to_bytes(48, "big"))
     data[0] |= 0x80
@@ -253,6 +256,8 @@ def test_g2_from_bytes_rejects_malformed():
     bad = {
         "compression bit off": bytes([good[0] & 0x7F]) + good[1:],
         "dirty infinity": bytes([0xC0]) + bytes(94) + bytes([1]),
+        "infinity with the sign bit": bytes([0xE0]) + bytes(95),
+        "infinity with an x bit": bytes([0xC1]) + bytes(95),
         "x1 >= P": bytes([p[0] | 0x80]) + p[1:] + good[48:],
         "x0 >= P": good[:48] + (bls.G2_GEN[0][0] + bls.P).to_bytes(48, "big"),
     }
@@ -286,18 +291,53 @@ def test_mul_of_negative_zero_and_infinity(group):
 
 
 def test_from_bytes_rejects_non_square_x():
-    # scan small x values; the first undecodable one must raise cleanly
-    rejected = 0
+    # scan small x values; the first undecodable one must raise cleanly.  An
+    # x off the curve (x^3 + 4 a non-square) is refused by g1_in_subgroup's
+    # on-curve test, the decoder's one curve check.
+    rejected = off_curve = 0
     for x in range(40):
         data = bytearray(x.to_bytes(48, "big"))
         data[0] |= 0x80
+        off_curve += not _fq_is_square((x ** 3 + 4) % bls.P)
         try:
             pt = bls.g1_from_bytes(bytes(data))
-        except ValueError:
+        except ValueError as exc:
+            assert "G1 point not on the curve or not in the prime-order subgroup" in str(exc)
             rejected += 1
         else:
             assert bls.g1_on_curve(pt) and bls.g1_in_subgroup(pt)
-    assert rejected > 0
+    assert rejected >= off_curve > 0
+
+
+def _fq_cube_root_square(t):
+    """A square cube root of t in Fq, for t a sixth power; p - 1 = 9m, 3 not dividing m."""
+    m = (bls.P - 1) // 9
+    base = pow(t, pow(3, -1, m), bls.P)  # a cube root of t up to a ninth root of unity
+    ninth = next(pow(a, m, bls.P) for a in range(2, 100) if pow(a, (bls.P - 1) // 3, bls.P) != 1)
+    roots = (base * pow(ninth, j, bls.P) % bls.P for j in range(9))
+    return next(s for s in roots if pow(s, 3, bls.P) == t and _fq_is_square(s))
+
+
+def test_g1_decoding_refuses_an_order_r_point_of_an_isomorphic_curve():
+    """The invalid-curve point that only the curve equation refuses.  For
+    (x0, y0) in G1 and c in Fq, (c^2 x0, c^3 y0) has order r on
+    y^2 = x^3 + 4c^6, where -phi acts as [z^2] too.  When 4c^6 = -2(c^2 x0)^3 - 4,
+    its y is the root the G1 decoder takes of the non-square (c^2 x0)^3 + 4:
+    the candidate passes the endomorphism half of g1_in_subgroup, and its
+    on-curve half must refuse it."""
+    for k in range(1, 100):
+        x0, _ = bls.g1_mul(bls.G1_GEN, k)
+        t = -2 * pow(2 + x0 ** 3, -1, bls.P) % bls.P  # c^6
+        if pow(t, (bls.P - 1) // 6, bls.P) == 1:
+            break
+    x = _fq_cube_root_square(t) * x0 % bls.P  # c^2 x0
+    pt = (x, pow((x ** 3 + 4) % bls.P, bls._SQRT_EXP, bls.P))
+    assert not bls.g1_on_curve(pt) and bls._G1.endo(pt) == bls.g1_mul(pt, bls._G1.radix)
+    data = bytearray(x.to_bytes(48, "big"))
+    data[0] |= 0x80
+    for sign in (0, 0x20):
+        with pytest.raises(ValueError, match="not on the curve"):
+            bls.g1_from_bytes(bytes([data[0] | sign]) + bytes(data[1:]))
 
 
 X = bls.BLS_X  # |z|; the curve parameter z is negative

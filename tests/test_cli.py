@@ -518,6 +518,10 @@ MUTATIONS = {
     "top-level-string": ("dk", lambda path: path.write_text(
         '"kindversionbackendparams_hashpayload"'), DECRYPT, ("JSON object",)),
     "version-a-string": ("ku", _set("version", "1"), DERIVE_DK, ("version '1'",)),
+    "version-true": ("ku", _set("version", True), DERIVE_DK,
+                     ("unsupported envelope version True",)),
+    "version-a-float": ("ku", _set("version", 1.0), DERIVE_DK,
+                        ("unsupported envelope version 1.0",)),
     # invariants the artifact classes state: key sets and row counts that agree
     "c2-key-dropped": ("ct2", _drop("payload", "c2", "2"), DECRYPT, ("'c2'",)),
     "c2-key-added": ("ct2", _set("payload", "c2", lambda c2: {**c2, "3": c2["1"]}), DECRYPT,
@@ -529,6 +533,8 @@ MUTATIONS = {
                      ("'t_gens'",)),
     "leaves-shared": ("state", _set("payload", "tree", "leaves", lambda leaves: {
         **leaves, "bob": leaves["alice"]}), UPDATE_KEY, ("'leaves'",)),
+    "leaf-past-the-tree": ("state", _set("payload", "tree", "leaves", {"alice": 16}), UPDATE_KEY,
+                           ("'leaves'", "'alice' sits at 16")),
     # a revocation entry passes the checks `rabe revoke` makes; alice is the one
     # identity with a leaf here
     "epochs-negative": ("state", _set("payload", "rl", "epochs", {"alice": -4}), UPDATE_KEY,

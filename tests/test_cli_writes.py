@@ -197,19 +197,29 @@ def test_outputs_naming_an_input_or_output_exit_3(walked, capsys, case, via):
     assert _snapshot(walked) == before
 
 
-@pytest.mark.parametrize("via", ["relative", "symlink"])
-def test_an_output_naming_a_transcript_exits_3(walked, capsys, via):
+@pytest.mark.parametrize("opt, via", [
+    pytest.param("--out", "relative", id="relative"),
+    pytest.param("--out", "symlink", id="symlink"),
+    pytest.param("--state", "relative", id="state-relative"),
+    pytest.param("--state", "symlink", id="state-symlink"),
+])
+def test_an_output_naming_a_transcript_exits_3(walked, capsys, opt, via):
     """The transcripts are named inside --transcripts, out of the options'
-    sight: attack-demo refuses the pair before any trial runs or prints."""
-    (walked / "link.json").symlink_to("runs/trial-0000.json")  # dangling
+    sight: attack-demo refuses an option that names one, the state (and its
+    master key) included, before any trial runs or prints."""
+    if opt == "--state":  # a state file where trial 0's transcript would go
+        (walked / "runs").mkdir()
+        shutil.copy(walked / "s.json", walked / "runs" / "trial-0000.json")
+    (walked / "link.json").symlink_to("runs/trial-0000.json")  # dangling for --out
     same = "./runs/trial-0000.json" if via == "relative" else "link.json"
     before = _snapshot(walked)
-    code, out, err = run(capsys, "attack-demo", "--seed", 1, "--trials", 2, "--out", same,
+    code, out, err = run(capsys, "attack-demo", "--seed", 1, "--trials", 2, opt, same,
                          "--transcripts", "runs")
     assert code == EXIT_INVALID and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert same in err and "runs/trial-0000.json" in err.replace(same, "", 1)
-    assert _snapshot(walked) == before and not (walked / "runs").exists()
+    assert _snapshot(walked) == before  # with --state, runs/ holds the state alone
+    assert opt == "--state" or not (walked / "runs").exists()
 
 
 def test_only_the_trials_transcript_names_collide_with_out(walked, capsys):

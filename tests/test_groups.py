@@ -130,7 +130,7 @@ def test_encode_roundtrip_transparent_1000_per_side(tctx):
         for _ in range(1000):
             el = tctx.random_element(side, rng)
             data = el.encode()
-            back = tctx.decode_element(data)
+            back = tctx.decode_element(data, side)
             assert back == el and back.side == side
 
 
@@ -142,9 +142,9 @@ def test_encode_roundtrip_real(rctx):
             el = rctx.random_element(side, rng)
             data = el.encode()
             assert len(data) == lengths[side]
-            assert rctx.decode_element(data) == el
+            assert rctx.decode_element(data, side) == el
         ident = identity(rctx, side)
-        assert rctx.decode_element(ident.encode()) == ident
+        assert rctx.decode_element(ident.encode(), side) == ident
 
 
 def test_side_mixing_is_rejected(tctx):
@@ -194,23 +194,41 @@ def test_decode_rejects_malformed(tctx, rctx):
     el = tctx.generator(SIDE_ONE) ** 5
     data = el.encode()
     with pytest.raises(EnvelopeError):
-        tctx.decode_element(b"")
+        tctx.decode_element(b"", SIDE_ONE)
     with pytest.raises(EnvelopeError):
-        tctx.decode_element(data[:-1])
+        tctx.decode_element(data[:-1], SIDE_ONE)
     with pytest.raises(EnvelopeError):
-        rctx.decode_element(data)  # transparent bytes into the real context
+        rctx.decode_element(data, SIDE_ONE)  # transparent bytes into the real context
     with pytest.raises(EnvelopeError):
-        tctx.decode_element(bytes([data[0], 0x7F]) + data[2:])
+        tctx.decode_element(bytes([data[0], 0x7F]) + data[2:], SIDE_ONE)
     too_big = data[:2] + (tctx.prime_order).to_bytes(8, "big")
     with pytest.raises(EnvelopeError):
-        tctx.decode_element(too_big)
+        tctx.decode_element(too_big, SIDE_ONE)
+
+
+def test_decode_compares_the_header_before_the_payload(rctx, monkeypatch):
+    """A wrong-side or wrong-backend element never reaches the curve decoders:
+    no square root, no subgroup test."""
+    def unreachable(data):
+        raise AssertionError("payload decoded despite a wrong header")
+
+    two = rctx.generator(SIDE_TWO).encode()
+    for name in ("g1_from_bytes", "g2_from_bytes", "fq12_from_bytes"):
+        monkeypatch.setattr(bls, name, unreachable)
+    for side in (SIDE_ONE, SIDE_TARGET):
+        with pytest.raises(EnvelopeError, match=f"of side two, expected side {side}"):
+            rctx.decode_element(two, side)
+    with pytest.raises(EnvelopeError, match="expected side two"):
+        rctx.decode_element(two[:1] + b"\x7f" + two[2:], SIDE_TWO)
+    with pytest.raises(EnvelopeError, match="not of the real backend"):
+        rctx.decode_element(b"\x01" + two[1:], SIDE_TWO)
 
 
 def test_real_decode_rejects_off_curve_bytes(rctx):
     good = rctx.generator(SIDE_ONE).encode()
     bad = good[:2] + bytes([good[2] ^ 0x01]) + good[3:]
     with pytest.raises(EnvelopeError):
-        rctx.decode_element(bad)
+        rctx.decode_element(bad, SIDE_ONE)
 
 
 def test_transparent_log_is_transparent_only(tctx, rctx):

@@ -33,6 +33,8 @@ def test_identities_sit_on_distinct_leaves():
     TreeState(capacity=4, leaf_of={"a": 4, "b": 7})
     with pytest.raises(ParameterError, match="'leaves': 'b' sits at 3, not at a leaf"):
         TreeState(capacity=4, leaf_of={"a": 4, "b": 3})
+    with pytest.raises(ParameterError, match="'leaves': 'b' sits at 8, not at a leaf"):
+        TreeState(capacity=4, leaf_of={"a": 4, "b": 8})
     with pytest.raises(ParameterError, match="two identities on one leaf"):
         TreeState(capacity=4, leaf_of={"a": 5, "b": 5})
 
