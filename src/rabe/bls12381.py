@@ -20,9 +20,11 @@ group (GLV/GLS, Galbraith-Scott): -phi, with phi(x, y) = (beta x, y), acts
 on G1 as [z^2], -psi, with psi the untwist-Frobenius-twist map, acts on G2
 as [|z|], and conj o Frobenius acts on GT as [|z|], so the scalar becomes
 two 128-bit or four 64-bit digits.  The digits share one width-4 wNAF
-doubling chain, or, for a base that has taken a few such scalars (the
-generators from the start), run Horner-style over a fixed-base table of
-that base for one digit.  The same maps give the membership
+doubling chain, or run Horner-style over a fixed-base table of the base
+for one digit: the G1 and G2 generators have permanent width-8 tables
+(about 0.5 MB together, built on first use and held outside the LRU of
+tables), and any other base earns a width-4 table after a few such
+scalars.  The same maps give the membership
 tests (Scott, ePrint 2021/1130), which need only a power by z^2 or |z|.
 Fq2 square roots go by the norm.  The pairing is the ate pairing: a Miller
 loop over the curve parameter that keeps the running point on the twist in
@@ -460,20 +462,25 @@ def final_exponentiation(f):
 # is split by the group's endomorphism: endo acts on the r-torsion as
 # [radix], and R < radix^4 on G2 and GT (radix = |z|) and R < radix^2 on G1
 # (radix = z^2), since R = z^4 - z^2 + 1.  The digits run as one interleaved
-# wNAF over the bases endo^i(pt) or, for a hot base, Horner-style over its
-# signed-digit fixed-base table for one digit (Brickell-Gordon-McCurley-
-# Wilson, Eurocrypt 1992): row i holds the affine points j * 2^(4i) * B for
-# j = 1..8, so [d]B is one mixed addition per nonzero base-16 digit of d and
-# no doubling.  Each point is packed into one int of 384-bit words, which
+# wNAF over the bases endo^i(pt) or, for a base with a table, Horner-style
+# over its signed-digit fixed-base table for one digit (Brickell-Gordon-
+# McCurley-Wilson, Eurocrypt 1992; Lim-Lee, Crypto 1994): row i of a
+# width-w table holds the affine points j * 2^(wi) * B for j = 1..2^(w-1),
+# so [d]B is one mixed addition per nonzero base-2^w digit of d and no
+# doubling.  Each point is packed into one int of 384-bit words, which
 # takes 40 % less memory than its nested tuples on G1 and over half less on
-# G2 and GT, and unpacks in a few shifts.  Each group keeps one _kept LRU
-# dict, keyed by the base, of the split-path uses of its recent bases.  The
-# _HOT_USES-th use builds the table, past _HOT_TABLES tables the least
-# recently used one goes, and the generators start hot.  Nothing cached
-# here is ever serialized.
+# G2 and GT, and unpacks in a few shifts.  The G1 and G2 generators have
+# permanent width-8 tables (2049 points on G1, 1025 on G2, about 0.5 MB
+# together), built by the generator's first split-path use, not at import,
+# and held outside the LRU: a generator power is at most 34 mixed additions
+# on G1 and 36 on G2.  Other bases, GT's among them, earn width-4 tables by
+# use: each group keeps one _kept LRU dict, keyed by the base, of the
+# split-path uses of its recent bases.  The _HOT_USES-th use builds the
+# table, and past _HOT_TABLES tables the least recently used one goes.
+# Nothing cached here is ever serialized.
 
-_FB_WIDTH = 4
-_FB_HALF = 1 << (_FB_WIDTH - 1)  # multiples per row; digits lie in [-7, 8]
+_FB_WIDTH = 4  # tables earned by use: 8 multiples per row, digits in [-7, 8]
+_GEN_WIDTH = 8  # the generators' tables: 128 multiples per row, digits in [-127, 128]
 _HOT_USES = 5  # a table costs about five split wNAF multiplications to build
 _HOT_TABLES = 24  # tables held per group: 35 KiB each on G1, 31 KiB on G2, 83 KiB on GT
 _WORD = (1 << 384) - 1  # a coordinate of a packed point; P < 2^381
@@ -497,7 +504,9 @@ class _Group:
         self.radix = radix
         self.pack = pack  # an affine point as one int of 384-bit words, for the tables
         self.unpack = unpack
-        self.hot = {gen: _HOT_USES - 1}  # base -> split-path uses, or its table
+        self.gen = gen
+        self.gen_table = None  # the generator's width-8 table, once built
+        self.hot = {}  # other bases -> split-path uses, or their table
 
     def lift(self, pt):  # affine, not infinity, to the driver's Jacobian form
         return (*pt, self.one)
@@ -538,7 +547,7 @@ class _Cyclotomic(_Group):
     identity = FQ12_ONE
 
     def __init__(self):
-        self.inf, self.radix, self.hot = FQ12_ONE, BLS_X, {}
+        self.inf, self.radix, self.hot, self.gen = FQ12_ONE, BLS_X, {}, None
         self.pack = lambda f: _pack(_fq12_coeffs(f))
         self.unpack = lambda v: _fq12_of([v >> s & _WORD for s in range(0, 12 * 384, 384)])
         self.dbl = lambda f: f if f is FQ12_ONE else fq12_cyclo_sqr(f)
@@ -548,15 +557,16 @@ class _Cyclotomic(_Group):
         self.lift = self.to_affine = lambda x: x
 
 
-def _fb_digits(k, rows):
-    """The rows signed digits of 0 <= k < 2^(_FB_WIDTH (rows - 1)), least
-    significant first, each in [1 - _FB_HALF, _FB_HALF]."""
+def _fb_digits(k, rows, width):
+    """The rows signed digits of 0 <= k < 2^(width (rows - 1)), least
+    significant first, each in [1 - 2^(width - 1), 2^(width - 1)]."""
+    half, mask = 1 << (width - 1), (1 << width) - 1
     digits = []
     for _ in range(rows):
-        d = k & ((1 << _FB_WIDTH) - 1)
-        k >>= _FB_WIDTH
-        if d > _FB_HALF:
-            d -= 1 << _FB_WIDTH
+        d = k & mask
+        k >>= width
+        if d > half:
+            d -= 1 << width
             k += 1
         digits.append(d)
     return digits
@@ -567,17 +577,17 @@ def _pack(words):
     return sum(w << 384 * i for i, w in enumerate(words))
 
 
-def _fixed_table(g, base):
-    """The rows j * 2^(4i) * base, j = 1..8, for every window of a radix
-    digit, packed, and a last row for the carry out of the top window,
-    which is at most one."""
+def _fixed_table(g, base, width):
+    """The rows j * 2^(width i) * base, j = 1..2^(width - 1), for every
+    window of a radix digit, packed, and a last row for the carry out of
+    the top window, which is at most one."""
     rows = []
-    for _ in range(-(-g.radix.bit_length() // _FB_WIDTH)):
+    for _ in range(-(-g.radix.bit_length() // width)):
         jac = [g.lift(base)]
         jac.append(g.dbl(jac[0]))
-        for _ in range(_FB_HALF - 2):
+        for _ in range((1 << (width - 1)) - 2):
             jac.append(g.madd(jac[-1], base))
-        jac.append(g.dbl(jac[-1]))  # 2^_FB_WIDTH * base, the next row's base
+        jac.append(g.dbl(jac[-1]))  # 2^width * base, the next row's base
         *row, base = g.to_affine(jac)
         rows.append([g.pack(q) for q in row])
     return rows + [[g.pack(base)]]
@@ -602,6 +612,17 @@ def _kept(cache, key, build, uses, cap):
             del cache[next(k for k, v in cache.items() if isinstance(v, int))]
     cache[key] = value
     return None if isinstance(value, int) else value
+
+
+def _table(g, pt):
+    """pt's fixed-base table on the split path, or None while pt has not
+    earned one: the generator's width-8 table, built on its first use, or
+    a width-4 table kept by use."""
+    if pt == g.gen:
+        if g.gen_table is None:
+            g.gen_table = _fixed_table(g, pt, _GEN_WIDTH)
+        return g.gen_table
+    return _kept(g.hot, pt, lambda b: _fixed_table(g, b, _FB_WIDTH), _HOT_USES, _HOT_TABLES)
 
 
 def _mul(g, pt, k):
@@ -632,13 +653,13 @@ def _mul(g, pt, k):
         while k:
             k, d = divmod(k, g.radix)
             digits.append(d)
-        table = _kept(g.hot, pt, lambda b: _fixed_table(g, b), _HOT_USES, _HOT_TABLES)
+        table = _table(g, pt)
         if table is not None:
-            unpack = g.unpack
+            unpack, width = g.unpack, len(table[0]).bit_length()
             for i, d in enumerate(reversed(digits)):
                 if i:
                     acc = g.endo(acc)
-                for row, e in zip(table, _fb_digits(d, len(table))):
+                for row, e in zip(table, _fb_digits(d, len(table), width)):
                     if e > 0:
                         acc = madd(acc, unpack(row[e - 1]))
                     elif e < 0:

@@ -2,6 +2,9 @@
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -93,35 +96,127 @@ def test_generator_table_agrees_with_wnaf(group):
 
 
 def _on_wnaf(mul, pt, k):
-    """mul(pt, k) with every base cold: the wNAF path, which counts no use."""
+    """mul(pt, k) with no table for any base, the generators' included:
+    the wNAF path, which counts no use."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(bls, "_kept", lambda *args: None)
+        mp.setattr(bls, "_table", lambda *args: None)
         return mul(pt, k)
+
+
+def _window_edges(g):
+    """Split-path scalars below R whose every radix digit has a recoded
+    width-8 window of 127, 128 or 129 (-127, carry one) in its lowest and
+    its top window, and also 255 (-1, carry one) in its lowest.  255 never
+    sits in the top window: a radix digit's top byte is at most 0xd2 on G2
+    and 0xac on G1."""
+    top, w = g.radix.bit_length(), bls._GEN_WIDTH
+    n = -(-bls.R.bit_length() // top)  # radix digits of a scalar below R
+    digits = [lo + (hi << (top - w)) for lo in (127, 128, 129, 255) for hi in (127, 128, 129)]
+    scalars = [sum(d * g.radix**i for i in range(n)) for d in digits]
+    assert all(top < k.bit_length() and k < bls.R for k in scalars)
+    return scalars
 
 
 @pytest.mark.parametrize("group", sorted(GROUPS))
 def test_generator_table_edge_scalars(group, monkeypatch):
-    gen, mul, add, neg = GROUPS[group]
+    _, mul, add, neg = GROUPS[group]
     g = bls._G1 if group == "G1" else bls._G2
-    monkeypatch.setattr(g, "hot", {gen: bls._HOT_USES - 1})  # as at import: the generator starts hot
+    # a decoded generator, equal to the module's but not the same object
+    decode, hex_ = (bls.g1_from_bytes, G1_GEN_HEX) if group == "G1" else (bls.g2_from_bytes, G2_GEN_HEX)
+    gen = decode(bytes.fromhex(hex_))
+    assert gen == g.gen and gen is not g.gen
+    monkeypatch.setattr(g, "gen_table", None)  # as at import
+    monkeypatch.setattr(g, "hot", {})
     last = (1 << 256) - 1
-    for k in (0, 1, 7, 8, 9, 16, bls.R - 1, bls.R, bls.R + 1, last, last + 1):
+    for k in (0, 1, 7, 8, 9, 16, 127, 128, 129, 255, 256, *_window_edges(g),
+              bls.R - 1, bls.R, bls.R + 1, last, last + 1):
         kg = mul(gen, k)
         assert kg == _on_wnaf(mul, gen, k) and mul(gen, -k) == neg(kg) == _on_wnaf(mul, neg(gen), k), k
-        # the first scalar longer than the radix builds the generator's table
-        assert isinstance(g.hot[gen], list) == (k >= bls.R - 1), k
+        # the first scalar longer than the radix builds the generator's
+        # table, which is held outside the LRU
+        assert (g.gen_table is not None) == (k.bit_length() > g.radix.bit_length()), k
+        assert gen not in g.hot, k
     assert mul(gen, 0) is None and mul(gen, bls.R) is None
     assert mul(gen, 1) == mul(gen, bls.R + 1) == gen and mul(gen, bls.R - 1) == neg(gen)
     assert mul(gen, 9) == add(mul(gen, 8), gen) and mul(gen, 16) == add(mul(gen, 8), mul(gen, 8))
     assert mul(gen, last + 1) == mul(gen, (last + 1) % bls.R)
-    # one radix digit's rows of 8 packed affine multiples j * 16^i * G (32 on
-    # G1, 16 on G2), then a row for the last carry, all checked on the wNAF path
-    table = g.hot[gen]
-    top = 4 * (len(table) - 1)
-    assert len(table) == {"G1": 33, "G2": 17}[group] and top == g.radix.bit_length()
-    assert all(len(row) == 8 for row in table[:-1]) and len(table[-1]) == 1
-    for i, row in enumerate(table):
-        assert [g.unpack(v) for v in row] == [_on_wnaf(mul, gen, j << 4 * i) for j in range(1, len(row) + 1)]
+    # one radix digit's rows of 128 packed affine multiples j * 256^i * G
+    # (16 rows on G1, 8 on G2), then a row for the last carry
+    w, table = bls._GEN_WIDTH, g.gen_table
+    assert len(table) == {"G1": 17, "G2": 9}[group] and w * (len(table) - 1) == g.radix.bit_length()
+    assert all(len(row) == 128 for row in table[:-1]) and len(table[-1]) == 1
+    # every entry by two relations independent of the table: entry j + 1 is
+    # entry j plus entry 1, by add, and row i + 1 starts at [256] times row
+    # i's start, by the plain path
+    rows = [[g.unpack(v) for v in row] for row in table]
+    assert rows[0][0] == gen
+    for i, row in enumerate(rows):
+        assert all(add(p, row[0]) == q for p, q in zip(row, row[1:])), i
+        if i + 1 < len(rows):
+            assert rows[i + 1][0] == _on_wnaf(mul, row[0], 1 << w), i
+
+
+def test_generator_tables_are_unbuilt_after_import():
+    code = ("import rabe, rabe.cli, rabe.bls12381 as bls; "
+            "print([(g.gen_table, g.hot) for g in (bls._G1, bls._G2)])")
+    src = os.path.dirname(os.path.dirname(bls.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[(None, {}), (None, {})]"
+
+
+@pytest.mark.parametrize("group", sorted(GROUPS))
+def test_generator_tables_stay_out_of_the_lru(group, monkeypatch):
+    gen, mul, _, _ = GROUPS[group]
+    g = bls._G1 if group == "G1" else bls._G2
+    monkeypatch.setattr(g, "hot", {})
+    mul(gen, bls.R - 1)
+    table = g.gen_table
+    assert table is not None and gen not in g.hot
+    # enough fresh bases to push every table and every count out of the LRU,
+    # with the generator unused meanwhile, so an LRU would drop its table;
+    # a power by R + 1 is a split-path use at the cost of a one-digit wNAF
+    for a in range(2, 2 * bls._HOT_TABLES + 4):
+        pt = mul(gen, a)
+        for _ in range(bls._HOT_USES):
+            assert mul(pt, bls.R + 1) == pt
+    assert gen not in g.hot and g.gen_table is table
+    assert mul(gen, bls.R - 2) == _on_wnaf(mul, gen, bls.R - 2)
+    assert sum(isinstance(v, list) for v in g.hot.values()) == bls._HOT_TABLES
+
+
+@pytest.mark.parametrize("group", sorted(GROUPS))
+def test_generator_power_cost(group, monkeypatch):
+    """A generator power is at most one mixed addition per table row and
+    radix digit, 2 * 17 on G1 and 4 * 9 on G2, and no doubling."""
+    gen, mul, _, _ = GROUPS[group]
+    g = bls._G1 if group == "G1" else bls._G2
+    mul(gen, bls.R - 1)  # the table is built
+    calls = {"madd": 0, "dbl": 0}
+
+    def counted(name):
+        fn = getattr(g, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(g, name, wrapper)
+
+    counted("madd")
+    counted("dbl")
+    rng = SeededRng(f"gen-cost-{group}")
+    cost = []
+    for k in _window_edges(g) + [bls.R - 1, bls.R + 1] + [rng.randbelow(bls.R) for _ in range(8)]:
+        calls.update(madd=0)
+        mul(gen, k)
+        cost.append(calls["madd"])
+    assert max(cost) <= {"G1": 34, "G2": 36}[group] and calls["dbl"] == 0
+    assert min(cost) > 0
+    # digits lie in [-127, 128]: a window of 128 is one addition, no carry
+    n = -(-bls.R.bit_length() // g.radix.bit_length())
+    calls.update(madd=0)
+    mul(gen, sum(128 * g.radix**i for i in range(n)))
+    assert calls["madd"] == n
 
 
 @pytest.mark.parametrize("group", sorted(GROUPS))
@@ -265,6 +360,42 @@ def test_g2_from_bytes_rejects_malformed():
         assert len(data) == 96, case
         with pytest.raises(ValueError):
             bls.g2_from_bytes(data)
+
+
+def test_decoders_refuse_every_other_length():
+    """One encoding per element.  [766]G1 is the first multiple with
+    x < 2^373 and [14]G2 the first with x0 < 2^376, so a 47-byte G1 or a
+    95-byte G2 string that leaves out a zero top byte of an x word would
+    parse to the same point; a longer string, to one more word."""
+    p, q = bls.g1_mul(bls.G1_GEN, 766), bls.g2_mul(bls.G2_GEN, 14)
+    assert p[0] < 1 << 373 and q[0][0] < 1 << 376
+    g1, g2 = bls.g1_to_bytes(p), bls.g2_to_bytes(q)
+    cases = (
+        (bls.g1_from_bytes, "G1 encoding must be 48 bytes", g1, bytes([g1[0] | g1[1]]) + g1[2:]),
+        (bls.g2_from_bytes, "G2 encoding must be 96 bytes", g2, g2[:48] + g2[49:]),
+        (bls.fq12_from_bytes, "Fq12 encoding must be 576 bytes", bls.fq12_to_bytes(bls.FQ12_ONE), None),
+    )
+    for decode, message, good, short in cases:
+        for data in filter(None, (short, good[:-1], good + bytes(1), good + bytes(48))):
+            with pytest.raises(ValueError, match=message):
+                decode(data)
+
+
+def test_words_up_to_p_minus_one_are_in_range():
+    m = bls.P - 1  # the largest word; P itself is refused (test_fq12_bytes_roundtrip_and_validity)
+    top = m.to_bytes(48, "big")
+    assert bls.fq12_from_bytes(top * 12) == (((m, m),) * 3,) * 2
+    # so a G1 x of P - 1 reaches the curve and subgroup test
+    with pytest.raises(ValueError, match="not on the curve or not in the prime-order subgroup"):
+        bls.g1_from_bytes(bytes([top[0] | 0x80]) + top[1:])
+
+
+def test_g2_from_bytes_rejects_an_x_with_no_point():
+    # x = (x0, 0) for the first x0 whose x^3 + 4(u + 1) is a non-square in Fq2
+    x0 = next(a for a in range(1, 40) if bls.fq2_sqrt(bls.fq2_add((a**3 % bls.P, 0), bls.B2)) is None)
+    for sign in (0, 0x20):
+        with pytest.raises(ValueError, match="G2 x coordinate not on curve"):
+            bls.g2_from_bytes(bytes([0x80 | sign]) + bytes(47) + x0.to_bytes(48, "big"))
 
 
 @pytest.mark.parametrize("group", sorted(GROUPS))
@@ -416,6 +547,22 @@ def test_g2_membership_rejects_points_outside_g2(g2_off_subgroup):
                 bls.g2_from_bytes(bls.g2_to_bytes(pt))
 
 
+def test_identity_is_in_both_subgroups():
+    assert bls.g1_in_subgroup(None) and bls.g2_in_subgroup(None)
+
+
+def test_g2_membership_refuses_an_order_r_point_of_an_isomorphic_curve():
+    """For Q = (x, y) in G2 and c in Fq with c^6 != 1, (c^2 x, c^3 y) has
+    order r on y^2 = x^3 + 4(u + 1)c^6.  psi commutes with this map, since
+    c is in Fq, so the point passes the endomorphism half of g2_in_subgroup,
+    and its on-curve half must refuse it.  The G2 decoder never makes such
+    a point: fq2_sqrt checks its root."""
+    (x, y), c = bls.g2_mul(bls.G2_GEN, 5), 2
+    pt = (bls.fq2_mul(x, (c**2, 0)), bls.fq2_mul(y, (c**3, 0)))
+    assert not bls.g2_on_curve(pt) and bls._G2.endo(pt) == bls.g2_mul(pt, bls._G2.radix)
+    assert not bls.g2_in_subgroup(pt)
+
+
 SPLIT_EDGES = (
     2**64 - 1, 2**64, X - 1, X, X + 1, X**2, X**2 + 1, X**3, bls.R - 1, bls.R, bls.R + 1, 2**256,
 )
@@ -509,7 +656,7 @@ def _madd_first_table(g, base):
     rows = []
     for _ in range(-(-g.radix.bit_length() // bls._FB_WIDTH)):
         jac = [g.lift(base)]
-        for _ in range(bls._FB_HALF - 1):
+        for _ in range((1 << (bls._FB_WIDTH - 1)) - 1):
             jac.append(g.madd(jac[-1], base))
         jac.append(g.dbl(jac[-1]))
         *row, base = g.to_affine(jac)
@@ -521,7 +668,7 @@ def _madd_first_table(g, base):
 def test_fixed_table_rows_start_with_a_doubling(group):
     g, _, base = HOT[group]
     pt = base(SeededRng(f"table-row-{group}").randbelow(bls.R - 1) + 1)
-    assert bls._fixed_table(g, pt) == _madd_first_table(g, pt)
+    assert bls._fixed_table(g, pt, bls._FB_WIDTH) == _madd_first_table(g, pt)
 
 
 @pytest.mark.parametrize("group", sorted(HOT))

@@ -104,8 +104,9 @@ def test_real_exponentiations_make_one_curve_call_each(monkeypatch):
 
     for name in calls:
         count(name)
-    # with no base hot, keygen's repeated bases (g2.two and the generator)
-    # build their tables inside g2_mul, which counts no call either
+    # with no base hot, keygen's repeated bases (g2.two, and the generator,
+    # whose table is its own) build their tables inside g2_mul, which counts
+    # no call either
     monkeypatch.setattr(bls._G2, "hot", {})
     keygen(pp, mk, state, "alice", policy, rng)
     assert any(isinstance(v, list) for v in bls._G2.hot.values())
