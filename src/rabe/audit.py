@@ -74,8 +74,9 @@ class ParamLogs:
 
 def read_params(pp, mk) -> tuple[ParamLogs, list[Check]]:
     """Extract the setup exponents and verify the mirrored-pair discipline:
-    both halves of every public pair carry the same exponent, and the
-    blinding element is the generator raised to the master exponent."""
+    both halves of every public pair carry the same exponent, g1 is the
+    generator raised to the master exponent, and the blinding base e(g1, g2)
+    that setup precomputes is the target generator raised to alpha * log g2."""
     _require_transparent(pp)
     checks = []
 
@@ -87,6 +88,8 @@ def read_params(pp, mk) -> tuple[ParamLogs, list[Check]]:
     alpha = int(mk.alpha)
     checks.append(Check("g1 = g^alpha", _log(pp.g1) == alpha, alpha, _log(pp.g1)))
     g2 = mirrored("g2", pp.g2)
+    blind, found = alpha * g2 % pp.ctx.prime_order, _log(pp.blinding_base())
+    checks.append(Check("e(g1, g2) = e(g, g~)^(alpha g2)", found == blind, blind, found))
     t = tuple(mirrored(f"t[{i + 1}]", pair) for i, pair in enumerate(pp.t_gens))
     u0 = mirrored("u0", pp.u0)
     u = tuple(mirrored(f"u[{j + 1}]", pair) for j, pair in enumerate(pp.u_gens))

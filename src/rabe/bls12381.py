@@ -10,10 +10,13 @@ products unreduced where only sums take them and reducing each output
 coefficient once.
 
 G1 is E(Fq): y^2 = x^3 + 4, G2 is the sextic twist E'(Fq2): y^2 = x^3 +
-4(u+1), and GT is the order-r subgroup of Fq12*.  Points are affine pairs
-(or None for infinity); scalar multiplication runs on Jacobian coordinates
-internally, with one doubling (EFD dbl-2009-l) and one mixed Jacobian +
-affine addition (madd-2007-bl) per group, written on plain ints on G1 and
+4(u+1), and GT is the order-r subgroup of Fq12*, generated by the constant
+GT_GEN = e(G1_GEN, G2_GEN), which has no permanent table (the scheme's setup
+makes its blinding base e(g1, g2) as a power of it; a loaded deployment
+pairs once for that base).  Points are affine pairs (or None for infinity);
+scalar multiplication runs on Jacobian coordinates internally, with one
+doubling (EFD dbl-2009-l) and one mixed Jacobian + affine addition
+(madd-2007-bl) per group, written on plain ints on G1 and
 on unpacked Fq2 coefficients on G2.  One scalar driver serves G1,
 G2 and GT.  It splits a full-length scalar by a cheap endomorphism of each
 group (GLV/GLS, Galbraith-Scott): -phi, with phi(x, y) = (beta x, y), acts
@@ -22,9 +25,9 @@ as [|z|], and conj o Frobenius acts on GT as [|z|], so the scalar becomes
 two 128-bit or four 64-bit digits.  The digits share one width-4 wNAF
 doubling chain, or run Horner-style over a fixed-base table of the base
 for one digit: the G1 and G2 generators have permanent width-8 tables
-(about 0.5 MB together, built on first use and held outside the LRU of
-tables), and any other base earns a width-4 table after a few such
-scalars.  The same maps give the membership
+(about 0.5 MB together, built at their fifth such scalar and held outside
+the LRU of tables), and any other base, GT_GEN among them, earns a width-4
+table after five such scalars.  The same maps give the membership
 tests (Scott, ePrint 2021/1130), which need only a power by z^2 or |z|.
 Fq2 square roots go by the norm.  The pairing is the ate pairing: a Miller
 loop over the curve parameter that keeps the running point on the twist in
@@ -59,6 +62,40 @@ G2_GEN = (
     (
         0x0CE5D527727D6E118CC9CDC6DA2E351AADFD9BAA8CBDD3A76D429A695160D12C923AC9CC3BACA289E193548608B82801,
         0x0606C4A02EA734CC32ACD2B02BC28B99CB3E287E85A763AF267492AB572E99AB3F370D275CEC1DA1AAA9075FF05F79BE,
+    ),
+)
+
+# e(G1_GEN, G2_GEN) in pairing_product's convention (the cube of the
+# textbook pairing, see final_exponentiation): GT's generator, a constant so
+# that no process runs a pairing to make it
+GT_GEN = (
+    (
+        (
+            0x1250EBD871FC0A92A7B2D83168D0D727272D441BEFA15C503DD8E90CE98DB3E7B6D194F60839C508A84305AACA1789B6,
+            0x089A1C5B46E5110B86750EC6A532348868A84045483C92B7AF5AF689452EAFABF1A8943E50439F1D59882A98EAA0170F,
+        ),
+        (
+            0x1368BB445C7C2D209703F239689CE34C0378A68E72A6B3B216DA0E22A5031B54DDFF57309396B38C881C4C849EC23E87,
+            0x193502B86EDB8857C273FA075A50512937E0794E1E65A7617C90D8BD66065B1FFFE51D7A579973B1315021EC3C19934F,
+        ),
+        (
+            0x01B2F522473D171391125BA84DC4007CFBF2F8DA752F7C74185203FCCA589AC719C34DFFBBAAD8431DAD1C1FB597AAA5,
+            0x018107154F25A764BD3C79937A45B84546DA634B8F6BE14A8061E55CCEBA478B23F7DACAA35C8CA78BEAE9624045B4B6,
+        ),
+    ),
+    (
+        (
+            0x19F26337D205FB469CD6BD15C3D5A04DC88784FBB3D0B2DBDEA54D43B2B73F2CBB12D58386A8703E0F948226E47EE89D,
+            0x06FBA23EB7C5AF0D9F80940CA771B6FFD5857BAAF222EB95A7D2809D61BFE02E1BFD1B68FF02F0B8102AE1C2D5D5AB1A,
+        ),
+        (
+            0x11B8B424CD48BF38FCEF68083B0B0EC5C81A93B330EE1A677D0D15FF7B984E8978EF48881E32FAC91B93B47333E2BA57,
+            0x03350F55A7AEFCD3C31B4FCB6CE5771CC6A0E9786AB5973320C806AD360829107BA810C5A09FFDD9BE2291A0C25A99A2,
+        ),
+        (
+            0x04C581234D086A9902249B64728FFD21A189E87935A954051C7CDBA7B3872629A4FAFC05066245CB9108F0242D0FE3EF,
+            0x0F41E58663BF08CF068672CBD01A7EC73BACA4D72CA93544DEFF686BFD6DF543D48EAA24AFE47E1EFDE449383B676631,
+        ),
     ),
 )
 
@@ -471,12 +508,14 @@ def final_exponentiation(f):
 # takes 40 % less memory than its nested tuples on G1 and over half less on
 # G2 and GT, and unpacks in a few shifts.  The G1 and G2 generators have
 # permanent width-8 tables (2049 points on G1, 1025 on G2, about 0.5 MB
-# together), built by the generator's first split-path use, not at import,
-# and held outside the LRU: a generator power is at most 34 mixed additions
-# on G1 and 36 on G2.  Other bases, GT's among them, earn width-4 tables by
-# use: each group keeps one _kept LRU dict, keyed by the base, of the
-# split-path uses of its recent bases.  The _HOT_USES-th use builds the
-# table, and past _HOT_TABLES tables the least recently used one goes.
+# together), built by the generator's _HOT_USES-th split-path use, so a
+# one-shot process with a few generator powers never pays for one, and held
+# outside the LRU: a generator power is then at most 34 mixed additions on
+# G1 and 36 on G2.  Other bases, GT_GEN among them (GT has no permanent
+# table), earn width-4 tables by use: each group keeps one _kept LRU dict,
+# keyed by the base, of the split-path uses of its recent bases.  The
+# _HOT_USES-th use builds the table, and past _HOT_TABLES tables the least
+# recently used one goes.
 # Nothing cached here is ever serialized.
 
 _FB_WIDTH = 4  # tables earned by use: 8 multiples per row, digits in [-7, 8]
@@ -505,6 +544,7 @@ class _Group:
         self.pack = pack  # an affine point as one int of 384-bit words, for the tables
         self.unpack = unpack
         self.gen = gen
+        self.gen_uses = 0  # the generator's split-path uses until its table is built
         self.gen_table = None  # the generator's width-8 table, once built
         self.hot = {}  # other bases -> split-path uses, or their table
 
@@ -616,10 +656,13 @@ def _kept(cache, key, build, uses, cap):
 
 def _table(g, pt):
     """pt's fixed-base table on the split path, or None while pt has not
-    earned one: the generator's width-8 table, built on its first use, or
-    a width-4 table kept by use."""
+    earned one: the generator's width-8 table, built by its _HOT_USES-th
+    use and kept for good, or a width-4 table kept by use."""
     if pt == g.gen:
         if g.gen_table is None:
+            g.gen_uses += 1
+            if g.gen_uses < _HOT_USES:
+                return None
             g.gen_table = _fixed_table(g, pt, _GEN_WIDTH)
         return g.gen_table
     return _kept(g.hot, pt, lambda b: _fixed_table(g, b, _FB_WIDTH), _HOT_USES, _HOT_TABLES)

@@ -21,7 +21,7 @@ import sys
 from . import game, serial
 from .errors import EnvelopeError, ParameterError, RabeError
 from .groups import BACKENDS, SIDE_TARGET, TRANSPARENT, new_context
-from .policy import parse_policy
+from .policy import check_attributes, parse_policy
 from .rng import SeededRng, SystemRng
 from .scheme import decrypt, derive_dk, encrypt, keygen, revoke, setup, update_ct, update_key
 from .timecode import backdatable_epochs, bit_width, ct_epoch_bits, epoch_bits, lemma_row, zero_positions
@@ -85,6 +85,16 @@ def _read_artifact(path, kind, phash, decode, ctx):
     env = serial.read_envelope(path, expect_kind=kind)
     serial.check_params_hash(env, phash, path)
     return _decode(path, decode, ctx, env["payload"])
+
+
+def _check_attrs(path, field, attrs, pp):
+    """Refuse a loaded artifact whose attributes leave 1..attr_max, as encrypt
+    and keygen refuse them: T(x) interpolates at any x, so nothing later
+    would notice."""
+    try:
+        check_attributes(attrs, pp.attr_max)
+    except ParameterError as exc:
+        raise EnvelopeError(f"{path}: field {field!r}: {exc}") from None
 
 
 def _transcript_names(args):
@@ -198,6 +208,7 @@ def cmd_encrypt(args):
 def cmd_update_ct(args):
     phash, pp, mk, tree, rl, counter = _load_state(args.state)
     ct = _read_artifact(args.ct, "ct-original", phash, serial.ct_original_from_payload, pp.ctx)
+    _check_attrs(args.ct, "attrs", ct.attrs, pp)
     updated = update_ct(pp, ct, args.epoch, _rng_for(_resolve_seed(args)))
     if updated is None:
         print(f"refused: epoch {args.epoch} lies before the ciphertext's epoch {ct.epoch}")
@@ -212,6 +223,7 @@ def cmd_update_ct(args):
 def cmd_derive_dk(args):
     phash, pp, mk, tree, rl, counter = _load_state(args.state)
     sk = _read_artifact(args.sk, "sk", phash, serial.sk_from_payload, pp.ctx)
+    _check_attrs(args.sk, "policy", sk.policy.attributes(), pp)
     ku = _read_artifact(args.ku, "ku", phash, serial.ku_from_payload, pp.ctx)
     dk = derive_dk(sk, ku)
     if dk is None:
@@ -226,7 +238,9 @@ def cmd_derive_dk(args):
 def cmd_decrypt(args):
     phash, pp, mk, tree, rl, counter = _load_state(args.state)
     ct = _read_artifact(args.ct, "ct-updated", phash, serial.ct_updated_from_payload, pp.ctx)
+    _check_attrs(args.ct, "attrs", ct.attrs, pp)
     dk = _read_artifact(args.dk, "dk", phash, serial.dk_from_payload, pp.ctx)
+    _check_attrs(args.dk, "policy", dk.policy.attributes(), pp)
     if dk.epoch != ct.epoch:
         raise RabeError(
             f"key epoch {dk.epoch} does not match ciphertext epoch {ct.epoch}; "

@@ -13,7 +13,13 @@ Backends:
   prime derived from the seed.  The pairing multiplies exponents.  Nothing
   is hidden, which is the point: tests can audit every component of every
   artifact against its defining formula, field by field.
-* "real": BLS12-381 at the usual ~128-bit level (see bls12381).
+* "real": BLS12-381 at the usual ~128-bit level (see bls12381).  All three
+  generators are module constants, the target one e(g, g~) included, so
+  making one runs no pairing; GT's generator has no permanent fixed-base
+  table and earns a width-4 one by use, like any other base.  Nor does
+  scheme.setup pair for a deployment's blinding base e(g1, g2): it raises
+  the target generator to alpha * beta.  A pp loaded from a file pairs
+  once for it, on first use.
 
 Canonical element encoding: one backend byte, one side byte, then the
 payload (8-byte big-endian exponent, or a 48/96-byte compressed point /
@@ -242,16 +248,13 @@ class RealContext(BilinearContext):
     def __init__(self):
         self.prime_order = bls.R
         self.group_id = f"{REAL}/bls12-381"
-        self._target_gen = None
 
     def _generator_payload(self, side):
         if side == SIDE_ONE:
             return bls.G1_GEN
         if side == SIDE_TWO:
             return bls.G2_GEN
-        if self._target_gen is None:
-            self._target_gen = bls.pairing_product([(bls.G1_GEN, bls.G2_GEN)])
-        return self._target_gen
+        return bls.GT_GEN
 
     def _op(self, side, x, y):
         if side == SIDE_ONE:

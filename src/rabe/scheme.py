@@ -73,8 +73,10 @@ class PublicParams:
     t_gens: tuple[MirroredPair, ...]   # attr_max + 1 interpolation anchors
     u0: MirroredPair
     u_gens: tuple[MirroredPair, ...]   # one per epoch bit position
-    _t_cache: dict = field(default_factory=dict, repr=False)
-    _blind_base: GroupElement | None = field(default=None, repr=False)
+    # caches of values the fields above fix: neither constructor arguments,
+    # so dataclasses.replace starts them empty, nor part of equality
+    _t_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _blind_base: GroupElement | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_users < 1:
@@ -87,7 +89,10 @@ class PublicParams:
                 raise ParameterError(f"field {name!r} holds {held} entries, not {count}")
 
     def blinding_base(self) -> GroupElement:
-        """e(g1, g2), the target-group base every message is blinded with."""
+        """e(g1, g2), the target-group base every message is blinded with.
+        setup fills it as a power of the target generator; a pp built
+        otherwise (loaded from a file, or by dataclasses.replace) pairs once
+        for it here."""
         if self._blind_base is None:
             self._blind_base = self.ctx.pair_product([(self.g1, self.g2.two)])
         return self._blind_base
@@ -205,17 +210,21 @@ def setup(
 ) -> tuple[PublicParams, MasterKey, TreeState, RevocationList]:
     tau = bit_width(max_time)
     alpha = ctx.random_scalar(rng)
+    beta = ctx.random_scalar(rng)
     pp = PublicParams(
         ctx=ctx,
         n_users=n_users,
         max_time=max_time,
         attr_max=attr_max,
         g1=ctx.generator(SIDE_ONE) ** alpha,
-        g2=_mirror(ctx, ctx.random_scalar(rng)),
+        g2=_mirror(ctx, beta),
         t_gens=tuple(_mirror(ctx, ctx.random_scalar(rng)) for _ in range(attr_max + 1)),
         u0=_mirror(ctx, ctx.random_scalar(rng)),
         u_gens=tuple(_mirror(ctx, ctx.random_scalar(rng)) for _ in range(tau)),
     )
+    # e(g^alpha, g~^beta) = e(g, g~)^(alpha beta): one target-group power, not
+    # a pairing; pp keeps the element, never the exponent
+    pp._blind_base = ctx.generator(SIDE_TARGET) ** (alpha.value * beta.value)
     capacity = 1
     while capacity < n_users:
         capacity *= 2

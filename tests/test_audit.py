@@ -165,3 +165,11 @@ def test_mirror_violation_in_params_is_flagged():
     )
     logs, checks = audit.read_params(crooked, mk)
     assert audit.failures(checks)
+
+
+def test_wrong_blinding_base_in_params_is_flagged():
+    ctx, rng, pp, mk, state, rl, policy, sk, ku, dk, msg, ct, ct2 = build()
+    assert not audit.failures(audit.read_params(pp, mk)[1])
+    pp._blind_base = pp.blinding_base() * ctx.generator(SIDE_TARGET)
+    logs, checks = audit.read_params(pp, mk)
+    assert [c.label for c in audit.failures(checks)] == ["e(g1, g2) = e(g, g~)^(alpha g2)"]

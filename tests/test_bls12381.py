@@ -67,6 +67,11 @@ def test_generators_have_order_r():
     assert bls.g1_mul(bls.G1_GEN, bls.R - 1) == bls.g1_neg(bls.G1_GEN)
 
 
+def test_target_generator_is_the_pairing_of_the_generators():
+    assert bls.GT_GEN == bls.pairing_product([(bls.G1_GEN, bls.G2_GEN)])
+    assert bls.gt_is_valid(bls.GT_GEN) and bls.GT_GEN != bls.FQ12_ONE
+
+
 def test_point_arithmetic_matches_scalar_identities():
     p2 = bls.g1_add(bls.G1_GEN, bls.G1_GEN)
     p3 = bls.g1_add(p2, bls.G1_GEN)
@@ -85,10 +90,21 @@ GROUPS = {
 }
 
 
+def _built(group):
+    """The group's generator table, built by split-path generator powers
+    first if it is not yet."""
+    gen, mul, _, _ = GROUPS[group]
+    g = bls._G1 if group == "G1" else bls._G2
+    while g.gen_table is None:
+        mul(gen, bls.R - 1)
+    return g.gen_table
+
+
 @pytest.mark.parametrize("group", sorted(GROUPS))
 def test_generator_table_agrees_with_wnaf(group):
     gen, mul, _, _ = GROUPS[group]
     rng = SeededRng(f"fixed-base-{group}")
+    _built(group)
     for _ in range(4):
         a, b = rng.randbelow(bls.R), rng.randbelow(bls.R)
         # the inner call reads the generator table, the outer one runs wNAF on [a]G
@@ -126,15 +142,21 @@ def test_generator_table_edge_scalars(group, monkeypatch):
     gen = decode(bytes.fromhex(hex_))
     assert gen == g.gen and gen is not g.gen
     monkeypatch.setattr(g, "gen_table", None)  # as at import
+    monkeypatch.setattr(g, "gen_uses", 0)
     monkeypatch.setattr(g, "hot", {})
     last = (1 << 256) - 1
-    for k in (0, 1, 7, 8, 9, 16, 127, 128, 129, 255, 256, *_window_edges(g),
-              bls.R - 1, bls.R, bls.R + 1, last, last + 1):
+    scalars = (0, 1, 7, 8, 9, 16, 127, 128, 129, 255, 256, *_window_edges(g),
+               bls.R - 1, bls.R, bls.R + 1, last, last + 1)
+    uses = 0
+    # the first pass runs the wNAF until the table is built, the second
+    # reads the table for every split-path scalar
+    for k in scalars + scalars:
+        uses += k.bit_length() > g.radix.bit_length()
         kg = mul(gen, k)
         assert kg == _on_wnaf(mul, gen, k) and mul(gen, -k) == neg(kg) == _on_wnaf(mul, neg(gen), k), k
-        # the first scalar longer than the radix builds the generator's
-        # table, which is held outside the LRU
-        assert (g.gen_table is not None) == (k.bit_length() > g.radix.bit_length()), k
+        # the _HOT_USES-th scalar longer than the radix builds the
+        # generator's table, which is held outside the LRU
+        assert (g.gen_table is not None) == (uses >= bls._HOT_USES), k
         assert gen not in g.hot, k
     assert mul(gen, 0) is None and mul(gen, bls.R) is None
     assert mul(gen, 1) == mul(gen, bls.R + 1) == gen and mul(gen, bls.R - 1) == neg(gen)
@@ -158,11 +180,44 @@ def test_generator_table_edge_scalars(group, monkeypatch):
 
 def test_generator_tables_are_unbuilt_after_import():
     code = ("import rabe, rabe.cli, rabe.bls12381 as bls; "
-            "print([(g.gen_table, g.hot) for g in (bls._G1, bls._G2)])")
+            "print([(g.gen_uses, g.gen_table, g.hot) for g in (bls._G1, bls._G2)])")
     src = os.path.dirname(os.path.dirname(bls.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[(None, {}), (None, {})]"
+    assert out.stdout.strip() == "[(0, None, {}), (0, None, {})]"
+
+
+@pytest.mark.parametrize("group", sorted(GROUPS))
+def test_generator_table_waits_for_its_hot_use(group, monkeypatch):
+    """A process that makes a few generator powers builds no width-8 table:
+    the first _HOT_USES - 1 split-path powers run the interleaved wNAF, and
+    the _HOT_USES-th builds the table, outside the LRU."""
+    gen, mul, _, _ = GROUPS[group]
+    g = bls._G1 if group == "G1" else bls._G2
+    monkeypatch.setattr(g, "gen_table", None)
+    monkeypatch.setattr(g, "gen_uses", 0)
+    monkeypatch.setattr(g, "hot", {})
+    built, calls = [], {"dbl": 0}
+    fixed_table, dbl = bls._fixed_table, g.dbl
+    monkeypatch.setattr(bls, "_fixed_table", lambda *args: built.append(args[2]) or fixed_table(*args))
+
+    def counted(*args):
+        calls["dbl"] += 1
+        return dbl(*args)
+    monkeypatch.setattr(g, "dbl", counted)
+    rng = SeededRng(f"gen-hot-{group}")
+    for use in range(1, bls._HOT_USES + 2):
+        k = rng.randbelow(bls.R)
+        calls.update(dbl=0)
+        kg = mul(gen, k)
+        doubled = calls["dbl"]
+        assert kg == _on_wnaf(mul, gen, k), use
+        assert built == ([bls._GEN_WIDTH] if use >= bls._HOT_USES else []), use
+        assert gen not in g.hot, use
+        # the wNAF doubles once per bit of its longest digit, a table power
+        # never; the build itself doubles once per row
+        if use != bls._HOT_USES:
+            assert (doubled > 0) == (use < bls._HOT_USES), use
 
 
 @pytest.mark.parametrize("group", sorted(GROUPS))
@@ -170,9 +225,8 @@ def test_generator_tables_stay_out_of_the_lru(group, monkeypatch):
     gen, mul, _, _ = GROUPS[group]
     g = bls._G1 if group == "G1" else bls._G2
     monkeypatch.setattr(g, "hot", {})
-    mul(gen, bls.R - 1)
-    table = g.gen_table
-    assert table is not None and gen not in g.hot
+    table = _built(group)
+    assert gen not in g.hot
     # enough fresh bases to push every table and every count out of the LRU,
     # with the generator unused meanwhile, so an LRU would drop its table;
     # a power by R + 1 is a split-path use at the cost of a one-digit wNAF
@@ -191,7 +245,7 @@ def test_generator_power_cost(group, monkeypatch):
     radix digit, 2 * 17 on G1 and 4 * 9 on G2, and no doubling."""
     gen, mul, _, _ = GROUPS[group]
     g = bls._G1 if group == "G1" else bls._G2
-    mul(gen, bls.R - 1)  # the table is built
+    _built(group)
     calls = {"madd": 0, "dbl": 0}
 
     def counted(name):

@@ -560,3 +560,49 @@ def test_malformed_artifacts_exit_3_naming_file_and_field(artifacts, capsys, cas
     assert str(artifacts[target]) in err
     for word in words:
         assert word in err
+
+
+def _ct_naming(attr):
+    """A ciphertext edited to name attr as well, with attribute 1's c2 entry:
+    its policy rows stay satisfied, so only the attribute bound refuses it."""
+    def fn(env):
+        payload = env["payload"]
+        payload["attrs"] = sorted(payload["attrs"] + [attr])
+        payload["c2"][str(attr)] = payload["c2"]["1"]
+    return _edit(fn)
+
+
+def _policy_naming(attr):
+    """A key whose policy 1 AND (2 OR 3) names attr in place of 3."""
+    def fn(env):
+        policy = env["payload"]["policy"]
+        policy["formula"] = policy["formula"].replace("3", str(attr))
+        policy["row_attrs"] = [attr if a == 3 else a for a in policy["row_attrs"]]
+    return _edit(fn)
+
+
+DECRYPT_OUT = DECRYPT + ("--out", "{out}")
+# attr_max is 4: 0 and 5 lie just outside the universe; the policy parser
+# already refuses 0
+OUTSIDE = {
+    "ct-attr-0": ("ct", _ct_naming(0), UPDATE_CT, "'attrs': attribute 0 outside [1, 4]"),
+    "ct-attr-5": ("ct", _ct_naming(5), UPDATE_CT, "'attrs': attribute 5 outside [1, 4]"),
+    "ct2-attr-0": ("ct2", _ct_naming(0), DECRYPT_OUT, "'attrs': attribute 0 outside [1, 4]"),
+    "ct2-attr-5": ("ct2", _ct_naming(5), DECRYPT_OUT, "'attrs': attribute 5 outside [1, 4]"),
+    "sk-policy-attr-5": ("sk", _policy_naming(5), DERIVE_DK, "'policy': attribute 5 outside [1, 4]"),
+    "dk-policy-attr-5": ("dk", _policy_naming(5), DECRYPT_OUT,
+                         "'policy': attribute 5 outside [1, 4]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUTSIDE))
+def test_attributes_outside_the_universe_exit_3_and_write_nothing(artifacts, capsys, case):
+    """encrypt and keygen refuse attributes outside 1..attr_max; a loaded
+    artifact that names one is refused where it meets its parameters."""
+    target, tamper, command, words = OUTSIDE[case]
+    tamper(artifacts[target])
+    code, _, err = run(capsys, *[arg.format(**artifacts) for arg in command])
+    assert code == EXIT_INVALID, err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert f"{artifacts[target]}: field {words}" in err
+    assert not artifacts["out"].exists()

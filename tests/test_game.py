@@ -4,6 +4,7 @@ import pathlib
 
 import pytest
 
+from rabe import bls12381 as bls
 from rabe import game
 from rabe.errors import EpochRangeError, ParameterError
 from rabe.groups import REAL, SIDE_TARGET, TRANSPARENT, new_context
@@ -87,6 +88,29 @@ def test_backdate_attack_wins_one_real_trial():
     transcripts = run_game_trials(1, ctx=ctx, seed=5, mode=STANDARD)
     assert transcripts[0].won
     assert transcripts[0].backend == REAL
+
+
+def test_a_real_game_runs_one_pairing_the_adversarys_decryption(monkeypatch):
+    """setup hands encrypt the blinding base as a target-group power, so the
+    only pairing product of a backdating game is the attack's decryption."""
+    calls = dict.fromkeys(("pairing_product", "final_exponentiation"), 0)
+
+    def count(name):
+        fn = getattr(bls, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(bls, name, counted)
+
+    for name in calls:
+        count(name)
+    rng = SeededRng("one-pairing")
+    tr = challenger_run(BackdateAdversary(rng.child("adversary")), ctx=new_context(REAL),
+                        rng=rng.child("challenger"), mode=STANDARD, n_users=4, max_time=16,
+                        attr_max=2)
+    assert tr.won and tr.notes["strategy"] == "backdate"
+    assert calls == {"pairing_product": 1, "final_exponentiation": 1}
 
 
 def test_forced_pair_is_honored():

@@ -1,6 +1,7 @@
 import pytest
 
 import rabe.bls12381 as bls
+from rabe import groups
 from rabe.errors import BackendMismatchError, EnvelopeError, ParameterError, SideMismatchError
 from rabe.groups import (
     REAL,
@@ -60,6 +61,15 @@ def test_real_bilinearity(rctx):
         lhs = rctx.pair_product([(g ** x, h ** y)])
         assert lhs == rctx.pair_product([(g ** y, h ** x)])
         assert lhs == gt ** (int(x) * int(y))
+
+
+def test_real_target_generator_runs_no_pairing(monkeypatch):
+    def refuse(pairs):
+        raise AssertionError("a pairing ran")
+    monkeypatch.setattr(bls, "pairing_product", refuse)
+    monkeypatch.setattr(groups, "_REAL_CONTEXT", None)  # a new context, as in a new process
+    ctx = new_context(REAL)
+    assert ctx.generator(SIDE_TARGET).payload == bls.GT_GEN
 
 
 def test_pair_product_matches_termwise(tctx):

@@ -5,6 +5,7 @@ import pytest
 
 import rabe
 from rabe import bls12381 as bls
+from rabe import serial
 from rabe.errors import (
     EpochRangeError,
     MissingComponentError,
@@ -81,6 +82,24 @@ def test_full_roundtrip_real_backend():
         assert ctx.pair_product([(pair.one, h)]) == ctx.pair_product([(g, pair.two)])
 
 
+@pytest.mark.parametrize("backend", [TRANSPARENT, REAL])
+def test_setup_fills_the_blinding_base_with_the_pairing_value(backend):
+    """setup makes e(g1, g2) as a power of the target generator, the same
+    element the pairing gives; a pp read back or rebuilt pairs for its own."""
+    ctx = new_context(backend, seed=0)
+    pp, *_ = setup(ctx, 2, 8, 2, SeededRng(f"blinding-base-{backend}"))
+    assert pp._blind_base is not None
+    base = ctx.pair_product([(pp.g1, pp.g2.two)])
+    assert pp.blinding_base() == base
+    back = serial.pp_from_payload(serial.pp_payload(pp))
+    assert back._blind_base is None and back.blinding_base() == base
+    other = dataclasses.replace(pp, g2=pp.u0)
+    assert other.blinding_base() == ctx.pair_product([(pp.g1, pp.u0.two)]) != base
+    # nor does a replaced anchor set keep a T(x) of the old one
+    t1 = pp.eval_t(1, SIDE_ONE)
+    assert dataclasses.replace(pp, t_gens=pp.t_gens[::-1]).eval_t(1, SIDE_ONE) != t1
+
+
 def test_real_exponentiations_make_one_curve_call_each(monkeypatch):
     """The benchmark's cost model: with T(x) warm, keygen makes 3 * rows *
     (depth + 1) g2_mul calls, and fold_ciphertext one fq12_pow_cyclo."""
@@ -91,7 +110,7 @@ def test_real_exponentiations_make_one_curve_call_each(monkeypatch):
     for attr in policy.row_attrs:
         pp.eval_t(attr, SIDE_TWO)
     msg = ctx.random_element(SIDE_TARGET, rng)
-    ct = encrypt(pp, {1, 2}, 3, msg, rng)  # warms e(g1, g2) and T(x) on side one
+    ct = encrypt(pp, {1, 2}, 3, msg, rng)  # warms T(x) on side one
     calls = dict.fromkeys(("g2_mul", "fq12_pow_cyclo"), 0)
 
     def count(name):
