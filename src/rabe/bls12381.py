@@ -11,7 +11,7 @@ coefficient once.
 
 G1 is E(Fq): y^2 = x^3 + 4, G2 is the sextic twist E'(Fq2): y^2 = x^3 +
 4(u+1), and GT is the order-r subgroup of Fq12*, generated by the constant
-GT_GEN = e(G1_GEN, G2_GEN), which has no permanent table (the scheme's setup
+GT_GEN = e(G1_GEN, G2_GEN) (the scheme's setup
 makes its blinding base e(g1, g2) as a power of it; a loaded deployment
 pairs once for that base).  Points are affine pairs (or None for infinity);
 scalar multiplication runs on Jacobian coordinates internally, with one
@@ -24,10 +24,10 @@ on G1 as [z^2], -psi, with psi the untwist-Frobenius-twist map, acts on G2
 as [|z|], and conj o Frobenius acts on GT as [|z|], so the scalar becomes
 two 128-bit or four 64-bit digits.  The digits share one width-4 wNAF
 doubling chain, or run Horner-style over a fixed-base table of the base
-for one digit: the G1 and G2 generators have permanent width-8 tables
-(about 0.5 MB together, built at their fifth such scalar and held outside
-the LRU of tables), and any other base, GT_GEN among them, earns a width-4
-table after five such scalars.  The same maps give the membership
+for one digit, which a base earns after five such scalars and keeps while
+it is among its group's 24 most recently used tables: width 8 for the G1
+and G2 generators, width 4 for any other base, GT_GEN among them.  The
+same maps give the membership
 tests (Scott, ePrint 2021/1130), which need only a power by z^2 or |z|.
 Fq2 square roots go by the norm.  The pairing is the ate pairing: a Miller
 loop over the curve parameter that keeps the running point on the twist in
@@ -506,22 +506,25 @@ def final_exponentiation(f):
 # so [d]B is one mixed addition per nonzero base-2^w digit of d and no
 # doubling.  Each point is packed into one int of 384-bit words, which
 # takes 40 % less memory than its nested tuples on G1 and over half less on
-# G2 and GT, and unpacks in a few shifts.  The G1 and G2 generators have
-# permanent width-8 tables (2049 points on G1, 1025 on G2, about 0.5 MB
-# together), built by the generator's _HOT_USES-th split-path use, so a
-# one-shot process with a few generator powers never pays for one, and held
-# outside the LRU: a generator power is then at most 34 mixed additions on
-# G1 and 36 on G2.  Other bases, GT_GEN among them (GT has no permanent
-# table), earn width-4 tables by use: each group keeps one _kept LRU dict,
-# keyed by the base, of the split-path uses of its recent bases.  The
-# _HOT_USES-th use builds the table, and past _HOT_TABLES tables the least
-# recently used one goes.
+# G2 and GT, and unpacks in a few shifts.  Every base earns its table by
+# use: each group keeps one _kept LRU dict, keyed by the base, of the
+# split-path uses of its recent bases.  The _HOT_USES-th use builds the
+# table, so a one-shot process with a few powers of a base never pays for
+# one, and past _HOT_TABLES tables the least recently used one goes.  The
+# G1 and G2 generators' tables are width 8 (2049 points on G1, 1025 on G2),
+# so a generator power is at most 34 mixed additions on G1 and 36 on G2;
+# any other base's, GT_GEN's among them, are width 4.  A process that earns
+# _HOT_TABLES other tables while its generator lies idle drops the
+# generator's, and the generator's next _HOT_USES-th split-path use builds
+# it again (about 38 ms on G1, 48 ms on G2).
 # Nothing cached here is ever serialized.
 
-_FB_WIDTH = 4  # tables earned by use: 8 multiples per row, digits in [-7, 8]
+_FB_WIDTH = 4  # other bases' tables: 8 multiples per row, digits in [-7, 8]
 _GEN_WIDTH = 8  # the generators' tables: 128 multiples per row, digits in [-127, 128]
 _HOT_USES = 5  # a table costs about five split wNAF multiplications to build
-_HOT_TABLES = 24  # tables held per group: 35 KiB each on G1, 31 KiB on G2, 83 KiB on GT
+# tables held per group, the generator's among them: width 4 takes 36 KiB on
+# G1, 31 KiB on G2 and 83 KiB on GT; width 8 takes 273 KiB on G1, 240 KiB on G2
+_HOT_TABLES = 24
 _WORD = (1 << 384) - 1  # a coordinate of a packed point; P < 2^381
 
 
@@ -544,9 +547,7 @@ class _Group:
         self.pack = pack  # an affine point as one int of 384-bit words, for the tables
         self.unpack = unpack
         self.gen = gen
-        self.gen_uses = 0  # the generator's split-path uses until its table is built
-        self.gen_table = None  # the generator's width-8 table, once built
-        self.hot = {}  # other bases -> split-path uses, or their table
+        self.hot = {}  # bases -> split-path uses, or their table
 
     def lift(self, pt):  # affine, not infinity, to the driver's Jacobian form
         return (*pt, self.one)
@@ -656,16 +657,10 @@ def _kept(cache, key, build, uses, cap):
 
 def _table(g, pt):
     """pt's fixed-base table on the split path, or None while pt has not
-    earned one: the generator's width-8 table, built by its _HOT_USES-th
-    use and kept for good, or a width-4 table kept by use."""
-    if pt == g.gen:
-        if g.gen_table is None:
-            g.gen_uses += 1
-            if g.gen_uses < _HOT_USES:
-                return None
-            g.gen_table = _fixed_table(g, pt, _GEN_WIDTH)
-        return g.gen_table
-    return _kept(g.hot, pt, lambda b: _fixed_table(g, b, _FB_WIDTH), _HOT_USES, _HOT_TABLES)
+    earned one: kept by use, width 8 for the group's generator (an equal
+    decoded point included) and width 4 for any other base."""
+    width = _GEN_WIDTH if pt == g.gen else _FB_WIDTH
+    return _kept(g.hot, pt, lambda b: _fixed_table(g, b, width), _HOT_USES, _HOT_TABLES)
 
 
 def _mul(g, pt, k):

@@ -19,7 +19,7 @@ import os
 import sys
 
 from . import game, serial
-from .errors import EnvelopeError, ParameterError, RabeError
+from .errors import EnvelopeError, InvalidNodeError, ParameterError, RabeError, UnknownIdentityError
 from .groups import BACKENDS, SIDE_TARGET, TRANSPARENT, new_context
 from .policy import check_attributes, parse_policy
 from .rng import SeededRng, SystemRng
@@ -87,6 +87,10 @@ def _read_artifact(path, kind, phash, decode, ctx):
     return _decode(path, decode, ctx, env["payload"])
 
 
+def _field_error(path, field, message):
+    return EnvelopeError(f"{path}: field {field!r}: {message}")
+
+
 def _check_attrs(path, field, attrs, pp):
     """Refuse a loaded artifact whose attributes leave 1..attr_max, as encrypt
     and keygen refuse them: T(x) interpolates at any x, so nothing later
@@ -94,7 +98,48 @@ def _check_attrs(path, field, attrs, pp):
     try:
         check_attributes(attrs, pp.attr_max)
     except ParameterError as exc:
-        raise EnvelopeError(f"{path}: field {field!r}: {exc}") from None
+        raise _field_error(path, field, exc) from None
+
+
+def _check_slots(path, ct, pp):
+    """Refuse a ct-original whose update slots are not the zero positions of
+    its epoch's ciphertext encoding, as encrypt makes them: folding reads only
+    the slots the target epoch needs, so it would miss any other."""
+    try:
+        slots = zero_positions(ct_epoch_bits(ct.epoch, pp.max_time))
+    except ParameterError as exc:
+        raise _field_error(path, "epoch", exc) from None
+    if ct.e2.keys() != slots:
+        raise _field_error(path, "e2", f"slots {sorted(ct.e2)}, not {sorted(slots)}, "
+                                       f"the zero positions of epoch {ct.epoch}")
+
+
+def _check_key_parts(path, sk, tree):
+    """Refuse a private key whose parts are not exactly its holder's path
+    from the root: one at another node would meet a key update's cover
+    where keygen never issued it."""
+    try:
+        nodes = tree.path(tree.leaf_for(sk.identity))
+    except UnknownIdentityError as exc:
+        raise _field_error(path, "identity", exc) from None
+    if sk.parts.keys() != set(nodes):
+        raise _field_error(path, "parts", f"nodes {sorted(sk.parts)}, not {sk.identity!r}'s "
+                                          f"path {nodes}")
+
+
+def _check_cover(path, ku, tree):
+    """Refuse a key update whose parts name a node outside the tree or a node
+    together with one of its ancestors: a cover's subtrees are disjoint."""
+    for node in ku.parts:
+        try:
+            tree.check_node(node)
+        except InvalidNodeError as exc:
+            raise _field_error(path, "parts", exc) from None
+        above = node // 2
+        while above:
+            if above in ku.parts:
+                raise _field_error(path, "parts", f"node {above} and its descendant {node}")
+            above //= 2
 
 
 def _transcript_names(args):
@@ -209,6 +254,7 @@ def cmd_update_ct(args):
     phash, pp, mk, tree, rl, counter = _load_state(args.state)
     ct = _read_artifact(args.ct, "ct-original", phash, serial.ct_original_from_payload, pp.ctx)
     _check_attrs(args.ct, "attrs", ct.attrs, pp)
+    _check_slots(args.ct, ct, pp)
     updated = update_ct(pp, ct, args.epoch, _rng_for(_resolve_seed(args)))
     if updated is None:
         print(f"refused: epoch {args.epoch} lies before the ciphertext's epoch {ct.epoch}")
@@ -224,7 +270,9 @@ def cmd_derive_dk(args):
     phash, pp, mk, tree, rl, counter = _load_state(args.state)
     sk = _read_artifact(args.sk, "sk", phash, serial.sk_from_payload, pp.ctx)
     _check_attrs(args.sk, "policy", sk.policy.attributes(), pp)
+    _check_key_parts(args.sk, sk, tree)
     ku = _read_artifact(args.ku, "ku", phash, serial.ku_from_payload, pp.ctx)
+    _check_cover(args.ku, ku, tree)
     dk = derive_dk(sk, ku)
     if dk is None:
         print(f"no decryption key: {sk.identity!r} is revoked at epoch {ku.epoch}")

@@ -15,8 +15,9 @@ Backends:
   artifact against its defining formula, field by field.
 * "real": BLS12-381 at the usual ~128-bit level (see bls12381).  All three
   generators are module constants, the target one e(g, g~) included, so
-  making one runs no pairing; GT's generator has no permanent fixed-base
-  table and earns a width-4 one by use, like any other base.  Nor does
+  making one runs no pairing.  Each generator earns its fixed-base table
+  by use, like any other base (width 8 on G1 and G2, width 4 on GT), and
+  keeps it while it is among its group's most recent tables.  Nor does
   scheme.setup pair for a deployment's blinding base e(g1, g2): it raises
   the target generator to alpha * beta.  A pp loaded from a file pairs
   once for it, on first use.

@@ -120,9 +120,11 @@ def factored_regime_check(tau: int) -> bool:
 
 
 def lemma_row(tau: int) -> dict:
-    """One row of the lemma check: the closed-form counts for width tau,
-    confirmed by enumeration up to PAIRWISE_TAU_MAX and by the factored
-    per-epoch check above it."""
+    """One row of the lemma check: the closed-form counts for width tau.  Up
+    to PAIRWISE_TAU_MAX enumeration confirms both.  Above it the factored
+    per-epoch check confirms only that every lower-half pair is vulnerable;
+    both counts are copied from the closed forms, so the one outside the
+    lower half goes unchecked."""
     expected_regime = regime_pair_count(tau)
     expected_outside = outside_vulnerable_count(tau)
     if tau <= PAIRWISE_TAU_MAX:

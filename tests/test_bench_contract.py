@@ -42,6 +42,16 @@ def test_traced_attack_ops_meet_the_cost_model(tmp_path, monkeypatch):
     assert violations == []
 
 
+def test_traced_real_attack_ops_meet_the_cost_model(tmp_path, monkeypatch):
+    """One attack-real block (a game per target-set size 1-4 on BLS12-381),
+    the one traced block here that runs keygen on the real backend: each
+    keygen makes exactly the g2_mul calls its cost model expects."""
+    failures, checked, violations = _traced_run(tmp_path, monkeypatch, "attack-real", 4)
+    assert failures == []
+    assert checked > 0
+    assert violations == []
+
+
 def test_traced_cli_ops_meet_the_cost_model(tmp_path, monkeypatch):
     """One cli-real block (20 commands on the real backend): the decode and
     write paths the CLI runs stay inside their spans."""

@@ -91,13 +91,13 @@ GROUPS = {
 
 
 def _built(group):
-    """The group's generator table, built by split-path generator powers
-    first if it is not yet."""
+    """The group's generator table, earned by _HOT_USES split-path generator
+    powers if it is not held yet."""
     gen, mul, _, _ = GROUPS[group]
     g = bls._G1 if group == "G1" else bls._G2
-    while g.gen_table is None:
+    for _ in range(bls._HOT_USES):
         mul(gen, bls.R - 1)
-    return g.gen_table
+    return g.hot[gen]
 
 
 @pytest.mark.parametrize("group", sorted(GROUPS))
@@ -141,9 +141,7 @@ def test_generator_table_edge_scalars(group, monkeypatch):
     decode, hex_ = (bls.g1_from_bytes, G1_GEN_HEX) if group == "G1" else (bls.g2_from_bytes, G2_GEN_HEX)
     gen = decode(bytes.fromhex(hex_))
     assert gen == g.gen and gen is not g.gen
-    monkeypatch.setattr(g, "gen_table", None)  # as at import
-    monkeypatch.setattr(g, "gen_uses", 0)
-    monkeypatch.setattr(g, "hot", {})
+    monkeypatch.setattr(g, "hot", {})  # as at import
     last = (1 << 256) - 1
     scalars = (0, 1, 7, 8, 9, 16, 127, 128, 129, 255, 256, *_window_edges(g),
                bls.R - 1, bls.R, bls.R + 1, last, last + 1)
@@ -155,16 +153,15 @@ def test_generator_table_edge_scalars(group, monkeypatch):
         kg = mul(gen, k)
         assert kg == _on_wnaf(mul, gen, k) and mul(gen, -k) == neg(kg) == _on_wnaf(mul, neg(gen), k), k
         # the _HOT_USES-th scalar longer than the radix builds the
-        # generator's table, which is held outside the LRU
-        assert (g.gen_table is not None) == (uses >= bls._HOT_USES), k
-        assert gen not in g.hot, k
+        # generator's table, keyed by the module's equal generator
+        assert isinstance(g.hot.get(gen), list) == (uses >= bls._HOT_USES), k
     assert mul(gen, 0) is None and mul(gen, bls.R) is None
     assert mul(gen, 1) == mul(gen, bls.R + 1) == gen and mul(gen, bls.R - 1) == neg(gen)
     assert mul(gen, 9) == add(mul(gen, 8), gen) and mul(gen, 16) == add(mul(gen, 8), mul(gen, 8))
     assert mul(gen, last + 1) == mul(gen, (last + 1) % bls.R)
     # one radix digit's rows of 128 packed affine multiples j * 256^i * G
     # (16 rows on G1, 8 on G2), then a row for the last carry
-    w, table = bls._GEN_WIDTH, g.gen_table
+    w, table = bls._GEN_WIDTH, g.hot[gen]
     assert len(table) == {"G1": 17, "G2": 9}[group] and w * (len(table) - 1) == g.radix.bit_length()
     assert all(len(row) == 128 for row in table[:-1]) and len(table[-1]) == 1
     # every entry by two relations independent of the table: entry j + 1 is
@@ -180,22 +177,20 @@ def test_generator_table_edge_scalars(group, monkeypatch):
 
 def test_generator_tables_are_unbuilt_after_import():
     code = ("import rabe, rabe.cli, rabe.bls12381 as bls; "
-            "print([(g.gen_uses, g.gen_table, g.hot) for g in (bls._G1, bls._G2)])")
+            "print([g.hot for g in (bls._G1, bls._G2)])")
     src = os.path.dirname(os.path.dirname(bls.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[(0, None, {}), (0, None, {})]"
+    assert out.stdout.strip() == "[{}, {}]"
 
 
 @pytest.mark.parametrize("group", sorted(GROUPS))
 def test_generator_table_waits_for_its_hot_use(group, monkeypatch):
     """A process that makes a few generator powers builds no width-8 table:
     the first _HOT_USES - 1 split-path powers run the interleaved wNAF, and
-    the _HOT_USES-th builds the table, outside the LRU."""
+    the _HOT_USES-th builds the table, in the group's one LRU."""
     gen, mul, _, _ = GROUPS[group]
     g = bls._G1 if group == "G1" else bls._G2
-    monkeypatch.setattr(g, "gen_table", None)
-    monkeypatch.setattr(g, "gen_uses", 0)
     monkeypatch.setattr(g, "hot", {})
     built, calls = [], {"dbl": 0}
     fixed_table, dbl = bls._fixed_table, g.dbl
@@ -213,7 +208,7 @@ def test_generator_table_waits_for_its_hot_use(group, monkeypatch):
         doubled = calls["dbl"]
         assert kg == _on_wnaf(mul, gen, k), use
         assert built == ([bls._GEN_WIDTH] if use >= bls._HOT_USES else []), use
-        assert gen not in g.hot, use
+        assert list(g.hot) == [gen], use
         # the wNAF doubles once per bit of its longest digit, a table power
         # never; the build itself doubles once per row
         if use != bls._HOT_USES:
@@ -221,22 +216,41 @@ def test_generator_table_waits_for_its_hot_use(group, monkeypatch):
 
 
 @pytest.mark.parametrize("group", sorted(GROUPS))
-def test_generator_tables_stay_out_of_the_lru(group, monkeypatch):
+def test_generator_tables_are_kept_by_use(group, monkeypatch):
+    """The generator's width-8 table is one of the group's _HOT_TABLES: kept
+    while the generator is in use, evicted once it idles, earned again."""
     gen, mul, _, _ = GROUPS[group]
     g = bls._G1 if group == "G1" else bls._G2
     monkeypatch.setattr(g, "hot", {})
     table = _built(group)
-    assert gen not in g.hot
-    # enough fresh bases to push every table and every count out of the LRU,
-    # with the generator unused meanwhile, so an LRU would drop its table;
-    # a power by R + 1 is a split-path use at the cost of a one-digit wNAF
-    for a in range(2, 2 * bls._HOT_TABLES + 4):
+
+    def tables():
+        return [b for b, v in g.hot.items() if isinstance(v, list)]
+
+    # a power by R + 1 is a split-path use at the cost of a one-digit wNAF;
+    # [a]G for a small a runs the plain path, which counts no use
+    def earn(a):
         pt = mul(gen, a)
         for _ in range(bls._HOT_USES):
             assert mul(pt, bls.R + 1) == pt
-    assert gen not in g.hot and g.gen_table is table
-    assert mul(gen, bls.R - 2) == _on_wnaf(mul, gen, bls.R - 2)
-    assert sum(isinstance(v, list) for v in g.hot.values()) == bls._HOT_TABLES
+    # enough fresh tables to push every other one out twice, the generator
+    # used between them
+    for a in range(2, 2 * bls._HOT_TABLES + 2):
+        earn(a)
+        assert mul(gen, bls.R - 2) == _on_wnaf(mul, gen, bls.R - 2)
+        assert g.hot[gen] is table, a
+    assert len(tables()) == bls._HOT_TABLES
+    # idle, it goes at the _HOT_TABLES-th fresh table, count and all
+    for i in range(bls._HOT_TABLES):
+        earn(2 * bls._HOT_TABLES + 2 + i)
+        assert (gen in g.hot) == (i < bls._HOT_TABLES - 1), i
+    assert len(tables()) == bls._HOT_TABLES
+    # its next _HOT_USES-th split-path use builds an equal table
+    for use in range(1, bls._HOT_USES + 1):
+        assert mul(gen, bls.R - 2) == _on_wnaf(mul, gen, bls.R - 2)
+        assert isinstance(g.hot[gen], list) == (use == bls._HOT_USES), use
+    assert g.hot[gen] == table and g.hot[gen] is not table
+    assert len(tables()) == bls._HOT_TABLES
 
 
 @pytest.mark.parametrize("group", sorted(GROUPS))

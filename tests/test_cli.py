@@ -543,6 +543,25 @@ MUTATIONS = {
                     ("'epochs'", "epoch 0")),
     "epochs-no-leaf": ("state", _set("payload", "rl", "epochs", {"ghost": -4}), UPDATE_KEY,
                        ("'epochs'", "'ghost' has no leaf")),
+    # the update slots of a ct at epoch 7 of 32 (encoding 00000) are 1..5;
+    # update-ct to 9 (01001) reads only slots 1, 3 and 4
+    "e2-slot-dropped": ("ct", _drop("payload", "e2", "5"), UPDATE_CT, ("'e2'", "[1, 2, 3, 4]")),
+    "e2-needed-slot-dropped": ("ct", _drop("payload", "e2", "1"), UPDATE_CT, ("'e2'",)),
+    "e2-slot-past-tau": ("ct", _set("payload", "e2", lambda e2: {**e2, "9": e2["1"]}), UPDATE_CT,
+                         ("'e2'",)),
+    "ct-epoch-past-the-range": ("ct", _set("payload", "epoch", 99), UPDATE_CT,
+                                ("'epoch'", "epoch 99 outside")),
+    # alice sits at leaf 8 of a capacity-8 tree: her path is 1, 2, 4, 8
+    "sk-identity-unknown": ("sk", _set("payload", "identity", "mallory"), DERIVE_DK,
+                            ("'identity'", "'mallory' has no leaf")),
+    "sk-parts-off-the-path": ("sk", _set("payload", "parts", lambda parts: {
+        **parts, "3": parts["1"], "99": parts["1"]}), DERIVE_DK, ("'parts'", "[1, 2, 4, 8]")),
+    "sk-part-dropped": ("sk", _drop("payload", "parts", "8"), DERIVE_DK, ("'parts'",)),
+    # nothing is revoked, so the cover at epoch 7 is the root
+    "ku-part-outside-the-tree": ("ku", _set("payload", "parts", lambda parts: {
+        **parts, "99": parts["1"]}), DERIVE_DK, ("'parts'", "node 99 outside")),
+    "ku-parts-nested": ("ku", _set("payload", "parts", lambda parts: {
+        **parts, "2": parts["1"]}), DERIVE_DK, ("'parts'", "node 1 and its descendant 2")),
     # the state's label must be the hash of the parameters it holds
     "params_hash-stale": ("state", _edit(lambda env: env["payload"]["pp"].update(
         g1=env["payload"]["pp"]["g2"]["one"])), UPDATE_KEY, ("'params_hash'",)),
