@@ -24,7 +24,9 @@ from .groups import BACKENDS, SIDE_TARGET, TRANSPARENT, new_context
 from .policy import check_attributes, parse_policy
 from .rng import SeededRng, SystemRng
 from .scheme import decrypt, derive_dk, encrypt, keygen, revoke, setup, update_ct, update_key
-from .timecode import backdatable_epochs, bit_width, ct_epoch_bits, epoch_bits, lemma_row, zero_positions
+from .timecode import (
+    backdatable_epochs, bit_width, check_epoch, ct_epoch_bits, epoch_bits, lemma_row, zero_positions,
+)
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -93,22 +95,30 @@ def _field_error(path, field, message):
 
 def _check_attrs(path, field, attrs, pp):
     """Refuse a loaded artifact whose attributes leave 1..attr_max, as encrypt
-    and keygen refuse them: T(x) interpolates at any x, so nothing later
-    would notice."""
+    and keygen refuse them."""
     try:
         check_attributes(attrs, pp.attr_max)
     except ParameterError as exc:
         raise _field_error(path, field, exc) from None
 
 
+def _check_epoch(path, epoch, pp):
+    """Refuse a loaded artifact whose epoch is not one of the deployment's,
+    1..max_time-1, as encrypt and update_key refuse it: epoch 0 encodes like
+    any other, and a matching pair past the range decrypts, so nothing later
+    would notice."""
+    try:
+        check_epoch(epoch, pp.max_time, allow_zero=False)
+    except ParameterError as exc:
+        raise _field_error(path, "epoch", exc) from None
+
+
 def _check_slots(path, ct, pp):
     """Refuse a ct-original whose update slots are not the zero positions of
     its epoch's ciphertext encoding, as encrypt makes them: folding reads only
-    the slots the target epoch needs, so it would miss any other."""
-    try:
-        slots = zero_positions(ct_epoch_bits(ct.epoch, pp.max_time))
-    except ParameterError as exc:
-        raise _field_error(path, "epoch", exc) from None
+    the slots the target epoch needs, so it would miss any other.  The epoch
+    is checked first."""
+    slots = zero_positions(ct_epoch_bits(ct.epoch, pp.max_time))
     if ct.e2.keys() != slots:
         raise _field_error(path, "e2", f"slots {sorted(ct.e2)}, not {sorted(slots)}, "
                                        f"the zero positions of epoch {ct.epoch}")
@@ -254,6 +264,7 @@ def cmd_update_ct(args):
     phash, pp, mk, tree, rl, counter = _load_state(args.state)
     ct = _read_artifact(args.ct, "ct-original", phash, serial.ct_original_from_payload, pp.ctx)
     _check_attrs(args.ct, "attrs", ct.attrs, pp)
+    _check_epoch(args.ct, ct.epoch, pp)
     _check_slots(args.ct, ct, pp)
     updated = update_ct(pp, ct, args.epoch, _rng_for(_resolve_seed(args)))
     if updated is None:
@@ -272,6 +283,7 @@ def cmd_derive_dk(args):
     _check_attrs(args.sk, "policy", sk.policy.attributes(), pp)
     _check_key_parts(args.sk, sk, tree)
     ku = _read_artifact(args.ku, "ku", phash, serial.ku_from_payload, pp.ctx)
+    _check_epoch(args.ku, ku.epoch, pp)
     _check_cover(args.ku, ku, tree)
     dk = derive_dk(sk, ku)
     if dk is None:
@@ -289,6 +301,8 @@ def cmd_decrypt(args):
     _check_attrs(args.ct, "attrs", ct.attrs, pp)
     dk = _read_artifact(args.dk, "dk", phash, serial.dk_from_payload, pp.ctx)
     _check_attrs(args.dk, "policy", dk.policy.attributes(), pp)
+    _check_epoch(args.ct, ct.epoch, pp)
+    _check_epoch(args.dk, dk.epoch, pp)
     if dk.epoch != ct.epoch:
         raise RabeError(
             f"key epoch {dk.epoch} does not match ciphertext epoch {ct.epoch}; "

@@ -302,21 +302,15 @@ class RealContext(BilinearContext):
         return value
 
 
-_REAL_CONTEXT = None
-
-
 def new_context(backend: str = TRANSPARENT, seed=0) -> BilinearContext:
-    """Create (or reuse, for the fixed curve) a group context.
+    """Create a group context.
 
     The transparent modulus is a deterministic function of the seed; the
-    real curve ignores the seed entirely.
+    real curve ignores the seed entirely, and its contexts hold no state, so
+    any two are interchangeable (elements compare by group_id).
     """
     if backend == TRANSPARENT:
         return TransparentContext(seed)
     if backend == REAL:
-        global _REAL_CONTEXT
-        if _REAL_CONTEXT is None:
-            _REAL_CONTEXT = RealContext()
-        return _REAL_CONTEXT
+        return RealContext()
     raise ParameterError(f"unknown backend {backend!r}")
-

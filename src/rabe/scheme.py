@@ -70,7 +70,9 @@ class PublicParams:
     attr_max: int
     g1: GroupElement              # side one, g^alpha
     g2: MirroredPair
-    t_gens: tuple[MirroredPair, ...]   # attr_max + 1 interpolation anchors
+    # the interpolation anchors 1..attr_max+1; T(x) reads only T_x, so the
+    # last anchor is raised by nothing, yet its pair stays in the format
+    t_gens: tuple[MirroredPair, ...]
     u0: MirroredPair
     u_gens: tuple[MirroredPair, ...]   # one per epoch bit position
     # caches of values the fields above fix: neither constructor arguments,
@@ -98,38 +100,22 @@ class PublicParams:
         return self._blind_base
 
     def eval_t(self, x: int, side: str) -> GroupElement:
-        """The attribute generator T(x) = g2^(x^n) * prod T_i^(L_i(x)) with
-        L_i the Lagrange basis over the anchor points 1..n+1."""
+        """The attribute generator T(x) = g2^(x^n) * prod T_i^(L_i(x)), L_i
+        the Lagrange basis over the anchors 1..n+1.  Attributes lie in 1..n,
+        each an anchor, where L_i(x) is 1 at i = x and 0 elsewhere; so this
+        computes T(x) = g2^(x^n) * T_x, and refuses any x outside 1..n."""
         key = (side, x)
         cached = self._t_cache.get(key)
         if cached is not None:
             return cached
-        p = self.ctx.prime_order
-        n = self.attr_max
-        if side == SIDE_ONE:
-            gens = [self.g2.one] + [t.one for t in self.t_gens]
-        elif side == SIDE_TWO:
-            gens = [self.g2.two] + [t.two for t in self.t_gens]
-        else:
+        if side not in (SIDE_ONE, SIDE_TWO):
             raise SideMismatchError("T(x) exists on the source sides only")
-        acc = gens[0] ** pow(x, n, p)
-        points = list(range(1, n + 2))
-        for i, gen in zip(points, gens[1:]):
-            acc = acc * gen ** _lagrange_int(i, points, x, p)
-        self._t_cache[key] = acc
-        return acc
-
-
-def _lagrange_int(i: int, points, x: int, p: int) -> int:
-    if len(set(points)) != len(points):
-        raise ZeroDivisionError("duplicate interpolation points")
-    num, den = 1, 1
-    for j in points:
-        if j == i:
-            continue
-        num = num * (x - j) % p
-        den = den * (i - j) % p
-    return num * pow(den, -1, p) % p
+        check_attributes({x}, self.attr_max)
+        # MirroredPair's fields are named after the sides
+        g2, t_x = getattr(self.g2, side), getattr(self.t_gens[x - 1], side)
+        value = g2 ** pow(x, self.attr_max, self.ctx.prime_order) * t_x
+        self._t_cache[key] = value
+        return value
 
 
 @dataclass(frozen=True)
@@ -241,6 +227,7 @@ def keygen(
 ) -> PrivateKey:
     check_attributes(policy.attributes(), pp.attr_max)
     p = pp.ctx.prime_order
+    n = pp.attr_max
     leaf = state.assign_leaf(identity)
     parts = {}
     for node in state.path(leaf):
@@ -249,7 +236,8 @@ def keygen(
         rows = []
         for attr, lam in zip(policy.row_attrs, shares):
             r = pp.ctx.random_scalar(rng)
-            k0 = pp.g2.two ** lam * pp.eval_t(attr, SIDE_TWO) ** r
+            # g2^lam * T(attr)^r, with T(attr)'s g2 power folded into lam's
+            k0 = pp.g2.two ** (lam + pow(attr, n, p) * r.value) * pp.t_gens[attr - 1].two ** r
             k1 = pp.ctx.generator(SIDE_TWO) ** r
             rows.append((k0, k1))
         parts[node] = tuple(rows)

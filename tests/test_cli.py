@@ -476,6 +476,15 @@ def _side_two(text):
     return base64.b64encode(bytes(data)).decode("ascii")
 
 
+def _on_both(edit):
+    """edit applied to the tampered ct2 and to the dk beside it, so that the
+    two still agree."""
+    def apply(path):
+        edit(path)
+        edit(path.with_name("dk.json"))
+    return apply
+
+
 DECRYPT = ("decrypt", "--state", "{state}", "--ct", "{ct2}", "--dk", "{dk}")
 UPDATE_KEY = ("update-key", "--state", "{state}", "--epoch", "8", "--out", "{out}")
 DERIVE_DK = ("derive-dk", "--state", "{state}", "--sk", "{sk}", "--ku", "{ku}", "--out", "{out}")
@@ -551,6 +560,17 @@ MUTATIONS = {
                          ("'e2'",)),
     "ct-epoch-past-the-range": ("ct", _set("payload", "epoch", 99), UPDATE_CT,
                                 ("'epoch'", "epoch 99 outside")),
+    # epoch 0 is reserved, and this deployment's epochs end at 31
+    "ct-epoch-zero": ("ct", _set("payload", "epoch", 0), UPDATE_CT, ("'epoch'", "epoch 0 outside")),
+    "ku-epoch-zero": ("ku", _set("payload", "epoch", 0), DERIVE_DK, ("'epoch'", "epoch 0 outside")),
+    "ku-epoch-past-the-range": ("ku", _set("payload", "epoch", 99), DERIVE_DK,
+                                ("'epoch'", "epoch 99 outside")),
+    "ct2-epoch-past-the-range": ("ct2", _set("payload", "epoch", 99), DECRYPT,
+                                 ("'epoch'", "epoch 99 outside")),
+    "dk-epoch-past-the-range": ("dk", _set("payload", "epoch", 99), DECRYPT,
+                                ("'epoch'", "epoch 99 outside")),
+    "ct2-and-dk-epoch-past-the-range": ("ct2", _on_both(_set("payload", "epoch", 99)), DECRYPT,
+                                        ("'epoch'", "epoch 99 outside")),
     # alice sits at leaf 8 of a capacity-8 tree: her path is 1, 2, 4, 8
     "sk-identity-unknown": ("sk", _set("payload", "identity", "mallory"), DERIVE_DK,
                             ("'identity'", "'mallory' has no leaf")),
@@ -579,6 +599,7 @@ def test_malformed_artifacts_exit_3_naming_file_and_field(artifacts, capsys, cas
     assert str(artifacts[target]) in err
     for word in words:
         assert word in err
+    assert not artifacts["out"].exists()
 
 
 def _ct_naming(attr):

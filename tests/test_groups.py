@@ -1,7 +1,6 @@
 import pytest
 
 import rabe.bls12381 as bls
-from rabe import groups
 from rabe.errors import BackendMismatchError, EnvelopeError, ParameterError, SideMismatchError
 from rabe.groups import (
     REAL,
@@ -14,7 +13,6 @@ from rabe.groups import (
     new_context,
 )
 from rabe.rng import SeededRng
-from rabe.scheme import _lagrange_int
 
 SIDES = (SIDE_ONE, SIDE_TWO, SIDE_TARGET)
 # the payload of each side's identity: exponent 0 on the transparent backend;
@@ -67,7 +65,6 @@ def test_real_target_generator_runs_no_pairing(monkeypatch):
     def refuse(pairs):
         raise AssertionError("a pairing ran")
     monkeypatch.setattr(bls, "pairing_product", refuse)
-    monkeypatch.setattr(groups, "_REAL_CONTEXT", None)  # a new context, as in a new process
     ctx = new_context(REAL)
     assert ctx.generator(SIDE_TARGET).payload == bls.GT_GEN
 
@@ -255,25 +252,3 @@ def test_context_determinism():
     assert a.generator(SIDE_ONE) * b.generator(SIDE_ONE) == a.generator(SIDE_ONE) ** 2
     with pytest.raises(ParameterError):
         new_context("imaginary")
-
-
-def test_lagrange_coefficient_basis_property(tctx):
-    p = tctx.prime_order
-    points = [1, 2, 3, 5]
-    for i in points:
-        for j in points:
-            assert _lagrange_int(i, points, j, p) == (1 if i == j else 0)
-
-
-def test_lagrange_interpolation_recovers_polynomial(tctx):
-    p = tctx.prime_order
-    rng = SeededRng("lagrange")
-    coeffs = [rng.randbelow(p) for _ in range(4)]
-
-    def poly(x):
-        return sum(c * pow(x, k, p) for k, c in enumerate(coeffs)) % p
-
-    points = [1, 2, 3, 4]
-    assert sum(_lagrange_int(i, points, 0, p) * poly(i) for i in points) % p == coeffs[0]
-    with pytest.raises(ZeroDivisionError):
-        _lagrange_int(1, [1, 1, 2], 0, p)

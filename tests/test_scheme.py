@@ -101,14 +101,13 @@ def test_setup_fills_the_blinding_base_with_the_pairing_value(backend):
 
 
 def test_real_exponentiations_make_one_curve_call_each(monkeypatch):
-    """The benchmark's cost model: with T(x) warm, keygen makes 3 * rows *
-    (depth + 1) g2_mul calls, and fold_ciphertext one fq12_pow_cyclo."""
+    """The benchmark's cost model: keygen makes 3 * rows * (depth + 1)
+    g2_mul calls and builds no key-side T(x), and fold_ciphertext makes one
+    fq12_pow_cyclo."""
     ctx = new_context(REAL)
     rng = SeededRng("cost-model")
     pp, mk, state, rl = make_world(ctx, rng, n_users=4, max_time=8, attr_max=3)
     policy = parse_policy("1 AND (2 OR 3)")
-    for attr in policy.row_attrs:
-        pp.eval_t(attr, SIDE_TWO)
     msg = ctx.random_element(SIDE_TARGET, rng)
     ct = encrypt(pp, {1, 2}, 3, msg, rng)  # warms T(x) on side one
     calls = dict.fromkeys(("g2_mul", "fq12_pow_cyclo"), 0)
@@ -129,6 +128,7 @@ def test_real_exponentiations_make_one_curve_call_each(monkeypatch):
     monkeypatch.setattr(bls._G2, "hot", {})
     keygen(pp, mk, state, "alice", policy, rng)
     assert any(isinstance(v, list) for v in bls._G2.hot.values())
+    assert all(side != SIDE_TWO for side, _ in pp._t_cache)
     depth = state.capacity.bit_length() - 1
     assert calls == {"g2_mul": 3 * len(policy.rows) * (depth + 1), "fq12_pow_cyclo": 0}
     calls.update(g2_mul=0)
@@ -178,12 +178,18 @@ def test_attribute_generator_matches_interpolation_oracle():
     n = pp.attr_max
     b = pp.g2.one.transparent_log
     anchors = list(range(1, n + 2))
-    for x in range(1, 9):
+    for x in range(1, n + 1):
         expected = b * pow(x, n, p) % p
         for i, t in zip(anchors, pp.t_gens):
             expected = (expected + lagrange_weight(i, anchors, x, p) * t.one.transparent_log) % p
         assert pp.eval_t(x, SIDE_ONE).transparent_log == expected
         assert pp.eval_t(x, SIDE_TWO).transparent_log == expected
+    # the closed form holds on the attribute universe only, as encrypt and
+    # keygen admit it
+    for x in (0, n + 1, 8):
+        for side in (SIDE_ONE, SIDE_TWO):
+            with pytest.raises(ParameterError, match=f"attribute {x} outside"):
+                pp.eval_t(x, side)
     with pytest.raises(SideMismatchError):
         pp.eval_t(1, SIDE_TARGET)
 
