@@ -26,9 +26,11 @@ two 128-bit or four 64-bit digits.  The digits share one width-4 wNAF
 doubling chain, or run Horner-style over a fixed-base table of the base
 for one digit, which a base earns after five such scalars and keeps while
 it is among its group's 24 most recently used tables: width 8 for the G1
-and G2 generators, width 4 for any other base, GT_GEN among them.  The
-same maps give the membership
-tests (Scott, ePrint 2021/1130), which need only a power by z^2 or |z|.
+and G2 generators, width 4 for any other base, GT_GEN among them.  Short
+powers are a binary chain: a scalar no longer than the radix runs one
+doubling per bit and one mixed addition of the base per set bit, with no
+table.  The same maps give the membership tests (Scott, ePrint
+2021/1130), which need only such a power by z^2 or |z|.
 Fq2 square roots go by the norm.  The pairing is the ate pairing: a Miller
 loop over the curve parameter that keeps the running point on the twist in
 homogeneous projective coordinates and yields each line as a sparse Fq12
@@ -495,8 +497,12 @@ def final_exponentiation(f):
 # shared.  GT brings the cyclotomic squaring, the product and conjugation,
 # and its elements need no conversion.
 #
-# A k no longer than the group's radix runs one width-4 wNAF.  A longer k
-# is split by the group's endomorphism: endo acts on the r-torsion as
+# Short powers are a binary chain: a k no longer than the group's radix
+# runs left to right on the base itself, one doubling per bit below the
+# top and one mixed addition of the base per set bit, and builds no table;
+# the membership tests, the GT check and the final exponentiation raise
+# only such fixed, sparse exponents (|z| has 6 set bits, z^2 17).  A longer
+# k is split by the group's endomorphism: endo acts on the r-torsion as
 # [radix], and R < radix^4 on G2 and GT (radix = |z|) and R < radix^2 on G1
 # (radix = z^2), since R = z^4 - z^2 + 1.  The digits run as one interleaved
 # wNAF over the bases endo^i(pt) or, for a base with a table, Horner-style
@@ -667,10 +673,10 @@ def _mul(g, pt, k):
     """[k]pt on G1 or G2 in affine coordinates (None for infinity), or
     pt^k on GT.
 
-    Plain path: a k no longer than g.radix runs one width-4 wNAF on pt,
-    which holds for any point on the curve and any cyclotomic Fq12
-    element; the membership tests and the final exponentiation rely on it.
-    Such a k never counts toward a table.  Split path: a longer k is
+    Short path: a k no longer than g.radix is a binary chain on pt, which
+    holds for any point on the curve and any cyclotomic Fq12 element; the
+    membership tests and the final exponentiation rely on it.  Such a k
+    never counts toward a table.  Split path: a longer k is
     reduced mod R and written in base g.radix, and the digits run over pt's
     table or one interleaved wNAF.  The split holds only for pt in the
     r-torsion, where endo acts as [radix]: every caller passes scheme
@@ -683,30 +689,36 @@ def _mul(g, pt, k):
         return g.identity
     if k == 1:  # the reconstruction coefficients of AND/OR policies are ones
         return pt
-    madd = g.madd
+    dbl, madd = g.dbl, g.madd
+    if k.bit_length() <= g.radix.bit_length():
+        # a binary chain on pt itself, from its top bit down: a fixed
+        # exponent this short and sparse does not repay an odd-multiple table
+        acc = g.lift(pt)
+        for bit in bin(k)[3:]:
+            acc = dbl(acc)
+            if bit == "1":
+                acc = madd(acc, pt)
+        return g.to_affine([acc])[0]
+    k, digits = k % R, []
+    while k:
+        k, d = divmod(k, g.radix)
+        digits.append(d)
     acc = g.inf
-    digits = [k]
-    if k.bit_length() > g.radix.bit_length():
-        k, digits = k % R, []
-        while k:
-            k, d = divmod(k, g.radix)
-            digits.append(d)
-        table = _table(g, pt)
-        if table is not None:
-            unpack, width = g.unpack, len(table[0]).bit_length()
-            for i, d in enumerate(reversed(digits)):
-                if i:
-                    acc = g.endo(acc)
-                for row, e in zip(table, _fb_digits(d, len(table), width)):
-                    if e > 0:
-                        acc = madd(acc, unpack(row[e - 1]))
-                    elif e < 0:
-                        acc = madd(acc, g.neg(unpack(row[-e - 1])))
-            return g.to_affine([acc])[0]
+    table = _table(g, pt)
+    if table is not None:
+        unpack, width = g.unpack, len(table[0]).bit_length()
+        for i, d in enumerate(reversed(digits)):
+            if i:
+                acc = g.endo(acc)
+            for row, e in zip(table, _fb_digits(d, len(table), width)):
+                if e > 0:
+                    acc = madd(acc, unpack(row[e - 1]))
+                elif e < 0:
+                    acc = madd(acc, g.neg(unpack(row[-e - 1])))
+        return g.to_affine([acc])[0]
     # the odd multiples P, 3P, 5P, 7P of the wNAF digits: 2P is made affine
     # first, then the four share one inversion; endo carries them to the
     # odd multiples of the next base
-    dbl = g.dbl
     two = g.to_affine([dbl(g.lift(pt))])[0]
     jac = [g.lift(pt)]
     for _ in range(3):

@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import fcntl
 import os
 import sys
+import time
 
 from . import game, serial
 from .errors import EnvelopeError, InvalidNodeError, ParameterError, RabeError, UnknownIdentityError
@@ -33,6 +35,8 @@ EXIT_MISMATCH = 1
 EXIT_REFUSED = 2
 EXIT_INVALID = 3
 EXIT_IO = 4
+
+_LOCK_WAIT = 30.0  # seconds a state-writing command waits for another to finish
 
 
 def _resolve_seed(args):
@@ -67,6 +71,38 @@ def _load_state(path):
     phash = serial.params_hash(serial.pp_payload(pp))
     serial.check_params_hash(env, phash, path)
     return phash, pp, mk, tree, rl, counter
+
+
+@contextlib.contextmanager
+def _state_lock(path):
+    """Hold an exclusive flock on the state file from before the command
+    reads it until its new state is renamed into place, so commands that
+    rewrite one state run one at a time and none drops another's update.
+    The rename puts a new file under the path, so a lock won on a file the
+    path no longer names is let go and taken on the current one.  A state
+    that does not exist yet has no deployment to lose and is not locked.
+    The wait is a bounded block: past _LOCK_WAIT seconds it fails, naming
+    the state (exit 4)."""
+    deadline = time.monotonic() + _LOCK_WAIT
+    while True:
+        try:
+            fh = open(path, "rb")
+        except FileNotFoundError:
+            break
+        with fh:
+            while True:
+                try:
+                    fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                    break
+                except BlockingIOError:
+                    if time.monotonic() >= deadline:
+                        raise TimeoutError(f"{path}: another command is writing this state; "
+                                           f"gave up after {_LOCK_WAIT:g} s") from None
+                    time.sleep(0.01)
+            if os.path.samestat(os.fstat(fh.fileno()), os.stat(path)):
+                yield
+                return
+    yield  # no state yet
 
 
 def _state(path, pp, mk, tree, rl, counter):
@@ -237,6 +273,9 @@ def cmd_revoke(args):
     return EXIT_OK
 
 
+_STATE_WRITERS = (cmd_setup, cmd_keygen, cmd_update_key, cmd_revoke)  # each runs under _state_lock
+
+
 def cmd_encrypt(args):
     phash, pp, mk, tree, rl, counter = _load_state(args.state)
     attrs = _parse_attrs(args.attrs)
@@ -304,10 +343,8 @@ def cmd_decrypt(args):
     _check_epoch(args.ct, ct.epoch, pp)
     _check_epoch(args.dk, dk.epoch, pp)
     if dk.epoch != ct.epoch:
-        raise RabeError(
-            f"key epoch {dk.epoch} does not match ciphertext epoch {ct.epoch}; "
-            "decrypting would yield noise"
-        )
+        raise _field_error(args.dk, "epoch", f"key epoch {dk.epoch} does not match ciphertext "
+                                             f"epoch {ct.epoch}; decrypting would yield noise")
     if args.expect:
         expected = _read_artifact(args.expect, "msg", phash, serial.msg_from_payload, pp.ctx)
     message = decrypt(pp, ct, dk)
@@ -589,7 +626,8 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         _check_paths(args)
-        return args.func(args)
+        with _state_lock(args.state) if args.func in _STATE_WRITERS else contextlib.nullcontext():
+            return args.func(args)
     except RabeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -778,8 +778,9 @@ def test_short_gt_powers_hold_off_gt():
     assert fq12_pow(f, bls.R) != bls.FQ12_ONE and not bls.gt_is_valid(f)
     rng = SeededRng("short-gt")
     top = (1 << X.bit_length()) - 1
-    for k in (3, X - 1, X, top, rng.randbelow(top)):
+    for k in (2, 3, 1 << (X.bit_length() - 1), X - 1, X, top, rng.randbelow(top)):
         assert bls.fq12_pow_cyclo(f, k) == fq12_pow(f, k), k
+        assert bls.fq12_pow_cyclo(f, -k) == bls.fq12_conj(fq12_pow(f, k)), k  # f is unitary
 
 
 def test_short_scalars_hold_off_the_subgroup(g1_small_order, g2_off_subgroup):
@@ -787,13 +788,59 @@ def test_short_scalars_hold_off_the_subgroup(g1_small_order, g2_off_subgroup):
     # so they give the raw multiple of any curve point; the membership tests use them
     rng = SeededRng("short-scalars")
     sub = bls.g1_mul(bls.G1_GEN, 5)
-    cases = [(bls.g1_mul, bls.g1_add, q, X**2) for q in g1_small_order.values()]
-    cases += [(bls.g1_mul, bls.g1_add, bls.g1_add(q, sub), X**2) for q in g1_small_order.values()]
-    cases += [(bls.g2_mul, bls.g2_add, q, X) for q in g2_off_subgroup]
-    for mul, add, pt, radix in cases:
+    g1 = (bls.g1_mul, bls.g1_add, bls.g1_neg)
+    cases = [(*g1, q, X**2) for q in g1_small_order.values()]
+    cases += [(*g1, bls.g1_add(q, sub), X**2) for q in g1_small_order.values()]
+    cases += [(bls.g2_mul, bls.g2_add, bls.g2_neg, q, X) for q in g2_off_subgroup]
+    for mul, add, neg, pt, radix in cases:
         top = (1 << radix.bit_length()) - 1
-        for k in (3, radix - 1, radix, top, rng.randbelow(top)):
-            assert mul(pt, k) == _double_and_add(add, pt, k), k
+        for k in (2, 3, 1 << (radix.bit_length() - 1), radix - 1, radix, top, rng.randbelow(top)):
+            want = _double_and_add(add, pt, k)
+            assert mul(pt, k) == want and mul(pt, -k) == neg(want), k
+
+
+def test_short_power_cost(monkeypatch):
+    """A short power is a binary chain on its base: one doubling per bit below
+    the top, one mixed addition per set bit below it and, on G1 and G2, one
+    inversion into affine form.  It builds no table and counts no use."""
+    rng = SeededRng("short-cost")
+    p = bls.g1_mul(bls.G1_GEN, rng.randbelow(bls.R - 1) + 1)
+    q = bls.g2_mul(bls.G2_GEN, rng.randbelow(bls.R - 1) + 1)
+    f = _cyclotomic_outside_gt()
+    calls = {}
+
+    def counted(g, name):
+        fn = getattr(g, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(g, name, wrapper)
+
+    for g in (bls._G1, bls._G2, bls._GT):
+        monkeypatch.setattr(g, "hot", {})
+        counted(g, "dbl")
+        counted(g, "madd")
+    counted(bls._G1, "finv")
+    counted(bls._G2, "finv")
+
+    def cost(power, base, k):
+        calls.update(dbl=0, madd=0, finv=0)
+        power(base, k)
+        return calls["dbl"], calls["madd"], calls["finv"]
+
+    assert cost(bls.g2_mul, q, X) == (63, 5, 1)
+    assert cost(bls.g1_mul, p, X**2) == (127, 16, 1)
+    assert cost(bls.fq12_pow_cyclo, f, X) == (63, 5, 0)
+    for power, base, radix, inversions in ((bls.g1_mul, p, X**2, 1), (bls.g2_mul, q, X, 1),
+                                           (bls.fq12_pow_cyclo, f, X, 0)):
+        top = radix.bit_length()
+        for k in (2, 3, 1 << (top - 1), radix - 1, (1 << top) - 1):
+            want = (k.bit_length() - 1, bin(k).count("1") - 1)
+            for _ in range(bls._HOT_USES + 1):
+                assert cost(power, base, k) == (*want, inversions), k
+                assert cost(power, base, -k) == (*want, inversions), -k
+    assert bls._G1.hot == bls._G2.hot == bls._GT.hot == {}
 
 
 def test_endomorphism_constants():

@@ -81,6 +81,7 @@ def test_epoch_mismatch_is_a_validation_error(deployment, capsys):
     code, _, err = run(capsys, "decrypt", "--state", state, "--ct", ct2, "--dk", dk)
     assert code == EXIT_INVALID
     assert "does not match ciphertext epoch" in err
+    assert f"{dk}: field 'epoch'" in err
 
 
 def test_backwards_update_refused(deployment, capsys):

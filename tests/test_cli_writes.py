@@ -5,6 +5,7 @@ revocations, and a guard that every file write goes through rabe.serial."""
 import ast
 import contextlib
 import errno
+import fcntl
 import hashlib
 import io
 import json
@@ -12,14 +13,18 @@ import os
 import pathlib
 import re
 import shutil
+import subprocess
+import sys
 import tempfile
+import threading
+import time
 
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
-from rabe import serial
+from rabe import cli, serial
 from rabe.cli import EXIT_INVALID, EXIT_IO, EXIT_MISMATCH, EXIT_OK, EXIT_REFUSED, main
 
 
@@ -370,6 +375,93 @@ def test_every_write_fault_leaves_the_state_and_no_temp_file(seeded, tmp_path, m
             # a directory the run made stays only if a renamed output lies in it
             made = {p for p in work.rglob("*") if p.is_dir()} - dirs
             assert made == {(work / n).parent for n in changed} - {work}, where
+
+
+# ---------------------------------------------------------------------------
+# one writer at a time per state file
+
+
+def _hold(path):
+    """An open handle on path holding its exclusive flock, as a command that
+    rewrites the state holds it."""
+    fh = open(path, "rb")
+    fcntl.flock(fh, fcntl.LOCK_EX)
+    return fh
+
+
+@pytest.mark.parametrize("case", ["setup", "keygen", "update-key", "revoke"])
+def test_a_locked_state_exits_4_and_writes_nothing(walked, capsys, monkeypatch, case):
+    argv = WRITERS[case][0]
+    if case == "setup":  # a new deployment over the existing one
+        argv = ["setup", "--state", "s.json", "--seed", 1]
+    monkeypatch.setattr(cli, "_LOCK_WAIT", 0.2)
+    before = _snapshot(walked)
+    with _hold(walked / "s.json"):
+        started = time.monotonic()
+        code, out, err = run(capsys, *argv)
+        waited = time.monotonic() - started
+    assert code == EXIT_IO and out == "" and waited >= 0.2
+    assert err.startswith("i/o error: s.json: ") and err.count("\n") == 1, err
+    assert _snapshot(walked) == before
+    # once the lock is let go, the same command goes through
+    assert run(capsys, *argv)[0] == EXIT_OK
+
+
+def test_a_lock_won_on_a_replaced_state_is_taken_again(walked, capsys, monkeypatch):
+    """A command that waited on a state file that a rename has since replaced
+    locks the file now under the path; it does not go on with the old one."""
+    monkeypatch.setattr(cli, "_LOCK_WAIT", 1.0)
+    old = _hold(walked / "s.json")
+    codes = []
+    waiter = threading.Thread(target=lambda: codes.append(
+        main(["revoke", "--state", "s.json", "--id", "alice", "--epoch", "9"])))
+    waiter.start()
+    time.sleep(0.3)  # the waiter polls the old file's lock
+    shutil.copy(walked / "s.json", walked / "next.json")
+    os.replace(walked / "next.json", walked / "s.json")
+    before = (walked / "s.json").read_bytes()
+    with _hold(walked / "s.json"):
+        old.close()
+        waiter.join(timeout=10)
+    assert not waiter.is_alive() and codes == [EXIT_IO] and "s.json" in capsys.readouterr().err
+    assert (walked / "s.json").read_bytes() == before
+
+
+_RACER = """\
+import sys
+from rabe.cli import main
+print("ready", flush=True)
+sys.stdin.readline()
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_two_racing_revokes_both_survive(tmp_path, capsys):
+    """Two processes revoke one identity each on one state, released at once;
+    unlocked, the later rename dropped the other revocation in most rounds."""
+    state = tmp_path / "s.json"
+    assert run(capsys, "setup", "--state", state, "--seed", 1)[0] == EXIT_OK
+    for who in ("alice", "bob"):
+        assert run(capsys, "keygen", "--state", state, "--id", who, "--policy", "1",
+                   "--out", tmp_path / f"{who}.sk", "--seed", 2)[0] == EXIT_OK
+    fresh = state.read_bytes()
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    for race in range(6):
+        state.write_bytes(fresh)
+        racers = [subprocess.Popen([sys.executable, "-c", _RACER, "revoke", "--state", str(state),
+                                    "--id", who, "--epoch", "5"], env=env, text=True,
+                                   stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                   stderr=subprocess.PIPE)
+                  for who in ("alice", "bob")]
+        assert [p.stdout.readline() for p in racers] == ["ready\n"] * 2
+        for p in racers:
+            p.stdin.write("\n")
+            p.stdin.flush()
+        outcomes = [p.communicate(timeout=60) for p in racers]
+        assert [p.returncode for p in racers] == [EXIT_OK] * 2, outcomes
+        revoked = json.loads(state.read_text())["payload"]["rl"]["epochs"]
+        assert revoked == {"alice": 5, "bob": 5}, race
 
 
 # ---------------------------------------------------------------------------
