@@ -27,10 +27,11 @@ doubling chain, or run Horner-style over a fixed-base table of the base
 for one digit, which a base earns after five such scalars and keeps while
 it is among its group's 24 most recently used tables: width 8 for the G1
 and G2 generators, width 4 for any other base, GT_GEN among them.  Short
-powers are a binary chain: a scalar no longer than the radix runs one
-doubling per bit and one mixed addition of the base per set bit, with no
-table.  The same maps give the membership tests (Scott, ePrint
-2021/1130), which need only such a power by z^2 or |z|.
+powers are a signed binary chain: a scalar no longer than the radix runs
+one doubling per digit of its NAF and one mixed addition of the base or
+its negation per nonzero digit, with no table.  The same maps give the
+membership tests (Scott, ePrint 2021/1130), which need only such a power
+by z^2 or |z|.
 Fq2 square roots go by the norm.  The pairing is the ate pairing: a Miller
 loop over the curve parameter that keeps the running point on the twist in
 homogeneous projective coordinates and yields each line as a sparse Fq12
@@ -497,11 +498,15 @@ def final_exponentiation(f):
 # shared.  GT brings the cyclotomic squaring, the product and conjugation,
 # and its elements need no conversion.
 #
-# Short powers are a binary chain: a k no longer than the group's radix
-# runs left to right on the base itself, one doubling per bit below the
-# top and one mixed addition of the base per set bit, and builds no table;
-# the membership tests, the GT check and the final exponentiation raise
-# only such fixed, sparse exponents (|z| has 6 set bits, z^2 17).  A longer
+# Short powers are a signed binary chain: a k no longer than the group's
+# radix runs left to right over its NAF (width 2) on the base itself, one
+# doubling per digit below the top and one mixed addition of the base or
+# its negation per nonzero digit, and builds no table.  The membership
+# tests, the GT check and the final exponentiation raise fixed, sparse
+# exponents (|z| has 6 nonzero digits, z^2 17), where a table's two
+# inversions do not pay; eval_t's x^n is dense for larger attribute
+# bounds, and a NAF's third of nonzero digits keeps it near the width-4
+# wNAF there, where a plain binary chain's half would lose.  A longer
 # k is split by the group's endomorphism: endo acts on the r-torsion as
 # [radix], and R < radix^4 on G2 and GT (radix = |z|) and R < radix^2 on G1
 # (radix = z^2), since R = z^4 - z^2 + 1.  The digits run as one interleaved
@@ -673,7 +678,7 @@ def _mul(g, pt, k):
     """[k]pt on G1 or G2 in affine coordinates (None for infinity), or
     pt^k on GT.
 
-    Short path: a k no longer than g.radix is a binary chain on pt, which
+    Short path: a k no longer than g.radix is a NAF chain on pt, which
     holds for any point on the curve and any cyclotomic Fq12 element; the
     membership tests and the final exponentiation rely on it.  Such a k
     never counts toward a table.  Split path: a longer k is
@@ -691,13 +696,15 @@ def _mul(g, pt, k):
         return pt
     dbl, madd = g.dbl, g.madd
     if k.bit_length() <= g.radix.bit_length():
-        # a binary chain on pt itself, from its top bit down: a fixed
-        # exponent this short and sparse does not repay an odd-multiple table
-        acc = g.lift(pt)
-        for bit in bin(k)[3:]:
+        # a NAF chain on pt itself, from its top digit down, with no table
+        digits = _naf(k, 2)
+        if digits[-3:] == [-1, 0, 1]:  # a top 1 0 -1 is 1 1: one doubling fewer
+            digits[-3:] = [1, 1]
+        neg, acc = g.neg(pt), g.lift(pt)
+        for d in reversed(digits[:-1]):
             acc = dbl(acc)
-            if bit == "1":
-                acc = madd(acc, pt)
+            if d:
+                acc = madd(acc, pt if d > 0 else neg)
         return g.to_affine([acc])[0]
     k, digits = k % R, []
     while k:

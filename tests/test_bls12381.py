@@ -800,9 +800,10 @@ def test_short_scalars_hold_off_the_subgroup(g1_small_order, g2_off_subgroup):
 
 
 def test_short_power_cost(monkeypatch):
-    """A short power is a binary chain on its base: one doubling per bit below
-    the top, one mixed addition per set bit below it and, on G1 and G2, one
-    inversion into affine form.  It builds no table and counts no use."""
+    """A short power is a NAF chain on its base: one doubling per digit below
+    the top, a top 1 0 -1 taken as 1 1, one mixed addition of the base or its
+    negation per nonzero digit below it and, on G1 and G2, one inversion into
+    affine form.  It builds no table and counts no use."""
     rng = SeededRng("short-cost")
     p = bls.g1_mul(bls.G1_GEN, rng.randbelow(bls.R - 1) + 1)
     q = bls.g2_mul(bls.G2_GEN, rng.randbelow(bls.R - 1) + 1)
@@ -835,8 +836,11 @@ def test_short_power_cost(monkeypatch):
     for power, base, radix, inversions in ((bls.g1_mul, p, X**2, 1), (bls.g2_mul, q, X, 1),
                                            (bls.fq12_pow_cyclo, f, X, 0)):
         top = radix.bit_length()
-        for k in (2, 3, 1 << (top - 1), radix - 1, (1 << top) - 1):
-            want = (k.bit_length() - 1, bin(k).count("1") - 1)
+        # a set bit of (3k XOR k) >> 1 marks each nonzero NAF digit of k; the
+        # NAF of 2^top - 1 is 2^top - 2^0, one digit longer than its bits
+        for k, doublings in ((2, 1), (3, 1), (1 << (top - 1), top - 1), (radix - 1, top - 1),
+                             ((1 << top) - 1, top)):
+            want = (doublings, bin((3 * k ^ k) >> 1).count("1") - 1)
             for _ in range(bls._HOT_USES + 1):
                 assert cost(power, base, k) == (*want, inversions), k
                 assert cost(power, base, -k) == (*want, inversions), -k

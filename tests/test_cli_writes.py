@@ -409,22 +409,40 @@ def test_a_locked_state_exits_4_and_writes_nothing(walked, capsys, monkeypatch, 
 
 def test_a_lock_won_on_a_replaced_state_is_taken_again(walked, capsys, monkeypatch):
     """A command that waited on a state file that a rename has since replaced
-    locks the file now under the path; it does not go on with the old one."""
-    monkeypatch.setattr(cli, "_LOCK_WAIT", 1.0)
+    locks the file now under the path: it reads the state only once the
+    command holding that file is done, and both commands' updates survive."""
+    # bob's key and revocation, made in a copy: the state another writer renames in
+    side = walked / "side"
+    side.mkdir()
+    shutil.copy(walked / "s.json", side / "s.json")
+    for argv in (["keygen", "--id", "bob", "--policy", "1", "--out", side / "bob.sk", "--seed", 4],
+                 ["revoke", "--id", "bob", "--epoch", 9]):
+        assert run(capsys, argv[0], "--state", side / "s.json", *argv[1:])[0] == EXIT_OK
+    holder_done, loads, codes = threading.Event(), [], []
+
+    def load(path, real=cli._load_state):
+        loads.append(holder_done.is_set())
+        return real(path)
+    monkeypatch.setattr(cli, "_load_state", load)
     old = _hold(walked / "s.json")
-    codes = []
     waiter = threading.Thread(target=lambda: codes.append(
         main(["revoke", "--state", "s.json", "--id", "alice", "--epoch", "9"])))
     waiter.start()
     time.sleep(0.3)  # the waiter polls the old file's lock
-    shutil.copy(walked / "s.json", walked / "next.json")
+    shutil.copy(side / "s.json", walked / "next.json")
     os.replace(walked / "next.json", walked / "s.json")
-    before = (walked / "s.json").read_bytes()
-    with _hold(walked / "s.json"):
+    with _hold(walked / "s.json"):  # a writer that read bob's state holds the new file
         old.close()
-        waiter.join(timeout=10)
-    assert not waiter.is_alive() and codes == [EXIT_IO] and "s.json" in capsys.readouterr().err
-    assert (walked / "s.json").read_bytes() == before
+        time.sleep(0.3)  # a waiter that went on with the old file would read now
+        # the writer renames its own new state in, a copy of what it read
+        shutil.copy(side / "s.json", walked / "next.json")
+        os.replace(walked / "next.json", walked / "s.json")
+        holder_done.set()
+    waiter.join(timeout=60)
+    assert not waiter.is_alive() and codes == [EXIT_OK], capsys.readouterr().err
+    assert loads == [True]
+    revoked = json.loads((walked / "s.json").read_text())["payload"]["rl"]["epochs"]
+    assert revoked == {"alice": 9, "bob": 9}
 
 
 _RACER = """\
