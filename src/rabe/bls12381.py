@@ -504,9 +504,9 @@ def final_exponentiation(f):
 # its negation per nonzero digit, and builds no table.  The membership
 # tests, the GT check and the final exponentiation raise fixed, sparse
 # exponents (|z| has 6 nonzero digits, z^2 17), where a table's two
-# inversions do not pay; eval_t's x^n is dense for larger attribute
-# bounds, and a NAF's third of nonzero digits keeps it near the width-4
-# wNAF there, where a plain binary chain's half would lose.  A longer
+# inversions do not pay.  eval_t's x^n is dense from attr_max 9 or so; a
+# NAF has a nonzero digit per three bits against binary's one per two, so
+# a dense x^n still beats the table; a plain binary chain does not.  A longer
 # k is split by the group's endomorphism: endo acts on the r-torsion as
 # [radix], and R < radix^4 on G2 and GT (radix = |z|) and R < radix^2 on G1
 # (radix = z^2), since R = z^4 - z^2 + 1.  The digits run as one interleaved
