@@ -21,13 +21,13 @@ import sys
 import time
 
 from . import game, serial
-from .errors import EnvelopeError, InvalidNodeError, ParameterError, RabeError, UnknownIdentityError
+from .errors import EnvelopeError, ParameterError, RabeError
 from .groups import BACKENDS, SIDE_TARGET, TRANSPARENT, new_context
-from .policy import check_attributes, parse_policy
+from .policy import parse_policy
 from .rng import SeededRng, SystemRng
 from .scheme import decrypt, derive_dk, encrypt, keygen, revoke, setup, update_ct, update_key
 from .timecode import (
-    backdatable_epochs, bit_width, check_epoch, ct_epoch_bits, epoch_bits, lemma_row, zero_positions,
+    backdatable_epochs, bit_width, ct_epoch_bits, epoch_bits, lemma_row, zero_positions,
 )
 
 EXIT_OK = 0
@@ -58,11 +58,11 @@ def _rng_for(seed):
 
 
 def _decode(path, decode, *args):
-    """decode(*args), naming the file in any envelope error."""
+    """decode(*args), naming the file in any envelope or parameter error."""
     try:
         return decode(*args)
-    except EnvelopeError as exc:
-        raise EnvelopeError(f"{path}: {exc}") from None
+    except (EnvelopeError, ParameterError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def _load_state(path):
@@ -119,73 +119,15 @@ def _artifact(path, kind, pp, phash, payload):
     return path, serial.envelope(kind, pp.ctx.backend, phash, payload)
 
 
-def _read_artifact(path, kind, phash, decode, ctx):
+def _read_artifact(path, kind, phash, decode, pp, tree):
+    """The artifact in path, decoded and checked against the deployment; a
+    message is any target-group element and has no check."""
     env = serial.read_envelope(path, expect_kind=kind)
     serial.check_params_hash(env, phash, path)
-    return _decode(path, decode, ctx, env["payload"])
-
-
-def _field_error(path, field, message):
-    return EnvelopeError(f"{path}: field {field!r}: {message}")
-
-
-def _check_attrs(path, field, attrs, pp):
-    """Refuse a loaded artifact whose attributes leave 1..attr_max, as encrypt
-    and keygen refuse them."""
-    try:
-        check_attributes(attrs, pp.attr_max)
-    except ParameterError as exc:
-        raise _field_error(path, field, exc) from None
-
-
-def _check_epoch(path, epoch, pp):
-    """Refuse a loaded artifact whose epoch is not one of the deployment's,
-    1..max_time-1, as encrypt and update_key refuse it: epoch 0 encodes like
-    any other, and a matching pair past the range decrypts, so nothing later
-    would notice."""
-    try:
-        check_epoch(epoch, pp.max_time, allow_zero=False)
-    except ParameterError as exc:
-        raise _field_error(path, "epoch", exc) from None
-
-
-def _check_slots(path, ct, pp):
-    """Refuse a ct-original whose update slots are not the zero positions of
-    its epoch's ciphertext encoding, as encrypt makes them: folding reads only
-    the slots the target epoch needs, so it would miss any other.  The epoch
-    is checked first."""
-    slots = zero_positions(ct_epoch_bits(ct.epoch, pp.max_time))
-    if ct.e2.keys() != slots:
-        raise _field_error(path, "e2", f"slots {sorted(ct.e2)}, not {sorted(slots)}, "
-                                       f"the zero positions of epoch {ct.epoch}")
-
-
-def _check_key_parts(path, sk, tree):
-    """Refuse a private key whose parts are not exactly its holder's path
-    from the root: one at another node would meet a key update's cover
-    where keygen never issued it."""
-    try:
-        nodes = tree.path(tree.leaf_for(sk.identity))
-    except UnknownIdentityError as exc:
-        raise _field_error(path, "identity", exc) from None
-    if sk.parts.keys() != set(nodes):
-        raise _field_error(path, "parts", f"nodes {sorted(sk.parts)}, not {sk.identity!r}'s "
-                                          f"path {nodes}")
-
-
-def _check_cover(path, ku, tree):
-    """Refuse a key update whose parts name a node outside the tree or a node
-    together with one of its ancestors: a cover's subtrees are disjoint."""
-    for node in ku.parts:
-        try:
-            tree.check_node(node)
-        except InvalidNodeError as exc:
-            raise _field_error(path, "parts", exc) from None
-        above = node // 2
-        while above:
-            if above in ku.parts:
-                raise _field_error(path, "parts", f"node {above} and its descendant {node}")
-            above //= 2
+    artifact = _decode(path, decode, pp.ctx, env["payload"])
+    if kind != "msg":
+        _decode(path, artifact.check, pp, tree)
+    return artifact
 
 
 def _transcript_names(args):
@@ -281,7 +223,7 @@ def cmd_encrypt(args):
     attrs = _parse_attrs(args.attrs)
     rng = _rng_for(_resolve_seed(args))
     if args.message:
-        message = _read_artifact(args.message, "msg", phash, serial.msg_from_payload, pp.ctx)
+        message = _read_artifact(args.message, "msg", phash, serial.msg_from_payload, pp, tree)
     else:
         message = pp.ctx.random_element(SIDE_TARGET, rng)
     ct = encrypt(pp, attrs, args.epoch, message, rng)
@@ -301,10 +243,7 @@ def cmd_encrypt(args):
 
 def cmd_update_ct(args):
     phash, pp, mk, tree, rl, counter = _load_state(args.state)
-    ct = _read_artifact(args.ct, "ct-original", phash, serial.ct_original_from_payload, pp.ctx)
-    _check_attrs(args.ct, "attrs", ct.attrs, pp)
-    _check_epoch(args.ct, ct.epoch, pp)
-    _check_slots(args.ct, ct, pp)
+    ct = _read_artifact(args.ct, "ct-original", phash, serial.ct_original_from_payload, pp, tree)
     updated = update_ct(pp, ct, args.epoch, _rng_for(_resolve_seed(args)))
     if updated is None:
         print(f"refused: epoch {args.epoch} lies before the ciphertext's epoch {ct.epoch}")
@@ -318,12 +257,8 @@ def cmd_update_ct(args):
 
 def cmd_derive_dk(args):
     phash, pp, mk, tree, rl, counter = _load_state(args.state)
-    sk = _read_artifact(args.sk, "sk", phash, serial.sk_from_payload, pp.ctx)
-    _check_attrs(args.sk, "policy", sk.policy.attributes(), pp)
-    _check_key_parts(args.sk, sk, tree)
-    ku = _read_artifact(args.ku, "ku", phash, serial.ku_from_payload, pp.ctx)
-    _check_epoch(args.ku, ku.epoch, pp)
-    _check_cover(args.ku, ku, tree)
+    sk = _read_artifact(args.sk, "sk", phash, serial.sk_from_payload, pp, tree)
+    ku = _read_artifact(args.ku, "ku", phash, serial.ku_from_payload, pp, tree)
     dk = derive_dk(sk, ku)
     if dk is None:
         print(f"no decryption key: {sk.identity!r} is revoked at epoch {ku.epoch}")
@@ -336,17 +271,13 @@ def cmd_derive_dk(args):
 
 def cmd_decrypt(args):
     phash, pp, mk, tree, rl, counter = _load_state(args.state)
-    ct = _read_artifact(args.ct, "ct-updated", phash, serial.ct_updated_from_payload, pp.ctx)
-    _check_attrs(args.ct, "attrs", ct.attrs, pp)
-    dk = _read_artifact(args.dk, "dk", phash, serial.dk_from_payload, pp.ctx)
-    _check_attrs(args.dk, "policy", dk.policy.attributes(), pp)
-    _check_epoch(args.ct, ct.epoch, pp)
-    _check_epoch(args.dk, dk.epoch, pp)
-    if dk.epoch != ct.epoch:
-        raise _field_error(args.dk, "epoch", f"key epoch {dk.epoch} does not match ciphertext "
-                                             f"epoch {ct.epoch}; decrypting would yield noise")
+    ct = _read_artifact(args.ct, "ct-updated", phash, serial.ct_updated_from_payload, pp, tree)
+    dk = _read_artifact(args.dk, "dk", phash, serial.dk_from_payload, pp, tree)
+    if dk.epoch != ct.epoch:  # two files that disagree, each valid on its own
+        raise ParameterError(f"{args.dk}: field 'epoch': key epoch {dk.epoch} does not match "
+                             f"ciphertext epoch {ct.epoch}; decrypting would yield noise")
     if args.expect:
-        expected = _read_artifact(args.expect, "msg", phash, serial.msg_from_payload, pp.ctx)
+        expected = _read_artifact(args.expect, "msg", phash, serial.msg_from_payload, pp, tree)
     message = decrypt(pp, ct, dk)
     payload = serial.msg_payload(message)
     serial.write_envelopes([_artifact(args.out, "msg", pp, phash, payload)] if args.out else [])

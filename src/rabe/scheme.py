@@ -28,7 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import MissingComponentError, ParameterError, SideMismatchError
+from .errors import (InvalidNodeError, MissingComponentError, ParameterError, SideMismatchError,
+                     UnknownIdentityError)
 from .groups import (
     SIDE_ONE,
     SIDE_TWO,
@@ -128,6 +129,20 @@ def _check_rows(name: str, rows, policy: AccessPolicy) -> None:
         raise ParameterError(f"field {name!r} holds {len(rows)} rows, not {len(policy.rows)}")
 
 
+def _naming(name: str, check, *args, **kwargs):
+    """check(*args, **kwargs), its refusal a ParameterError naming the field.
+    Each loaded artifact kind has one check(pp, tree) of the facts its maker
+    guarantees and its invariants cannot see, against the claimed deployment."""
+    try:
+        return check(*args, **kwargs)
+    except (ParameterError, InvalidNodeError, UnknownIdentityError) as exc:
+        raise ParameterError(f"field {name!r}: {exc}") from None
+
+
+def _holder_path(identity: str, tree: TreeState) -> list[int]:
+    return _naming("identity", lambda: tree.path(tree.leaf_for(identity)))
+
+
 @dataclass(frozen=True)
 class PrivateKey:
     identity: str
@@ -139,12 +154,34 @@ class PrivateKey:
         for rows in self.parts.values():
             _check_rows("parts", rows, self.policy)
 
+    def check(self, pp: PublicParams, tree: TreeState) -> None:
+        """Refuse a key keygen did not issue here: its parts must be exactly
+        its holder's path from the root, or a part at another node would meet
+        a key update's cover where keygen never issued it."""
+        _naming("policy", check_attributes, self.policy.attributes(), pp.attr_max)
+        nodes = _holder_path(self.identity, tree)
+        if self.parts.keys() != set(nodes):
+            raise ParameterError(f"field 'parts': nodes {sorted(self.parts)}, not the path "
+                                 f"{nodes} of {self.identity!r}")
+
 
 @dataclass(frozen=True)
 class KeyUpdate:
     epoch: int
     # cover node id -> (d0, d1)
     parts: dict[int, tuple[GroupElement, GroupElement]]
+
+    def check(self, pp: PublicParams, tree: TreeState) -> None:
+        """Refuse an update whose parts name a node outside the tree or a node
+        together with one of its ancestors: a cover's subtrees are disjoint."""
+        _naming("epoch", check_epoch, self.epoch, pp.max_time, allow_zero=False)
+        for node in self.parts:
+            _naming("parts", tree.check_node, node)
+            above = node // 2
+            while above:
+                if above in self.parts:
+                    raise ParameterError(f"field 'parts': node {above} and its descendant {node}")
+                above //= 2
 
 
 @dataclass(frozen=True)
@@ -159,6 +196,16 @@ class DecryptionKey:
 
     def __post_init__(self):
         _check_rows("rows", self.rows, self.policy)
+
+    def check(self, pp: PublicParams, tree: TreeState) -> None:
+        """Refuse a key derive_dk did not make here: its node must lie on its
+        holder's path, where the holder's key meets the update's cover."""
+        _naming("policy", check_attributes, self.policy.attributes(), pp.attr_max)
+        _naming("epoch", check_epoch, self.epoch, pp.max_time, allow_zero=False)
+        nodes = _holder_path(self.identity, tree)
+        if self.node not in nodes:
+            raise ParameterError(f"field 'node': node {self.node} is not on the path {nodes} "
+                                 f"of {self.identity!r}")
 
 
 @dataclass(frozen=True)
@@ -175,11 +222,27 @@ class _Ciphertext:
         if self.c2.keys() != self.attrs:
             raise ParameterError(f"field 'c2' has keys {sorted(self.c2)}, not {sorted(self.attrs)}")
 
+    def check(self, pp: PublicParams, tree: TreeState) -> None:
+        """Refuse attributes or an epoch encrypt refuses: epoch 0 encodes like
+        any other, and a matching pair past the range decrypts unnoticed."""
+        _naming("attrs", check_attributes, self.attrs, pp.attr_max)
+        _naming("epoch", check_epoch, self.epoch, pp.max_time, allow_zero=False)
+
 
 @dataclass(frozen=True)
 class OriginalCiphertext(_Ciphertext):
     e1: GroupElement
     e2: dict[int, GroupElement]   # per zero position of the ct encoding
+
+    def check(self, pp: PublicParams, tree: TreeState) -> None:
+        """Also refuse update slots that are not the zero positions of the
+        epoch's ciphertext encoding, as encrypt makes them: folding reads only
+        the slots the target epoch needs, so it would miss any other."""
+        super().check(pp, tree)
+        slots = zero_positions(ct_epoch_bits(self.epoch, pp.max_time))
+        if self.e2.keys() != slots:
+            raise ParameterError(f"field 'e2': slots {sorted(self.e2)}, not {sorted(slots)}, "
+                                 f"the zero positions of epoch {self.epoch}")
 
 
 @dataclass(frozen=True)

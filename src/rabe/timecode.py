@@ -97,15 +97,18 @@ def regime_pair_count(tau: int) -> int:
 
 
 def outside_vulnerable_count(tau: int) -> int:
-    """Closed form: t* >= 2^(tau-1) keeps slots only after its all-ones
-    prefix, so the vulnerable t are exactly those sharing that prefix."""
+    """Closed form: the upper-half t* with k leading ones (1 <= k < tau) are
+    the 2^(tau-k-1) epochs from their kept prefix on, and each rewinds to the
+    earlier ones among them, so they hold C(2^(tau-k-1), 2) vulnerable pairs."""
+    return sum((1 << i) * ((1 << i) - 1) // 2 for i in range(tau - 1))
+
+
+def factored_outside_count(tau: int) -> int:
+    """The vulnerable pairs outside the lower half, t* by t*: by the bit rule
+    t & kept == kept, with kept t*'s ciphertext encoding read as an integer,
+    t* rewinds to exactly the t in kept..t*-1."""
     top = 1 << tau
-    total = 0
-    for t_star in range(top >> 1, top):
-        bits = epoch_bits(t_star, top)
-        prefix = len(bits) - len(bits.lstrip("1"))
-        total += t_star - (top - (1 << (tau - prefix)))
-    return total
+    return sum(t_star - int(ct_epoch_bits(t_star, top), 2) for t_star in range(top >> 1, top))
 
 
 def factored_regime_check(tau: int) -> bool:
@@ -122,9 +125,9 @@ def factored_regime_check(tau: int) -> bool:
 def lemma_row(tau: int) -> dict:
     """One row of the lemma check: the closed-form counts for width tau.  Up
     to PAIRWISE_TAU_MAX enumeration confirms both.  Above it the factored
-    per-epoch check confirms only that every lower-half pair is vulnerable;
-    both counts are copied from the closed forms, so the one outside the
-    lower half goes unchecked."""
+    per-epoch checks do: every lower-half t* keeps every update slot, so the
+    lower-half count is the closed form's, and the count outside it is
+    summed t* by t*."""
     expected_regime = regime_pair_count(tau)
     expected_outside = outside_vulnerable_count(tau)
     if tau <= PAIRWISE_TAU_MAX:
@@ -132,8 +135,8 @@ def lemma_row(tau: int) -> dict:
         ok = regime == expected_regime and outside == expected_outside
         method = "pairwise"
     else:
-        ok = factored_regime_check(tau)
-        regime, outside, samples = expected_regime, expected_outside, []
+        regime, outside, samples = expected_regime, factored_outside_count(tau), []
+        ok = factored_regime_check(tau) and outside == expected_outside
         method = "factored"
     return {
         "tau": tau,

@@ -583,6 +583,11 @@ MUTATIONS = {
         **parts, "99": parts["1"]}), DERIVE_DK, ("'parts'", "node 99 outside")),
     "ku-parts-nested": ("ku", _set("payload", "parts", lambda parts: {
         **parts, "2": parts["1"]}), DERIVE_DK, ("'parts'", "node 1 and its descendant 2")),
+    # alice's dk at epoch 7 is at the root; node 3 is in the tree, off her path
+    "dk-identity-unknown": ("dk", _set("payload", "identity", "mallory"), DECRYPT,
+                            ("'identity'", "'mallory' has no leaf")),
+    "dk-node-off-the-path": ("dk", _set("payload", "node", 3), DECRYPT,
+                             ("'node'", "node 3 is not on the path [1, 2, 4, 8]")),
     # the state's label must be the hash of the parameters it holds
     "params_hash-stale": ("state", _edit(lambda env: env["payload"]["pp"].update(
         g1=env["payload"]["pp"]["g2"]["one"])), UPDATE_KEY, ("'params_hash'",)),

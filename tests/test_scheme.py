@@ -491,3 +491,133 @@ def test_seeded_runs_reproduce_artifacts_bit_for_bit():
 def test_quick_tour_in_the_package_docstring_runs():
     result = doctest.testmod(rabe)
     assert result.failed == 0 and result.attempted >= 11, result
+
+
+# ---------------------------------------------------------------------------
+# each loaded artifact's check against the deployment
+
+
+@pytest.fixture(scope="module")
+def context_world():
+    """A transparent 8/32/4 deployment with bob revoked at epoch 3, so the
+    cover at epoch 25 is {3, 5, 8} and alice's dk sits at her leaf, 8."""
+    ctx = new_context(TRANSPARENT, seed=0)
+    rng = SeededRng("context-checks")
+    pp, mk, state, rl = make_world(ctx, rng)
+    policy = parse_policy("1 AND (2 OR 3)")
+    sk = keygen(pp, mk, state, "alice", policy, rng)
+    keygen(pp, mk, state, "bob", policy, rng)
+    revoke(state, rl, "bob", 3, pp.max_time)
+    ku = update_key(pp, mk, state, rl, 25, rng)
+    ct = encrypt(pp, {1, 2}, 25, ctx.random_element(SIDE_TARGET, rng), rng)  # slots {3, 4, 5}
+    artifacts = {"sk": sk, "ku": ku, "dk": derive_dk(sk, ku), "ct": ct,
+                 "ct2": update_ct(pp, ct, 25, rng)}
+    assert sorted(ku.parts) == [3, 5, 8] and artifacts["dk"].node == 8
+    return pp, state, artifacts
+
+
+def _attrs(*attrs):
+    return lambda ct: dataclasses.replace(ct, attrs=frozenset(attrs),
+                                          c2={a: ct.c2[1] for a in attrs})
+
+
+def _replace(**changes):
+    return lambda obj: dataclasses.replace(obj, **changes)
+
+
+def _parts(edit):
+    return lambda obj: dataclasses.replace(obj, parts=edit(obj.parts))
+
+
+_OUTSIDE_POLICY = parse_policy("1 AND (2 OR 5)")
+
+# (artifact, tampering, the start of the refusal)
+TAMPERED = {
+    "sk-policy-attr-5": ("sk", _replace(policy=_OUTSIDE_POLICY),
+                         "field 'policy': attribute 5 outside [1, 4]"),
+    "sk-identity-unknown": ("sk", _replace(identity="mallory"),
+                            "field 'identity': identity 'mallory' has no leaf"),
+    "sk-part-dropped": ("sk", _parts(lambda p: {n: p[n] for n in (1, 2, 4)}),
+                        "field 'parts': nodes [1, 2, 4], not the path [1, 2, 4, 8] of 'alice'"),
+    "sk-part-off-the-path": ("sk", _parts(lambda p: {**p, 3: p[1]}),
+                             "field 'parts': nodes [1, 2, 3, 4, 8], not"),
+    "ku-epoch-zero": ("ku", _replace(epoch=0), "field 'epoch': epoch 0 outside [1, 31]"),
+    "ku-epoch-past-the-range": ("ku", _replace(epoch=32), "field 'epoch': epoch 32 outside [1, 31]"),
+    "ku-node-zero": ("ku", _parts(lambda p: {**p, 0: p[3]}),
+                     "field 'parts': node 0 outside tree of capacity 8"),
+    "ku-node-past-the-tree": ("ku", _parts(lambda p: {**p, 16: p[3]}),
+                              "field 'parts': node 16 outside tree of capacity 8"),
+    "ku-parts-nested": ("ku", _parts(lambda p: {**p, 2: p[3]}),
+                        "field 'parts': node 2 and its descendant 5"),
+    "ku-parts-under-the-root": ("ku", _parts(lambda p: {**p, 1: p[3]}),
+                                "field 'parts': node 1 and its descendant 3"),
+    "dk-policy-attr-5": ("dk", _replace(policy=_OUTSIDE_POLICY),
+                         "field 'policy': attribute 5 outside [1, 4]"),
+    "dk-epoch-zero": ("dk", _replace(epoch=0), "field 'epoch': epoch 0 outside [1, 31]"),
+    "dk-epoch-past-the-range": ("dk", _replace(epoch=32), "field 'epoch': epoch 32 outside [1, 31]"),
+    "dk-identity-unknown": ("dk", _replace(identity="mallory"),
+                            "field 'identity': identity 'mallory' has no leaf"),
+    "dk-node-off-the-path": ("dk", _replace(node=3),
+                             "field 'node': node 3 is not on the path [1, 2, 4, 8] of 'alice'"),
+    "dk-node-past-the-tree": ("dk", _replace(node=16), "field 'node': node 16 is not on the path"),
+    "ct-attr-0": ("ct", _attrs(0, 1, 2), "field 'attrs': attribute 0 outside [1, 4]"),
+    "ct-attr-5": ("ct", _attrs(1, 2, 5), "field 'attrs': attribute 5 outside [1, 4]"),
+    "ct-epoch-zero": ("ct", _replace(epoch=0), "field 'epoch': epoch 0 outside [1, 31]"),
+    "ct-epoch-past-the-range": ("ct", _replace(epoch=32), "field 'epoch': epoch 32 outside [1, 31]"),
+    "ct-slot-dropped": ("ct", lambda ct: dataclasses.replace(ct, e2={3: ct.e2[3], 4: ct.e2[4]}),
+                        "field 'e2': slots [3, 4], not [3, 4, 5], the zero positions of epoch 25"),
+    "ct-slot-added": ("ct", lambda ct: dataclasses.replace(ct, e2={**ct.e2, 1: ct.e2[3]}),
+                      "field 'e2': slots [1, 3, 4, 5], not [3, 4, 5]"),
+    "ct2-attr-5": ("ct2", _attrs(1, 5), "field 'attrs': attribute 5 outside [1, 4]"),
+    "ct2-epoch-zero": ("ct2", _replace(epoch=0), "field 'epoch': epoch 0 outside [1, 31]"),
+    "ct2-epoch-past-the-range": ("ct2", _replace(epoch=32),
+                                 "field 'epoch': epoch 32 outside [1, 31]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TAMPERED))
+def test_each_context_check_refuses_its_tampered_artifact(context_world, case):
+    pp, tree, artifacts = context_world
+    name, tamper, refusal = TAMPERED[case]
+    artifacts[name].check(pp, tree)
+    with pytest.raises(ParameterError) as info:
+        tamper(artifacts[name]).check(pp, tree)
+    assert str(info.value).startswith(refusal), info.value
+
+
+@pytest.mark.parametrize("backend, widths, users", [
+    (TRANSPARENT, (4, 8, 16, 32, 64), 6),
+    (REAL, (8, 32), 3),
+], ids=[TRANSPARENT, REAL])
+def test_every_artifact_a_run_makes_passes_its_check(backend, widths, users):
+    """Keys at every depth of the cover, with users revoked at drawn epochs,
+    and ciphertexts moved forward, at several epoch widths."""
+    ctx = new_context(backend, seed=0)
+    checked = {"sk": 0, "ku": 0, "dk": 0, "ct": 0, "ct2": 0}
+    dk_nodes = set()
+    for max_time in widths:
+        rng = SeededRng(f"context-complete/{backend}/{max_time}")
+        pp, mk, state, rl = setup(ctx, users + 2, max_time, 3, rng)
+        sks = [keygen(pp, mk, state, f"u{i}", parse_policy("1 AND (2 OR 3)"), rng)
+               for i in range(users)]
+        for sk in sks[: users // 2]:
+            revoke(state, rl, sk.identity, 1 + rng.randbelow(max_time - 1), max_time)
+        epochs = sorted({1, max_time - 1} | {1 + rng.randbelow(max_time - 1) for _ in range(2)})
+        made = [("sk", sk) for sk in sks]
+        for t in epochs:
+            ku = update_key(pp, mk, state, rl, t, rng)
+            made.append(("ku", ku))
+            for sk in sks:
+                dk = derive_dk(sk, ku)
+                if dk is not None:
+                    made.append(("dk", dk))
+                    dk_nodes.add((max_time, dk.node >= state.capacity))
+            ct = encrypt(pp, {1, 2}, t, ctx.random_element(SIDE_TARGET, rng), rng)
+            t2 = t + rng.randbelow(max_time - t)
+            made += [("ct", ct), ("ct2", update_ct(pp, ct, t2, rng))]
+        for kind, artifact in made:
+            artifact.check(pp, state)
+            checked[kind] += 1
+    assert all(checked.values()), checked
+    # some keys sit at leaves and some above them
+    assert {leaf for _, leaf in dk_nodes} == {True, False}

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rabe import serial
-from rabe.errors import EnvelopeError
+from rabe.errors import EnvelopeError, ParameterError
 from rabe.groups import REAL, SIDE_TARGET, TRANSPARENT, new_context
 from rabe.policy import parse_policy
 from rabe.rng import SeededRng
@@ -332,6 +332,58 @@ def test_tampered_envelopes_raise_only_envelope_errors(fuzz_file, env):
             decode(FUZZ_CTX, read["payload"])
     except EnvelopeError:
         pass
+
+
+# fuzzing the context checks: valid artifacts edited in the fields each kind's
+# check(pp, tree) reads against the deployment (4 users, epochs 1..15,
+# attributes 1..3), so that the decoders pass most edits on to the checks
+
+FUZZ_PP, _, FUZZ_TREE, _, _ = serial.state_from_payload(VALID_ENVELOPES["state"]["payload"])
+CONTEXT_FIELDS = ("epoch", "e2", "parts", "attrs", "identity", "node")
+NEAR = st.integers(-1, 20)  # ints around every range the checks bound
+
+
+def _toggle(draw, mapping, key):
+    """Drop key from mapping, or add it with a copy of another entry."""
+    if key in mapping:
+        del mapping[key]
+    elif mapping:
+        mapping[key] = copy.deepcopy(mapping[draw(st.sampled_from(sorted(mapping)))])
+
+
+@st.composite
+def context_edits(draw):
+    kind = draw(st.sampled_from(["sk", "ku", "dk", "ct-original", "ct-updated"]))
+    payload = copy.deepcopy(VALID_ENVELOPES[kind]["payload"])
+    fields = [name for name in CONTEXT_FIELDS if name in payload]
+    for _ in range(draw(st.integers(1, 3))):
+        name = draw(st.sampled_from(fields))
+        if name in ("epoch", "node"):
+            payload[name] = draw(NEAR)
+        elif name == "identity":
+            payload[name] = draw(st.sampled_from(["alice", "mallory", ""]))
+        elif name == "attrs":  # c2 follows, so the class invariant holds
+            attr = draw(NEAR)
+            payload["attrs"] = sorted(set(payload["attrs"]) ^ {attr})
+            _toggle(draw, payload["c2"], str(attr))
+        else:  # e2's slots, sk and ku parts' nodes
+            _toggle(draw, payload[name], str(draw(NEAR)))
+    return kind, payload
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(edit=context_edits())
+def test_context_edits_raise_only_envelope_or_field_errors(edit):
+    kind, payload = edit
+    try:
+        artifact = DECODERS[kind](FUZZ_PP.ctx, payload)
+    except EnvelopeError:
+        return
+    try:
+        artifact.check(FUZZ_PP, FUZZ_TREE)
+    except ParameterError as exc:
+        assert payload != VALID_ENVELOPES[kind]["payload"], exc
+        assert str(exc).startswith("field '"), exc
 
 
 def test_every_element_field_checks_its_side():

@@ -7,6 +7,7 @@ from rabe.timecode import (
     check_epoch,
     ct_epoch_bits,
     epoch_bits,
+    factored_outside_count,
     factored_regime_check,
     lemma_row,
     outside_vulnerable_count,
@@ -133,3 +134,20 @@ def test_factored_regime_check_holds_up_to_tau_12():
     row = lemma_row(12)
     assert row["check"] == "factored" and row["ok"]
     assert row["regime_vulnerable"] == regime_pair_count(12) == (2047 * 2046) // 2
+
+
+def test_outside_count_sum_matches_the_per_epoch_count_at_every_width():
+    # sum over i < tau-1 of C(2^i, 2): 0, 1, 1+6, 1+6+28, ...
+    assert [outside_vulnerable_count(tau) for tau in range(2, 8)] == [0, 1, 7, 35, 155, 651]
+    for tau in range(2, 17):
+        assert outside_vulnerable_count(tau) == factored_outside_count(tau), tau
+
+
+def test_lemma_rows_above_the_pairwise_widths_check_the_outside_count(monkeypatch):
+    row = lemma_row(11)
+    assert row["check"] == "factored" and row["ok"]
+    assert row["outside_vulnerable"] == 174251
+    # a closed form one pair off is caught above the pairwise widths too
+    monkeypatch.setattr("rabe.timecode.outside_vulnerable_count", lambda tau: 174252)
+    row = lemma_row(11)
+    assert not row["ok"] and row["outside_vulnerable"] == 174251
