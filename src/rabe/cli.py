@@ -67,10 +67,11 @@ def _decode(path, decode, *args):
 
 def _load_state(path):
     env = serial.read_envelope(path, expect_kind="state")
-    pp, mk, tree, rl, counter = _decode(path, serial.state_from_payload, env["payload"])
+    pp, mk, tree, rl = _decode(path, serial.state_from_payload, env["payload"])
     phash = serial.params_hash(serial.pp_payload(pp))
     serial.check_params_hash(env, phash, path)
-    return phash, pp, mk, tree, rl, counter
+    serial.check_backend(env, pp.ctx.backend, path)
+    return phash, pp, mk, tree, rl
 
 
 @contextlib.contextmanager
@@ -105,13 +106,13 @@ def _state_lock(path):
     yield  # no state yet
 
 
-def _state(path, pp, mk, tree, rl, counter):
+def _state(path, pp, mk, tree, rl):
     """The state's (path, envelope), which a command writes last, after its
     artifacts, in its one serial.write_envelopes call.  Once staged, a rename
     fails only if its directory changed meanwhile; had the state's failed
     after a key landed, the key's leaf would be unrecorded: it decrypts
     through an existing node secret, yet revoke refuses it as unknown."""
-    payload = serial.state_payload(pp, mk, tree, rl, counter)
+    payload = serial.state_payload(pp, mk, tree, rl)
     return path, serial.envelope("state", pp.ctx.backend, serial.params_hash(payload["pp"]), payload)
 
 
@@ -124,6 +125,7 @@ def _read_artifact(path, kind, phash, decode, pp, tree):
     message is any target-group element and has no check."""
     env = serial.read_envelope(path, expect_kind=kind)
     serial.check_params_hash(env, phash, path)
+    serial.check_backend(env, pp.ctx.backend, path)
     artifact = _decode(path, decode, pp.ctx, env["payload"])
     if kind != "msg":
         _decode(path, artifact.check, pp, tree)
@@ -175,7 +177,7 @@ def cmd_setup(args):
     seed = _resolve_seed(args)
     ctx = new_context(args.backend, seed=seed or 0)
     pp, mk, tree, rl = setup(ctx, args.users, args.max_time, args.attr_bound, _rng_for(seed))
-    state = _state(args.state, pp, mk, tree, rl, 0)
+    state = _state(args.state, pp, mk, tree, rl)
     serial.write_envelopes([state])
     print(
         f"new {args.backend} deployment in {args.state}: "
@@ -187,30 +189,30 @@ def cmd_setup(args):
 
 
 def cmd_keygen(args):
-    phash, pp, mk, tree, rl, counter = _load_state(args.state)
+    phash, pp, mk, tree, rl = _load_state(args.state)
     policy = parse_policy(args.policy)
     sk = keygen(pp, mk, tree, args.id, policy, _rng_for(_resolve_seed(args)))
     serial.write_envelopes([_artifact(args.out, "sk", pp, phash, serial.sk_payload(sk)),
-                            _state(args.state, pp, mk, tree, rl, counter)])
+                            _state(args.state, pp, mk, tree, rl)])
     print(f"key for {args.id!r} at leaf {tree.leaf_for(args.id)}, policy {policy.formula!r}")
     print(f"wrote sk to {args.out}")
     return EXIT_OK
 
 
 def cmd_update_key(args):
-    phash, pp, mk, tree, rl, counter = _load_state(args.state)
+    phash, pp, mk, tree, rl = _load_state(args.state)
     ku = update_key(pp, mk, tree, rl, args.epoch, _rng_for(_resolve_seed(args)))
     serial.write_envelopes([_artifact(args.out, "ku", pp, phash, serial.ku_payload(ku)),
-                            _state(args.state, pp, mk, tree, rl, max(counter, args.epoch))])
+                            _state(args.state, pp, mk, tree, rl)])
     print(f"key update for epoch {args.epoch}: {len(ku.parts)} cover node(s)")
     print(f"wrote ku to {args.out}")
     return EXIT_OK
 
 
 def cmd_revoke(args):
-    phash, pp, mk, tree, rl, counter = _load_state(args.state)
+    phash, pp, mk, tree, rl = _load_state(args.state)
     revoke(tree, rl, args.id, args.epoch, pp.max_time)
-    serial.write_envelopes([_state(args.state, pp, mk, tree, rl, counter)])
+    serial.write_envelopes([_state(args.state, pp, mk, tree, rl)])
     print(f"revoked {args.id!r} from epoch {rl.epochs[args.id]} onward")
     return EXIT_OK
 
@@ -219,7 +221,7 @@ _STATE_WRITERS = (cmd_setup, cmd_keygen, cmd_update_key, cmd_revoke)  # each run
 
 
 def cmd_encrypt(args):
-    phash, pp, mk, tree, rl, counter = _load_state(args.state)
+    phash, pp, mk, tree, rl = _load_state(args.state)
     attrs = _parse_attrs(args.attrs)
     rng = _rng_for(_resolve_seed(args))
     if args.message:
@@ -242,7 +244,7 @@ def cmd_encrypt(args):
 
 
 def cmd_update_ct(args):
-    phash, pp, mk, tree, rl, counter = _load_state(args.state)
+    phash, pp, mk, tree, rl = _load_state(args.state)
     ct = _read_artifact(args.ct, "ct-original", phash, serial.ct_original_from_payload, pp, tree)
     updated = update_ct(pp, ct, args.epoch, _rng_for(_resolve_seed(args)))
     if updated is None:
@@ -256,7 +258,7 @@ def cmd_update_ct(args):
 
 
 def cmd_derive_dk(args):
-    phash, pp, mk, tree, rl, counter = _load_state(args.state)
+    phash, pp, mk, tree, rl = _load_state(args.state)
     sk = _read_artifact(args.sk, "sk", phash, serial.sk_from_payload, pp, tree)
     ku = _read_artifact(args.ku, "ku", phash, serial.ku_from_payload, pp, tree)
     dk = derive_dk(sk, ku)
@@ -270,7 +272,7 @@ def cmd_derive_dk(args):
 
 
 def cmd_decrypt(args):
-    phash, pp, mk, tree, rl, counter = _load_state(args.state)
+    phash, pp, mk, tree, rl = _load_state(args.state)
     ct = _read_artifact(args.ct, "ct-updated", phash, serial.ct_updated_from_payload, pp, tree)
     dk = _read_artifact(args.dk, "dk", phash, serial.dk_from_payload, pp, tree)
     if dk.epoch != ct.epoch:  # two files that disagree, each valid on its own
@@ -314,7 +316,7 @@ def cmd_attack_demo(args):
         seed = int.from_bytes(os.urandom(4), "big")
         print(f"seed: {seed} (drawn from the system; pass --seed to reproduce)")
     if args.state:
-        _, pp, mk, tree, rl, counter = _load_state(args.state)
+        pp = _load_state(args.state)[1]
         ctx = pp.ctx
         n_users, max_time, attr_max = pp.n_users, pp.max_time, pp.attr_max
     else:

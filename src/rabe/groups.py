@@ -22,11 +22,14 @@ Backends:
   the target generator to alpha * beta.  A pp loaded from a file pairs
   once for it, on first use.
 
-Canonical element encoding: one backend byte, one side byte, then the
-payload (8-byte big-endian exponent, or a 48/96-byte compressed point /
-576-byte Fq12 coefficient block).  Decoding takes the side the caller
-expects and refuses any other header before it reads the payload.  Scalars
-encode as 32-byte little-endian.
+Canonical element encoding: the payload alone, an 8-byte big-endian
+exponent on the transparent backend, a 48-byte (G1) or 96-byte (G2)
+compressed point or a 576-byte Fq12 coefficient block on the real one.  No
+header states the backend or the side: the envelope states the backend, and
+the caller of decode_element the side.  On the real backend an element of
+another side or backend is refused by its length; every transparent
+element is 8 bytes, so a transparent element of one side decodes as any
+other.  Scalars encode as 32-byte little-endian.
 """
 
 from __future__ import annotations
@@ -44,9 +47,6 @@ BACKENDS = (TRANSPARENT, REAL)
 SIDE_ONE = "one"
 SIDE_TWO = "two"
 SIDE_TARGET = "target"
-
-_BACKEND_BYTE = {TRANSPARENT: 0x01, REAL: 0x02}
-_SIDE_BYTE = {SIDE_ONE: 0x01, SIDE_TWO: 0x02, SIDE_TARGET: 0x03}
 
 
 @dataclass(frozen=True)
@@ -145,8 +145,7 @@ class GroupElement:
         return f"<{self.backend} {self.side} element>"
 
     def encode(self) -> bytes:
-        head = bytes([_BACKEND_BYTE[self.backend], _SIDE_BYTE[self.side]])
-        return head + self.ctx._encode_payload(self.side, self.payload)
+        return self.ctx._encode_payload(self.side, self.payload)
 
 
 class BilinearContext:
@@ -187,15 +186,9 @@ class BilinearContext:
     # -- decoding ------------------------------------------------------------
 
     def decode_element(self, data: bytes, side: str) -> GroupElement:
-        """The element of `side` that data encodes; both header bytes are
-        compared before any payload or curve work."""
-        if data[:1] != bytes([_BACKEND_BYTE[self.backend]]):
-            raise EnvelopeError(f"element encoding is not of the {self.backend} backend")
-        if data[1:2] != bytes([_SIDE_BYTE[side]]):
-            found = next((s for s, b in _SIDE_BYTE.items() if data[1:2] == bytes([b])), "unknown")
-            raise EnvelopeError(f"element encoding of side {found}, expected side {side}")
+        """The element of `side` that data encodes."""
         try:
-            payload = self._decode_payload(side, data[2:])
+            payload = self._decode_payload(side, data)
         except ValueError as exc:
             raise EnvelopeError(str(exc)) from None
         return GroupElement(self, side, payload)

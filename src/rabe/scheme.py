@@ -72,7 +72,9 @@ class PublicParams:
     g1: GroupElement              # side one, g^alpha
     g2: MirroredPair
     # the interpolation anchors 1..attr_max+1; T(x) reads only T_x, so the
-    # last anchor is raised by nothing, yet its pair stays in the format
+    # last anchor is raised by nothing.  setup still draws it: without it
+    # every later draw of a seeded setup (u0, the u_j, a game's challenge
+    # bits) would shift, and every seeded game would be re-rolled
     t_gens: tuple[MirroredPair, ...]
     u0: MirroredPair
     u_gens: tuple[MirroredPair, ...]   # one per epoch bit position
@@ -212,20 +214,20 @@ class DecryptionKey:
 class _Ciphertext:
     """The fields both ciphertext kinds share."""
 
-    attrs: frozenset[int]
     epoch: int
     c: GroupElement
     c1: GroupElement
     c2: dict[int, GroupElement]   # per attribute
 
-    def __post_init__(self):
-        if self.c2.keys() != self.attrs:
-            raise ParameterError(f"field 'c2' has keys {sorted(self.c2)}, not {sorted(self.attrs)}")
+    @property
+    def attrs(self) -> frozenset[int]:
+        """The attribute set, which c2's keys state."""
+        return frozenset(self.c2)
 
     def check(self, pp: PublicParams, tree: TreeState) -> None:
         """Refuse attributes or an epoch encrypt refuses: epoch 0 encodes like
         any other, and a matching pair past the range decrypts unnoticed."""
-        _naming("attrs", check_attributes, self.attrs, pp.attr_max)
+        _naming("c2", check_attributes, self.attrs, pp.attr_max)
         _naming("epoch", check_epoch, self.epoch, pp.max_time, allow_zero=False)
 
 
@@ -365,7 +367,6 @@ def encrypt(
     s = pp.ctx.random_scalar(rng)
     positions = sorted(zero_positions(ct_epoch_bits(epoch, pp.max_time)))
     return OriginalCiphertext(
-        attrs=attrs,
         epoch=epoch,
         c=pp.blinding_base() ** s * message,
         c1=pp.ctx.generator(SIDE_ONE) ** s,
@@ -406,7 +407,6 @@ def fold_ciphertext(
         base = base * pp.u_gens[j - 1].one
     s2 = pp.ctx.random_scalar(rng)
     return UpdatedCiphertext(
-        attrs=ct.attrs,
         epoch=epoch,
         c=ct.c * pp.blinding_base() ** s2,
         c1=ct.c1 * pp.ctx.generator(SIDE_ONE) ** s2,

@@ -3,16 +3,24 @@
 An envelope is a JSON document {kind, version, backend, params_hash,
 payload}.  params_hash is the SHA-256 of the canonical public-parameter
 payload, so every derived artifact states which parameter set it belongs to
-and loaders refuse mismatches.
+and loaders refuse mismatches.  backend is the one statement of the backend
+a file's elements are encoded for: an element encoding is its payload alone
+(see groups), and loaders refuse an envelope whose backend is not the
+deployment's.
 
 Each artifact's payload is stated once, as a record spec: a table that maps
 every payload key to a field codec, an (encode, decode) pair for an int, a
 string, a scalar, an element of a stated side, a sequence, an int-keyed map,
-an attribute set, a policy or a nested record.  One encoder (_encode) and
-one decoder (_decode) walk the specs.  Elements and scalars are stored as
-base64 canonical encodings, int-keyed maps with decimal string keys.  Decoding
+a policy or a nested record.  One encoder (_encode) and one decoder
+(_decode) walk the specs.  Elements and scalars are stored as base64
+canonical encodings, int-keyed maps with decimal string keys.  Decoding
 type-checks every field and then builds the artifact, whose class checks its
 invariants; either way a malformed payload ends as an EnvelopeError naming the field.
+
+A VERSION 2 payload holds the keys of its record spec below, each fact
+once: a policy is {formula}, its matrix the formula's parse; a ciphertext's
+attribute set is the key set of its c2; a state is {pp, mk, tree, rl}.  A
+file of any other version is refused.
 
 Kinds: pp, mk, sk, ku, dk, ct-original, ct-updated, state, msg, transcript.
 """
@@ -52,7 +60,7 @@ from .scheme import (
 )
 from .tree import RevocationList, TreeState
 
-VERSION = 1
+VERSION = 2
 
 KINDS = (
     "pp",
@@ -180,29 +188,11 @@ def _record(cls, spec: dict):
 
 
 def _policy_from(ctx, value, field: str) -> AccessPolicy:
-    """A policy is stored with its matrix, which must be the one its formula
-    parses to."""
-    data = _typed(value, dict, field)
+    """A policy is stored as its formula; its matrix is the formula's parse."""
     try:
-        policy = parse_policy(_field(data, "formula", str))
+        return parse_policy(_field(_typed(value, dict, field), "formula", str))
     except PolicyParseError as exc:
         raise EnvelopeError(f"field 'formula': {exc}") from None
-    matrix, row_attrs = _field(data, "matrix", list), _field(data, "row_attrs", list)
-    if [list(r) for r in policy.rows] != matrix or list(policy.row_attrs) != row_attrs:
-        raise EnvelopeError("policy matrix does not match its formula")
-    return policy
-
-
-def _policy_payload(policy: AccessPolicy) -> dict:
-    return {
-        "formula": policy.formula,
-        "matrix": [list(row) for row in policy.rows],
-        "row_attrs": list(policy.row_attrs),
-    }
-
-
-def _attrs_from(ctx, value, field: str) -> frozenset[int]:
-    return frozenset(_typed(attr, int, field) for attr in _typed(value, list, field))
 
 
 _INT = _plain(int)
@@ -211,8 +201,7 @@ _SCALAR = (
     lambda scalar: _b64(scalar.encode()),
     lambda ctx, text, field: _unb64(ctx.decode_scalar, text, field),
 )
-_ATTRS = sorted, _attrs_from  # an attribute set, stored as a sorted list
-_POLICY = _policy_payload, _policy_from
+_POLICY = (lambda policy: {"formula": policy.formula}), _policy_from
 # a key row: (k0, k1) of a private or decryption key, (d0, d1) of a key update
 _ROW = _seq(_element(SIDE_TWO), 2)
 _PAIR = _record(MirroredPair, {"one": _element(SIDE_ONE), "two": _element(SIDE_TWO)})
@@ -291,7 +280,6 @@ dk_payload, dk_from_payload = _record(DecryptionKey, {
     "d1": _element(SIDE_TWO),
 })
 _CT = {  # the fields both ciphertext kinds share
-    "attrs": _ATTRS,
     "epoch": _INT,
     "c": _element(SIDE_TARGET),
     "c1": _element(SIDE_ONE),
@@ -416,17 +404,24 @@ def check_params_hash(env: dict, phash: str, path="") -> None:
         )
 
 
+def check_backend(env: dict, backend: str, path="") -> None:
+    if env["backend"] != backend:
+        raise EnvelopeError(
+            f"{path}: field 'backend' is {env['backend']!r}, not the loaded {backend!r}"
+        )
+
+
 # ---------------------------------------------------------------------------
 # whole-state envelope for the CLI
 
 
-def state_payload(pp, mk, state, rl, epoch_counter: int) -> dict:
+def state_payload(pp, mk, state, rl, _unused=None) -> dict:
+    # _unused was version 1's epoch counter; perfbench/workloads.py still passes it
     return {
         "pp": pp_payload(pp),
         "mk": mk_payload(mk),
         "tree": tree_payload(state),
         "rl": rl_payload(rl),
-        "epoch_counter": epoch_counter,
     }
 
 
@@ -437,4 +432,4 @@ def state_from_payload(data: dict):
     rl = RevocationList()  # rebuilt through revoke, so each entry passes its checks
     for who, t in _field(_field(data, "rl", dict), "epochs", dict).items():
         _checked(revoke, tree, rl, who, _typed(t, int, "epochs"), pp.max_time, field="epochs")
-    return pp, mk, tree, rl, _field(data, "epoch_counter", int)
+    return pp, mk, tree, rl

@@ -108,7 +108,7 @@ def test_tampered_ciphertext_fields_are_flagged():
     g1 = ctx.generator(SIDE_ONE)
 
     wrong_c = OriginalCiphertext(
-        attrs=ct.attrs, epoch=ct.epoch, c=ct.c * pp.blinding_base(),
+        epoch=ct.epoch, c=ct.c * pp.blinding_base(),
         c1=ct.c1, c2=ct.c2, e1=ct.e1, e2=ct.e2,
     )
     assert audit.failures(audit.audit_original_ct(pp, mk, wrong_c, message=msg))
@@ -116,19 +116,19 @@ def test_tampered_ciphertext_fields_are_flagged():
     audit.assert_clean(audit.audit_original_ct(pp, mk, wrong_c))
 
     wrong_attr = OriginalCiphertext(
-        attrs=ct.attrs, epoch=ct.epoch, c=ct.c, c1=ct.c1,
+        epoch=ct.epoch, c=ct.c, c1=ct.c1,
         c2={**ct.c2, 2: ct.c2[2] * g1}, e1=ct.e1, e2=ct.e2,
     )
     assert audit.failures(audit.audit_original_ct(pp, mk, wrong_attr, message=msg))
 
     missing_slot = OriginalCiphertext(
-        attrs=ct.attrs, epoch=ct.epoch, c=ct.c, c1=ct.c1, c2=ct.c2,
+        epoch=ct.epoch, c=ct.c, c1=ct.c1, c2=ct.c2,
         e1=ct.e1, e2={j: v for j, v in ct.e2.items() if j != 2},
     )
     assert audit.failures(audit.audit_original_ct(pp, mk, missing_slot, message=msg))
 
     wrong_fold = UpdatedCiphertext(
-        attrs=ct2.attrs, epoch=ct2.epoch, c=ct2.c, c1=ct2.c1, c2=ct2.c2,
+        epoch=ct2.epoch, c=ct2.c, c1=ct2.c1, c2=ct2.c2,
         e_t=ct2.e_t * pp.u_gens[0].one,
     )
     assert audit.failures(audit.audit_updated_ct(pp, mk, wrong_fold, message=msg))
@@ -139,7 +139,7 @@ def test_inconsistent_randomness_across_components_is_flagged():
     ctx, rng, pp, mk, state, rl, policy, sk, ku, dk, msg, ct, ct2 = build()
     other = encrypt(pp, ct.attrs, ct.epoch, msg, rng)
     frankenstein = OriginalCiphertext(
-        attrs=ct.attrs, epoch=ct.epoch, c=ct.c, c1=ct.c1,
+        epoch=ct.epoch, c=ct.c, c1=ct.c1,
         c2=other.c2, e1=ct.e1, e2=ct.e2,
     )
     assert audit.failures(audit.audit_original_ct(pp, mk, frankenstein, message=msg))

@@ -1,4 +1,3 @@
-import base64
 import json
 
 import pytest
@@ -141,7 +140,8 @@ def test_decrypt_of_incomplete_artifacts_is_a_validation_error(deployment, capsy
     short_ct = tmp / "short-ct.json"
     short_ct.write_text(json.dumps(env))
     code, _, err = run(capsys, "decrypt", "--state", state, "--ct", short_ct, "--dk", dk)
-    assert code == EXIT_INVALID and str(short_ct) in err and "'c2' has keys [1], not [1, 2]" in err
+    # its attributes are its c2 keys, so it is a ciphertext for attribute 1 alone
+    assert code == EXIT_INVALID and "attributes [1] do not satisfy" in err
 
     env = json.loads(dk.read_text())
     env["payload"]["rows"] = env["payload"]["rows"][:1]
@@ -470,13 +470,6 @@ def _drop(*keys):
     return _edit(lambda env: _at(env, keys[:-1]).pop(keys[-1]))
 
 
-def _side_two(text):
-    """A base64 element encoding with its side byte set to side two."""
-    data = bytearray(base64.b64decode(text))
-    data[1] = 0x02
-    return base64.b64encode(bytes(data)).decode("ascii")
-
-
 def _on_both(edit):
     """edit applied to the tampered ct2 and to the dk beside it, so that the
     two still agree."""
@@ -495,6 +488,9 @@ UPDATE_CT = ("update-ct", "--state", "{state}", "--ct", "{ct}", "--epoch", "9", 
 MUTATIONS = {
     "c2-key-not-an-int": ("ct2", _set("payload", "c2", lambda c2: {"x": c2["1"], "2": c2["2"]}),
                           DECRYPT, ("'c2'",)),
+    # "²" is a digit to str.isdigit, yet int() refuses it
+    "c2-key-superscript": ("ct2", _set("payload", "c2", lambda c2: {"²": c2["1"], "2": c2["2"]}),
+                           DECRYPT, ("'c2'", "not a decimal integer")),
     "e_t-missing": ("ct2", _drop("payload", "e_t"), DECRYPT, ("'e_t'",)),
     "policy-missing": ("dk", _drop("payload", "policy"), DECRYPT, ("'policy'",)),
     "payload-a-list": ("ct2", _set("payload", []), DECRYPT, ("'payload'",)),
@@ -502,13 +498,17 @@ MUTATIONS = {
     "dk-row-of-one": ("dk", _set("payload", "rows", lambda rows: [rows[0][:1]] + rows[1:]),
                       DECRYPT, ("'rows'",)),
     "formula-an-int": ("dk", _set("payload", "policy", "formula", 3), DECRYPT, ("'formula'",)),
+    "policy-a-string": ("sk", _set("payload", "policy", "1 AND (2 OR 3)"), DERIVE_DK,
+                        ("'policy' must be dict",)),
     "formula-over-the-cap": ("sk", _set("payload", "policy", "formula", " OR ".join(["1"] * 1000)),
                              DERIVE_DK, ("'formula'", "over the cap")),
-    "epoch_counter-missing": ("state", _drop("payload", "epoch_counter"), UPDATE_KEY,
-                              ("'epoch_counter'",)),
     "leaves-a-list": ("state", _set("payload", "tree", "leaves", []), UPDATE_KEY, ("'leaves'",)),
-    "attrs-a-string": ("ct2", _set("payload", "attrs", "12"), DECRYPT, ("'attrs'",)),
+    "leaf-a-string": ("state", _set("payload", "tree", "leaves", {"alice": "8"}), UPDATE_KEY,
+                      ("'leaves' must be int",)),
+    "epochs-a-string": ("state", _set("payload", "rl", "epochs", {"alice": "4"}), UPDATE_KEY,
+                        ("'epochs' must be int",)),
     "epoch-a-string": ("dk", _set("payload", "epoch", "7"), DECRYPT, ("'epoch'",)),
+    "epoch-true": ("dk", _set("payload", "epoch", True), DECRYPT, ("'epoch'", "got bool")),
     "n_users-a-string": ("state", _set("payload", "pp", "n_users", "8"), UPDATE_KEY,
                          ("'n_users'",)),
     "ku-row-of-three": ("ku", _set("payload", "parts", lambda parts: {
@@ -516,9 +516,8 @@ MUTATIONS = {
     "e2-key-not-canonical": ("ct", _set("payload", "e2", lambda e2: {
         "0" + k: v for k, v in e2.items()}), UPDATE_CT, ("'e2'",)),
     "kind-sk": ("ct2", _set("kind", "sk"), DECRYPT, ("expected a ct-updated envelope, found 'sk'",)),
-    "c1-side-two": ("ct2", _set("payload", "c1", _side_two), DECRYPT, ("'c1'", "side two")),
     "element-not-base64": ("ct2", _set("payload", "c1", "***"), DECRYPT, ("'c1'", "base64")),
-    "element-off-range": ("dk", _set("payload", "d0", "AQL//////////w=="), DECRYPT, ("'d0'",)),
+    "element-off-range": ("dk", _set("payload", "d0", "//////////8="), DECRYPT, ("'d0'",)),
     "not-utf8": ("ct2", lambda path: path.write_bytes(b'{"kind": "\xff"}'), DECRYPT,
                  ("utf-8", "can't decode")),
     "nested-too-deep": ("ct2", lambda path: path.write_text("[" * 100000), DECRYPT,
@@ -532,10 +531,18 @@ MUTATIONS = {
                      ("unsupported envelope version True",)),
     "version-a-float": ("ku", _set("version", 1.0), DERIVE_DK,
                         ("unsupported envelope version 1.0",)),
-    # invariants the artifact classes state: key sets and row counts that agree
-    "c2-key-dropped": ("ct2", _drop("payload", "c2", "2"), DECRYPT, ("'c2'",)),
-    "c2-key-added": ("ct2", _set("payload", "c2", lambda c2: {**c2, "3": c2["1"]}), DECRYPT,
-                     ("'c2'",)),
+    "version-1": ("ku", _set("version", 1), DERIVE_DK, ("unsupported envelope version 1",)),
+    "version-2.0": ("ku", _set("version", 2.0), DERIVE_DK, ("unsupported envelope version 2.0",)),
+    # the envelope's backend is the one statement of the backend its elements
+    # are encoded for; it must be the deployment's
+    "sk-backend-bogus": ("sk", _set("backend", "bogus"), DERIVE_DK, ("'backend'", "'bogus'")),
+    "state-backend-real": ("state", _set("backend", "real"), UPDATE_KEY, ("'backend'", "'real'")),
+    # a ciphertext's attributes are its c2 keys: none at all, or one past the
+    # universe (attributes 1..4), is refused
+    "c2-key-dropped": ("ct2", _set("payload", "c2", {}), DECRYPT, ("'c2'", "non-empty")),
+    "c2-key-added": ("ct2", _set("payload", "c2", lambda c2: {**c2, "9": c2["1"]}), DECRYPT,
+                     ("'c2'", "attribute 9 outside [1, 4]")),
+    # invariants the artifact classes state: row counts that agree
     "dk-row-dropped": ("dk", _set("payload", "rows", lambda rows: rows[:-1]), DECRYPT, ("'rows'",)),
     "sk-part-extra-row": ("sk", _set("payload", "parts", "1", lambda rows: rows + rows[:1]),
                           DERIVE_DK, ("'parts'",)),
@@ -612,9 +619,7 @@ def _ct_naming(attr):
     """A ciphertext edited to name attr as well, with attribute 1's c2 entry:
     its policy rows stay satisfied, so only the attribute bound refuses it."""
     def fn(env):
-        payload = env["payload"]
-        payload["attrs"] = sorted(payload["attrs"] + [attr])
-        payload["c2"][str(attr)] = payload["c2"]["1"]
+        env["payload"]["c2"][str(attr)] = env["payload"]["c2"]["1"]
     return _edit(fn)
 
 
@@ -623,7 +628,6 @@ def _policy_naming(attr):
     def fn(env):
         policy = env["payload"]["policy"]
         policy["formula"] = policy["formula"].replace("3", str(attr))
-        policy["row_attrs"] = [attr if a == 3 else a for a in policy["row_attrs"]]
     return _edit(fn)
 
 
@@ -631,10 +635,10 @@ DECRYPT_OUT = DECRYPT + ("--out", "{out}")
 # attr_max is 4: 0 and 5 lie just outside the universe; the policy parser
 # already refuses 0
 OUTSIDE = {
-    "ct-attr-0": ("ct", _ct_naming(0), UPDATE_CT, "'attrs': attribute 0 outside [1, 4]"),
-    "ct-attr-5": ("ct", _ct_naming(5), UPDATE_CT, "'attrs': attribute 5 outside [1, 4]"),
-    "ct2-attr-0": ("ct2", _ct_naming(0), DECRYPT_OUT, "'attrs': attribute 0 outside [1, 4]"),
-    "ct2-attr-5": ("ct2", _ct_naming(5), DECRYPT_OUT, "'attrs': attribute 5 outside [1, 4]"),
+    "ct-attr-0": ("ct", _ct_naming(0), UPDATE_CT, "'c2': attribute 0 outside [1, 4]"),
+    "ct-attr-5": ("ct", _ct_naming(5), UPDATE_CT, "'c2': attribute 5 outside [1, 4]"),
+    "ct2-attr-0": ("ct2", _ct_naming(0), DECRYPT_OUT, "'c2': attribute 0 outside [1, 4]"),
+    "ct2-attr-5": ("ct2", _ct_naming(5), DECRYPT_OUT, "'c2': attribute 5 outside [1, 4]"),
     "sk-policy-attr-5": ("sk", _policy_naming(5), DERIVE_DK, "'policy': attribute 5 outside [1, 4]"),
     "dk-policy-attr-5": ("dk", _policy_naming(5), DECRYPT_OUT,
                          "'policy': attribute 5 outside [1, 4]"),

@@ -77,44 +77,43 @@ def _mask_timings(text: str) -> str:
 
 WALK_SHA256 = {
     "setup": {
-        "s.json": "b2c81fcc190d3cfe29c39271491efb1a7443646205109e0f0899c4e98dd825f8",
-        "stdout": "043d8afb694774703cf0508f4aeb3c6586cc1c84c9d730a7322799ddb0dbbbac",
+        "s.json": "b4fde6662e7024260a01208006aae8aadf6114686d68633b4d8254256de06979",
+        "stdout": "6f6ec6b5434b8c68a1dbfdfaa29c55cb23a6ce2899137b36d3f10e9b00b60cd3",
     },
     "keygen": {
-        "s.json": "59ca53170b21950a888e04afe4328159c258087319b5e3877b3376f24940f5c5",
-        "alice.sk": "4b617ee907326dcf06c5db0120b804c4fbbe4242e30aacbabe2de66719fdb7e1",
+        "s.json": "15c3907cccba35ed8725c601b4e25291ed5ee2e6203cd139b1d2ad40ca2187eb",
+        "alice.sk": "fbf7482f6ffaf25bb9076def3a88627d542378f123eed2fd659113fa07d3eaaf",
         "stdout": "af41dd1676e755f2d137b87095e8cff5a1644da2fca36a9b09e3358eaec04007",
     },
     "update-key": {
-        "s.json": "9fa7ddd6342acb13cb793c9d41be4f1c706e42b2609a6addbc3f15ac89fcbab3",
-        "ku7.json": "b08d2d071e572640daef277964df5d4efb375e411adcb13fe5505bf3b601ce02",
+        "ku7.json": "97b09791c0743b9933998b5af7ca59555836b2fc98ac975328aa56731fbe2f60",
         "stdout": "4466bdfe1e3669666a6069e30fe244a87787fa9a09e27c077353ee5880e2ab33",
     },
     "derive-dk": {
-        "alice.dk7": "28bc2fee55492e2916269b04e7da9c893023da710152e142a453828b48ca5496",
+        "alice.dk7": "73d72b539fb31badd9a5740cc6c8a75470313c39b3888ac341162c472fe350ea",
         "stdout": "a07d0dd3f2c31d23b4123fffc859ce4c5625f448d74c71fc698ddc3679718fed",
     },
     "encrypt": {
-        "msg.json": "fe569a5030eb64d8a7cba70df3f450bc003b9649df8b58f659d9338b5794025b",
-        "ct5.json": "6d9fa713e85f07313c39bfa90ffbf1064e3ba4360853635c236475b0d4dfc289",
+        "msg.json": "06fc9e9f2a34648fc0bc1103e66447ac92209aa340221ed8a9d9da4a2e898125",
+        "ct5.json": "f20eecb9033dffcad1aee769706634d03328152bcc7cc305b45f9a5cbab808e2",
         "stdout": "c5cae4e38dca36f2736e453789dcabc66f77d1acf43f02b97af880cdba848cd6",
     },
     "update-ct": {
-        "ct7.json": "72cff98f69a54581ed2a86d73e41c0aa9a70a8de1d6b8a61e7a0bda06c52b794",
+        "ct7.json": "58ad178a28b5494e7c978459a31ac930f664392f2e0667f8bd35770401ab86fd",
         "stdout": "8e7e263aa3898176f1b477cc346cc62a2d5a4ccfe940c2c903dfbbe4992d20cc",
     },
     "decrypt": {
-        "got.json": "fe569a5030eb64d8a7cba70df3f450bc003b9649df8b58f659d9338b5794025b",
-        "stdout": "0c6df6ddf3ba0092d8d9680e933599dbfff8b3e63addb531347d173519b1e43a",
+        "got.json": "06fc9e9f2a34648fc0bc1103e66447ac92209aa340221ed8a9d9da4a2e898125",
+        "stdout": "4ec5a913b5e3d596fb0dcc747f52ccf88232eb15cda6daa20210a42d043019df",
     },
     "revoke": {
-        "s.json": "f5b2ae9e63c6a9a130d2f8868fd1dbf46b7bdf931996d907cb3f87ab3f599656",
+        "s.json": "832bb2a36cc47bd22f4b1196c162e26c16a4666a355badf415f38a68b2bcfbe1",
         "stdout": "927fc8de031cbe1be52466cfad22655d5a3cb0c4270397f363224b27856ecd40",
     },
     "attack-demo": {
         "report.json": "cd790dcd10e4b4aff5355c1981d94afb3b9cfbf9077166f7c9d9388445181ee5",
-        "runs/trial-0000.json": "2d7cc0236e53dcc4bb5a004ec096d5129d0851d79fcaae087e3bd71e3be5f415",
-        "runs/trial-0001.json": "7c87cf599a70e7eeda7211a1d691fc234387cf2efedabde21b1926c51aeffa8a",
+        "runs/trial-0000.json": "ea966ad2dd1d8d2c4f78aefacce008952fdb7141d7848e9462c79b86f7397914",
+        "runs/trial-0001.json": "d62946d3b83c31877f3a6fee9a6ec78eed9597bdb42b950c031f8c625ab17a66",
         "stdout": "3db67702f37183b9117c17885ff3161230799e7d94be9c48dfb9fe6063797cd2",
     },
 }

@@ -143,7 +143,7 @@ def test_encode_roundtrip_transparent_1000_per_side(tctx):
 
 def test_encode_roundtrip_real(rctx):
     rng = SeededRng("roundtrip-real")
-    lengths = {SIDE_ONE: 2 + 48, SIDE_TWO: 2 + 96, SIDE_TARGET: 2 + 576}
+    lengths = {SIDE_ONE: 48, SIDE_TWO: 96, SIDE_TARGET: 576}
     for side in SIDES:
         for _ in range(4):
             el = rctx.random_element(side, rng)
@@ -195,6 +195,9 @@ def test_scalar_decode_rejects_non_canonical(tctx):
     for value in (p, p + 2, 2**256 - 1):
         with pytest.raises(EnvelopeError, match="non-canonical"):
             tctx.decode_scalar(value.to_bytes(32, "little"))
+    for data in ((2).to_bytes(31, "little"), (2).to_bytes(33, "little")):  # 2 in 31 or 33 bytes
+        with pytest.raises(EnvelopeError, match="must be 32 bytes"):
+            tctx.decode_scalar(data)
 
 
 def test_decode_rejects_malformed(tctx, rctx):
@@ -205,30 +208,20 @@ def test_decode_rejects_malformed(tctx, rctx):
     with pytest.raises(EnvelopeError):
         tctx.decode_element(data[:-1], SIDE_ONE)
     with pytest.raises(EnvelopeError):
-        rctx.decode_element(data, SIDE_ONE)  # transparent bytes into the real context
+        tctx.decode_element(b"\x00" + data, SIDE_ONE)  # the same value in 9 bytes
     with pytest.raises(EnvelopeError):
-        tctx.decode_element(bytes([data[0], 0x7F]) + data[2:], SIDE_ONE)
-    too_big = data[:2] + (tctx.prime_order).to_bytes(8, "big")
+        rctx.decode_element(data, SIDE_ONE)  # transparent bytes into the real context
+    too_big = (tctx.prime_order).to_bytes(8, "big")
     with pytest.raises(EnvelopeError):
         tctx.decode_element(too_big, SIDE_ONE)
 
 
-def test_decode_compares_the_header_before_the_payload(rctx, monkeypatch):
-    """A wrong-side or wrong-backend element never reaches the curve decoders:
-    no square root, no subgroup test."""
-    def unreachable(data):
-        raise AssertionError("payload decoded despite a wrong header")
-
-    two = rctx.generator(SIDE_TWO).encode()
-    for name in ("g1_from_bytes", "g2_from_bytes", "fq12_from_bytes"):
-        monkeypatch.setattr(bls, name, unreachable)
-    for side in (SIDE_ONE, SIDE_TARGET):
-        with pytest.raises(EnvelopeError, match=f"of side two, expected side {side}"):
-            rctx.decode_element(two, side)
-    with pytest.raises(EnvelopeError, match="expected side two"):
-        rctx.decode_element(two[:1] + b"\x7f" + two[2:], SIDE_TWO)
-    with pytest.raises(EnvelopeError, match="not of the real backend"):
-        rctx.decode_element(b"\x01" + two[1:], SIDE_TWO)
+def test_real_decode_rejects_target_bytes_outside_gt(rctx):
+    good = rctx.generator(SIDE_TARGET).encode()
+    assert rctx.decode_element(good, SIDE_TARGET) == rctx.generator(SIDE_TARGET)
+    bad = good[:-1] + bytes([good[-1] ^ 0x01])  # an Fq12 element, but not a pairing output
+    with pytest.raises(EnvelopeError, match="outside the pairing image"):
+        rctx.decode_element(bad, SIDE_TARGET)
 
 
 def test_real_decode_rejects_off_curve_bytes(rctx):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from rabe import serial
 from rabe.errors import EnvelopeError, ParameterError
-from rabe.groups import REAL, SIDE_TARGET, TRANSPARENT, new_context
+from rabe.groups import REAL, SIDE_ONE, SIDE_TARGET, SIDE_TWO, TRANSPARENT, new_context
 from rabe.policy import parse_policy
 from rabe.rng import SeededRng
 from rabe.scheme import decrypt, derive_dk, encrypt, keygen, setup, update_ct, update_key
@@ -48,6 +48,8 @@ def test_context_rejects_composite_modulus():
         serial.context_from_payload(payload)
     with pytest.raises(EnvelopeError):
         serial.context_from_payload({"backend": "imaginary"})
+    with pytest.raises(EnvelopeError, match="unknown curve"):
+        serial.context_from_payload({"backend": REAL, "curve": "bn254"})
 
 
 def test_params_roundtrip_preserves_every_generator():
@@ -116,21 +118,11 @@ def test_real_backend_roundtrip():
     assert decrypt(pp, ct2_back, serial.dk_from_payload(ctx, serial.dk_payload(dk))) == msg
 
 
-def test_policy_payload_rejects_inconsistent_matrix():
-    ctx, pp, mk, state, rl, sk, *_ = build_artifacts()
-    payload = serial.sk_payload(sk)
-    for broken in ({"matrix": [[1, 1], [0, 1]]}, {"formula": "1 OR 2"}):
-        tampered = dict(payload, policy=dict(payload["policy"], **broken))
-        with pytest.raises(EnvelopeError, match="does not match its formula"):
-            serial.sk_from_payload(ctx, tampered)
-
-
 def test_state_payload_roundtrip_restores_the_whole_authority():
     ctx, pp, mk, state, rl, sk, ku, dk, msg, ct, ct2 = build_artifacts()
     rl.add("alice", 9, 16)
-    data = serial.state_payload(pp, mk, state, rl, epoch_counter=6)
-    pp2, mk2, state2, rl2, counter = serial.state_from_payload(data)
-    assert counter == 6
+    data = serial.state_payload(pp, mk, state, rl)
+    pp2, mk2, state2, rl2 = serial.state_from_payload(data)
     assert int(mk2.alpha) == int(mk.alpha)
     assert state2.leaf_of == state.leaf_of
     assert {n: int(s) for n, s in state2.node_secrets.items()} == {
@@ -200,6 +192,15 @@ def test_envelope_rejects_malformed_files(tmp_path):
         serial.read_envelope(path, expect_kind="pp")
     with pytest.raises(EnvelopeError):
         serial.envelope("not-a-kind", TRANSPARENT, "x", {})
+
+
+def test_payload_decoders_refuse_a_payload_that_is_not_an_object():
+    ctx, *_ = build_artifacts()
+    for payload in ([], "pp value", 5):  # "pp" in "pp value" holds, yet it has no field
+        with pytest.raises(EnvelopeError, match="missing field"):
+            serial.state_from_payload(payload)
+        with pytest.raises(EnvelopeError, match="missing field"):
+            serial.msg_from_payload(ctx, payload)
 
 
 def test_canonical_json_is_stable():
@@ -338,8 +339,8 @@ def test_tampered_envelopes_raise_only_envelope_errors(fuzz_file, env):
 # check(pp, tree) reads against the deployment (4 users, epochs 1..15,
 # attributes 1..3), so that the decoders pass most edits on to the checks
 
-FUZZ_PP, _, FUZZ_TREE, _, _ = serial.state_from_payload(VALID_ENVELOPES["state"]["payload"])
-CONTEXT_FIELDS = ("epoch", "e2", "parts", "attrs", "identity", "node")
+FUZZ_PP, _, FUZZ_TREE, _ = serial.state_from_payload(VALID_ENVELOPES["state"]["payload"])
+CONTEXT_FIELDS = ("epoch", "e2", "parts", "c2", "identity", "node")
 NEAR = st.integers(-1, 20)  # ints around every range the checks bound
 
 
@@ -362,11 +363,7 @@ def context_edits(draw):
             payload[name] = draw(NEAR)
         elif name == "identity":
             payload[name] = draw(st.sampled_from(["alice", "mallory", ""]))
-        elif name == "attrs":  # c2 follows, so the class invariant holds
-            attr = draw(NEAR)
-            payload["attrs"] = sorted(set(payload["attrs"]) ^ {attr})
-            _toggle(draw, payload["c2"], str(attr))
-        else:  # e2's slots, sk and ku parts' nodes
+        else:  # c2's attributes, e2's slots, sk and ku parts' nodes
             _toggle(draw, payload[name], str(draw(NEAR)))
     return kind, payload
 
@@ -386,40 +383,86 @@ def test_context_edits_raise_only_envelope_or_field_errors(edit):
         assert str(exc).startswith("field '"), exc
 
 
-def test_every_element_field_checks_its_side():
+def _real_payloads():
+    """Every kind that holds an element, from a small real deployment: 2
+    users, epochs 1..3, attribute 1."""
+    ctx = new_context(REAL)
+    rng = SeededRng("serial-real-sides")
+    pp, mk, state, rl = setup(ctx, 2, 4, 1, rng)
+    sk = keygen(pp, mk, state, "alice", parse_policy("1"), rng)
+    ku = update_key(pp, mk, state, rl, 1, rng)
+    msg = ctx.random_element(SIDE_TARGET, rng)
+    ct = encrypt(pp, {1}, 1, msg, rng)
+    payloads = {
+        "pp": serial.pp_payload(pp),
+        "sk": serial.sk_payload(sk),
+        "ku": serial.ku_payload(ku),
+        "dk": serial.dk_payload(derive_dk(sk, ku)),
+        "ct-original": serial.ct_original_payload(ct),
+        "ct-updated": serial.ct_updated_payload(update_ct(pp, ct, 1, rng)),
+        "msg": serial.msg_payload(msg),
+        "state": serial.state_payload(pp, mk, state, rl),
+    }
+    return ctx, json.loads(json.dumps(payloads))
+
+
+def _element_fields(payload):
+    """(path, field the decoder names) of every element in payload, told from
+    scalars (32 bytes) and other strings by its length; a map's decimal keys
+    and a list's indices name no field, so the map or list does."""
+    for path in _paths(payload):
+        value = _get(payload, path)
+        if _is_element(value) and len(base64.b64decode(value)) in (8, 48, 96, 576):
+            yield path, [key for key in path if isinstance(key, str) and not key.isdigit()][-1]
+
+
+def _refused_everywhere(ctx, payloads, encodings):
+    """How many element fields of payloads were tried with each of encodings
+    of another length; every one must be refused, naming its field."""
     checked = 0
-    for kind, env in VALID_ENVELOPES.items():
-        for path in _paths(env["payload"]):
-            value = _get(env["payload"], path)
-            if not _is_element(value) or len(base64.b64decode(value)) == 32:  # scalars
-                continue
-            data = bytearray(base64.b64decode(value))
-            for side in {1, 2, 3} - {data[1]}:
-                payload = copy.deepcopy(env["payload"])
-                data[1] = side
-                _get(payload, path[:-1])[path[-1]] = base64.b64encode(bytes(data)).decode("ascii")
-                with pytest.raises(EnvelopeError, match="expected side"):
-                    DECODERS[kind](FUZZ_CTX, payload)
+    for kind, payload in payloads.items():
+        for path, field in _element_fields(payload):
+            own = len(base64.b64decode(_get(payload, path)))
+            for data in (data for data in encodings if len(data) != own):
+                edited = copy.deepcopy(payload)
+                _get(edited, path[:-1])[path[-1]] = base64.b64encode(data).decode("ascii")
+                with pytest.raises(EnvelopeError, match=f"field '{field}'"):
+                    DECODERS[kind](ctx, edited)
                 checked += 1
-    assert checked > 100
+    return checked
+
+
+def test_every_element_field_checks_its_side():
+    """An element encoding states neither side nor backend.  On the real
+    backend each side has its own length (G1 48, G2 96, GT 576 bytes, a
+    transparent element 8), so every field refuses an element of another
+    side or backend; a transparent field refuses every real element."""
+    real, payloads = _real_payloads()
+    sides = [real.generator(side).encode() for side in (SIDE_ONE, SIDE_TWO, SIDE_TARGET)]
+    transparent = FUZZ_CTX.generator(SIDE_ONE).encode()
+    assert _refused_everywhere(real, payloads, sides + [transparent]) == 3 * 47
+    envs = {kind: env["payload"] for kind, env in VALID_ENVELOPES.items()}
+    assert _refused_everywhere(FUZZ_CTX, envs, sides) == 3 * 85
+    # every transparent element is 8 bytes, so one of side one loads as side two
+    assert FUZZ_CTX.decode_element(transparent, SIDE_TWO) == FUZZ_CTX.generator(SIDE_TWO)
 
 
 # ---------------------------------------------------------------------------
-# known answers: the bytes envelope VERSION 1 writes, pinned per payload kind
+# known answers: the bytes envelope VERSION 2 writes, pinned per payload kind
 
 PAYLOAD_PINS = {
-    "pp": "7e91e401dcd6b9b68127467389aed40270f2fd507c2f88a2de5af5e79a9cd27a",
+    "pp": "9756d7f61b89b8938735b4fefcd49afbc0d47ce7f50a8ca51e8ab4c67d2dea57",
     "mk": "b020ef4bc09ccc0295fc75f8489ad739f7b27064568491e8dfb5fde2dff7ce12",
-    "sk": "0d88e8e2cf7568fb57b8f38daacdca33ab4dde8a4da7b7a18e9cb723942eaaf5",
-    "ku": "7231bd44fba09439bd2d9b0001517763197293d6b50eadc37b96bd7b6b310ba7",
-    "dk": "6b8ecd9c29832db06ef2483b1ff525d129e583ced8e6e6b0d2de919273d5e480",
-    "ct-original": "47eab91e81643a10df827d9d4c9fa2f73542a935c1d35a25a7599937a9ff06fe",
-    "ct-updated": "e2b601433ff8e7693487544aa09e51ef3cce56d8a0384663d0a78dd09ebd7e35",
-    "msg": "088b922dc56a2a2b7871ad55cc925e8c7882c48a26bfb856ee04fcda3ab4b76b",
-    "state": "cb3e7ec01b57e7fc836b4ff63bf5756ef1f10a673a33d5089debbea8e9e3bf28",
+    "sk": "4f364091d798d217251f0fd80d796e85ca04079cc21d97ad37290032698881aa",
+    "ku": "8a35c3f53525f81d57a8865bd598fe6f23dddc1304d911f956553ed511794fe1",
+    "dk": "9328f7762845433ddc98ec88d1a96ab68087269e51996379855095727bab7a16",
+    "ct-original": "d004563c9b64ddeb0f83c89a4cd82229cb2da14ab3a4296641c944a26f0aca16",
+    "ct-updated": "15f4ab0b46da0848794ec8417726affaaa531482a0ba5c36d411b0ec21f5dc72",
+    "msg": "62578f10069b0f4ce6446301d22334e533c5f0c7fd0e44d136565c21ccaadfd4",
+    "state": "c4746f4c0baa8aed985765a851e4c4973e460d6ffe9a906bf4e11adb7bbb6823",
 }
-REAL_CT_UPDATED_PIN = "cb64a228ff8c8e5fa865da76548cb4984b042bea08821f3c6d4609ab15826562"
-REAL_SK_PIN = "337d44a002e5ae8e13880da06dad8ceed093601c825fad32848546292ab3ebb6"
+REAL_CT_UPDATED_PIN = "c5f20b46339322f472871f52ccf4eebd1b26e7e1649688cbb41cd7dc695d14d9"
+REAL_SK_PIN = "be29cd8619d8adc117c834c20eb8a01dda654f72be16fd9ae76a0219f74b21da"
 
 
 def _sha256(payload) -> str:
@@ -439,8 +482,8 @@ ENCODERS = {
 }
 
 
-def test_payload_bytes_match_the_version_1_pins():
-    assert serial.VERSION == 1
+def test_payload_bytes_match_the_version_2_pins():
+    assert serial.VERSION == 2
     ctx, pp, mk, state, rl, sk, ku, dk, msg, ct, ct2 = build_artifacts()
     state.assign_leaf("bob")  # a revoked identity has a leaf, or the state would not load
     rl.add("bob", 9, 16)
@@ -456,7 +499,7 @@ def test_payload_bytes_match_the_version_1_pins():
         assert serial.canonical_json(again) == serial.canonical_json(payload), kind
 
 
-def test_real_ciphertext_bytes_match_the_version_1_pin():
+def test_real_ciphertext_bytes_match_the_version_2_pin():
     ctx = new_context(REAL)
     rng = SeededRng("serial-real-pin")
     pp, *_ = setup(ctx, 4, 16, 3, rng)
@@ -467,7 +510,7 @@ def test_real_ciphertext_bytes_match_the_version_1_pin():
     assert serial.canonical_json(again) == serial.canonical_json(payload)
 
 
-def test_real_key_bytes_match_the_version_1_pin():
+def test_real_key_bytes_match_the_version_2_pin():
     """keygen's k0 = g2^lambda * T(x)^r on BLS12-381, whatever way it is
     computed."""
     ctx = new_context(REAL)
