@@ -32,16 +32,18 @@ one doubling per digit of its NAF and one mixed addition of the base or
 its negation per nonzero digit, with no table.  The same maps give the
 membership tests (Scott, ePrint 2021/1130), which need only such a power
 by z^2 or |z|.
-Fq2 square roots go by the norm.  The pairing is the ate pairing: a Miller
-loop over the curve parameter that keeps the running point on the twist in
-homogeneous projective coordinates and yields each line as a sparse Fq12
-element (no inversions), then the final exponentiation split into the easy
-part and a hard part of powers by |z|.  A G2 argument's lines are made
-once, free of the G1 argument, and kept while it is in repeated use; a
-pair then costs the scaling of its lines.  The one pairing entry,
-pairing_product, runs one shared Miller loop for all its pairs: one
-squaring per bit, the lines of every pair multiplied in, and one final
-exponentiation over the product.
+Points are encoded uncompressed, x and y both, so decoding one takes no
+square root: a decoded point is range-checked, then put through the
+membership test, which checks the curve equation first.  The pairing is
+the ate pairing: a Miller loop over the curve parameter that keeps the
+running point on the twist in homogeneous projective coordinates and
+yields each line as a sparse Fq12 element (no inversions), then the final
+exponentiation split into the easy part and a hard part of powers by |z|.
+A G2 argument's lines are made once, free of the G1 argument, and kept
+while it is in repeated use; a pair then costs the scaling of its lines.
+The one pairing entry, pairing_product, runs one shared Miller loop for all
+its pairs: one squaring per bit, the lines of every pair multiplied in,
+and one final exponentiation over the product.
 """
 
 from __future__ import annotations
@@ -103,8 +105,6 @@ GT_GEN = (
 )
 
 B1 = 4  # G1 curve constant
-HALF_P = (P - 1) // 2
-_SQRT_EXP = (P + 1) // 4  # v^_SQRT_EXP is a root of v, or of -v if v is not a square
 
 # ---------------------------------------------------------------------------
 # Fq2: a + b*u, u^2 = -1.  Elements are (a, b) with 0 <= a, b < P.
@@ -1111,14 +1111,13 @@ def pairing_product(pairs):
 
 
 # ---------------------------------------------------------------------------
-# Canonical encodings: standard 48/96-byte compressed points, 576-byte Fq12.
-# A compressed point is x as 48-byte big-endian words (x1 before x0 on G2)
-# with three flags in the top bits of the first byte: compressed (0x80),
-# infinity (0x40) and the sign of y (0x20).
-
-
-def _fq_sign(a):
-    return a > HALF_P
+# Canonical encodings: standard 96/192-byte uncompressed points, 576-byte
+# Fq12.  A point is its coordinates as 48-byte big-endian words, x before y
+# and c1 before c0 in Fq2, so G1 is x || y and G2 is x1 || x0 || y1 || y0.
+# The top three bits of the first byte are the standard flags: compressed
+# (0x80) and the sign of y (0x20) are always clear, and infinity (0x40) has
+# one encoding, 0x40 followed by zero bytes.  Storing y costs twice the
+# bytes and saves decoding a square root.
 
 
 def _word_bytes(words):
@@ -1133,100 +1132,58 @@ def _words(data, what):
     return words
 
 
-def _compress(size, words=(), sign=False):
-    """The compressed encoding of x's words with y's sign; no words is infinity."""
-    if not words:
-        return bytes([0xC0]) + bytes(size - 1)
-    data = bytearray(_word_bytes(words))
-    data[0] |= 0x80 | (0x20 if sign else 0)
-    return bytes(data)
+def _point_bytes(words, size):
+    """The uncompressed encoding of a point's coordinate words; None is infinity."""
+    if words is None:
+        return bytes([0x40]) + bytes(size - 1)
+    return _word_bytes(words)
 
 
-def _decompress(data, size, group):
-    """(sign of y, x's words below P) of a compressed point, or None for infinity."""
+def _point_words(data, size, group):
+    """The coordinate words, each below P, of an uncompressed point, or None for infinity."""
     if len(data) != size:
         raise ValueError(f"{group} encoding must be {size} bytes")
     flags = data[0]
-    if not flags & 0x80:
-        raise ValueError(f"uncompressed {group} encoding not supported")
+    if flags & 0x80:
+        raise ValueError(f"compressed {group} encoding not supported")
+    if flags & 0x20:
+        raise ValueError(f"{group} encoding has the sign bit set")
     if flags & 0x40:
-        if any(data[1:]) or flags & 0x3F:
+        if flags != 0x40 or any(data[1:]):
             raise ValueError(f"malformed {group} infinity encoding")
         return None
-    return bool(flags & 0x20), _words(bytes([flags & 0x1F]) + data[1:], f"{group} x coordinate")
+    return _words(data, f"{group} coordinate")
 
 
 def g1_to_bytes(pt):
-    if pt is None:
-        return _compress(48)
-    return _compress(48, (pt[0],), _fq_sign(pt[1]))
+    return _point_bytes(pt, 96)
 
 
 def g1_from_bytes(data):
-    decoded = _decompress(data, 48, "G1")
-    if decoded is None:
+    words = _point_words(data, 96, "G1")
+    if words is None:
         return None
-    sign, (x,) = decoded
-    # a square root of x^3 + 4 only if x is on the curve, which g1_in_subgroup checks
-    y = pow((x * x * x + B1) % P, _SQRT_EXP, P)
-    if _fq_sign(y) != sign:
-        y = -y % P
-    pt = (x, y)
+    pt = tuple(words)
     if not g1_in_subgroup(pt):
         raise ValueError("G1 point not on the curve or not in the prime-order subgroup")
     return pt
 
 
-def fq2_sqrt(a):
-    """Square root in Fq2, or None if a is not a square.
-
-    By the norm, for p = 3 (mod 4): a = a0 + a1 u is a square iff its norm
-    is one in Fq.  With lam a root of the norm, d = (a0 + lam)/2 and
-    (a0 - lam)/2 multiply to -a1^2/4, which is not a square when a1 != 0;
-    d = a0 when a1 = 0.  r = d^((p+1)/4) is a root of d, giving
-    r + (a1/2r) u, or of -d, giving (a1/2r) + r u.
-    """
-    a0, a1 = a
-    d = a0
-    if a1:
-        norm = (a0 * a0 + a1 * a1) % P
-        lam = pow(norm, _SQRT_EXP, P)
-        if lam * lam % P != norm:
-            return None
-        d = (a0 + lam) * (HALF_P + 1) % P  # HALF_P + 1 = 1/2
-    r = pow(d, _SQRT_EXP, P)
-    s = a1 * pow(2 * r, -1, P) % P if a1 else 0
-    x = (r, s) if r * r % P == d else (s, r)
-    return x if fq2_sqr(x) == a else None
-
-
-def _fq2_sign(a):
-    c0, c1 = a
-    return _fq_sign(c1) if c1 else _fq_sign(c0)
-
-
 def g2_to_bytes(pt):
     if pt is None:
-        return _compress(96)
-    (x0, x1), y = pt
-    return _compress(96, (x1, x0), _fq2_sign(y))
+        return _point_bytes(None, 192)
+    (x0, x1), (y0, y1) = pt
+    return _point_bytes((x1, x0, y1, y0), 192)
 
 
 def g2_from_bytes(data):
-    decoded = _decompress(data, 96, "G2")
-    if decoded is None:
+    words = _point_words(data, 192, "G2")
+    if words is None:
         return None
-    sign, (x1, x0) = decoded
-    x = (x0, x1)
-    rhs = fq2_add(fq2_mul(fq2_sqr(x), x), B2)
-    y = fq2_sqrt(rhs)
-    if y is None:
-        raise ValueError("G2 x coordinate not on curve")
-    if _fq2_sign(y) != sign:
-        y = fq2_neg(y)
-    pt = (x, y)
+    x1, x0, y1, y0 = words
+    pt = ((x0, x1), (y0, y1))
     if not g2_in_subgroup(pt):
-        raise ValueError("G2 point not in the prime-order subgroup")
+        raise ValueError("G2 point not on the curve or not in the prime-order subgroup")
     return pt
 
 

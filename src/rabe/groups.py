@@ -23,8 +23,8 @@ Backends:
   once for it, on first use.
 
 Canonical element encoding: the payload alone, an 8-byte big-endian
-exponent on the transparent backend, a 48-byte (G1) or 96-byte (G2)
-compressed point or a 576-byte Fq12 coefficient block on the real one.  No
+exponent on the transparent backend, a 96-byte (G1) or 192-byte (G2)
+uncompressed point or a 576-byte Fq12 coefficient block on the real one.  No
 header states the backend or the side: the envelope states the backend, and
 the caller of decode_element the side.  On the real backend an element of
 another side or backend is refused by its length; every transparent

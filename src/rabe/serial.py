@@ -17,10 +17,11 @@ canonical encodings, int-keyed maps with decimal string keys.  Decoding
 type-checks every field and then builds the artifact, whose class checks its
 invariants; either way a malformed payload ends as an EnvelopeError naming the field.
 
-A VERSION 2 payload holds the keys of its record spec below, each fact
+A VERSION 3 payload holds the keys of its record spec below, each fact
 once: a policy is {formula}, its matrix the formula's parse; a ciphertext's
-attribute set is the key set of its c2; a state is {pp, mk, tree, rl}.  A
-file of any other version is refused.
+attribute set is the key set of its c2; a state is {pp, mk, tree, rl}.  On
+the real backend its G1 and G2 elements are uncompressed points, so loading
+one takes no square root.  A file of any other version is refused.
 
 Kinds: pp, mk, sk, ku, dk, ct-original, ct-updated, state, msg, transcript.
 """
@@ -60,7 +61,7 @@ from .scheme import (
 )
 from .tree import RevocationList, TreeState
 
-VERSION = 2
+VERSION = 3
 
 KINDS = (
     "pp",

@@ -12,16 +12,23 @@ import rabe.bls12381 as bls
 from rabe.groups import REAL, SIDE_ONE, SIDE_TARGET, SIDE_TWO, GroupElement, new_context
 from rabe.rng import SeededRng
 
-# standard compressed serializations of the fixed generators
+# standard uncompressed serializations of the fixed generators: x || y on
+# G1, x1 || x0 || y1 || y0 on G2
 G1_GEN_HEX = (
-    "97f1d3a73197d7942695638c4fa9ac0fc3688c4f9774b905a14e3a3f171bac58"
+    "17f1d3a73197d7942695638c4fa9ac0fc3688c4f9774b905a14e3a3f171bac58"
     "6c55e83ff97a1aeffb3af00adb22c6bb"
+    "08b3f481e3aaa0f1a09e30ed741d8ae4fcf5e095d5d00af600db18cb2c04b3ed"
+    "d03cc744a2888ae40caa232946c5e7e1"
 )
 G2_GEN_HEX = (
-    "93e02b6052719f607dacd3a088274f65596bd0d09920b61ab5da61bbdc7f5049"
+    "13e02b6052719f607dacd3a088274f65596bd0d09920b61ab5da61bbdc7f5049"
     "334cf11213945d57e5ac7d055d042b7e"
     "024aa2b2f08f0a91260805272dc51051c6e47ad4fa403b02b4510b647ae3d177"
     "0bac0326a805bbefd48056c8c121bdb8"
+    "0606c4a02ea734cc32acd2b02bc28b99cb3e287e85a763af267492ab572e99ab"
+    "3f370d275cec1da1aaa9075ff05f79be"
+    "0ce5d527727d6e118cc9cdc6da2e351aadfd9baa8cbdd3a76d429a695160d12c"
+    "923ac9cc3baca289e193548608b82801"
 )
 
 
@@ -42,6 +49,26 @@ def fq2_pow(x, e):
 
 def fq12_pow(x, e):
     return _pow(bls.fq12_mul, bls.fq12_sqr, bls.FQ12_ONE, x, e)
+
+
+def _fq_sqrt(v):
+    """A square root of v in Fq, or None.  Decoding takes no root, so only
+    the tests, which make points outside G1 and G2, need one."""
+    y = pow(v, (bls.P + 1) // 4, bls.P)  # p = 3 (mod 4)
+    return y if y * y % bls.P == v % bls.P else None
+
+
+def _fq2_sqrt(a):
+    """A square root of a in Fq2, or None: Adj and Rodriguez-Henriquez
+    (ePrint 2012/685), algorithm 9, for p = 3 (mod 4)."""
+    a1 = fq2_pow(a, (bls.P - 3) // 4)
+    alpha = bls.fq2_mul(bls.fq2_sqr(a1), a)
+    x0 = bls.fq2_mul(a1, a)
+    if alpha == (bls.P - 1, 0):
+        x = bls.fq2_mul((0, 1), x0)
+    else:
+        x = bls.fq2_mul(fq2_pow(bls.fq2_add(bls.FQ2_ONE, alpha), (bls.P - 1) // 2), x0)
+    return x if bls.fq2_sqr(x) == a else None
 
 
 def test_field_and_order_constants():
@@ -297,150 +324,113 @@ def test_add_on_doubling_inverse_and_identity(group):
     assert add(p, gen) == mul(gen, 12346)
 
 
-def test_compressed_roundtrip_both_sign_branches():
+def _word_list(data):
+    return [int.from_bytes(data[i : i + 48], "big") for i in range(0, len(data), 48)]
+
+
+def test_uncompressed_roundtrip_of_random_points():
     rng = SeededRng("bls-roundtrip")
-    seen_signs = set()
     for _ in range(6):
         k = rng.randbelow(bls.R - 1) + 1
         pt = bls.g1_mul(bls.G1_GEN, k)
         data = bls.g1_to_bytes(pt)
-        assert len(data) == 48 and data[0] & 0x80
-        seen_signs.add(bool(data[0] & 0x20))
+        assert len(data) == 96 and _word_list(data) == list(pt)
         assert bls.g1_from_bytes(data) == pt
-        qt = bls.g2_mul(bls.G2_GEN, k)
+        (x0, x1), (y0, y1) = qt = bls.g2_mul(bls.G2_GEN, k)
         qdata = bls.g2_to_bytes(qt)
-        assert len(qdata) == 96
+        assert len(qdata) == 192 and _word_list(qdata) == [x1, x0, y1, y0]
         assert bls.g2_from_bytes(qdata) == qt
-    assert seen_signs == {True, False}
-
-
-def test_fq2_sqrt_roots_non_squares_and_g2_roundtrip():
-    rng = SeededRng("fq2-sqrt")
-    for _ in range(8):
-        x = (rng.randbelow(bls.P), rng.randbelow(bls.P))
-        square = bls.fq2_sqr(x)
-        assert bls.fq2_sqrt(square) in (x, bls.fq2_neg(x))
-        # xi = u + 1 is a non-square (the sextic twist needs it), so x^2 * xi is one too
-        assert bls.fq2_sqrt(bls.fq2_mul_xi(square)) is None
-    assert bls.fq2_sqrt(bls.XI) is None
-    assert bls.fq2_sqrt(bls.FQ2_ZERO) == bls.FQ2_ZERO
-    # a = -1 takes the a1 = 0, a0-not-a-square branch; its roots are +-u
-    assert bls.fq2_sqrt((bls.P - 1, 0)) in ((0, 1), (0, bls.P - 1))
-    for _ in range(3):
-        pt = bls.g2_mul(bls.G2_GEN, rng.randbelow(bls.R - 1) + 1)
-        for q in (pt, bls.g2_neg(pt)):
-            assert bls.g2_from_bytes(bls.g2_to_bytes(q)) == q
-
-
-def _fq_is_square(v):
-    return pow(v, bls.HALF_P, bls.P) <= 1
-
-
-FQ2_SQRT_BRANCHES = {
-    "zero", "non-square", "a1 = 0, a0 square", "a1 = 0, a0 non-square", "d square", "d non-square",
-}
-
-
-def test_fq2_sqrt_matches_euler_criterion_on_every_branch():
-    # the test sorts each input into a branch of the root by the norm itself,
-    # with d = (a0 + lam)/2 and lam = norm^((p+1)/4), and checks only the roots
-    rng = SeededRng("fq2-sqrt-branches")
-    inputs = [bls.FQ2_ZERO, (4, 0), (bls.P - 1, 0)]
-    for _ in range(8):
-        x = _random_fq2(rng)
-        inputs += [bls.fq2_sqr(x), bls.fq2_mul_xi(bls.fq2_sqr(x)), (x[0], 0), _random_fq2(rng)]
-    hit = set()
-    for a in inputs:
-        a0, a1 = a
-        euler = fq2_pow(a, (bls.P**2 - 1) // 2)
-        if a == bls.FQ2_ZERO:
-            branch = "zero"
-        elif euler != bls.FQ2_ONE:
-            branch = "non-square"
-        elif a1 == 0:
-            branch = "a1 = 0, a0 square" if _fq_is_square(a0) else "a1 = 0, a0 non-square"
-        else:
-            lam = pow((a0 * a0 + a1 * a1) % bls.P, (bls.P + 1) // 4, bls.P)
-            d = (a0 + lam) * pow(2, -1, bls.P) % bls.P
-            branch = "d square" if _fq_is_square(d) else "d non-square"
-        hit.add(branch)
-        x = bls.fq2_sqrt(a)
-        if branch == "non-square":
-            assert x is None, a
-            continue
-        assert x is not None and bls.fq2_sqr(x) == a, (branch, a)
-        if branch == "a1 = 0, a0 non-square":
-            assert x[0] == 0 and _fq_is_square(-a0 % bls.P)  # the roots are +-u sqrt(-a0)
-    assert hit == FQ2_SQRT_BRANCHES
 
 
 def test_g2_from_bytes_roundtrips_both_signs_of_y():
     rng = SeededRng("g2-signs")
-    signs = set()
     for _ in range(3):
         q = bls.g2_mul(bls.G2_GEN, rng.randbelow(bls.R - 1) + 1)
-        for pt in (q, bls.g2_neg(q)):
-            data = bls.g2_to_bytes(pt)
-            signs.add(bool(data[0] & 0x20))
-            assert bls.g2_from_bytes(data) == pt
-    assert signs == {True, False}
+        data, neg = bls.g2_to_bytes(q), bls.g2_to_bytes(bls.g2_neg(q))
+        # -q shares x and no flag bit: only the y words tell the two apart
+        assert data[:96] == neg[:96] and data[96:] != neg[96:]
+        assert bls.g2_from_bytes(data) == q and bls.g2_from_bytes(neg) == bls.g2_neg(q)
 
 
 def test_infinity_encoding():
-    inf = bls.g1_to_bytes(None)
-    assert inf[0] == 0xC0 and set(inf[1:]) == {0}
-    assert bls.g1_from_bytes(inf) is None
-    assert bls.g2_from_bytes(bls.g2_to_bytes(None)) is None
+    for encode, decode, size in ((bls.g1_to_bytes, bls.g1_from_bytes, 96),
+                                 (bls.g2_to_bytes, bls.g2_from_bytes, 192)):
+        inf = encode(None)
+        assert len(inf) == size and inf[0] == 0x40 and set(inf[1:]) == {0}
+        assert decode(inf) is None
 
 
-def test_from_bytes_rejects_malformed():
-    good = bytes.fromhex(G1_GEN_HEX)
-    with pytest.raises(ValueError):
-        bls.g1_from_bytes(good[:-1])
-    with pytest.raises(ValueError):
-        bls.g1_from_bytes(bytes([good[0] & 0x7F]) + good[1:])  # compression bit off
-    with pytest.raises(ValueError):
-        bls.g1_from_bytes(bytes([0xC0, 1]) + bytes(46))  # dirty infinity
-    for flags in (0xE0, 0xC1):  # infinity with the sign bit or an x bit: 0xC0 00.. is the one
-        with pytest.raises(ValueError, match="malformed G1 infinity"):
-            bls.g1_from_bytes(bytes([flags]) + bytes(47))
-    oversized = (1 << 380) + bls.P  # x coordinate >= field modulus
-    data = bytearray(oversized.to_bytes(48, "big"))
-    data[0] |= 0x80
-    with pytest.raises(ValueError):
-        bls.g1_from_bytes(bytes(data))
-    with pytest.raises(ValueError):
-        bls.g2_from_bytes(bytes.fromhex(G2_GEN_HEX)[:-1])
+CODECS = {
+    "G1": (bls.g1_to_bytes, bls.g1_from_bytes, G1_GEN_HEX),
+    "G2": (bls.g2_to_bytes, bls.g2_from_bytes, G2_GEN_HEX),
+}
 
 
-def test_g2_from_bytes_rejects_malformed():
-    good = bytes.fromhex(G2_GEN_HEX)
-    p = bls.P.to_bytes(48, "big")  # x1 is the first word, x0 the second
+def _raised_by_p(group, word):
+    """A subgroup point's encoding with one coordinate word raised by P:
+    the same point mod P, with the flag bits still clear."""
+    gen, mul, _, neg = GROUPS[group]
+    encode = CODECS[group][0]
+    at = slice(48 * word, 48 * word + 48)
+    for k in range(2, 100):
+        pt = mul(gen, k)
+        for data in (encode(pt), encode(neg(pt))):
+            w = int.from_bytes(data[at], "big") + bls.P
+            if w < 1 << 381:
+                return data[: at.start] + w.to_bytes(48, "big") + data[at.stop :]
+    raise AssertionError(f"no multiple of the {group} generator has a word below 2^381 - P")
+
+
+def _refuses_every_malformed_encoding(group, off_subgroup):
+    """Each way an uncompressed encoding of group is refused, with its
+    message, starting from the generator's: the flags, the one infinity,
+    every word below P, the curve equation, the subgroup."""
+    encode, decode, hex_ = CODECS[group]
+    good = bytes.fromhex(hex_)
+    size = len(good)
+    y_plus_one = good[:-48] + (int.from_bytes(good[-48:], "big") + 1).to_bytes(48, "big")
     bad = {
-        "compression bit off": bytes([good[0] & 0x7F]) + good[1:],
-        "dirty infinity": bytes([0xC0]) + bytes(94) + bytes([1]),
-        "infinity with the sign bit": bytes([0xE0]) + bytes(95),
-        "infinity with an x bit": bytes([0xC1]) + bytes(95),
-        "x1 >= P": bytes([p[0] | 0x80]) + p[1:] + good[48:],
-        "x0 >= P": good[:48] + (bls.G2_GEN[0][0] + bls.P).to_bytes(48, "big"),
+        "compressed flag": (bytes([good[0] | 0x80]) + good[1:], f"compressed {group}"),
+        "compressed infinity": (bytes([0xC0]) + bytes(size - 1), f"compressed {group}"),
+        "sign bit": (bytes([good[0] | 0x20]) + good[1:], "sign bit"),
+        "infinity with the sign bit": (bytes([0x60]) + bytes(size - 1), "sign bit"),
+        "infinity with an x bit": (bytes([0x41]) + bytes(size - 1), f"malformed {group} infinity"),
+        "infinity with a last bit": (bytes([0x40]) + bytes(size - 2) + b"\x01", f"malformed {group} infinity"),
+        "infinity flag on a point": (bytes([good[0] | 0x40]) + good[1:], f"malformed {group} infinity"),
+        "off the curve, (x, y + 1)": (y_plus_one, "not on the curve"),
+        "on the curve, outside the subgroup": (encode(off_subgroup), "prime-order subgroup"),
     }
-    for case, data in bad.items():
-        assert len(data) == 96, case
-        with pytest.raises(ValueError):
-            bls.g2_from_bytes(data)
+    for word in range(size // 48):  # x then y; c1 before c0 on G2
+        at = slice(48 * word, 48 * word + 48)
+        bad[f"word {word} = P"] = (good[: at.start] + bls.P.to_bytes(48, "big") + good[at.stop :], "out of range")
+        bad[f"word {word} + P"] = (_raised_by_p(group, word), "out of range")
+    assert decode(good) == GROUPS[group][0]
+    for case, (data, message) in bad.items():
+        assert len(data) == size, case
+        with pytest.raises(ValueError, match=message):
+            decode(data)
+
+
+def test_from_bytes_rejects_malformed(g1_small_order):
+    _refuses_every_malformed_encoding("G1", g1_small_order[11])
+
+
+def test_g2_from_bytes_rejects_malformed(g2_off_subgroup):
+    _refuses_every_malformed_encoding("G2", g2_off_subgroup[0])
 
 
 def test_decoders_refuse_every_other_length():
     """One encoding per element.  [766]G1 is the first multiple with
-    x < 2^373 and [14]G2 the first with x0 < 2^376, so a 47-byte G1 or a
-    95-byte G2 string that leaves out a zero top byte of an x word would
-    parse to the same point; a longer string, to one more word."""
+    x < 2^373 and [14]G2 the first with x0 < 2^376, so a 95-byte G1 or a
+    191-byte G2 string that leaves out a zero top byte of an x word holds
+    no flag bit and the point's words, shifted; a longer string, one more
+    word."""
     p, q = bls.g1_mul(bls.G1_GEN, 766), bls.g2_mul(bls.G2_GEN, 14)
     assert p[0] < 1 << 373 and q[0][0] < 1 << 376
     g1, g2 = bls.g1_to_bytes(p), bls.g2_to_bytes(q)
     cases = (
-        (bls.g1_from_bytes, "G1 encoding must be 48 bytes", g1, bytes([g1[0] | g1[1]]) + g1[2:]),
-        (bls.g2_from_bytes, "G2 encoding must be 96 bytes", g2, g2[:48] + g2[49:]),
+        (bls.g1_from_bytes, "G1 encoding must be 96 bytes", g1, g1[1:]),
+        (bls.g2_from_bytes, "G2 encoding must be 192 bytes", g2, g2[:48] + g2[49:]),
         (bls.fq12_from_bytes, "Fq12 encoding must be 576 bytes", bls.fq12_to_bytes(bls.FQ12_ONE), None),
     )
     for decode, message, good, short in cases:
@@ -453,17 +443,20 @@ def test_words_up_to_p_minus_one_are_in_range():
     m = bls.P - 1  # the largest word; P itself is refused (test_fq12_bytes_roundtrip_and_validity)
     top = m.to_bytes(48, "big")
     assert bls.fq12_from_bytes(top * 12) == (((m, m),) * 3,) * 2
-    # so a G1 x of P - 1 reaches the curve and subgroup test
-    with pytest.raises(ValueError, match="not on the curve or not in the prime-order subgroup"):
-        bls.g1_from_bytes(bytes([top[0] | 0x80]) + top[1:])
+    # so a point of words P - 1 reaches the curve and subgroup test
+    for decode, words in ((bls.g1_from_bytes, 2), (bls.g2_from_bytes, 4)):
+        with pytest.raises(ValueError, match="not on the curve or not in the prime-order subgroup"):
+            decode(top * words)
 
 
 def test_g2_from_bytes_rejects_an_x_with_no_point():
-    # x = (x0, 0) for the first x0 whose x^3 + 4(u + 1) is a non-square in Fq2
-    x0 = next(a for a in range(1, 40) if bls.fq2_sqrt(bls.fq2_add((a**3 % bls.P, 0), bls.B2)) is None)
-    for sign in (0, 0x20):
-        with pytest.raises(ValueError, match="G2 x coordinate not on curve"):
-            bls.g2_from_bytes(bytes([0x80 | sign]) + bytes(47) + x0.to_bytes(48, "big"))
+    # x = (x0, 0) for the first x0 whose x^3 + 4(u + 1) is a non-square in Fq2:
+    # no y makes a point of it
+    x0 = next(a for a in range(1, 40) if _fq2_sqrt(bls.fq2_add((a**3 % bls.P, 0), bls.B2)) is None)
+    for y in ((0, 0), (1, 0), (0, 1), (bls.P - 1, bls.P - 1)):
+        data = bytes(48) + x0.to_bytes(48, "big") + bls._word_bytes((y[1], y[0]))
+        with pytest.raises(ValueError, match="G2 point not on the curve"):
+            bls.g2_from_bytes(data)
 
 
 @pytest.mark.parametrize("group", sorted(GROUPS))
@@ -490,16 +483,16 @@ def test_mul_of_negative_zero_and_infinity(group):
 
 
 def test_from_bytes_rejects_non_square_x():
-    # scan small x values; the first undecodable one must raise cleanly.  An
-    # x off the curve (x^3 + 4 a non-square) is refused by g1_in_subgroup's
-    # on-curve test, the decoder's one curve check.
+    # scan small x values, each with y = (x^3 + 4)^((p+1)/4), a root of
+    # x^3 + 4 or of its negation; every undecodable one must raise cleanly.
+    # An x off the curve (x^3 + 4 a non-square) is refused by
+    # g1_in_subgroup's on-curve test, the decoder's one curve check.
     rejected = off_curve = 0
     for x in range(40):
-        data = bytearray(x.to_bytes(48, "big"))
-        data[0] |= 0x80
-        off_curve += not _fq_is_square((x ** 3 + 4) % bls.P)
+        rhs = (x ** 3 + 4) % bls.P
+        off_curve += _fq_sqrt(rhs) is None
         try:
-            pt = bls.g1_from_bytes(bytes(data))
+            pt = bls.g1_from_bytes(bls._word_bytes((x, pow(rhs, (bls.P + 1) // 4, bls.P))))
         except ValueError as exc:
             assert "G1 point not on the curve or not in the prime-order subgroup" in str(exc)
             rejected += 1
@@ -514,15 +507,15 @@ def _fq_cube_root_square(t):
     base = pow(t, pow(3, -1, m), bls.P)  # a cube root of t up to a ninth root of unity
     ninth = next(pow(a, m, bls.P) for a in range(2, 100) if pow(a, (bls.P - 1) // 3, bls.P) != 1)
     roots = (base * pow(ninth, j, bls.P) % bls.P for j in range(9))
-    return next(s for s in roots if pow(s, 3, bls.P) == t and _fq_is_square(s))
+    return next(s for s in roots if pow(s, 3, bls.P) == t and _fq_sqrt(s) is not None)
 
 
 def test_g1_decoding_refuses_an_order_r_point_of_an_isomorphic_curve():
     """The invalid-curve point that only the curve equation refuses.  For
     (x0, y0) in G1 and c in Fq, (c^2 x0, c^3 y0) has order r on
     y^2 = x^3 + 4c^6, where -phi acts as [z^2] too.  When 4c^6 = -2(c^2 x0)^3 - 4,
-    its y is the root the G1 decoder takes of the non-square (c^2 x0)^3 + 4:
-    the candidate passes the endomorphism half of g1_in_subgroup, and its
+    its y^2 is -((c^2 x0)^3 + 4), a square where (c^2 x0)^3 + 4 is not.
+    Either y passes the endomorphism half of g1_in_subgroup, and its
     on-curve half must refuse it."""
     for k in range(1, 100):
         x0, _ = bls.g1_mul(bls.G1_GEN, k)
@@ -530,13 +523,11 @@ def test_g1_decoding_refuses_an_order_r_point_of_an_isomorphic_curve():
         if pow(t, (bls.P - 1) // 6, bls.P) == 1:
             break
     x = _fq_cube_root_square(t) * x0 % bls.P  # c^2 x0
-    pt = (x, pow((x ** 3 + 4) % bls.P, bls._SQRT_EXP, bls.P))
-    assert not bls.g1_on_curve(pt) and bls._G1.endo(pt) == bls.g1_mul(pt, bls._G1.radix)
-    data = bytearray(x.to_bytes(48, "big"))
-    data[0] |= 0x80
-    for sign in (0, 0x20):
+    y = _fq_sqrt(-(x ** 3 + 4) % bls.P)
+    for pt in ((x, y), (x, bls.P - y)):
+        assert not bls.g1_on_curve(pt) and bls._G1.endo(pt) == bls.g1_mul(pt, bls._G1.radix)
         with pytest.raises(ValueError, match="not on the curve"):
-            bls.g1_from_bytes(bytes([data[0] | sign]) + bytes(data[1:]))
+            bls.g1_from_bytes(bls.g1_to_bytes(pt))
 
 
 X = bls.BLS_X  # |z|; the curve parameter z is negative
@@ -588,7 +579,7 @@ def g2_off_subgroup():
     x = (rng.randbelow(bls.P), rng.randbelow(bls.P))
     while len(points) < 3:
         x = (x[0] + 1, x[1])
-        y = bls.fq2_sqrt(bls.fq2_add(bls.fq2_mul(bls.fq2_sqr(x), x), bls.B2))
+        y = _fq2_sqrt(bls.fq2_add(bls.fq2_mul(bls.fq2_sqr(x), x), bls.B2))
         if y is not None:
             points.append((x, y))
     return points
@@ -623,12 +614,13 @@ def test_g2_membership_refuses_an_order_r_point_of_an_isomorphic_curve():
     """For Q = (x, y) in G2 and c in Fq with c^6 != 1, (c^2 x, c^3 y) has
     order r on y^2 = x^3 + 4(u + 1)c^6.  psi commutes with this map, since
     c is in Fq, so the point passes the endomorphism half of g2_in_subgroup,
-    and its on-curve half must refuse it.  The G2 decoder never makes such
-    a point: fq2_sqrt checks its root."""
+    and its on-curve half must refuse it, in the decoder too."""
     (x, y), c = bls.g2_mul(bls.G2_GEN, 5), 2
     pt = (bls.fq2_mul(x, (c**2, 0)), bls.fq2_mul(y, (c**3, 0)))
     assert not bls.g2_on_curve(pt) and bls._G2.endo(pt) == bls.g2_mul(pt, bls._G2.radix)
     assert not bls.g2_in_subgroup(pt)
+    with pytest.raises(ValueError, match="not on the curve"):
+        bls.g2_from_bytes(bls.g2_to_bytes(pt))
 
 
 SPLIT_EDGES = (

@@ -533,6 +533,7 @@ MUTATIONS = {
                         ("unsupported envelope version 1.0",)),
     "version-1": ("ku", _set("version", 1), DERIVE_DK, ("unsupported envelope version 1",)),
     "version-2.0": ("ku", _set("version", 2.0), DERIVE_DK, ("unsupported envelope version 2.0",)),
+    "version-2": ("ku", _set("version", 2), DERIVE_DK, ("unsupported envelope version 2",)),
     # the envelope's backend is the one statement of the backend its elements
     # are encoded for; it must be the deployment's
     "sk-backend-bogus": ("sk", _set("backend", "bogus"), DERIVE_DK, ("'backend'", "'bogus'")),

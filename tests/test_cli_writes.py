@@ -77,43 +77,43 @@ def _mask_timings(text: str) -> str:
 
 WALK_SHA256 = {
     "setup": {
-        "s.json": "b4fde6662e7024260a01208006aae8aadf6114686d68633b4d8254256de06979",
+        "s.json": "bfcadc577580fe6c3399b5c13c91bfaa98ed2aee11cf76604f844fd3bab12da7",
         "stdout": "6f6ec6b5434b8c68a1dbfdfaa29c55cb23a6ce2899137b36d3f10e9b00b60cd3",
     },
     "keygen": {
-        "s.json": "15c3907cccba35ed8725c601b4e25291ed5ee2e6203cd139b1d2ad40ca2187eb",
-        "alice.sk": "fbf7482f6ffaf25bb9076def3a88627d542378f123eed2fd659113fa07d3eaaf",
+        "s.json": "5228c4953568de1cb66c435b49b9f842fdc6a668c18a7cbf736e48dd485e4fcf",
+        "alice.sk": "4dad8577bac6f5f6e61afc811e2aa1a5ddefa76cee8e00c75eb39e7e8d005569",
         "stdout": "af41dd1676e755f2d137b87095e8cff5a1644da2fca36a9b09e3358eaec04007",
     },
     "update-key": {
-        "ku7.json": "97b09791c0743b9933998b5af7ca59555836b2fc98ac975328aa56731fbe2f60",
+        "ku7.json": "819bd4f08e37cdd4ccc1b215910bcd3fe9344903ae652cb651366d4891ba0554",
         "stdout": "4466bdfe1e3669666a6069e30fe244a87787fa9a09e27c077353ee5880e2ab33",
     },
     "derive-dk": {
-        "alice.dk7": "73d72b539fb31badd9a5740cc6c8a75470313c39b3888ac341162c472fe350ea",
+        "alice.dk7": "98a96d0a0889c1e2068a62a43bc286da45a4c731ae4b3fd2cae6fa486c278e62",
         "stdout": "a07d0dd3f2c31d23b4123fffc859ce4c5625f448d74c71fc698ddc3679718fed",
     },
     "encrypt": {
-        "msg.json": "06fc9e9f2a34648fc0bc1103e66447ac92209aa340221ed8a9d9da4a2e898125",
-        "ct5.json": "f20eecb9033dffcad1aee769706634d03328152bcc7cc305b45f9a5cbab808e2",
+        "msg.json": "e430b969979859f52eb7ef27aa2cc2cc11a9bd35e2afbd4e6ef34211a3f371e0",
+        "ct5.json": "ef147d20e781c002049fdbd252277e451f2f5a2761a38217275de7b983ceed43",
         "stdout": "c5cae4e38dca36f2736e453789dcabc66f77d1acf43f02b97af880cdba848cd6",
     },
     "update-ct": {
-        "ct7.json": "58ad178a28b5494e7c978459a31ac930f664392f2e0667f8bd35770401ab86fd",
+        "ct7.json": "0bf7c70b5d43649fec8cc2e5db974338180212be52ba4578b76aee2b4bfe9c6e",
         "stdout": "8e7e263aa3898176f1b477cc346cc62a2d5a4ccfe940c2c903dfbbe4992d20cc",
     },
     "decrypt": {
-        "got.json": "06fc9e9f2a34648fc0bc1103e66447ac92209aa340221ed8a9d9da4a2e898125",
+        "got.json": "e430b969979859f52eb7ef27aa2cc2cc11a9bd35e2afbd4e6ef34211a3f371e0",
         "stdout": "4ec5a913b5e3d596fb0dcc747f52ccf88232eb15cda6daa20210a42d043019df",
     },
     "revoke": {
-        "s.json": "832bb2a36cc47bd22f4b1196c162e26c16a4666a355badf415f38a68b2bcfbe1",
+        "s.json": "b780173a36b5aee77d1cb8795fdc6a6116c296da0742a6ef45758c960034da88",
         "stdout": "927fc8de031cbe1be52466cfad22655d5a3cb0c4270397f363224b27856ecd40",
     },
     "attack-demo": {
         "report.json": "cd790dcd10e4b4aff5355c1981d94afb3b9cfbf9077166f7c9d9388445181ee5",
-        "runs/trial-0000.json": "ea966ad2dd1d8d2c4f78aefacce008952fdb7141d7848e9462c79b86f7397914",
-        "runs/trial-0001.json": "d62946d3b83c31877f3a6fee9a6ec78eed9597bdb42b950c031f8c625ab17a66",
+        "runs/trial-0000.json": "fd0b84da2c3b87a7bef53cf21b384901b22085fdd0601005b7b51086fb6ed93a",
+        "runs/trial-0001.json": "07e0272ada6d13abb663b9bdcd59a987933300b6a04693b1688e176bff84e6d5",
         "stdout": "3db67702f37183b9117c17885ff3161230799e7d94be9c48dfb9fe6063797cd2",
     },
 }

@@ -143,7 +143,7 @@ def test_encode_roundtrip_transparent_1000_per_side(tctx):
 
 def test_encode_roundtrip_real(rctx):
     rng = SeededRng("roundtrip-real")
-    lengths = {SIDE_ONE: 48, SIDE_TWO: 96, SIDE_TARGET: 576}
+    lengths = {SIDE_ONE: 96, SIDE_TWO: 192, SIDE_TARGET: 576}
     for side in SIDES:
         for _ in range(4):
             el = rctx.random_element(side, rng)

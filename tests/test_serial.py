@@ -2,18 +2,21 @@ import base64
 import copy
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rabe import serial
+from rabe.bls12381 import P
 from rabe.errors import EnvelopeError, ParameterError
 from rabe.groups import REAL, SIDE_ONE, SIDE_TARGET, SIDE_TWO, TRANSPARENT, new_context
 from rabe.policy import parse_policy
 from rabe.rng import SeededRng
 from rabe.scheme import decrypt, derive_dk, encrypt, keygen, setup, update_ct, update_key
-from rabe.tree import RevocationList
+from rabe.timecode import bit_width, ct_epoch_bits, zero_positions
+from rabe.tree import RevocationList, cover_nodes
 
 
 def build_artifacts(backend=TRANSPARENT):
@@ -412,7 +415,7 @@ def _element_fields(payload):
     and a list's indices name no field, so the map or list does."""
     for path in _paths(payload):
         value = _get(payload, path)
-        if _is_element(value) and len(base64.b64decode(value)) in (8, 48, 96, 576):
+        if _is_element(value) and len(base64.b64decode(value)) in (8, 96, 192, 576):
             yield path, [key for key in path if isinstance(key, str) and not key.isdigit()][-1]
 
 
@@ -434,7 +437,7 @@ def _refused_everywhere(ctx, payloads, encodings):
 
 def test_every_element_field_checks_its_side():
     """An element encoding states neither side nor backend.  On the real
-    backend each side has its own length (G1 48, G2 96, GT 576 bytes, a
+    backend each side has its own length (G1 96, G2 192, GT 576 bytes, a
     transparent element 8), so every field refuses an element of another
     side or backend; a transparent field refuses every real element."""
     real, payloads = _real_payloads()
@@ -447,8 +450,73 @@ def test_every_element_field_checks_its_side():
     assert FUZZ_CTX.decode_element(transparent, SIDE_TWO) == FUZZ_CTX.generator(SIDE_TWO)
 
 
+def _point_edits(data, word):
+    """Edits of a real G1 or G2 element's bytes, each with the reason its
+    decoder must name: a flag bit flipped, one word set to P, x and y
+    swapped, the last 48 bytes cut."""
+    at, half = 48 * word, len(data) // 2
+    return {
+        "compressed flag": (bytes([data[0] ^ 0x80]) + data[1:], "compressed"),
+        "infinity flag": (bytes([data[0] ^ 0x40]) + data[1:], "malformed G[12] infinity"),
+        "sign flag": (bytes([data[0] ^ 0x20]) + data[1:], "sign bit"),
+        "a word set to P": (data[:at] + P.to_bytes(48, "big") + data[at + 48 :], "out of range"),
+        "x and y swapped": (data[half:] + data[:half], "not on the curve"),
+        "cut by 48": (data[:-48], "encoding must be"),
+    }
+
+
+def test_real_point_edits_raise_envelope_errors_naming_the_field():
+    """Every G1 and G2 element of every real kind, edited in its bytes: each
+    edit ends as an EnvelopeError that names the field and the reason."""
+    real, payloads = _real_payloads()
+    checked = 0
+    for kind, payload in payloads.items():
+        for n, (path, field) in enumerate(_element_fields(payload)):
+            data = base64.b64decode(_get(payload, path))
+            if len(data) == 576:  # GT, which stores no point
+                continue
+            for bad, reason in _point_edits(data, n % (len(data) // 48)).values():
+                edited = copy.deepcopy(payload)
+                _get(edited, path[:-1])[path[-1]] = base64.b64encode(bad).decode("ascii")
+                with pytest.raises(EnvelopeError, match=f"field '{field}': .*{reason}"):
+                    DECODERS[kind](real, edited)
+                checked += 1
+    assert checked == 6 * 44
+
+
+def test_real_artifact_sizes_match_the_element_formulas():
+    """The element bytes each real artifact stores, against the scheme's
+    formulas: 96 bytes a G1, 192 a G2 and 576 a GT element, with n the
+    attribute bound, L the epoch bits, r policy rows, a path of d nodes, a
+    cover of c nodes, |S| attributes and z zero positions of the epoch."""
+    ctx, pp, mk, state, rl, sk, ku, dk, msg, ct, ct2 = build_artifacts(REAL)
+    n, L, r = pp.attr_max, bit_width(pp.max_time), len(sk.policy.rows)
+    d, c = len(state.path(state.leaf_for("alice"))), len(cover_nodes(state, rl, 6))
+    s, z = len({1, 2}), len(zero_positions(ct_epoch_bits(6, pp.max_time)))
+    formulas = {  # kind: (artifact, G1, G2, GT elements)
+        "pp": (pp, n + L + 4, n + L + 3, 0),
+        "mk": (mk, 0, 0, 0),
+        "sk": (sk, 0, 2 * r * d, 0),
+        "ku": (ku, 0, 2 * c, 0),
+        "dk": (dk, 0, 2 * r + 2, 0),
+        "ct-original": (ct, 2 + s + z, 0, 1),
+        "ct-updated": (ct2, 2 + s, 0, 1),
+        "msg": (msg, 0, 0, 1),
+        "state": ((pp, mk, state, rl), n + L + 4, n + L + 3, 0),
+    }
+    for kind, (artifact, g1, g2, gt) in formulas.items():
+        payload = ENCODERS[kind](artifact)
+        # elements are the base64 strings of 48 bytes or more: not a scalar
+        # (32 bytes), nor a word such as "real" that happens to be base64
+        leaves = (_get(payload, path) for path in _paths(payload))
+        sizes = [size for size in (len(base64.b64decode(v)) for v in leaves if _is_element(v))
+                 if size >= 48]
+        assert sum(sizes) == 96 * g1 + 192 * g2 + 576 * gt, kind
+        assert Counter(sizes) == Counter({96: g1, 192: g2, 576: gt}), kind
+
+
 # ---------------------------------------------------------------------------
-# known answers: the bytes envelope VERSION 2 writes, pinned per payload kind
+# known answers: the bytes envelope VERSION 3 writes, pinned per payload kind
 
 PAYLOAD_PINS = {
     "pp": "9756d7f61b89b8938735b4fefcd49afbc0d47ce7f50a8ca51e8ab4c67d2dea57",
@@ -461,8 +529,8 @@ PAYLOAD_PINS = {
     "msg": "62578f10069b0f4ce6446301d22334e533c5f0c7fd0e44d136565c21ccaadfd4",
     "state": "c4746f4c0baa8aed985765a851e4c4973e460d6ffe9a906bf4e11adb7bbb6823",
 }
-REAL_CT_UPDATED_PIN = "c5f20b46339322f472871f52ccf4eebd1b26e7e1649688cbb41cd7dc695d14d9"
-REAL_SK_PIN = "be29cd8619d8adc117c834c20eb8a01dda654f72be16fd9ae76a0219f74b21da"
+REAL_CT_UPDATED_PIN = "f02d2b957f3913a1d553fcaca71c8bcf41a509341dc1ab258f3519d322cb7537"
+REAL_SK_PIN = "9ef75768db59a141db5dcd6c12de0154e23b3029bdb43c25774db8ecdaebeafd"
 
 
 def _sha256(payload) -> str:
@@ -482,8 +550,8 @@ ENCODERS = {
 }
 
 
-def test_payload_bytes_match_the_version_2_pins():
-    assert serial.VERSION == 2
+def test_payload_bytes_match_the_version_3_pins():
+    assert serial.VERSION == 3
     ctx, pp, mk, state, rl, sk, ku, dk, msg, ct, ct2 = build_artifacts()
     state.assign_leaf("bob")  # a revoked identity has a leaf, or the state would not load
     rl.add("bob", 9, 16)
@@ -499,7 +567,7 @@ def test_payload_bytes_match_the_version_2_pins():
         assert serial.canonical_json(again) == serial.canonical_json(payload), kind
 
 
-def test_real_ciphertext_bytes_match_the_version_2_pin():
+def test_real_ciphertext_bytes_match_the_version_3_pin():
     ctx = new_context(REAL)
     rng = SeededRng("serial-real-pin")
     pp, *_ = setup(ctx, 4, 16, 3, rng)
@@ -510,7 +578,7 @@ def test_real_ciphertext_bytes_match_the_version_2_pin():
     assert serial.canonical_json(again) == serial.canonical_json(payload)
 
 
-def test_real_key_bytes_match_the_version_2_pin():
+def test_real_key_bytes_match_the_version_3_pin():
     """keygen's k0 = g2^lambda * T(x)^r on BLS12-381, whatever way it is
     computed."""
     ctx = new_context(REAL)
