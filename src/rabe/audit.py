@@ -74,9 +74,9 @@ class ParamLogs:
 
 def read_params(pp, mk) -> tuple[ParamLogs, list[Check]]:
     """Extract the setup exponents and verify the mirrored-pair discipline:
-    both halves of every public pair carry the same exponent, g1 is the
-    generator raised to the master exponent, and the blinding base e(g1, g2)
-    that setup precomputes is the target generator raised to alpha * log g2."""
+    both halves of every public pair carry the same exponent, and the
+    blinding base e(g^alpha, g2) that pp stores is the target generator
+    raised to alpha * log g2."""
     _require_transparent(pp)
     checks = []
 
@@ -86,10 +86,9 @@ def read_params(pp, mk) -> tuple[ParamLogs, list[Check]]:
         return one
 
     alpha = int(mk.alpha)
-    checks.append(Check("g1 = g^alpha", _log(pp.g1) == alpha, alpha, _log(pp.g1)))
     g2 = mirrored("g2", pp.g2)
-    blind, found = alpha * g2 % pp.ctx.prime_order, _log(pp.blinding_base())
-    checks.append(Check("e(g1, g2) = e(g, g~)^(alpha g2)", found == blind, blind, found))
+    blind, found = alpha * g2 % pp.ctx.prime_order, _log(pp.blind)
+    checks.append(Check("blind = e(g, g~)^(alpha beta)", found == blind, blind, found))
     t = tuple(mirrored(f"t[{i + 1}]", pair) for i, pair in enumerate(pp.t_gens))
     u0 = mirrored("u0", pp.u0)
     u = tuple(mirrored(f"u[{j + 1}]", pair) for j, pair in enumerate(pp.u_gens))
@@ -98,10 +97,10 @@ def read_params(pp, mk) -> tuple[ParamLogs, list[Check]]:
 
 
 def _t_log(logs: ParamLogs, x: int) -> int:
-    """log T(x) = g2 * x^n + sum_i t_i * L_i(x) over anchors 1..n+1."""
+    """log T(x) = g2 * x^n + sum_i t_i * L_i(x) over anchors 1..n."""
     p = logs.p
-    n = len(logs.t) - 1
-    points = list(range(1, n + 2))
+    n = len(logs.t)
+    points = list(range(1, n + 1))
     acc = logs.g2 * pow(x, n, p) % p
     for i, t_i in zip(points, logs.t):
         num, den = 1, 1
@@ -252,7 +251,7 @@ def _audit_ct_common(logs: ParamLogs, pp, ct, message, label: str) -> tuple[int,
     if message is not None:
         want_c = (logs.alpha * logs.g2 * s + _log(message)) % p
         checks.append(
-            Check(f"{label}: c = e(g1, g2)^s * m", _log(ct.c) == want_c, want_c, _log(ct.c))
+            Check(f"{label}: c = blind^s * m", _log(ct.c) == want_c, want_c, _log(ct.c))
         )
     for x, c2x in sorted(ct.c2.items()):
         want = _t_log(logs, x) * s % p

@@ -12,8 +12,8 @@ coefficient once.
 G1 is E(Fq): y^2 = x^3 + 4, G2 is the sextic twist E'(Fq2): y^2 = x^3 +
 4(u+1), and GT is the order-r subgroup of Fq12*, generated by the constant
 GT_GEN = e(G1_GEN, G2_GEN) (the scheme's setup
-makes its blinding base e(g1, g2) as a power of it; a loaded deployment
-pairs once for that base).  Points are affine pairs (or None for infinity);
+makes its blinding base e(g^alpha, g2) as a power of it, and pp stores
+that base).  Points are affine pairs (or None for infinity);
 scalar multiplication runs on Jacobian coordinates internally, with one
 doubling (EFD dbl-2009-l) and one mixed Jacobian + affine addition
 (madd-2007-bl) per group, written on plain ints on G1 and

@@ -201,9 +201,12 @@ def cmd_keygen(args):
 
 def cmd_update_key(args):
     phash, pp, mk, tree, rl = _load_state(args.state)
+    held = len(tree.node_secrets)
     ku = update_key(pp, mk, tree, rl, args.epoch, _rng_for(_resolve_seed(args)))
-    serial.write_envelopes([_artifact(args.out, "ku", pp, phash, serial.ku_payload(ku)),
-                            _state(args.state, pp, mk, tree, rl)])
+    pairs = [_artifact(args.out, "ku", pp, phash, serial.ku_payload(ku))]
+    if len(tree.node_secrets) != held:  # a new node secret is the one change it makes
+        pairs.append(_state(args.state, pp, mk, tree, rl))
+    serial.write_envelopes(pairs)
     print(f"key update for epoch {args.epoch}: {len(ku.parts)} cover node(s)")
     print(f"wrote ku to {args.out}")
     return EXIT_OK

@@ -18,9 +18,8 @@ Backends:
   making one runs no pairing.  Each generator earns its fixed-base table
   by use, like any other base (width 8 on G1 and G2, width 4 on GT), and
   keeps it while it is among its group's most recent tables.  Nor does
-  scheme.setup pair for a deployment's blinding base e(g1, g2): it raises
-  the target generator to alpha * beta.  A pp loaded from a file pairs
-  once for it, on first use.
+  scheme.setup pair for a deployment's blinding base e(g^alpha, g2): it
+  raises the target generator to alpha * beta, and pp stores the element.
 
 Canonical element encoding: the payload alone, an 8-byte big-endian
 exponent on the transparent backend, a 96-byte (G1) or 192-byte (G2)

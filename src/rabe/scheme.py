@@ -19,9 +19,11 @@ Roles and artifacts:
 * revoke: add an identity to the revocation list from an epoch onwards.
 
 All group equations are stated against mirrored generator pairs: every
-public generator except g1 exists in both source groups with the same
-exponent, ciphertext components use side one, key components side two, so
-each pairing in decrypt sees one element of each side.
+public generator exists in both source groups with the same exponent,
+ciphertext components use side one, key components side two, so each
+pairing in decrypt sees one element of each side.  The master exponent
+alpha enters pp only through the blinding base e(g^alpha, g2), a target
+element.
 """
 
 from __future__ import annotations
@@ -69,44 +71,32 @@ class PublicParams:
     n_users: int
     max_time: int
     attr_max: int
-    g1: GroupElement              # side one, g^alpha
+    blind: GroupElement           # target side: e(g^alpha, g2), every message's blinding
     g2: MirroredPair
-    # the interpolation anchors 1..attr_max+1; T(x) reads only T_x, so the
-    # last anchor is raised by nothing.  setup still draws it: without it
-    # every later draw of a seeded setup (u0, the u_j, a game's challenge
-    # bits) would shift, and every seeded game would be re-rolled
-    t_gens: tuple[MirroredPair, ...]
+    t_gens: tuple[MirroredPair, ...]   # the interpolation anchors T_1..T_attr_max
     u0: MirroredPair
     u_gens: tuple[MirroredPair, ...]   # one per epoch bit position
-    # caches of values the fields above fix: neither constructor arguments,
-    # so dataclasses.replace starts them empty, nor part of equality
+    # a cache of values the fields above fix: not a constructor argument, so
+    # dataclasses.replace starts it empty, nor part of equality
     _t_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _blind_base: GroupElement | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_users < 1:
             raise ParameterError(f"field 'n_users' is {self.n_users}, not at least 1")
         if self.attr_max < 1:
             raise ParameterError(f"field 'attr_max' is {self.attr_max}, not at least 1")
-        for name, count in ("t_gens", self.attr_max + 1), ("u_gens", bit_width(self.max_time)):
+        for name, count in ("t_gens", self.attr_max), ("u_gens", bit_width(self.max_time)):
             held = len(getattr(self, name))
             if held != count:
                 raise ParameterError(f"field {name!r} holds {held} entries, not {count}")
 
-    def blinding_base(self) -> GroupElement:
-        """e(g1, g2), the target-group base every message is blinded with.
-        setup fills it as a power of the target generator; a pp built
-        otherwise (loaded from a file, or by dataclasses.replace) pairs once
-        for it here."""
-        if self._blind_base is None:
-            self._blind_base = self.ctx.pair_product([(self.g1, self.g2.two)])
-        return self._blind_base
-
     def eval_t(self, x: int, side: str) -> GroupElement:
         """The attribute generator T(x) = g2^(x^n) * prod T_i^(L_i(x)), L_i
-        the Lagrange basis over the anchors 1..n+1.  Attributes lie in 1..n,
+        the Lagrange basis over the anchors 1..n.  Attributes lie in 1..n,
         each an anchor, where L_i(x) is 1 at i = x and 0 elsewhere; so this
-        computes T(x) = g2^(x^n) * T_x, and refuses any x outside 1..n."""
+        computes T(x) = g2^(x^n) * T_x, and refuses any x outside 1..n.  (The
+        large-universe scheme interpolates over 1..n+1; at an anchor x in
+        1..n its T(x) is the same g2^(x^n) * T_x whatever T_(n+1) is.)"""
         key = (side, x)
         cached = self._t_cache.get(key)
         if cached is not None:
@@ -262,20 +252,24 @@ def setup(
     tau = bit_width(max_time)
     alpha = ctx.random_scalar(rng)
     beta = ctx.random_scalar(rng)
+    t_gens = tuple(_mirror(ctx, ctx.random_scalar(rng)) for _ in range(attr_max))
+    # the exponent of the large-universe anchor T_(n+1), which no T(x) on
+    # 1..n reads: drawn and dropped, so that every later draw of a seeded
+    # setup (u0, the u_j, node secrets, a game's challenge bits) keeps its value
+    ctx.random_scalar(rng)
     pp = PublicParams(
         ctx=ctx,
         n_users=n_users,
         max_time=max_time,
         attr_max=attr_max,
-        g1=ctx.generator(SIDE_ONE) ** alpha,
+        # e(g^alpha, g~^beta) = e(g, g~)^(alpha beta): one target-group power,
+        # not a pairing; pp keeps the element, never the exponent
+        blind=ctx.generator(SIDE_TARGET) ** (alpha.value * beta.value),
         g2=_mirror(ctx, beta),
-        t_gens=tuple(_mirror(ctx, ctx.random_scalar(rng)) for _ in range(attr_max + 1)),
+        t_gens=t_gens,
         u0=_mirror(ctx, ctx.random_scalar(rng)),
         u_gens=tuple(_mirror(ctx, ctx.random_scalar(rng)) for _ in range(tau)),
     )
-    # e(g^alpha, g~^beta) = e(g, g~)^(alpha beta): one target-group power, not
-    # a pairing; pp keeps the element, never the exponent
-    pp._blind_base = ctx.generator(SIDE_TARGET) ** (alpha.value * beta.value)
     capacity = 1
     while capacity < n_users:
         capacity *= 2
@@ -368,7 +362,7 @@ def encrypt(
     positions = sorted(zero_positions(ct_epoch_bits(epoch, pp.max_time)))
     return OriginalCiphertext(
         epoch=epoch,
-        c=pp.blinding_base() ** s * message,
+        c=pp.blind ** s * message,
         c1=pp.ctx.generator(SIDE_ONE) ** s,
         c2={x: pp.eval_t(x, SIDE_ONE) ** s for x in sorted(attrs)},
         e1=pp.u0.one ** s,
@@ -408,7 +402,7 @@ def fold_ciphertext(
     s2 = pp.ctx.random_scalar(rng)
     return UpdatedCiphertext(
         epoch=epoch,
-        c=ct.c * pp.blinding_base() ** s2,
+        c=ct.c * pp.blind ** s2,
         c1=ct.c1 * pp.ctx.generator(SIDE_ONE) ** s2,
         c2={x: v * pp.eval_t(x, SIDE_ONE) ** s2 for x, v in ct.c2.items()},
         e_t=folded * base ** s2,

@@ -17,11 +17,13 @@ canonical encodings, int-keyed maps with decimal string keys.  Decoding
 type-checks every field and then builds the artifact, whose class checks its
 invariants; either way a malformed payload ends as an EnvelopeError naming the field.
 
-A VERSION 3 payload holds the keys of its record spec below, each fact
+A VERSION 4 payload holds the keys of its record spec below, each fact
 once: a policy is {formula}, its matrix the formula's parse; a ciphertext's
-attribute set is the key set of its c2; a state is {pp, mk, tree, rl}.  On
-the real backend its G1 and G2 elements are uncompressed points, so loading
-one takes no square root.  A file of any other version is refused.
+attribute set is the key set of its c2; a state is {pp, mk, tree, rl}.  pp
+holds what the algorithms read: the blinding base e(g^alpha, g2) as a
+target element, and the anchors T_1..T_n.  On the real backend its G1 and
+G2 elements are uncompressed points, so loading one takes no square root.
+A file of any other version is refused.
 
 Kinds: pp, mk, sk, ku, dk, ct-original, ct-updated, state, msg, transcript.
 """
@@ -61,7 +63,7 @@ from .scheme import (
 )
 from .tree import RevocationList, TreeState
 
-VERSION = 3
+VERSION = 4
 
 KINDS = (
     "pp",
@@ -249,7 +251,7 @@ _PP = {
     "n_users": _INT,
     "max_time": _INT,
     "attr_max": _INT,
-    "g1": _element(SIDE_ONE),
+    "blind": _element(SIDE_TARGET),
     "g2": _PAIR,
     "t_gens": _seq(_PAIR),
     "u0": _PAIR,

@@ -1,5 +1,7 @@
 """The audit layer must accept honest artifacts and flag every tampered field."""
 
+import dataclasses
+
 import pytest
 
 from rabe import audit
@@ -108,7 +110,7 @@ def test_tampered_ciphertext_fields_are_flagged():
     g1 = ctx.generator(SIDE_ONE)
 
     wrong_c = OriginalCiphertext(
-        epoch=ct.epoch, c=ct.c * pp.blinding_base(),
+        epoch=ct.epoch, c=ct.c * pp.blind,
         c1=ct.c1, c2=ct.c2, e1=ct.e1, e2=ct.e2,
     )
     assert audit.failures(audit.audit_original_ct(pp, mk, wrong_c, message=msg))
@@ -160,7 +162,7 @@ def test_mirror_violation_in_params_is_flagged():
 
     crooked = PublicParams(
         ctx=pp.ctx, n_users=pp.n_users, max_time=pp.max_time, attr_max=pp.attr_max,
-        g1=pp.g1, g2=pp.g2, t_gens=pp.t_gens,
+        blind=pp.blind, g2=pp.g2, t_gens=pp.t_gens,
         u0=MirroredPair(pp.u0.one, pp.u0.two * h), u_gens=pp.u_gens,
     )
     logs, checks = audit.read_params(crooked, mk)
@@ -170,6 +172,6 @@ def test_mirror_violation_in_params_is_flagged():
 def test_wrong_blinding_base_in_params_is_flagged():
     ctx, rng, pp, mk, state, rl, policy, sk, ku, dk, msg, ct, ct2 = build()
     assert not audit.failures(audit.read_params(pp, mk)[1])
-    pp._blind_base = pp.blinding_base() * ctx.generator(SIDE_TARGET)
+    pp = dataclasses.replace(pp, blind=pp.blind * ctx.generator(SIDE_TARGET))
     logs, checks = audit.read_params(pp, mk)
-    assert [c.label for c in audit.failures(checks)] == ["e(g1, g2) = e(g, g~)^(alpha g2)"]
+    assert [c.label for c in audit.failures(checks)] == ["blind = e(g, g~)^(alpha beta)"]

@@ -534,6 +534,7 @@ MUTATIONS = {
     "version-1": ("ku", _set("version", 1), DERIVE_DK, ("unsupported envelope version 1",)),
     "version-2.0": ("ku", _set("version", 2.0), DERIVE_DK, ("unsupported envelope version 2.0",)),
     "version-2": ("ku", _set("version", 2), DERIVE_DK, ("unsupported envelope version 2",)),
+    "version-3": ("ku", _set("version", 3), DERIVE_DK, ("unsupported envelope version 3",)),
     # the envelope's backend is the one statement of the backend its elements
     # are encoded for; it must be the deployment's
     "sk-backend-bogus": ("sk", _set("backend", "bogus"), DERIVE_DK, ("'backend'", "'bogus'")),
@@ -598,7 +599,7 @@ MUTATIONS = {
                              ("'node'", "node 3 is not on the path [1, 2, 4, 8]")),
     # the state's label must be the hash of the parameters it holds
     "params_hash-stale": ("state", _edit(lambda env: env["payload"]["pp"].update(
-        g1=env["payload"]["pp"]["g2"]["one"])), UPDATE_KEY, ("'params_hash'",)),
+        u0=env["payload"]["pp"]["g2"])), UPDATE_KEY, ("'params_hash'",)),
 }
 
 

@@ -77,43 +77,43 @@ def _mask_timings(text: str) -> str:
 
 WALK_SHA256 = {
     "setup": {
-        "s.json": "bfcadc577580fe6c3399b5c13c91bfaa98ed2aee11cf76604f844fd3bab12da7",
-        "stdout": "6f6ec6b5434b8c68a1dbfdfaa29c55cb23a6ce2899137b36d3f10e9b00b60cd3",
+        "s.json": "70e5146888264a7414b90e4d27a1d844afb2d0203274069b68ba7bfd0cbe235c",
+        "stdout": "863851f740d9eaaf72f2b5037423afff31e9521a75308948eb6c5ac7c7f36bb3",
     },
     "keygen": {
-        "s.json": "5228c4953568de1cb66c435b49b9f842fdc6a668c18a7cbf736e48dd485e4fcf",
-        "alice.sk": "4dad8577bac6f5f6e61afc811e2aa1a5ddefa76cee8e00c75eb39e7e8d005569",
+        "s.json": "c1d34646b03b6f979abaadcaa5399d521840cdcfedf7b158236848632a86a22d",
+        "alice.sk": "c46110bb7e11f79ac611ae545b162e3eeac1097e4497ddfbaa5be56c6052a301",
         "stdout": "af41dd1676e755f2d137b87095e8cff5a1644da2fca36a9b09e3358eaec04007",
     },
     "update-key": {
-        "ku7.json": "819bd4f08e37cdd4ccc1b215910bcd3fe9344903ae652cb651366d4891ba0554",
+        "ku7.json": "abfb6716e5968064805ad78c109abe86031232c030fb100b5fdb715a4a0ae230",
         "stdout": "4466bdfe1e3669666a6069e30fe244a87787fa9a09e27c077353ee5880e2ab33",
     },
     "derive-dk": {
-        "alice.dk7": "98a96d0a0889c1e2068a62a43bc286da45a4c731ae4b3fd2cae6fa486c278e62",
+        "alice.dk7": "3de3830c9f721d1ec91e8a093aeac03bbe38573c8191a89155ad18c6a3089c73",
         "stdout": "a07d0dd3f2c31d23b4123fffc859ce4c5625f448d74c71fc698ddc3679718fed",
     },
     "encrypt": {
-        "msg.json": "e430b969979859f52eb7ef27aa2cc2cc11a9bd35e2afbd4e6ef34211a3f371e0",
-        "ct5.json": "ef147d20e781c002049fdbd252277e451f2f5a2761a38217275de7b983ceed43",
+        "msg.json": "9defcd67860ce4fab759a724da046d03631926e6cca703c202b75a62c490a908",
+        "ct5.json": "d78fcd2cc947c11a8836a11e75bcd432c0fb04c6f130bce8bf27799356693fbc",
         "stdout": "c5cae4e38dca36f2736e453789dcabc66f77d1acf43f02b97af880cdba848cd6",
     },
     "update-ct": {
-        "ct7.json": "0bf7c70b5d43649fec8cc2e5db974338180212be52ba4578b76aee2b4bfe9c6e",
+        "ct7.json": "63699e899274604a5fc9ba0f66d86fbf3a431192d55b3991a1fb242fe5594f9e",
         "stdout": "8e7e263aa3898176f1b477cc346cc62a2d5a4ccfe940c2c903dfbbe4992d20cc",
     },
     "decrypt": {
-        "got.json": "e430b969979859f52eb7ef27aa2cc2cc11a9bd35e2afbd4e6ef34211a3f371e0",
+        "got.json": "9defcd67860ce4fab759a724da046d03631926e6cca703c202b75a62c490a908",
         "stdout": "4ec5a913b5e3d596fb0dcc747f52ccf88232eb15cda6daa20210a42d043019df",
     },
     "revoke": {
-        "s.json": "b780173a36b5aee77d1cb8795fdc6a6116c296da0742a6ef45758c960034da88",
+        "s.json": "99c10d89726b6692d5f9a90fa380169fd498f2134743f15a2cd43c9b61f51962",
         "stdout": "927fc8de031cbe1be52466cfad22655d5a3cb0c4270397f363224b27856ecd40",
     },
     "attack-demo": {
         "report.json": "cd790dcd10e4b4aff5355c1981d94afb3b9cfbf9077166f7c9d9388445181ee5",
-        "runs/trial-0000.json": "fd0b84da2c3b87a7bef53cf21b384901b22085fdd0601005b7b51086fb6ed93a",
-        "runs/trial-0001.json": "07e0272ada6d13abb663b9bdcd59a987933300b6a04693b1688e176bff84e6d5",
+        "runs/trial-0000.json": "e3819befdb472cb9f1f47ef546487baaf5e5c747f77c1a318cac7255cf569d9b",
+        "runs/trial-0001.json": "08db1d7f6a30afbe85d2d98a626f5fe43e883a30930ced96c3149096283f2c19",
         "stdout": "3db67702f37183b9117c17885ff3161230799e7d94be9c48dfb9fe6063797cd2",
     },
 }
@@ -260,11 +260,38 @@ def test_failed_keygens_use_up_no_leaf(tmp_path, capsys):
 
 
 def test_failed_update_key_keeps_the_state(walked, capsys):
+    # with alice revoked, the update at epoch 20 makes node secrets to store
+    assert run(capsys, "revoke", "--state", "s.json", "--id", "alice", "--epoch", 9)[0] == EXIT_OK
     (walked / "adir").mkdir()
     before = (walked / "s.json").read_bytes()
     code, _, _ = run(capsys, "update-key", "--state", "s.json", "--epoch", 20, "--out", "adir")
     assert code == EXIT_IO
     assert (walked / "s.json").read_bytes() == before
+
+
+def test_update_key_rewrites_the_state_only_for_a_new_node_secret(walked, capsys):
+    """At epoch 8 nothing is revoked and the cover is the root, whose secret
+    alice's keygen made: the state keeps its file and bytes.  With alice
+    revoked the cover is off her path, where no secret exists yet: the state
+    is replaced and holds the new secrets."""
+    state = walked / "s.json"
+
+    def update_key(epoch):
+        code, _, err = run(capsys, "update-key", "--state", state, "--epoch", epoch,
+                           "--out", f"ku{epoch}.json")
+        assert code == EXIT_OK, err
+        assert (walked / f"ku{epoch}.json").is_file()
+        assert not [p for p in walked.rglob("*") if p.name.endswith(".tmp")]
+
+    before = os.stat(state).st_ino, state.read_bytes()
+    update_key(8)
+    assert (os.stat(state).st_ino, state.read_bytes()) == before
+    assert run(capsys, "revoke", "--state", state, "--id", "alice", "--epoch", 9)[0] == EXIT_OK
+    before = os.stat(state).st_ino, state.read_bytes()
+    secrets = json.loads(before[1])["payload"]["tree"]["secrets"]
+    update_key(10)
+    assert os.stat(state).st_ino != before[0]
+    assert json.loads(state.read_bytes())["payload"]["tree"]["secrets"].keys() > secrets.keys()
 
 
 def test_an_output_that_is_a_directory_fails_before_any_rename(walked, capsys):
@@ -316,7 +343,7 @@ WRITERS = {
     "keygen": (["keygen", "--state", "s.json", "--id", "bob", "--policy", "1", "--out", "bob.sk",
                 "--seed", 2], ["bob.sk", "s.json"]),
     "update-key": (["update-key", "--state", "s.json", "--epoch", 8, "--out", "ku8.json",
-                    "--seed", 3], ["ku8.json", "s.json"]),
+                    "--seed", 3], ["ku8.json"]),  # the root's secret exists: no state write
     "revoke": (["revoke", "--state", "s.json", "--id", "alice", "--epoch", 9], ["s.json"]),
     "encrypt": (["encrypt", "--state", "s.json", "--attrs", "1,2", "--epoch", 5,
                  "--random-message", "m2.json", "--out", "c2.json", "--seed", 4],

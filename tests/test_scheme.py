@@ -84,18 +84,14 @@ def test_full_roundtrip_real_backend():
 
 @pytest.mark.parametrize("backend", [TRANSPARENT, REAL])
 def test_setup_fills_the_blinding_base_with_the_pairing_value(backend):
-    """setup makes e(g1, g2) as a power of the target generator, the same
-    element the pairing gives; a pp read back or rebuilt pairs for its own."""
+    """setup makes e(g^alpha, g2) as a power of the target generator, the
+    same element the pairing gives, and pp stores it through a round trip."""
     ctx = new_context(backend, seed=0)
-    pp, *_ = setup(ctx, 2, 8, 2, SeededRng(f"blinding-base-{backend}"))
-    assert pp._blind_base is not None
-    base = ctx.pair_product([(pp.g1, pp.g2.two)])
-    assert pp.blinding_base() == base
-    back = serial.pp_from_payload(serial.pp_payload(pp))
-    assert back._blind_base is None and back.blinding_base() == base
-    other = dataclasses.replace(pp, g2=pp.u0)
-    assert other.blinding_base() == ctx.pair_product([(pp.g1, pp.u0.two)]) != base
-    # nor does a replaced anchor set keep a T(x) of the old one
+    pp, mk, *_ = setup(ctx, 2, 8, 2, SeededRng(f"blinding-base-{backend}"))
+    base = ctx.pair_product([(ctx.generator(SIDE_ONE) ** mk.alpha, pp.g2.two)])
+    assert pp.blind == base
+    assert serial.pp_from_payload(serial.pp_payload(pp)).blind == base
+    # a replaced anchor set keeps no T(x) of the old one
     t1 = pp.eval_t(1, SIDE_ONE)
     assert dataclasses.replace(pp, t_gens=pp.t_gens[::-1]).eval_t(1, SIDE_ONE) != t1
 
@@ -177,7 +173,7 @@ def test_attribute_generator_matches_interpolation_oracle():
     p = ctx.prime_order
     n = pp.attr_max
     b = pp.g2.one.transparent_log
-    anchors = list(range(1, n + 2))
+    anchors = list(range(1, n + 1))
     for x in range(1, n + 1):
         expected = b * pow(x, n, p) % p
         for i, t in zip(anchors, pp.t_gens):
@@ -245,7 +241,7 @@ def test_ciphertext_components_share_one_randomness():
     msg = ctx.random_element(SIDE_TARGET, rng)
     ct = encrypt(pp, {1, 3}, 25, msg, rng)
     s = ct.c1.transparent_log
-    alpha_b = pp.blinding_base().transparent_log
+    alpha_b = pp.blind.transparent_log
     assert ct.c.transparent_log == (alpha_b * s + msg.transparent_log) % p
     for x, c2x in ct.c2.items():
         assert c2x.transparent_log == pp.eval_t(x, SIDE_ONE).transparent_log * s % p
@@ -270,7 +266,7 @@ def test_updated_ciphertext_folds_to_exact_epoch_base():
     for j in zero_positions(epoch_bits(26, pp.max_time)):
         base = (base + pp.u_gens[j - 1].one.transparent_log) % p
     assert ct2.e_t.transparent_log == base * s_total % p
-    alpha_b = pp.blinding_base().transparent_log
+    alpha_b = pp.blind.transparent_log
     assert ct2.c.transparent_log == (alpha_b * s_total + msg.transparent_log) % p
     for x, c2x in ct2.c2.items():
         assert c2x.transparent_log == pp.eval_t(x, SIDE_ONE).transparent_log * s_total % p
@@ -419,8 +415,10 @@ def test_params_and_private_keys_check_their_shapes():
     pp, mk, state, rl = make_world(ctx, rng)
     with pytest.raises(ParameterError, match="'attr_max' is 0, not at least 1"):
         setup(ctx, 8, 32, 0, rng)
-    with pytest.raises(ParameterError, match="'t_gens' holds 4 entries, not 5"):
+    with pytest.raises(ParameterError, match="'t_gens' holds 3 entries, not 4"):
         dataclasses.replace(pp, t_gens=pp.t_gens[:-1])
+    with pytest.raises(ParameterError, match="'t_gens' holds 5 entries, not 4"):
+        dataclasses.replace(pp, t_gens=pp.t_gens + pp.t_gens[:1])
     with pytest.raises(ParameterError, match="'u_gens' holds 6 entries, not 5"):
         dataclasses.replace(pp, u_gens=pp.u_gens + pp.u_gens[:1])
     sk = keygen(pp, mk, state, "alice", parse_policy("1 AND 2"), rng)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rabe import bls12381 as bls
 from rabe import serial
 from rabe.bls12381 import P
 from rabe.errors import EnvelopeError, ParameterError
@@ -61,7 +62,7 @@ def test_params_roundtrip_preserves_every_generator():
     back = serial.pp_from_payload(payload)
     assert back.ctx.prime_order == ctx.prime_order
     assert (back.n_users, back.max_time, back.attr_max) == (4, 16, 3)
-    assert back.g1 == pp.g1
+    assert back.blind == pp.blind
     assert back.g2.one == pp.g2.one and back.g2.two == pp.g2.two
     assert all(a.one == b.one and a.two == b.two for a, b in zip(back.t_gens, pp.t_gens))
     assert back.u0.one == pp.u0.one
@@ -115,7 +116,7 @@ def test_ciphertexts_and_messages_roundtrip_to_working_objects():
 def test_real_backend_roundtrip():
     ctx, pp, mk, state, rl, sk, ku, dk, msg, ct, ct2 = build_artifacts(REAL)
     back = serial.pp_from_payload(serial.pp_payload(pp))
-    assert back.g1 == pp.g1
+    assert back.blind == pp.blind
     assert serial.msg_from_payload(ctx, serial.msg_payload(msg)) == msg
     ct2_back = serial.ct_updated_from_payload(ctx, serial.ct_updated_payload(ct2))
     assert decrypt(pp, ct2_back, serial.dk_from_payload(ctx, serial.dk_payload(dk))) == msg
@@ -443,45 +444,60 @@ def test_every_element_field_checks_its_side():
     real, payloads = _real_payloads()
     sides = [real.generator(side).encode() for side in (SIDE_ONE, SIDE_TWO, SIDE_TARGET)]
     transparent = FUZZ_CTX.generator(SIDE_ONE).encode()
-    assert _refused_everywhere(real, payloads, sides + [transparent]) == 3 * 47
+    assert _refused_everywhere(real, payloads, sides + [transparent]) == 3 * 43
     envs = {kind: env["payload"] for kind, env in VALID_ENVELOPES.items()}
-    assert _refused_everywhere(FUZZ_CTX, envs, sides) == 3 * 85
+    assert _refused_everywhere(FUZZ_CTX, envs, sides) == 3 * 81
     # every transparent element is 8 bytes, so one of side one loads as side two
     assert FUZZ_CTX.decode_element(transparent, SIDE_TWO) == FUZZ_CTX.generator(SIDE_TWO)
 
 
-def _point_edits(data, word):
-    """Edits of a real G1 or G2 element's bytes, each with the reason its
-    decoder must name: a flag bit flipped, one word set to P, x and y
-    swapped, the last 48 bytes cut."""
+def _outside_gt() -> bytes:
+    """A well-formed Fq12 element in the cyclotomic subgroup but not in GT:
+    the easy part of the final exponentiation of an element off GT."""
+    g = bls.fq12_from_bytes(b"".join(k.to_bytes(48, "big") for k in range(1, 13)))
+    f = bls.fq12_mul(bls.fq12_conj(g), bls.fq12_inv(g))
+    return bls.fq12_to_bytes(bls.fq12_mul(bls.fq12_frob2(f), f))
+
+
+def _element_edits(data, word):
+    """Edits of a real element's bytes, each with the reason its decoder must
+    name: one word set to P and the last 48 bytes cut; on a G1 or G2 point
+    also a flag bit flipped and x and y swapped, on a GT element a
+    well-formed Fq12 outside GT."""
     at, half = 48 * word, len(data) // 2
+    edits = {
+        "a word set to P": (data[:at] + P.to_bytes(48, "big") + data[at + 48 :], "out of range"),
+        "cut by 48": (data[:-48], "encoding must be"),
+    }
+    if len(data) == 576:
+        edits["outside GT"] = (_outside_gt(), "outside the pairing image")
+        return edits
     return {
+        **edits,
         "compressed flag": (bytes([data[0] ^ 0x80]) + data[1:], "compressed"),
         "infinity flag": (bytes([data[0] ^ 0x40]) + data[1:], "malformed G[12] infinity"),
         "sign flag": (bytes([data[0] ^ 0x20]) + data[1:], "sign bit"),
-        "a word set to P": (data[:at] + P.to_bytes(48, "big") + data[at + 48 :], "out of range"),
         "x and y swapped": (data[half:] + data[:half], "not on the curve"),
-        "cut by 48": (data[:-48], "encoding must be"),
     }
 
 
 def test_real_point_edits_raise_envelope_errors_naming_the_field():
-    """Every G1 and G2 element of every real kind, edited in its bytes: each
-    edit ends as an EnvelopeError that names the field and the reason."""
+    """Every element of every real kind, edited in its bytes: each edit ends
+    as an EnvelopeError that names the field and the reason."""
+    assert not bls.gt_is_valid(bls.fq12_from_bytes(_outside_gt()))
     real, payloads = _real_payloads()
     checked = 0
     for kind, payload in payloads.items():
         for n, (path, field) in enumerate(_element_fields(payload)):
             data = base64.b64decode(_get(payload, path))
-            if len(data) == 576:  # GT, which stores no point
-                continue
-            for bad, reason in _point_edits(data, n % (len(data) // 48)).values():
+            for bad, reason in _element_edits(data, n % (len(data) // 48)).values():
                 edited = copy.deepcopy(payload)
                 _get(edited, path[:-1])[path[-1]] = base64.b64encode(bad).decode("ascii")
                 with pytest.raises(EnvelopeError, match=f"field '{field}': .*{reason}"):
                     DECODERS[kind](real, edited)
                 checked += 1
-    assert checked == 6 * 44
+    # 38 G1/G2 fields; 5 GT fields: pp's and the state's blind, each ciphertext's c, msg
+    assert checked == 6 * 38 + 3 * 5
 
 
 def test_real_artifact_sizes_match_the_element_formulas():
@@ -494,7 +510,7 @@ def test_real_artifact_sizes_match_the_element_formulas():
     d, c = len(state.path(state.leaf_for("alice"))), len(cover_nodes(state, rl, 6))
     s, z = len({1, 2}), len(zero_positions(ct_epoch_bits(6, pp.max_time)))
     formulas = {  # kind: (artifact, G1, G2, GT elements)
-        "pp": (pp, n + L + 4, n + L + 3, 0),
+        "pp": (pp, n + L + 2, n + L + 2, 1),
         "mk": (mk, 0, 0, 0),
         "sk": (sk, 0, 2 * r * d, 0),
         "ku": (ku, 0, 2 * c, 0),
@@ -502,7 +518,7 @@ def test_real_artifact_sizes_match_the_element_formulas():
         "ct-original": (ct, 2 + s + z, 0, 1),
         "ct-updated": (ct2, 2 + s, 0, 1),
         "msg": (msg, 0, 0, 1),
-        "state": ((pp, mk, state, rl), n + L + 4, n + L + 3, 0),
+        "state": ((pp, mk, state, rl), n + L + 2, n + L + 2, 1),
     }
     for kind, (artifact, g1, g2, gt) in formulas.items():
         payload = ENCODERS[kind](artifact)
@@ -516,10 +532,10 @@ def test_real_artifact_sizes_match_the_element_formulas():
 
 
 # ---------------------------------------------------------------------------
-# known answers: the bytes envelope VERSION 3 writes, pinned per payload kind
+# known answers: the bytes envelope VERSION 4 writes, pinned per payload kind
 
 PAYLOAD_PINS = {
-    "pp": "9756d7f61b89b8938735b4fefcd49afbc0d47ce7f50a8ca51e8ab4c67d2dea57",
+    "pp": "087bb7eabecf55d8d5d4a07ee6bd07618a9338904102a8477181fbe1c93e036d",
     "mk": "b020ef4bc09ccc0295fc75f8489ad739f7b27064568491e8dfb5fde2dff7ce12",
     "sk": "4f364091d798d217251f0fd80d796e85ca04079cc21d97ad37290032698881aa",
     "ku": "8a35c3f53525f81d57a8865bd598fe6f23dddc1304d911f956553ed511794fe1",
@@ -527,7 +543,7 @@ PAYLOAD_PINS = {
     "ct-original": "d004563c9b64ddeb0f83c89a4cd82229cb2da14ab3a4296641c944a26f0aca16",
     "ct-updated": "15f4ab0b46da0848794ec8417726affaaa531482a0ba5c36d411b0ec21f5dc72",
     "msg": "62578f10069b0f4ce6446301d22334e533c5f0c7fd0e44d136565c21ccaadfd4",
-    "state": "c4746f4c0baa8aed985765a851e4c4973e460d6ffe9a906bf4e11adb7bbb6823",
+    "state": "d77a04bfd9185dec7f52c303db0eb15dffbfe2f26394b2001335fc92ccea4b43",
 }
 REAL_CT_UPDATED_PIN = "f02d2b957f3913a1d553fcaca71c8bcf41a509341dc1ab258f3519d322cb7537"
 REAL_SK_PIN = "9ef75768db59a141db5dcd6c12de0154e23b3029bdb43c25774db8ecdaebeafd"
@@ -550,8 +566,8 @@ ENCODERS = {
 }
 
 
-def test_payload_bytes_match_the_version_3_pins():
-    assert serial.VERSION == 3
+def test_payload_bytes_match_the_version_4_pins():
+    assert serial.VERSION == 4
     ctx, pp, mk, state, rl, sk, ku, dk, msg, ct, ct2 = build_artifacts()
     state.assign_leaf("bob")  # a revoked identity has a leaf, or the state would not load
     rl.add("bob", 9, 16)
@@ -567,7 +583,7 @@ def test_payload_bytes_match_the_version_3_pins():
         assert serial.canonical_json(again) == serial.canonical_json(payload), kind
 
 
-def test_real_ciphertext_bytes_match_the_version_3_pin():
+def test_real_ciphertext_bytes_match_the_version_4_pin():
     ctx = new_context(REAL)
     rng = SeededRng("serial-real-pin")
     pp, *_ = setup(ctx, 4, 16, 3, rng)
@@ -578,7 +594,7 @@ def test_real_ciphertext_bytes_match_the_version_3_pin():
     assert serial.canonical_json(again) == serial.canonical_json(payload)
 
 
-def test_real_key_bytes_match_the_version_3_pin():
+def test_real_key_bytes_match_the_version_4_pin():
     """keygen's k0 = g2^lambda * T(x)^r on BLS12-381, whatever way it is
     computed."""
     ctx = new_context(REAL)
