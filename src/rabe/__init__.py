@@ -6,7 +6,7 @@ Quick tour:
 
     >>> from rabe import *
     >>> from rabe.rng import SeededRng
-    >>> ctx = new_context("transparent", seed=1)
+    >>> ctx = new_context("transparent")
     >>> rng = SeededRng(1)
     >>> pp, mk, tree, rl = setup(ctx, n_users=8, max_time=32, attr_max=4, rng=rng)
     >>> sk = keygen(pp, mk, tree, "alice", parse_policy("1 AND 2"), rng)

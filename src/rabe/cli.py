@@ -174,9 +174,9 @@ def _parse_attrs(text):
 
 
 def cmd_setup(args):
-    seed = _resolve_seed(args)
-    ctx = new_context(args.backend, seed=seed or 0)
-    pp, mk, tree, rl = setup(ctx, args.users, args.max_time, args.attr_bound, _rng_for(seed))
+    ctx = new_context(args.backend)
+    pp, mk, tree, rl = setup(ctx, args.users, args.max_time, args.attr_bound,
+                             _rng_for(_resolve_seed(args)))
     state = _state(args.state, pp, mk, tree, rl)
     serial.write_envelopes([state])
     print(
@@ -323,7 +323,7 @@ def cmd_attack_demo(args):
         ctx = pp.ctx
         n_users, max_time, attr_max = pp.n_users, pp.max_time, pp.attr_max
     else:
-        ctx = new_context(args.backend, seed=seed)
+        ctx = new_context(args.backend)
         n_users, max_time, attr_max = args.users, args.max_time, args.attr_bound
 
     bit_width(max_time)  # the range first: the default t* below presumes a valid one

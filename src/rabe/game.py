@@ -47,7 +47,7 @@ from .scheme import (
     setup,
     update_key,
 )
-from .timecode import backdatable_epochs, check_epoch, epoch_bits, zero_positions
+from .timecode import backdatable_epochs, epoch_bits, zero_positions
 
 STANDARD = "standard"
 WEAKER = "weaker"
@@ -66,7 +66,6 @@ def backdate_ciphertext(pp, ct: OriginalCiphertext, epoch: int, rng) -> UpdatedC
     MissingComponentError when the target's zero positions are not all
     shipped with the ciphertext, i.e. when the pair is not vulnerable.
     """
-    check_epoch(epoch, pp.max_time, allow_zero=False)
     if epoch >= ct.epoch:
         raise EpochRangeError(
             f"backdating means going back: target {epoch} is not before {ct.epoch}"
@@ -274,7 +273,6 @@ def challenger_run(
 
     with _timed(timings, "challenge"):
         t_star, m0, m1 = adversary.challenge()
-        check_epoch(t_star, max_time, allow_zero=False)
         for m in (m0, m1):
             if not isinstance(m, GroupElement) or m.side != SIDE_TARGET:
                 raise SideMismatchError("challenge messages must be target-group elements")
@@ -403,7 +401,6 @@ class BackdateAdversary:
             self.max_time = max_time
             self.target_attrs = _draw_target_attrs(self.rng, attr_max)
             if self.forced_t_star is not None:
-                check_epoch(self.forced_t_star, max_time, allow_zero=False)
                 self.t_star = self.forced_t_star
             else:
                 if max_time < 8:

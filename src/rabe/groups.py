@@ -9,10 +9,10 @@ is an error, which is exactly the discipline that makes the mirroring sound.
 
 Backends:
 
-* "transparent": every element stores its discrete logarithm modulo a small
-  prime derived from the seed.  The pairing multiplies exponents.  Nothing
-  is hidden, which is the point: tests can audit every component of every
-  artifact against its defining formula, field by field.
+* "transparent": every element stores its discrete logarithm modulo one
+  fixed 32-bit prime, TRANSPARENT_MODULUS.  The pairing multiplies
+  exponents.  Nothing is hidden, which is the point: tests can audit every
+  component of every artifact against its defining formula, field by field.
 * "real": BLS12-381 at the usual ~128-bit level (see bls12381).  All three
   generators are module constants, the target one e(g, g~) included, so
   making one runs no pairing.  Each generator earns its fixed-base table
@@ -37,7 +37,6 @@ from dataclasses import dataclass
 
 from . import bls12381 as bls
 from .errors import BackendMismatchError, EnvelopeError, ParameterError, SideMismatchError
-from .rng import derive_transparent_modulus
 
 TRANSPARENT = "transparent"
 REAL = "real"
@@ -46,6 +45,10 @@ BACKENDS = (TRANSPARENT, REAL)
 SIDE_ONE = "one"
 SIDE_TWO = "two"
 SIDE_TARGET = "target"
+
+# the transparent group's order: a prime in [2^31, 2^32), so a draw below it
+# takes 20 bytes of a seeded stream
+TRANSPARENT_MODULUS = 3301243931
 
 
 @dataclass(frozen=True)
@@ -197,14 +200,16 @@ class BilinearContext:
 
 
 class TransparentContext(BilinearContext):
-    """Exponent-bookkeeping backend: an element is its discrete log."""
+    """Exponent-bookkeeping backend: an element is its discrete log modulo
+    the prime `modulus`.  new_context gives the group of order
+    TRANSPARENT_MODULUS; a twin at bls12381.R draws the scalars a real
+    context draws from the same stream."""
 
     backend = TRANSPARENT
 
-    def __init__(self, seed=0, modulus=None):
-        # modulus wins over seed; used when reloading serialized parameters
-        self.prime_order = derive_transparent_modulus(seed) if modulus is None else modulus
-        self.group_id = f"{TRANSPARENT}/{self.prime_order}"
+    def __init__(self, modulus: int):
+        self.prime_order = modulus
+        self.group_id = f"{TRANSPARENT}/{modulus}"
 
     def _generator_payload(self, side):
         return 1
@@ -294,15 +299,13 @@ class RealContext(BilinearContext):
         return value
 
 
-def new_context(backend: str = TRANSPARENT, seed=0) -> BilinearContext:
-    """Create a group context.
-
-    The transparent modulus is a deterministic function of the seed; the
-    real curve ignores the seed entirely, and its contexts hold no state, so
-    any two are interchangeable (elements compare by group_id).
-    """
+def new_context(backend: str = TRANSPARENT, seed=None) -> BilinearContext:
+    """Create a group context: the transparent group of order
+    TRANSPARENT_MODULUS, or BLS12-381.  Neither holds state, so any two of a
+    backend are interchangeable (elements compare by group_id)."""
+    # seed is ignored; perfbench/workloads.py still passes it
     if backend == TRANSPARENT:
-        return TransparentContext(seed)
+        return TransparentContext(TRANSPARENT_MODULUS)
     if backend == REAL:
         return RealContext()
     raise ParameterError(f"unknown backend {backend!r}")

@@ -5,7 +5,8 @@ a seed via SHAKE-256 with domain-separation labels, so seeded runs are
 bit-for-bit reproducible; SystemRng draws from the OS CSPRNG for production
 use.  Every consumer in the package takes either through the same one-method
 interface, randbelow; independent child streams (child) come from SeededRng
-only.
+only.  Randomness picks scalars and choices, never a group: the transparent
+group's order is the constant groups.TRANSPARENT_MODULUS.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import secrets
 # every seeded artifact.
 STREAM_LABEL = b"rabe/stream/v1"
 CHILD_LABEL = b"rabe/child/v1"
-MODULUS_LABEL = b"rabe/transparent-modulus/v1"
 
 
 def _seed_bytes(seed: int | str | bytes) -> bytes:
@@ -33,18 +33,17 @@ def _seed_bytes(seed: int | str | bytes) -> bytes:
 
 
 class SeededRng:
-    """Deterministic byte stream: SHAKE-256(label || 0x00 || seed), squeezed
-    in 64-byte blocks with a running counter."""
+    """Deterministic byte stream: 64-byte blocks of SHAKE-256(STREAM_LABEL ||
+    0x00 || seed || counter), the counter running from 0."""
 
-    def __init__(self, seed: int | str | bytes, label: bytes = STREAM_LABEL):
+    def __init__(self, seed: int | str | bytes):
         self._seed = _seed_bytes(seed)
-        self._label = label
         self._counter = 0
         self._buffer = b""
 
     def _refill(self) -> None:
         xof = hashlib.shake_256()
-        xof.update(self._label)
+        xof.update(STREAM_LABEL)
         xof.update(b"\x00")
         xof.update(self._seed)
         xof.update(self._counter.to_bytes(8, "big"))
@@ -77,40 +76,3 @@ class SystemRng:
 
     def randbelow(self, bound: int) -> int:
         return secrets.randbelow(bound)  # ValueError unless bound > 0
-
-
-def _is_probable_prime(n: int) -> bool:
-    # Deterministic Miller-Rabin for n < 3.3e24; far beyond the 32-bit
-    # moduli drawn below.
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def derive_transparent_modulus(seed: int | str | bytes) -> int:
-    """Deterministic prime in [2^31, 2^32): small enough that exponents stay
-    cheap to audit, large enough that random collisions never happen in tests."""
-    draw = SeededRng(seed, label=MODULUS_LABEL).randbelow(1 << 31)
-    candidate = (1 << 31) + draw
-    if candidate % 2 == 0:
-        candidate += 1
-    while not _is_probable_prime(candidate):
-        candidate += 2
-    return candidate

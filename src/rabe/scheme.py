@@ -166,7 +166,7 @@ class KeyUpdate:
     def check(self, pp: PublicParams, tree: TreeState) -> None:
         """Refuse an update whose parts name a node outside the tree or a node
         together with one of its ancestors: a cover's subtrees are disjoint."""
-        _naming("epoch", check_epoch, self.epoch, pp.max_time, allow_zero=False)
+        _naming("epoch", check_epoch, self.epoch, pp.max_time)
         for node in self.parts:
             _naming("parts", tree.check_node, node)
             above = node // 2
@@ -193,7 +193,7 @@ class DecryptionKey:
         """Refuse a key derive_dk did not make here: its node must lie on its
         holder's path, where the holder's key meets the update's cover."""
         _naming("policy", check_attributes, self.policy.attributes(), pp.attr_max)
-        _naming("epoch", check_epoch, self.epoch, pp.max_time, allow_zero=False)
+        _naming("epoch", check_epoch, self.epoch, pp.max_time)
         nodes = _holder_path(self.identity, tree)
         if self.node not in nodes:
             raise ParameterError(f"field 'node': node {self.node} is not on the path {nodes} "
@@ -218,7 +218,7 @@ class _Ciphertext:
         """Refuse attributes or an epoch encrypt refuses: epoch 0 encodes like
         any other, and a matching pair past the range decrypts unnoticed."""
         _naming("c2", check_attributes, self.attrs, pp.attr_max)
-        _naming("epoch", check_epoch, self.epoch, pp.max_time, allow_zero=False)
+        _naming("epoch", check_epoch, self.epoch, pp.max_time)
 
 
 @dataclass(frozen=True)
@@ -311,7 +311,6 @@ def update_key(
     epoch: int,
     rng,
 ) -> KeyUpdate:
-    check_epoch(epoch, pp.max_time, allow_zero=False)
     positions = sorted(zero_positions(epoch_bits(epoch, pp.max_time)))
     base = pp.u0.two
     for j in positions:
@@ -355,7 +354,6 @@ def encrypt(
     rng,
 ) -> OriginalCiphertext:
     attrs = check_attributes(attrs, pp.attr_max)
-    check_epoch(epoch, pp.max_time, allow_zero=False)
     if message.side != SIDE_TARGET or message.ctx.group_id != pp.ctx.group_id:
         raise SideMismatchError("messages are target-group elements of this context")
     s = pp.ctx.random_scalar(rng)
@@ -386,7 +384,6 @@ def fold_ciphertext(
     forward-only rule on top of this; the attack harness deliberately does
     not.
     """
-    check_epoch(epoch, pp.max_time, allow_zero=False)
     positions = sorted(zero_positions(epoch_bits(epoch, pp.max_time)))
     missing = [j for j in positions if j not in ct.e2]
     if missing:
@@ -416,7 +413,7 @@ def update_ct(
     rng,
 ) -> UpdatedCiphertext | None:
     """Forward-only public ciphertext update; None when asked to go back."""
-    check_epoch(epoch, pp.max_time, allow_zero=False)
+    check_epoch(epoch, pp.max_time)
     if epoch < ct.epoch:
         return None
     return fold_ciphertext(pp, ct, epoch, rng)

@@ -17,13 +17,15 @@ canonical encodings, int-keyed maps with decimal string keys.  Decoding
 type-checks every field and then builds the artifact, whose class checks its
 invariants; either way a malformed payload ends as an EnvelopeError naming the field.
 
-A VERSION 4 payload holds the keys of its record spec below, each fact
+A VERSION 5 payload holds the keys of its record spec below, each fact
 once: a policy is {formula}, its matrix the formula's parse; a ciphertext's
 attribute set is the key set of its c2; a state is {pp, mk, tree, rl}.  pp
-holds what the algorithms read: the blinding base e(g^alpha, g2) as a
-target element, and the anchors T_1..T_n.  On the real backend its G1 and
-G2 elements are uncompressed points, so loading one takes no square root.
-A file of any other version is refused.
+holds what the algorithms read: its group, the blinding base e(g^alpha, g2)
+as a target element, and the anchors T_1..T_n.  The group names the
+backend alone, {"backend": "transparent"} (whose order is the one constant
+groups.TRANSPARENT_MODULUS) or {"backend": "real", "curve": "bls12-381"}.
+On the real backend G1 and G2 elements are uncompressed points, so loading
+one takes no square root.  A file of any other version is refused.
 
 Kinds: pp, mk, sk, ku, dk, ct-original, ct-updated, state, msg, transcript.
 """
@@ -43,13 +45,12 @@ from .groups import (
     SIDE_TARGET,
     SIDE_TWO,
     TRANSPARENT,
+    TRANSPARENT_MODULUS,
     BilinearContext,
     GroupElement,
-    TransparentContext,
     new_context,
 )
 from .policy import AccessPolicy, parse_policy
-from .rng import _is_probable_prime
 from .scheme import (
     DecryptionKey,
     KeyUpdate,
@@ -63,7 +64,7 @@ from .scheme import (
 )
 from .tree import RevocationList, TreeState
 
-VERSION = 4
+VERSION = 5
 
 KINDS = (
     "pp",
@@ -225,17 +226,16 @@ def params_hash(pp_payload: dict) -> str:
 
 def context_payload(ctx: BilinearContext) -> dict:
     if ctx.backend == TRANSPARENT:
-        return {"backend": TRANSPARENT, "modulus": ctx.prime_order}
+        if ctx.prime_order != TRANSPARENT_MODULUS:  # it would load as another group
+            raise ParameterError(f"a transparent group of order {ctx.prime_order} is not stored")
+        return {"backend": TRANSPARENT}
     return {"backend": REAL, "curve": "bls12-381"}
 
 
 def context_from_payload(data: dict) -> BilinearContext:
     backend = _field(data, "backend", str)
     if backend == TRANSPARENT:
-        modulus = _field(data, "modulus", int)
-        if not _is_probable_prime(modulus):
-            raise EnvelopeError("transparent context needs a prime modulus")
-        return TransparentContext(modulus=modulus)
+        return new_context(TRANSPARENT)
     if backend == REAL:
         if data.get("curve") != "bls12-381":
             raise EnvelopeError(f"unknown curve {data.get('curve')!r}")

@@ -1,6 +1,6 @@
 """Epoch bit encodings.
 
-Epochs t in [0, max_time - 1] are encoded as fixed-width big-endian bit
+Epochs t in [1, max_time - 1] are encoded as fixed-width big-endian bit
 strings of length tau = log2(max_time).  Key updates bind the exact epoch
 (epoch_bits); ciphertexts bind only the maximal leading run of ones
 (ct_epoch_bits), zeroing every position from the first 0 onwards so that a
@@ -26,10 +26,10 @@ def bit_width(max_time: int) -> int:
     return max_time.bit_length() - 1
 
 
-def check_epoch(t: int, max_time: int, allow_zero: bool = True) -> None:
-    low = 0 if allow_zero else 1
-    if not low <= t < max_time:
-        raise EpochRangeError(f"epoch {t} outside [{low}, {max_time - 1}]")
+def check_epoch(t: int, max_time: int) -> None:
+    """Epochs run 1..max_time - 1; epoch 0 is reserved."""
+    if not 1 <= t < max_time:
+        raise EpochRangeError(f"epoch {t} outside [1, {max_time - 1}]")
 
 
 def epoch_bits(t: int, max_time: int) -> str:
@@ -65,7 +65,6 @@ def backdatable_epochs(t_star: int, max_time: int) -> list[int]:
     the whole range [1, t_star) qualifies.  Read as integers, the covering
     says t has a 1 wherever the ciphertext encoding kept one.
     """
-    check_epoch(t_star, max_time, allow_zero=False)
     kept = int(ct_epoch_bits(t_star, max_time), 2)
     return [t for t in range(1, t_star) if t & kept == kept]
 

@@ -86,7 +86,7 @@ class RevocationList:
     epochs: dict[str, int] = field(default_factory=dict)
 
     def add(self, identity: str, epoch: int, max_time: int) -> None:
-        check_epoch(epoch, max_time, allow_zero=False)
+        check_epoch(epoch, max_time)
         current = self.epochs.get(identity)
         if current is None or epoch < current:
             self.epochs[identity] = epoch

@@ -26,7 +26,7 @@ from rabe.scheme import (
 
 
 def build(seed="audit"):
-    ctx = new_context(TRANSPARENT, seed=0)
+    ctx = new_context(TRANSPARENT)
     rng = SeededRng(seed)
     pp, mk, state, rl = setup(ctx, 4, 16, 3, rng)
     policy = parse_policy("1 AND (2 OR 3)")

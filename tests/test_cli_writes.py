@@ -77,43 +77,43 @@ def _mask_timings(text: str) -> str:
 
 WALK_SHA256 = {
     "setup": {
-        "s.json": "70e5146888264a7414b90e4d27a1d844afb2d0203274069b68ba7bfd0cbe235c",
-        "stdout": "863851f740d9eaaf72f2b5037423afff31e9521a75308948eb6c5ac7c7f36bb3",
+        "s.json": "927f2dfc6bb25106c0a633afc6480e0784cec05e6dee1a2f9b68fbd147730f62",
+        "stdout": "5ef324ac3e658e5eac55da0a50b90b59aeaf904ae807eeb6e4dbbb46afcd6d5b",
     },
     "keygen": {
-        "s.json": "c1d34646b03b6f979abaadcaa5399d521840cdcfedf7b158236848632a86a22d",
-        "alice.sk": "c46110bb7e11f79ac611ae545b162e3eeac1097e4497ddfbaa5be56c6052a301",
+        "s.json": "e74a70e624acfa85f63d8b00b52e63da6466b7a9985250fd6d9f13343096d735",
+        "alice.sk": "285480a277a9f9a7a0d7269620495b452a8292ad8e17c51b9adddc6f1e7857b6",
         "stdout": "af41dd1676e755f2d137b87095e8cff5a1644da2fca36a9b09e3358eaec04007",
     },
     "update-key": {
-        "ku7.json": "abfb6716e5968064805ad78c109abe86031232c030fb100b5fdb715a4a0ae230",
+        "ku7.json": "76d84fd0240a7297ae464ea7b5111e468a06228a41b83c513b1c2f4a5a8ae183",
         "stdout": "4466bdfe1e3669666a6069e30fe244a87787fa9a09e27c077353ee5880e2ab33",
     },
     "derive-dk": {
-        "alice.dk7": "3de3830c9f721d1ec91e8a093aeac03bbe38573c8191a89155ad18c6a3089c73",
+        "alice.dk7": "1cada20a24a05b80264e07ddf1f8a05d939b9a6dd89b7ee4268500b2b8cccb43",
         "stdout": "a07d0dd3f2c31d23b4123fffc859ce4c5625f448d74c71fc698ddc3679718fed",
     },
     "encrypt": {
-        "msg.json": "9defcd67860ce4fab759a724da046d03631926e6cca703c202b75a62c490a908",
-        "ct5.json": "d78fcd2cc947c11a8836a11e75bcd432c0fb04c6f130bce8bf27799356693fbc",
+        "msg.json": "ce411c259d549980d9cdbc47ca933c8bb2193c4228de60c2711252eb987133e9",
+        "ct5.json": "4cbf32e29b8fcf15b283160c2f59c66e3e3b8daa47a0c82032a5103339fc0c64",
         "stdout": "c5cae4e38dca36f2736e453789dcabc66f77d1acf43f02b97af880cdba848cd6",
     },
     "update-ct": {
-        "ct7.json": "63699e899274604a5fc9ba0f66d86fbf3a431192d55b3991a1fb242fe5594f9e",
+        "ct7.json": "05eaf1b7073c463aa51739ef5b9960a4413b006caef846194a6ab116b55a80b0",
         "stdout": "8e7e263aa3898176f1b477cc346cc62a2d5a4ccfe940c2c903dfbbe4992d20cc",
     },
     "decrypt": {
-        "got.json": "9defcd67860ce4fab759a724da046d03631926e6cca703c202b75a62c490a908",
-        "stdout": "4ec5a913b5e3d596fb0dcc747f52ccf88232eb15cda6daa20210a42d043019df",
+        "got.json": "ce411c259d549980d9cdbc47ca933c8bb2193c4228de60c2711252eb987133e9",
+        "stdout": "2fe0b8603dfe212c19420e75a22eb7a08973fcb29584655d6f077d775344e151",
     },
     "revoke": {
-        "s.json": "99c10d89726b6692d5f9a90fa380169fd498f2134743f15a2cd43c9b61f51962",
+        "s.json": "9964c0328139656510b5b0fedb918489dce5ddc7d779d861b4b22cf96b3b6b2e",
         "stdout": "927fc8de031cbe1be52466cfad22655d5a3cb0c4270397f363224b27856ecd40",
     },
     "attack-demo": {
         "report.json": "cd790dcd10e4b4aff5355c1981d94afb3b9cfbf9077166f7c9d9388445181ee5",
-        "runs/trial-0000.json": "e3819befdb472cb9f1f47ef546487baaf5e5c747f77c1a318cac7255cf569d9b",
-        "runs/trial-0001.json": "08db1d7f6a30afbe85d2d98a626f5fe43e883a30930ced96c3149096283f2c19",
+        "runs/trial-0000.json": "de9b2d189cfa72976ab1cc4ce154b0a12085d9e5061c9dd0d46819a352cefd92",
+        "runs/trial-0001.json": "ed0f56f686041cd36db27879a1dd86ebcffc57aafd81bccb1226c615f2fa973c",
         "stdout": "3db67702f37183b9117c17885ff3161230799e7d94be9c48dfb9fe6063797cd2",
     },
 }
@@ -344,6 +344,8 @@ WRITERS = {
                 "--seed", 2], ["bob.sk", "s.json"]),
     "update-key": (["update-key", "--state", "s.json", "--epoch", 8, "--out", "ku8.json",
                     "--seed", 3], ["ku8.json"]),  # the root's secret exists: no state write
+    "update-key-new-secret": (["update-key", "--state", "s.json", "--epoch", 10,
+                               "--out", "ku10.json", "--seed", 3], ["ku10.json", "s.json"]),
     "revoke": (["revoke", "--state", "s.json", "--id", "alice", "--epoch", 9], ["s.json"]),
     "encrypt": (["encrypt", "--state", "s.json", "--attrs", "1,2", "--epoch", 5,
                  "--random-message", "m2.json", "--out", "c2.json", "--seed", 4],
@@ -359,6 +361,19 @@ WRITERS = {
                     ["report.json", "runs/trial-0000.json", "runs/trial-0001.json"]),
     "lemma-check": (["lemma-check", "--tau-max", 4, "--out", "table.json"], ["table.json"]),
 }
+# a command run on the seeded state before a case: with alice revoked at 9,
+# the cover at epoch 10 lies off her path, where no node secret exists yet
+BEFORE = {"update-key-new-secret": ["revoke", "--state", "s.json", "--id", "alice", "--epoch", 9]}
+
+
+def _fresh(seeded, work, monkeypatch, case):
+    """A copy of the seeded walk at work, as the working directory, with the
+    case's BEFORE command run on it."""
+    shutil.copytree(seeded, work)
+    monkeypatch.chdir(work)
+    if case in BEFORE:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([str(a) for a in BEFORE[case]]) == EXIT_OK
 
 
 def _run_with(fake, argv, monkeypatch):
@@ -375,8 +390,7 @@ def test_every_write_fault_leaves_the_state_and_no_temp_file(seeded, tmp_path, m
     argv, outputs = WRITERS[case]
     clean = _FaultyOs()
     work = tmp_path / "clean"
-    shutil.copytree(seeded, work)
-    monkeypatch.chdir(work)
+    _fresh(seeded, work, monkeypatch, case)
     code, err = _run_with(clean, argv, monkeypatch)
     assert code == EXIT_OK, err
     assert all((work / name).is_file() for name in outputs)
@@ -385,8 +399,7 @@ def test_every_write_fault_leaves_the_state_and_no_temp_file(seeded, tmp_path, m
     for fault in _FaultyOs.FAULTY:
         for k in range(len(outputs)):
             work = tmp_path / f"{fault}-{k}"
-            shutil.copytree(seeded, work)
-            monkeypatch.chdir(work)
+            _fresh(seeded, work, monkeypatch, case)
             before = _snapshot(work)
             dirs = {p for p in work.rglob("*") if p.is_dir()}
             fake = _FaultyOs(fault, k)

@@ -71,7 +71,7 @@ class CheatingPhase2Adversary(CheatingPhase1Adversary):
 
 
 def test_backdate_attack_wins_every_standard_trial():
-    ctx = new_context(TRANSPARENT, seed=0)
+    ctx = new_context(TRANSPARENT)
     transcripts = run_game_trials(20, ctx=ctx, seed=11, mode=STANDARD)
     assert all(tr.won for tr in transcripts)
     assert all(tr.outcome == "win" for tr in transcripts)
@@ -114,7 +114,7 @@ def test_a_real_game_runs_one_pairing_the_adversarys_decryption(monkeypatch):
 
 
 def test_forced_pair_is_honored():
-    ctx = new_context(TRANSPARENT, seed=0)
+    ctx = new_context(TRANSPARENT)
     rng = SeededRng("forced")
     tr = challenger_run(
         BackdateAdversary(rng.child("adv"), t_star=7, t=5),
@@ -129,7 +129,7 @@ def test_forced_pair_is_honored():
 
 def test_forced_pair_outside_the_lower_half_regime():
     # epoch 25 = "11001" still ships slots {3,4,5}; 24 = "11000" needs them all
-    ctx = new_context(TRANSPARENT, seed=0)
+    ctx = new_context(TRANSPARENT)
     rng = SeededRng("outside")
     tr = challenger_run(
         BackdateAdversary(rng.child("adv"), t_star=25, t=24),
@@ -140,7 +140,7 @@ def test_forced_pair_outside_the_lower_half_regime():
 
 
 def test_invulnerable_pairs_are_rejected_upfront():
-    ctx = new_context(TRANSPARENT, seed=0)
+    ctx = new_context(TRANSPARENT)
     rng = SeededRng("dead-pair")
     # epoch 6 = "110" at range 8: its ciphertext keeps the encoding, nothing
     # earlier is reachable at all
@@ -170,7 +170,7 @@ def test_invulnerable_pairs_are_rejected_upfront():
 
 
 def test_weaker_mode_degrades_the_attack_to_coin_flipping():
-    ctx = new_context(TRANSPARENT, seed=0)
+    ctx = new_context(TRANSPARENT)
     transcripts = run_game_trials(200, ctx=ctx, seed=21, mode=WEAKER)
     wins = sum(tr.won for tr in transcripts)
     assert 0.40 <= wins / 200 <= 0.60
@@ -183,7 +183,7 @@ def test_weaker_mode_degrades_the_attack_to_coin_flipping():
 
 
 def test_null_adversary_is_a_fair_coin():
-    ctx = new_context(TRANSPARENT, seed=0)
+    ctx = new_context(TRANSPARENT)
     transcripts = run_game_trials(200, ctx=ctx, seed=31, adversary_cls=NullAdversary)
     wins = sum(tr.won for tr in transcripts)
     assert 0.40 <= wins / 200 <= 0.60
@@ -191,7 +191,7 @@ def test_null_adversary_is_a_fair_coin():
 
 
 def test_unrevoked_satisfying_key_aborts_at_challenge():
-    ctx = new_context(TRANSPARENT, seed=0)
+    ctx = new_context(TRANSPARENT)
     rng = SeededRng("cheat1")
     tr = challenger_run(CheatingPhase1Adversary(rng.child("a")), ctx=ctx, rng=rng.child("c"))
     assert tr.outcome == ABORT and not tr.won
@@ -203,7 +203,7 @@ def test_unrevoked_satisfying_key_aborts_at_challenge():
 
 
 def test_phase2_violation_aborts_after_the_guess():
-    ctx = new_context(TRANSPARENT, seed=0)
+    ctx = new_context(TRANSPARENT)
     rng = SeededRng("cheat2")
     tr = challenger_run(CheatingPhase2Adversary(rng.child("a")), ctx=ctx, rng=rng.child("c"))
     assert tr.outcome == ABORT and not tr.won
@@ -253,7 +253,7 @@ def test_non_satisfying_keys_are_unconstrained():
 
 
 def test_backdate_ciphertext_only_goes_backwards():
-    ctx = new_context(TRANSPARENT, seed=0)
+    ctx = new_context(TRANSPARENT)
     rng = SeededRng("direction")
     pp, mk, state, rl = setup(ctx, 4, 32, 4, rng)
     msg = ctx.random_element(SIDE_TARGET, rng)
@@ -277,7 +277,7 @@ def test_wilson_interval_brackets_the_rate():
 
 
 def test_advantage_report_shape():
-    ctx = new_context(TRANSPARENT, seed=0)
+    ctx = new_context(TRANSPARENT)
     transcripts = run_game_trials(20, ctx=ctx, seed=11, mode=STANDARD)
     report = advantage_report(transcripts, seed=11)
     assert report["trials"] == 20 and report["wins"] == 20
@@ -291,7 +291,7 @@ def test_advantage_report_shape():
 
 
 def test_seeded_trials_reproduce_transcripts_exactly():
-    ctx = new_context(TRANSPARENT, seed=0)
+    ctx = new_context(TRANSPARENT)
     a = [transcript_payload(tr) for tr in run_game_trials(5, ctx=ctx, seed=7)]
     b = [transcript_payload(tr) for tr in run_game_trials(5, ctx=ctx, seed=7)]
     c = [transcript_payload(tr) for tr in run_game_trials(5, ctx=ctx, seed=8)]
@@ -310,13 +310,13 @@ def test_seeded_trials_reproduce_transcripts_exactly():
     ids=["standard", "weaker", "null"],
 )
 def test_seeded_transcripts_match_known_answers(kwargs, digest):
-    transcripts = run_game_trials(5, ctx=new_context(TRANSPARENT, seed=0), seed=7, **kwargs)
+    transcripts = run_game_trials(5, ctx=new_context(TRANSPARENT), seed=7, **kwargs)
     blob = canonical_json([transcript_payload(tr) for tr in transcripts])
     assert hashlib.sha256(blob.encode("utf-8")).hexdigest() == digest
 
 
 def test_transcript_payload_carries_no_wall_clock():
-    ctx = new_context(TRANSPARENT, seed=0)
+    ctx = new_context(TRANSPARENT)
     tr = run_game_trials(1, ctx=ctx, seed=3)[0]
     assert tr.timings  # measured in memory
     payload = transcript_payload(tr)
@@ -327,7 +327,7 @@ def test_transcript_payload_carries_no_wall_clock():
 
 
 def test_capture_collects_artifacts_only_when_asked():
-    ctx = new_context(TRANSPARENT, seed=0)
+    ctx = new_context(TRANSPARENT)
     rng = SeededRng("capture")
     adversary = BackdateAdversary(rng.child("adversary"))
     tr = challenger_run(adversary, ctx=ctx, rng=rng.child("challenger"), capture=True)
@@ -337,7 +337,7 @@ def test_capture_collects_artifacts_only_when_asked():
 
 
 def test_challenger_rejects_degenerate_challenges():
-    ctx = new_context(TRANSPARENT, seed=0)
+    ctx = new_context(TRANSPARENT)
 
     class SameMessages(NullAdversary):
         def challenge(self):

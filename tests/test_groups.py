@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 import rabe.bls12381 as bls
@@ -8,8 +10,10 @@ from rabe.groups import (
     SIDE_TARGET,
     SIDE_TWO,
     TRANSPARENT,
+    TRANSPARENT_MODULUS,
     GroupElement,
     Scalar,
+    TransparentContext,
     new_context,
 )
 from rabe.rng import SeededRng
@@ -27,7 +31,7 @@ def identity(ctx, side):
 
 @pytest.fixture(scope="module")
 def tctx():
-    return new_context(TRANSPARENT, seed=0)
+    return new_context(TRANSPARENT)
 
 
 @pytest.fixture(scope="module")
@@ -167,7 +171,7 @@ def test_side_mixing_is_rejected(tctx):
 
 
 def test_cross_context_mixing_is_rejected(tctx):
-    other = new_context(TRANSPARENT, seed=99)
+    other = TransparentContext(2**31 - 1)  # a Mersenne prime, another group
     assert other.prime_order != tctx.prime_order
     rng = SeededRng("cross")
     a = tctx.random_element(SIDE_ONE, rng)
@@ -237,9 +241,16 @@ def test_transparent_log_is_transparent_only(tctx, rctx):
         _ = rctx.generator(SIDE_TWO).transparent_log
 
 
+def test_transparent_modulus_is_a_32_bit_prime():
+    p = TRANSPARENT_MODULUS
+    assert p.bit_length() == 32
+    assert p % 2 and all(p % d for d in range(3, math.isqrt(p) + 1, 2))  # trial division
+    assert new_context(TRANSPARENT).prime_order == p
+
+
 def test_context_determinism():
-    a = new_context(TRANSPARENT, seed=5)
-    b = new_context(TRANSPARENT, seed=5)
+    a = new_context(TRANSPARENT)
+    b = new_context(TRANSPARENT)
     assert a.prime_order == b.prime_order and a.group_id == b.group_id
     # cross-instance elements interoperate because group_id matches
     assert a.generator(SIDE_ONE) * b.generator(SIDE_ONE) == a.generator(SIDE_ONE) ** 2

@@ -1,6 +1,6 @@
 import pytest
 
-from rabe.rng import SeededRng, SystemRng, derive_transparent_modulus, _is_probable_prime
+from rabe.rng import SeededRng, SystemRng
 
 
 def test_seeded_rng_is_deterministic():
@@ -42,17 +42,3 @@ def test_system_rng_draws_in_range():
         with pytest.raises(ValueError):
             rng.randbelow(bound)
 
-
-def test_transparent_modulus_is_a_stable_prime():
-    p = derive_transparent_modulus(0)
-    assert p == derive_transparent_modulus(0)
-    assert p >= 2**31
-    assert _is_probable_prime(p)
-    assert derive_transparent_modulus(1) != p
-
-
-def test_probable_prime_on_known_values():
-    for n in (2, 3, 5, 2**31 - 1, 2**61 - 1):
-        assert _is_probable_prime(n)
-    for n in (0, 1, 4, 2**31, 561, 341550071728321):
-        assert not _is_probable_prime(n)

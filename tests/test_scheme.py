@@ -15,7 +15,8 @@ from rabe.errors import (
     UnsatisfiedPolicyError,
 )
 from rabe.groups import (
-    REAL, SIDE_ONE, SIDE_TARGET, SIDE_TWO, TRANSPARENT, GroupElement, new_context,
+    REAL, SIDE_ONE, SIDE_TARGET, SIDE_TWO, TRANSPARENT, GroupElement, TransparentContext,
+    new_context,
 )
 from rabe.policy import parse_policy, reconstruction_coefficients
 from rabe.rng import SeededRng
@@ -49,7 +50,7 @@ def lagrange_weight(i, points, x, p):
 
 
 def test_full_roundtrip_transparent():
-    ctx = new_context(TRANSPARENT, seed=0)
+    ctx = new_context(TRANSPARENT)
     rng = SeededRng("roundtrip")
     pp, mk, state, rl = make_world(ctx, rng)
     policy = parse_policy("1 AND (2 OR 3)")
@@ -86,7 +87,7 @@ def test_full_roundtrip_real_backend():
 def test_setup_fills_the_blinding_base_with_the_pairing_value(backend):
     """setup makes e(g^alpha, g2) as a power of the target generator, the
     same element the pairing gives, and pp stores it through a round trip."""
-    ctx = new_context(backend, seed=0)
+    ctx = new_context(backend)
     pp, mk, *_ = setup(ctx, 2, 8, 2, SeededRng(f"blinding-base-{backend}"))
     base = ctx.pair_product([(ctx.generator(SIDE_ONE) ** mk.alpha, pp.g2.two)])
     assert pp.blind == base
@@ -167,7 +168,7 @@ def test_real_decrypt_makes_one_miller_loop_per_pair(monkeypatch):
 
 
 def test_attribute_generator_matches_interpolation_oracle():
-    ctx = new_context(TRANSPARENT, seed=0)
+    ctx = new_context(TRANSPARENT)
     rng = SeededRng("tgen")
     pp, _, _, _ = make_world(ctx, rng, attr_max=3)
     p = ctx.prime_order
@@ -191,7 +192,7 @@ def test_attribute_generator_matches_interpolation_oracle():
 
 
 def test_private_key_components_carry_share_vectors():
-    ctx = new_context(TRANSPARENT, seed=0)
+    ctx = new_context(TRANSPARENT)
     rng = SeededRng("keygen-logs")
     pp, mk, state, _ = make_world(ctx, rng)
     policy = parse_policy("(1 OR 2) AND 3")
@@ -215,7 +216,7 @@ def test_private_key_components_carry_share_vectors():
 
 
 def test_key_update_components_bind_epoch_and_node():
-    ctx = new_context(TRANSPARENT, seed=0)
+    ctx = new_context(TRANSPARENT)
     rng = SeededRng("ku-logs")
     pp, mk, state, rl = make_world(ctx, rng)
     keygen(pp, mk, state, "alice", parse_policy("1"), rng)
@@ -234,7 +235,7 @@ def test_key_update_components_bind_epoch_and_node():
 
 
 def test_ciphertext_components_share_one_randomness():
-    ctx = new_context(TRANSPARENT, seed=0)
+    ctx = new_context(TRANSPARENT)
     rng = SeededRng("ct-logs")
     pp, _, _, _ = make_world(ctx, rng)
     p = ctx.prime_order
@@ -253,7 +254,7 @@ def test_ciphertext_components_share_one_randomness():
 
 
 def test_updated_ciphertext_folds_to_exact_epoch_base():
-    ctx = new_context(TRANSPARENT, seed=0)
+    ctx = new_context(TRANSPARENT)
     rng = SeededRng("fold-logs")
     pp, _, _, _ = make_world(ctx, rng)
     p = ctx.prime_order
@@ -274,7 +275,7 @@ def test_updated_ciphertext_folds_to_exact_epoch_base():
 
 def test_decrypt_decomposes_into_share_and_epoch_layers():
     # the fused product in decrypt equals the two-layer textbook form
-    ctx = new_context(TRANSPARENT, seed=0)
+    ctx = new_context(TRANSPARENT)
     rng = SeededRng("decomp")
     pp, mk, state, rl = make_world(ctx, rng)
     policy = parse_policy("1 AND 2")
@@ -302,7 +303,7 @@ def test_decrypt_decomposes_into_share_and_epoch_layers():
 
 
 def test_revocation_blocks_key_derivation():
-    ctx = new_context(TRANSPARENT, seed=0)
+    ctx = new_context(TRANSPARENT)
     rng = SeededRng("revoke")
     pp, mk, state, rl = make_world(ctx, rng)
     sk_a = keygen(pp, mk, state, "alice", parse_policy("1"), rng)
@@ -321,7 +322,7 @@ def test_revocation_blocks_key_derivation():
 
 
 def test_forward_update_always_possible():
-    ctx = new_context(TRANSPARENT, seed=0)
+    ctx = new_context(TRANSPARENT)
     rng = SeededRng("forward")
     pp, mk, state, rl = make_world(ctx, rng, max_time=16)
     sk = keygen(pp, mk, state, "alice", parse_policy("1"), rng)
@@ -338,18 +339,21 @@ def test_forward_update_always_possible():
 
 
 def test_backward_update_is_refused_but_folding_is_not():
-    ctx = new_context(TRANSPARENT, seed=0)
+    ctx = new_context(TRANSPARENT)
     rng = SeededRng("backward")
     pp, _, _, _ = make_world(ctx, rng)
     msg = ctx.random_element(SIDE_TARGET, rng)
     ct = encrypt(pp, {1}, 7, msg, rng)
     assert update_ct(pp, ct, 5, rng) is None
+    for epoch in (0, 32):  # epoch 0 lies before every ciphertext yet is refused, not None
+        with pytest.raises(EpochRangeError, match=f"epoch {epoch} outside"):
+            update_ct(pp, ct, epoch, rng)
     folded = fold_ciphertext(pp, ct, 5, rng)
     assert folded.epoch == 5
 
 
 def test_folding_fails_without_the_needed_slots():
-    ctx = new_context(TRANSPARENT, seed=0)
+    ctx = new_context(TRANSPARENT)
     rng = SeededRng("missing")
     pp, _, _, _ = make_world(ctx, rng, max_time=8)
     msg = ctx.random_element(SIDE_TARGET, rng)
@@ -365,7 +369,7 @@ def test_folding_fails_without_the_needed_slots():
 
 
 def test_decrypt_rejects_unsatisfied_policy():
-    ctx = new_context(TRANSPARENT, seed=0)
+    ctx = new_context(TRANSPARENT)
     rng = SeededRng("unsat")
     pp, mk, state, rl = make_world(ctx, rng)
     sk = keygen(pp, mk, state, "alice", parse_policy("1 AND 2"), rng)
@@ -377,7 +381,7 @@ def test_decrypt_rejects_unsatisfied_policy():
 
 
 def test_decrypt_rejects_ciphertext_missing_an_attribute_component():
-    ctx = new_context(TRANSPARENT, seed=0)
+    ctx = new_context(TRANSPARENT)
     rng = SeededRng("shape-ct")
     pp, mk, state, rl = make_world(ctx, rng)
     dk = derive_dk(keygen(pp, mk, state, "alice", parse_policy("1 AND 2"), rng),
@@ -394,7 +398,7 @@ def test_decrypt_rejects_ciphertext_missing_an_attribute_component():
 
 
 def test_decrypt_rejects_key_with_wrong_row_count():
-    ctx = new_context(TRANSPARENT, seed=0)
+    ctx = new_context(TRANSPARENT)
     rng = SeededRng("shape-dk")
     pp, mk, state, rl = make_world(ctx, rng)
     dk = derive_dk(keygen(pp, mk, state, "alice", parse_policy("1 AND (2 OR 3)"), rng),
@@ -410,7 +414,7 @@ def test_decrypt_rejects_key_with_wrong_row_count():
 
 
 def test_params_and_private_keys_check_their_shapes():
-    ctx = new_context(TRANSPARENT, seed=0)
+    ctx = new_context(TRANSPARENT)
     rng = SeededRng("shape-pp")
     pp, mk, state, rl = make_world(ctx, rng)
     with pytest.raises(ParameterError, match="'attr_max' is 0, not at least 1"):
@@ -427,7 +431,7 @@ def test_params_and_private_keys_check_their_shapes():
 
 
 def test_epoch_mismatch_yields_garbage_not_plaintext():
-    ctx = new_context(TRANSPARENT, seed=0)
+    ctx = new_context(TRANSPARENT)
     rng = SeededRng("mismatch")
     pp, mk, state, rl = make_world(ctx, rng)
     sk = keygen(pp, mk, state, "alice", parse_policy("1"), rng)
@@ -438,7 +442,7 @@ def test_epoch_mismatch_yields_garbage_not_plaintext():
 
 
 def test_derive_dk_rejects_overlapping_cover():
-    ctx = new_context(TRANSPARENT, seed=0)
+    ctx = new_context(TRANSPARENT)
     rng = SeededRng("overlap")
     pp, mk, state, rl = make_world(ctx, rng)
     sk = keygen(pp, mk, state, "alice", parse_policy("1"), rng)
@@ -451,7 +455,7 @@ def test_derive_dk_rejects_overlapping_cover():
 
 
 def test_input_validation():
-    ctx = new_context(TRANSPARENT, seed=0)
+    ctx = new_context(TRANSPARENT)
     rng = SeededRng("validate")
     pp, mk, state, rl = make_world(ctx, rng)
     msg = ctx.random_element(SIDE_TARGET, rng)
@@ -463,7 +467,7 @@ def test_input_validation():
         update_key(pp, mk, state, rl, 32, rng)
     with pytest.raises(SideMismatchError):
         encrypt(pp, {1}, 5, ctx.random_element(SIDE_ONE, rng), rng)
-    other = new_context(TRANSPARENT, seed=3)
+    other = TransparentContext(2**31 - 1)
     with pytest.raises(SideMismatchError):
         encrypt(pp, {1}, 5, other.random_element(SIDE_TARGET, rng), rng)
     with pytest.raises(ParameterError):
@@ -474,7 +478,7 @@ def test_input_validation():
 
 def test_seeded_runs_reproduce_artifacts_bit_for_bit():
     def build(seed):
-        ctx = new_context(TRANSPARENT, seed=1)
+        ctx = new_context(TRANSPARENT)
         rng = SeededRng(seed)
         pp, mk, state, rl = make_world(ctx, rng)
         sk = keygen(pp, mk, state, "alice", parse_policy("1 OR 2"), rng)
@@ -500,7 +504,7 @@ def test_quick_tour_in_the_package_docstring_runs():
 def context_world():
     """A transparent 8/32/4 deployment with bob revoked at epoch 3, so the
     cover at epoch 25 is {3, 5, 8} and alice's dk sits at her leaf, 8."""
-    ctx = new_context(TRANSPARENT, seed=0)
+    ctx = new_context(TRANSPARENT)
     rng = SeededRng("context-checks")
     pp, mk, state, rl = make_world(ctx, rng)
     policy = parse_policy("1 AND (2 OR 3)")
@@ -590,7 +594,7 @@ def test_each_context_check_refuses_its_tampered_artifact(context_world, case):
 def test_every_artifact_a_run_makes_passes_its_check(backend, widths, users):
     """Keys at every depth of the cover, with users revoked at drawn epochs,
     and ciphertexts moved forward, at several epoch widths."""
-    ctx = new_context(backend, seed=0)
+    ctx = new_context(backend)
     checked = {"sk": 0, "ku": 0, "dk": 0, "ct": 0, "ct2": 0}
     dk_nodes = set()
     for max_time in widths:

@@ -32,7 +32,6 @@ def test_epoch_bits_examples():
     assert epoch_bits(25, 32) == "11001"
     assert epoch_bits(1, 32) == "00001"
     assert epoch_bits(31, 32) == "11111"
-    assert epoch_bits(0, 32) == "00000"
 
 
 def test_epoch_bits_range_checks():
@@ -40,9 +39,12 @@ def test_epoch_bits_range_checks():
         epoch_bits(32, 32)
     with pytest.raises(EpochRangeError):
         epoch_bits(-1, 32)
-    check_epoch(0, 32)
-    with pytest.raises(EpochRangeError):
-        check_epoch(0, 32, allow_zero=False)
+    check_epoch(1, 32)
+    check_epoch(31, 32)
+    # epoch 0 is reserved: no encoding, key update or ciphertext has it
+    for refuse in (check_epoch, epoch_bits, ct_epoch_bits, backdatable_epochs):
+        with pytest.raises(EpochRangeError, match=r"epoch 0 outside \[1, 31\]"):
+            refuse(0, 32)
     with pytest.raises(ParameterError):
         bit_width(12)
 

@@ -66,7 +66,7 @@ def test_path_runs_root_to_leaf():
 
 
 def test_node_secrets_are_cached():
-    ctx = new_context(TRANSPARENT, seed=0)
+    ctx = new_context(TRANSPARENT)
     state = TreeState(capacity=4)
     rng = SeededRng("secrets")
     s1 = state.get_or_create_secret(3, ctx, rng)
