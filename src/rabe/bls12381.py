@@ -1,49 +1,22 @@
 """BLS12-381 pairing curve, pure Python.
 
-Field tower: Fq2 = Fq[u]/(u^2+1), Fq6 = Fq2[v]/(v^3 - xi) with xi = u+1,
-Fq12 = Fq6[w]/(w^2 - v).  Elements are nested tuples of ints; all functions
-are free functions over those tuples, which keeps the hot paths free of
-attribute lookups.  Every coefficient a function takes or returns lies in
-[0, P); inside, the Fq6 and Fq12 kernels, the G2 point formulas and the
-Miller doubling line work on unpacked ints and reduce lazily, keeping
-products unreduced where only sums take them and reducing each output
-coefficient once.
+The module owns:
 
-G1 is E(Fq): y^2 = x^3 + 4, G2 is the sextic twist E'(Fq2): y^2 = x^3 +
-4(u+1), and GT is the order-r subgroup of Fq12*, generated by the constant
-GT_GEN = e(G1_GEN, G2_GEN) (the scheme's setup
-makes its blinding base e(g^alpha, g2) as a power of it, and pp stores
-that base).  Points are affine pairs (or None for infinity);
-scalar multiplication runs on Jacobian coordinates internally, with one
-doubling (EFD dbl-2009-l) and one mixed Jacobian + affine addition
-(madd-2007-bl) per group, written on plain ints on G1 and
-on unpacked Fq2 coefficients on G2.  One scalar driver serves G1,
-G2 and GT.  It splits a full-length scalar by a cheap endomorphism of each
-group (GLV/GLS, Galbraith-Scott): -phi, with phi(x, y) = (beta x, y), acts
-on G1 as [z^2], -psi, with psi the untwist-Frobenius-twist map, acts on G2
-as [|z|], and conj o Frobenius acts on GT as [|z|], so the scalar becomes
-two 128-bit or four 64-bit digits.  The digits share one width-4 wNAF
-doubling chain, or run Horner-style over a fixed-base table of the base
-for one digit, which a base earns after five such scalars and keeps while
-it is among its group's 24 most recently used tables: width 8 for the G1
-and G2 generators, width 4 for any other base, GT_GEN among them.  Short
-powers are a signed binary chain: a scalar no longer than the radix runs
-one doubling per digit of its NAF and one mixed addition of the base or
-its negation per nonzero digit, with no table.  The same maps give the
-membership tests (Scott, ePrint 2021/1130), which need only such a power
-by z^2 or |z|.
-Points are encoded uncompressed, x and y both, so decoding one takes no
-square root: a decoded point is range-checked, then put through the
-membership test, which checks the curve equation first.  The pairing is
-the ate pairing: a Miller loop over the curve parameter that keeps the
-running point on the twist in homogeneous projective coordinates and
-yields each line as a sparse Fq12 element (no inversions), then the final
-exponentiation split into the easy part and a hard part of powers by |z|.
-A G2 argument's lines are made once, free of the G1 argument, and kept
-while it is in repeated use; a pair then costs the scaling of its lines.
-The one pairing entry, pairing_product, runs one shared Miller loop for all
-its pairs: one squaring per bit, the lines of every pair multiplied in,
-and one final exponentiation over the product.
+* the field tower Fq2 = Fq[u]/(u^2+1), Fq6 = Fq2[v]/(v^3 - xi) with
+  xi = u+1, Fq12 = Fq6[w]/(w^2 - v), as free functions over nested tuples
+  of ints, every coefficient in [0, P);
+* G1 = E(Fq): y^2 = x^3 + 4 and G2 on the sextic twist E'(Fq2):
+  y^2 = x^3 + 4(u+1), as affine pairs (None for infinity), and GT, the
+  order-r subgroup of Fq12*, with the generators G1_GEN, G2_GEN and
+  GT_GEN = e(G1_GEN, G2_GEN) as constants;
+* one scalar multiplication routine shared by G1, G2 and GT;
+* the one pairing entry, pairing_product: the ate pairing as one shared
+  Miller loop over its pairs and one final exponentiation, whose outputs
+  are the cube of the textbook pairing;
+* the codecs, uncompressed points (range, curve and subgroup checks) and
+  Fq12 elements, and GT membership, gt_is_valid.
+
+Each section below states its mechanism.
 """
 
 from __future__ import annotations

@@ -201,12 +201,8 @@ def cmd_keygen(args):
 
 def cmd_update_key(args):
     phash, pp, mk, tree, rl = _load_state(args.state)
-    held = len(tree.node_secrets)
     ku = update_key(pp, mk, tree, rl, args.epoch, _rng_for(_resolve_seed(args)))
-    pairs = [_artifact(args.out, "ku", pp, phash, serial.ku_payload(ku))]
-    if len(tree.node_secrets) != held:  # a new node secret is the one change it makes
-        pairs.append(_state(args.state, pp, mk, tree, rl))
-    serial.write_envelopes(pairs)
+    serial.write_envelopes([_artifact(args.out, "ku", pp, phash, serial.ku_payload(ku))])
     print(f"key update for epoch {args.epoch}: {len(ku.parts)} cover node(s)")
     print(f"wrote ku to {args.out}")
     return EXIT_OK
@@ -220,7 +216,7 @@ def cmd_revoke(args):
     return EXIT_OK
 
 
-_STATE_WRITERS = (cmd_setup, cmd_keygen, cmd_update_key, cmd_revoke)  # each runs under _state_lock
+_STATE_WRITERS = (cmd_setup, cmd_keygen, cmd_revoke)  # each runs under _state_lock
 
 
 def cmd_encrypt(args):
@@ -318,13 +314,8 @@ def cmd_attack_demo(args):
     if seed is None:
         seed = int.from_bytes(os.urandom(4), "big")
         print(f"seed: {seed} (drawn from the system; pass --seed to reproduce)")
-    if args.state:
-        pp = _load_state(args.state)[1]
-        ctx = pp.ctx
-        n_users, max_time, attr_max = pp.n_users, pp.max_time, pp.attr_max
-    else:
-        ctx = new_context(args.backend)
-        n_users, max_time, attr_max = args.users, args.max_time, args.attr_bound
+    ctx = new_context(args.backend)
+    max_time = args.max_time
 
     bit_width(max_time)  # the range first: the default t* below presumes a valid one
     t_star = args.t_star
@@ -355,9 +346,9 @@ def cmd_attack_demo(args):
         seed=seed,
         mode=mode,
         adversary_cls=lambda rng: game.BackdateAdversary(rng, t_star=t_star, t=t),
-        n_users=n_users,
+        n_users=args.users,
         max_time=max_time,
-        attr_max=attr_max,
+        attr_max=args.attr_bound,
         capture_all=bool(args.transcripts),  # each envelope names its trial's parameters
     )
     _print_narrative(transcripts[0])
@@ -534,8 +525,6 @@ def _build_parser():
     p.add_argument("--out", help="write the recovered msg envelope")
 
     p = add("attack-demo", cmd_attack_demo, "run the five-step backdating adversary", state=False)
-    p.add_argument("--state", help="take the backend and sizes from a state file "
-                   "(each trial still runs its own setup)")
     p.add_argument("--backend", choices=BACKENDS, default=TRANSPARENT)
     p.add_argument("--users", type=int, default=8)
     p.add_argument("--max-time", type=int, default=32)

@@ -2,7 +2,8 @@
 
 Roles and artifacts:
 
-* setup: public parameters, master key, user tree, empty revocation list.
+* setup: public parameters, master key, user tree (a secret per node),
+  empty revocation list.
 * keygen: a per-user private key; one share vector of the node secret per
   tree node on the user's leaf path, blinded row-wise.
 * update_key: the broadcast key update for an epoch, one component pair per
@@ -68,7 +69,6 @@ def _mirror(ctx: BilinearContext, exponent: Scalar) -> MirroredPair:
 @dataclass
 class PublicParams:
     ctx: BilinearContext
-    n_users: int
     max_time: int
     attr_max: int
     blind: GroupElement           # target side: e(g^alpha, g2), every message's blinding
@@ -81,8 +81,6 @@ class PublicParams:
     _t_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n_users < 1:
-            raise ParameterError(f"field 'n_users' is {self.n_users}, not at least 1")
         if self.attr_max < 1:
             raise ParameterError(f"field 'attr_max' is {self.attr_max}, not at least 1")
         for name, count in ("t_gens", self.attr_max), ("u_gens", bit_width(self.max_time)):
@@ -94,9 +92,7 @@ class PublicParams:
         """The attribute generator T(x) = g2^(x^n) * prod T_i^(L_i(x)), L_i
         the Lagrange basis over the anchors 1..n.  Attributes lie in 1..n,
         each an anchor, where L_i(x) is 1 at i = x and 0 elsewhere; so this
-        computes T(x) = g2^(x^n) * T_x, and refuses any x outside 1..n.  (The
-        large-universe scheme interpolates over 1..n+1; at an anchor x in
-        1..n its T(x) is the same g2^(x^n) * T_x whatever T_(n+1) is.)"""
+        computes T(x) = g2^(x^n) * T_x, and refuses any x outside 1..n."""
         key = (side, x)
         cached = self._t_cache.get(key)
         if cached is not None:
@@ -250,16 +246,13 @@ def setup(
     rng,
 ) -> tuple[PublicParams, MasterKey, TreeState, RevocationList]:
     tau = bit_width(max_time)
+    if n_users < 1:
+        raise ParameterError(f"n_users is {n_users}, not at least 1")
     alpha = ctx.random_scalar(rng)
     beta = ctx.random_scalar(rng)
     t_gens = tuple(_mirror(ctx, ctx.random_scalar(rng)) for _ in range(attr_max))
-    # the exponent of the large-universe anchor T_(n+1), which no T(x) on
-    # 1..n reads: drawn and dropped, so that every later draw of a seeded
-    # setup (u0, the u_j, node secrets, a game's challenge bits) keeps its value
-    ctx.random_scalar(rng)
     pp = PublicParams(
         ctx=ctx,
-        n_users=n_users,
         max_time=max_time,
         attr_max=attr_max,
         # e(g^alpha, g~^beta) = e(g, g~)^(alpha beta): one target-group power,
@@ -273,7 +266,8 @@ def setup(
     capacity = 1
     while capacity < n_users:
         capacity *= 2
-    return pp, MasterKey(alpha), TreeState(capacity), RevocationList()
+    secrets = {node: ctx.random_scalar(rng) for node in range(1, 2 * capacity)}
+    return pp, MasterKey(alpha), TreeState(capacity, secrets), RevocationList()
 
 
 def keygen(
@@ -290,8 +284,7 @@ def keygen(
     leaf = state.assign_leaf(identity)
     parts = {}
     for node in state.path(leaf):
-        node_secret = state.get_or_create_secret(node, pp.ctx, rng)
-        shares = share_secret(policy, node_secret.value, p, rng)
+        shares = share_secret(policy, state.node_secrets[node].value, p, rng)
         rows = []
         for attr, lam in zip(policy.row_attrs, shares):
             r = pp.ctx.random_scalar(rng)
@@ -317,9 +310,8 @@ def update_key(
         base = base * pp.u_gens[j - 1].two
     parts = {}
     for node in sorted(cover_nodes(state, rl, epoch)):
-        node_secret = state.get_or_create_secret(node, pp.ctx, rng)
         r = pp.ctx.random_scalar(rng)
-        d0 = pp.g2.two ** (mk.alpha.value - node_secret.value) * base ** r
+        d0 = pp.g2.two ** (mk.alpha.value - state.node_secrets[node].value) * base ** r
         d1 = pp.ctx.generator(SIDE_TWO) ** r
         parts[node] = (d0, d1)
     return KeyUpdate(epoch=epoch, parts=parts)

@@ -17,10 +17,11 @@ canonical encodings, int-keyed maps with decimal string keys.  Decoding
 type-checks every field and then builds the artifact, whose class checks its
 invariants; either way a malformed payload ends as an EnvelopeError naming the field.
 
-A VERSION 5 payload holds the keys of its record spec below, each fact
+A VERSION 6 payload holds the keys of its record spec below, each fact
 once: a policy is {formula}, its matrix the formula's parse; a ciphertext's
-attribute set is the key set of its c2; a state is {pp, mk, tree, rl}.  pp
-holds what the algorithms read: its group, the blinding base e(g^alpha, g2)
+attribute set is the key set of its c2; a state is {pp, mk, tree, rl}, its
+tree holding a secret for every node.  pp holds what the algorithms read:
+its group, the sizes max_time and attr_max, the blinding base e(g^alpha, g2)
 as a target element, and the anchors T_1..T_n.  The group names the
 backend alone, {"backend": "transparent"} (whose order is the one constant
 groups.TRANSPARENT_MODULUS) or {"backend": "real", "curve": "bls12-381"}.
@@ -64,7 +65,7 @@ from .scheme import (
 )
 from .tree import RevocationList, TreeState
 
-VERSION = 5
+VERSION = 6
 
 KINDS = (
     "pp",
@@ -248,7 +249,6 @@ def context_from_payload(data: dict) -> BilinearContext:
 # payload encoder and decoder, and pp adds the "group" it is read in
 
 _PP = {
-    "n_users": _INT,
     "max_time": _INT,
     "attr_max": _INT,
     "blind": _element(SIDE_TARGET),

@@ -51,8 +51,6 @@ def ct_epoch_bits(t: int, max_time: int) -> str:
 
 def zero_positions(bits: str) -> frozenset[int]:
     """1-based indices of the 0 bits, position 1 being the most significant."""
-    if not bits or any(b not in "01" for b in bits):
-        raise ParameterError(f"not a bit string: {bits!r}")
     return frozenset(i + 1 for i, b in enumerate(bits) if b == "0")
 
 

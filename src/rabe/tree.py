@@ -2,7 +2,7 @@
 
 Nodes are numbered heap-style: root 1, children of k are 2k and 2k+1,
 leaves occupy [capacity, 2*capacity).  Each user owns one leaf; each node
-carries a lazily created secret.  A key update for epoch t is published for
+carries a secret, drawn at setup.  A key update for epoch t is published for
 the cover set: the minimal set of nodes whose subtrees contain exactly the
 leaves not revoked at t.  A non-revoked user's leaf path meets the cover in
 exactly one node; a revoked user's path misses it entirely.
@@ -19,15 +19,18 @@ from .timecode import check_epoch
 
 @dataclass
 class TreeState:
-    """User tree: leaf assignments plus per-node secrets."""
+    """User tree: leaf assignments plus a secret for every node."""
 
     capacity: int
-    node_secrets: dict[int, Scalar] = field(default_factory=dict)
+    node_secrets: dict[int, Scalar]
     leaf_of: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.capacity < 1 or self.capacity & (self.capacity - 1) != 0:
             raise ParameterError(f"field 'capacity' must be a power of two, got {self.capacity}")
+        nodes = 2 * self.capacity - 1
+        if len(self.node_secrets) != nodes or not all(1 <= n <= nodes for n in self.node_secrets):
+            raise ParameterError(f"field 'secrets' must hold the nodes 1..{nodes}, each once")
         for identity, leaf in self.leaf_of.items():
             if not self.capacity <= leaf < 2 * self.capacity:
                 raise ParameterError(f"field 'leaves': {identity!r} sits at {leaf}, not at a leaf")
@@ -70,14 +73,6 @@ class TreeState:
             node //= 2
         return nodes[::-1]
 
-    def get_or_create_secret(self, node: int, ctx, rng) -> Scalar:
-        self.check_node(node)
-        secret = self.node_secrets.get(node)
-        if secret is None:
-            secret = ctx.random_scalar(rng)
-            self.node_secrets[node] = secret
-        return secret
-
 
 @dataclass
 class RevocationList:
@@ -87,9 +82,7 @@ class RevocationList:
 
     def add(self, identity: str, epoch: int, max_time: int) -> None:
         check_epoch(epoch, max_time)
-        current = self.epochs.get(identity)
-        if current is None or epoch < current:
-            self.epochs[identity] = epoch
+        self.epochs[identity] = min(epoch, self.epochs.get(identity, epoch))
 
     def revoked_at(self, identity: str, epoch: int) -> bool:
         first = self.epochs.get(identity)

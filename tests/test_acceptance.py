@@ -347,7 +347,8 @@ def _run_scenario(ctx, pp, mk, state, rl, scenario, rng, pool=None, tag=""):
 
 def _scenario_sweep(count: int, pool, seed=SEED):
     """count random scenarios, each run on both backends.  The real
-    deployment is shared across scenarios (fresh trees and keys per run);
+    deployment is shared across scenarios (a fresh tree, with fresh node
+    secrets, and fresh keys per run);
     the transparent side does a full setup each time so the audit pool gets
     independent deployments."""
     max_time, attr_max = 16, 8
@@ -364,10 +365,9 @@ def _scenario_sweep(count: int, pool, seed=SEED):
         t_good += _run_scenario(
             t_ctx, pp, mk, state, rl, scenario, t_rng, pool, f"scenario {i}"
         )
-        r_good += _run_scenario(
-            r_ctx, r_pp, r_mk, TreeState(2), RevocationList(), scenario,
-            srng.child("real"),
-        )
+        run_rng = srng.child("real")
+        r_tree = TreeState(2, {node: r_ctx.random_scalar(run_rng) for node in (1, 2, 3)})
+        r_good += _run_scenario(r_ctx, r_pp, r_mk, r_tree, RevocationList(), scenario, run_rng)
     return t_good, r_good
 
 

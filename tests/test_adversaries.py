@@ -7,12 +7,15 @@ These adversaries use only the group operations and the oracles the weaker
 model allows, and must stay at a coin flip.
 """
 
+import dataclasses
+
 from rabe import audit
-from rabe.game import WEAKER, challenger_run, run_game_trials
-from rabe.groups import SIDE_TARGET, new_context
+from rabe.game import WEAKER, _draw_messages, backdate_ciphertext, challenger_run, run_game_trials
+from rabe.groups import new_context
 from rabe.policy import parse_policy
 from rabe.rng import SeededRng
-from rabe.scheme import DecryptionKey, decrypt, update_ct
+from rabe.scheme import DecryptionKey, decrypt, derive_dk, update_ct
+from rabe.timecode import backdatable_epochs
 
 ROOT = 1  # the tree's root lies on every path
 
@@ -56,11 +59,7 @@ class CollusionAdversary:
         self.artifacts["dk"] = self.dk
 
     def challenge(self):
-        ctx, rng = self.pp.ctx, self.rng
-        self.m0 = ctx.random_element(SIDE_TARGET, rng)
-        self.m1 = ctx.random_element(SIDE_TARGET, rng)
-        while self.m1 == self.m0:
-            self.m1 = ctx.random_element(SIDE_TARGET, rng)
+        self.m0, self.m1 = _draw_messages(self.pp.ctx, self.rng)
         return self.t_star, self.m0, self.m1
 
     def phase2(self, ct_star, oracles):
@@ -99,4 +98,92 @@ def test_colluded_shares_do_not_recombine_to_the_root_secret():
     print(f"\n{recombined}")
     assert not recombined.ok
     assert recombined.expected == int(art["tree"].node_secrets[ROOT])
+    assert recombined.actual != recombined.expected
+
+
+class MixingAdversary:
+    """One live key, mixed with the key updates of several epochs.
+
+    It commits to the target {1, 2} and queries one key for "1 AND 3", which
+    the target does not satisfy and which is never revoked, so the weaker
+    model hands it out.  It takes the key updates of up to four epochs the
+    challenge epoch can be rewound to, backdates the challenge ciphertext
+    to each, and decrypts each with a "1" key: the key's row for attribute 1
+    at the node where its path meets that update's cover, with the update's
+    pair.  That row holds one share of "1 AND 3", not the node secret, so
+    no epoch's update cancels it: every result matches neither message,
+    and it guesses at random.
+    """
+
+    TARGET = frozenset({1, 2})
+    MIXED = parse_policy("1")
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.notes = {"strategy": "mixing"}
+        self.artifacts = {}
+
+    def begin(self, attr_max, max_time):
+        self.t_star = 2 + self.rng.randbelow(max_time // 2 - 2)  # every earlier epoch rewinds
+        self.epochs = backdatable_epochs(self.t_star, max_time)[-4:]
+        return self.TARGET
+
+    def phase1(self, pp, oracles):
+        self.pp = pp
+        sk = oracles.private_key("mixer", parse_policy("1 AND 3"))
+        self.dks = {}
+        for t in self.epochs:
+            dk = derive_dk(sk, oracles.key_update(t))  # mixer is live: one node meets the cover
+            row = dk.rows[dk.policy.row_attrs.index(1)]
+            self.dks[t] = dataclasses.replace(dk, policy=self.MIXED, rows=(row,))
+        self.artifacts.update({"sk": sk, "dk": self.dks[self.epochs[-1]]})
+
+    def challenge(self):
+        self.m0, self.m1 = _draw_messages(self.pp.ctx, self.rng)
+        return self.t_star, self.m0, self.m1
+
+    def phase2(self, ct_star, oracles):
+        messages = (self.m0, self.m1)
+        matched = []
+        for t, dk in self.dks.items():
+            recovered = decrypt(self.pp, backdate_ciphertext(self.pp, ct_star, t, self.rng), dk)
+            matched.append(messages.index(recovered) if recovered in messages else None)
+        self.notes["recovered_matches"] = matched
+        hits = [b for b in matched if b is not None]
+        self._guess = hits[0] if hits else self.rng.randbelow(2)
+
+    def guess(self):
+        return self._guess
+
+
+def test_mixing_adversary_is_coin_flip():
+    trs = run_game_trials(1000, ctx=new_context(), seed="mixing", mode=WEAKER,
+                          adversary_cls=MixingAdversary)
+    rate = sum(tr.won for tr in trs) / 1000
+    assert all(tr.outcome != "abort" for tr in trs)
+    assert all(set(tr.notes["recovered_matches"]) == {None} for tr in trs)
+    assert sum(len(tr.notes["recovered_matches"]) for tr in trs) > 2000  # several epochs a game
+    assert 0.45 <= rate <= 0.55
+
+
+def test_mixed_shares_do_not_recombine_to_the_node_secret():
+    """The exponent-level reason, from the audit's logs: the key itself is
+    honest, its rows recombining to each path node's secret, and so is the
+    update; the lone attribute-1 row is one share of "1 AND 3" and lies in
+    the "1" span, yet is another value than the node's secret, so the
+    update's g2^(alpha - secret) does not cancel."""
+    rng = SeededRng("mixing/audit")
+    tr = challenger_run(MixingAdversary(rng.child("adversary")), ctx=new_context(),
+                        rng=rng.child("challenger"), mode=WEAKER, capture=True)
+    art = tr.artifacts
+    assert not audit.failures(audit.audit_private_key(art["pp"], art["mk"], art["tree"],
+                                                      art["sk"]))
+    checks = {c.label.rpartition(": ")[2]: c
+              for c in audit.audit_decryption_key(art["pp"], art["mk"], art["tree"], art["dk"])}
+    assert checks["row shares lie in the policy span"].ok
+    assert checks["d0 = g2^(alpha - secret) * base^r"].ok
+    recombined = checks["shares recombine to the node secret"]
+    print(f"\n{recombined}")
+    assert not recombined.ok
+    assert recombined.expected == int(art["tree"].node_secrets[art["dk"].node])
     assert recombined.actual != recombined.expected

@@ -161,7 +161,7 @@ def test_mirror_violation_in_params_is_flagged():
     from rabe.scheme import MirroredPair, PublicParams
 
     crooked = PublicParams(
-        ctx=pp.ctx, n_users=pp.n_users, max_time=pp.max_time, attr_max=pp.attr_max,
+        ctx=pp.ctx, max_time=pp.max_time, attr_max=pp.attr_max,
         blind=pp.blind, g2=pp.g2, t_gens=pp.t_gens,
         u0=MirroredPair(pp.u0.one, pp.u0.two * h), u_gens=pp.u_gens,
     )

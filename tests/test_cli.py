@@ -280,12 +280,14 @@ def test_attack_demo_rejects_an_epoch_range_too_small_for_any_pair(capsys, max_t
     assert "epoch" not in err and "Traceback" not in out + err
 
 
-def test_attack_demo_on_existing_state(tmp_path, capsys):
-    state = tmp_path / "state.json"
-    run(capsys, "setup", "--state", state, "--max-time", 16, "--seed", 2)
-    code, out, _ = run(capsys, "attack-demo", "--state", state, "--seed", 2, "--trials", 2)
+def test_attack_demo_takes_its_sizes_from_its_options(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    code, out, _ = run(capsys, "attack-demo", "--users", 2, "--max-time", 8, "--attr-bound", 2,
+                       "--seed", 2, "--trials", 2, "--out", report)
     assert code == EXIT_OK
-    assert "challenge epoch 7" in out
+    assert "challenge epoch 3 rewound to 2" in out
+    sizes = json.loads(report.read_text())
+    assert (sizes["n_users"], sizes["max_time"], sizes["attr_max"]) == (2, 8, 2)
 
 
 def test_lemma_check_single_pair(capsys):
@@ -364,6 +366,8 @@ USAGE_ERRORS = {
     "epoch-not-an-integer": ["update-key", "--state", "s.json", "--epoch", "x", "--out", "k.json"],
     "unknown-subcommand": ["frobnicate", "--state", "s.json"],
     "unknown-flag": ["setup", "--state", "s.json", "--frobnicate"],
+    # each trial runs its own setup from the size options: no state is read
+    "attack-demo-with-state": ["attack-demo", "--state", "s.json", "--trials", "1"],
 }
 
 
@@ -508,8 +512,8 @@ MUTATIONS = {
                         ("'epochs' must be int",)),
     "epoch-a-string": ("dk", _set("payload", "epoch", "7"), DECRYPT, ("'epoch'",)),
     "epoch-true": ("dk", _set("payload", "epoch", True), DECRYPT, ("'epoch'", "got bool")),
-    "n_users-a-string": ("state", _set("payload", "pp", "n_users", "8"), UPDATE_KEY,
-                         ("'n_users'",)),
+    "max_time-a-string": ("state", _set("payload", "pp", "max_time", "32"), UPDATE_KEY,
+                          ("'max_time' must be int",)),
     "ku-row-of-three": ("ku", _set("payload", "parts", lambda parts: {
         k: v + v[:1] for k, v in parts.items()}), DERIVE_DK, ("'parts'",)),
     "e2-key-not-canonical": ("ct", _set("payload", "e2", lambda e2: {
@@ -535,6 +539,7 @@ MUTATIONS = {
     "version-2": ("ku", _set("version", 2), DERIVE_DK, ("unsupported envelope version 2",)),
     "version-3": ("ku", _set("version", 3), DERIVE_DK, ("unsupported envelope version 3",)),
     "version-4": ("ku", _set("version", 4), DERIVE_DK, ("unsupported envelope version 4",)),
+    "version-5": ("ku", _set("version", 5), DERIVE_DK, ("unsupported envelope version 5",)),
     # the envelope's backend is the one statement of the backend its elements
     # are encoded for; it must be the deployment's
     "sk-backend-bogus": ("sk", _set("backend", "bogus"), DERIVE_DK, ("'backend'", "'bogus'")),
@@ -550,6 +555,14 @@ MUTATIONS = {
                           DERIVE_DK, ("'parts'",)),
     "t_gens-short": ("state", _set("payload", "pp", "t_gens", lambda gens: gens[:-1]), UPDATE_KEY,
                      ("'t_gens'",)),
+    # setup draws a secret for each node 1..15 of the capacity-8 tree
+    "secrets-node-dropped": ("state", _drop("payload", "tree", "secrets", "15"), UPDATE_KEY,
+                             ("'secrets'", "nodes 1..15")),
+    "secrets-node-added": ("state", _set("payload", "tree", "secrets", lambda secrets: {
+        **secrets, "16": secrets["1"]}), UPDATE_KEY, ("'secrets'", "nodes 1..15")),
+    "secrets-node-moved": ("state", _set("payload", "tree", "secrets", lambda secrets: {
+        **{k: v for k, v in secrets.items() if k != "15"}, "16": secrets["1"]}), UPDATE_KEY,
+                           ("'secrets'", "nodes 1..15")),
     "leaves-shared": ("state", _set("payload", "tree", "leaves", lambda leaves: {
         **leaves, "bob": leaves["alice"]}), UPDATE_KEY, ("'leaves'",)),
     "leaf-past-the-tree": ("state", _set("payload", "tree", "leaves", {"alice": 16}), UPDATE_KEY,

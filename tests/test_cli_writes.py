@@ -59,8 +59,8 @@ WALK = [
     ("decrypt", "--state", "s.json", "--ct", "ct7.json", "--dk", "alice.dk7",
      "--expect", "msg.json", "--out", "got.json"),
     ("revoke", "--state", "s.json", "--id", "alice", "--epoch", 9),
-    ("attack-demo", "--state", "s.json", "--seed", 7, "--trials", 2,
-     "--out", "report.json", "--transcripts", "runs"),
+    ("attack-demo", "--seed", 7, "--trials", 2, "--users", 8, "--max-time", 32,
+     "--attr-bound", 4, "--out", "report.json", "--transcripts", "runs"),
 ]
 
 
@@ -77,43 +77,43 @@ def _mask_timings(text: str) -> str:
 
 WALK_SHA256 = {
     "setup": {
-        "s.json": "927f2dfc6bb25106c0a633afc6480e0784cec05e6dee1a2f9b68fbd147730f62",
-        "stdout": "5ef324ac3e658e5eac55da0a50b90b59aeaf904ae807eeb6e4dbbb46afcd6d5b",
+        "s.json": "e848b7f3cd8c6061481d5591292c29ede737e98fb7edc25110c46c4a9bf82a7a",
+        "stdout": "82ddea532370fd44b80a93842284ba20e873f884e977dd6972cbea0f3adcec30",
     },
     "keygen": {
-        "s.json": "e74a70e624acfa85f63d8b00b52e63da6466b7a9985250fd6d9f13343096d735",
-        "alice.sk": "285480a277a9f9a7a0d7269620495b452a8292ad8e17c51b9adddc6f1e7857b6",
+        "s.json": "ad0760557f67b459774fd909d0895ce4e303203967ac64ec7014fc7befded240",
+        "alice.sk": "a10993cc2f881c96d2009bf4453f2d0a6551c2d4332c15bce585d68d35533298",
         "stdout": "af41dd1676e755f2d137b87095e8cff5a1644da2fca36a9b09e3358eaec04007",
     },
     "update-key": {
-        "ku7.json": "76d84fd0240a7297ae464ea7b5111e468a06228a41b83c513b1c2f4a5a8ae183",
+        "ku7.json": "dd222f1547114d50da94f091a963ef01c7bcf6414f5a02c2a36950e302ca1e73",
         "stdout": "4466bdfe1e3669666a6069e30fe244a87787fa9a09e27c077353ee5880e2ab33",
     },
     "derive-dk": {
-        "alice.dk7": "1cada20a24a05b80264e07ddf1f8a05d939b9a6dd89b7ee4268500b2b8cccb43",
+        "alice.dk7": "5cd0c14094e99135b5b31a9d94ba5f17d5c77687862f407179a91bba9387bb42",
         "stdout": "a07d0dd3f2c31d23b4123fffc859ce4c5625f448d74c71fc698ddc3679718fed",
     },
     "encrypt": {
-        "msg.json": "ce411c259d549980d9cdbc47ca933c8bb2193c4228de60c2711252eb987133e9",
-        "ct5.json": "4cbf32e29b8fcf15b283160c2f59c66e3e3b8daa47a0c82032a5103339fc0c64",
+        "msg.json": "0e886e2802d9c5fd7f63238498754066f4159196f3926be40fa1680d34e08c51",
+        "ct5.json": "4aa114250b932908f9d3c23f7e5e6afc35f8c6619c7e9eec8efb16d0dd01e27d",
         "stdout": "c5cae4e38dca36f2736e453789dcabc66f77d1acf43f02b97af880cdba848cd6",
     },
     "update-ct": {
-        "ct7.json": "05eaf1b7073c463aa51739ef5b9960a4413b006caef846194a6ab116b55a80b0",
+        "ct7.json": "388d2423aa3968da52ae909d8e755d6d69cd9be53e96fcd1984573b6ac09748f",
         "stdout": "8e7e263aa3898176f1b477cc346cc62a2d5a4ccfe940c2c903dfbbe4992d20cc",
     },
     "decrypt": {
-        "got.json": "ce411c259d549980d9cdbc47ca933c8bb2193c4228de60c2711252eb987133e9",
+        "got.json": "0e886e2802d9c5fd7f63238498754066f4159196f3926be40fa1680d34e08c51",
         "stdout": "2fe0b8603dfe212c19420e75a22eb7a08973fcb29584655d6f077d775344e151",
     },
     "revoke": {
-        "s.json": "9964c0328139656510b5b0fedb918489dce5ddc7d779d861b4b22cf96b3b6b2e",
+        "s.json": "4c704e01464a1f06eb0d06448d29a7784e2e974a152f6c0444ccaaa5dc73dffc",
         "stdout": "927fc8de031cbe1be52466cfad22655d5a3cb0c4270397f363224b27856ecd40",
     },
     "attack-demo": {
         "report.json": "cd790dcd10e4b4aff5355c1981d94afb3b9cfbf9077166f7c9d9388445181ee5",
-        "runs/trial-0000.json": "de9b2d189cfa72976ab1cc4ce154b0a12085d9e5061c9dd0d46819a352cefd92",
-        "runs/trial-0001.json": "ed0f56f686041cd36db27879a1dd86ebcffc57aafd81bccb1226c615f2fa973c",
+        "runs/trial-0000.json": "4fc30b000eb139e96c066eaa298c4a7c85b5411f2e1a54a5031b5e6ab68e7c7f",
+        "runs/trial-0001.json": "ccae492454e5d09afe2947c3ec9ab17b226dc0e72804c51416f260b9ef251ff0",
         "stdout": "3db67702f37183b9117c17885ff3161230799e7d94be9c48dfb9fe6063797cd2",
     },
 }
@@ -169,8 +169,8 @@ def walked(seeded, tmp_path, monkeypatch):
 SAME_PATH = {
     "keygen-out-state": (["keygen", "--state", "s.json", "--id", "bob", "--policy", "1",
                           "--out", "{same}"], "--out", "--state", "s.json"),
-    "attack-demo-out-state": (["attack-demo", "--state", "s.json", "--seed", 1, "--trials", 1,
-                               "--out", "{same}"], "--out", "--state", "s.json"),
+    "update-key-out-state": (["update-key", "--state", "s.json", "--epoch", 8, "--out", "{same}"],
+                             "--out", "--state", "s.json"),
     "update-ct-out-ct": (["update-ct", "--state", "s.json", "--ct", "ct5.json", "--epoch", 8,
                           "--out", "{same}"], "--out", "--ct", "ct5.json"),
     "derive-dk-out-sk": (["derive-dk", "--state", "s.json", "--sk", "alice.sk", "--ku", "ku7.json",
@@ -201,29 +201,30 @@ def test_outputs_naming_an_input_or_output_exit_3(walked, capsys, case, via):
     assert _snapshot(walked) == before
 
 
-@pytest.mark.parametrize("opt, via", [
-    pytest.param("--out", "relative", id="relative"),
-    pytest.param("--out", "symlink", id="symlink"),
-    pytest.param("--state", "relative", id="state-relative"),
-    pytest.param("--state", "symlink", id="state-symlink"),
+@pytest.mark.parametrize("existing, via", [
+    pytest.param(False, "relative", id="relative"),
+    pytest.param(False, "symlink", id="symlink"),
+    pytest.param(True, "relative", id="state-relative"),
+    pytest.param(True, "symlink", id="state-symlink"),
 ])
-def test_an_output_naming_a_transcript_exits_3(walked, capsys, opt, via):
+def test_an_output_naming_a_transcript_exits_3(walked, capsys, existing, via):
     """The transcripts are named inside --transcripts, out of the options'
-    sight: attack-demo refuses an option that names one, the state (and its
-    master key) included, before any trial runs or prints."""
-    if opt == "--state":  # a state file where trial 0's transcript would go
+    sight: attack-demo refuses an --out that names one before any trial runs
+    or prints, whether no file is there yet or a state file (and its master
+    key) is."""
+    if existing:  # a state file where trial 0's transcript would go
         (walked / "runs").mkdir()
         shutil.copy(walked / "s.json", walked / "runs" / "trial-0000.json")
-    (walked / "link.json").symlink_to("runs/trial-0000.json")  # dangling for --out
+    (walked / "link.json").symlink_to("runs/trial-0000.json")  # dangling unless existing
     same = "./runs/trial-0000.json" if via == "relative" else "link.json"
     before = _snapshot(walked)
-    code, out, err = run(capsys, "attack-demo", "--seed", 1, "--trials", 2, opt, same,
+    code, out, err = run(capsys, "attack-demo", "--seed", 1, "--trials", 2, "--out", same,
                          "--transcripts", "runs")
     assert code == EXIT_INVALID and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert same in err and "runs/trial-0000.json" in err.replace(same, "", 1)
-    assert _snapshot(walked) == before  # with --state, runs/ holds the state alone
-    assert opt == "--state" or not (walked / "runs").exists()
+    assert _snapshot(walked) == before  # if existing, runs/ holds the state alone
+    assert existing or not (walked / "runs").exists()
 
 
 def test_only_the_trials_transcript_names_collide_with_out(walked, capsys):
@@ -260,7 +261,7 @@ def test_failed_keygens_use_up_no_leaf(tmp_path, capsys):
 
 
 def test_failed_update_key_keeps_the_state(walked, capsys):
-    # with alice revoked, the update at epoch 20 makes node secrets to store
+    # with alice revoked, the update at epoch 20 covers nodes off her path
     assert run(capsys, "revoke", "--state", "s.json", "--id", "alice", "--epoch", 9)[0] == EXIT_OK
     (walked / "adir").mkdir()
     before = (walked / "s.json").read_bytes()
@@ -269,29 +270,26 @@ def test_failed_update_key_keeps_the_state(walked, capsys):
     assert (walked / "s.json").read_bytes() == before
 
 
-def test_update_key_rewrites_the_state_only_for_a_new_node_secret(walked, capsys):
-    """At epoch 8 nothing is revoked and the cover is the root, whose secret
-    alice's keygen made: the state keeps its file and bytes.  With alice
-    revoked the cover is off her path, where no secret exists yet: the state
-    is replaced and holds the new secrets."""
+def test_update_key_leaves_the_state(walked, capsys):
+    """Setup drew every node secret, so update-key only reads the state: at
+    epoch 8, whose cover is the root, and with alice revoked, whose cover
+    lies off her path, the state keeps its file and its bytes."""
     state = walked / "s.json"
 
     def update_key(epoch):
+        before = os.stat(state).st_ino, state.read_bytes()
         code, _, err = run(capsys, "update-key", "--state", state, "--epoch", epoch,
                            "--out", f"ku{epoch}.json")
         assert code == EXIT_OK, err
         assert (walked / f"ku{epoch}.json").is_file()
         assert not [p for p in walked.rglob("*") if p.name.endswith(".tmp")]
+        assert (os.stat(state).st_ino, state.read_bytes()) == before
 
-    before = os.stat(state).st_ino, state.read_bytes()
     update_key(8)
-    assert (os.stat(state).st_ino, state.read_bytes()) == before
     assert run(capsys, "revoke", "--state", state, "--id", "alice", "--epoch", 9)[0] == EXIT_OK
-    before = os.stat(state).st_ino, state.read_bytes()
-    secrets = json.loads(before[1])["payload"]["tree"]["secrets"]
     update_key(10)
-    assert os.stat(state).st_ino != before[0]
-    assert json.loads(state.read_bytes())["payload"]["tree"]["secrets"].keys() > secrets.keys()
+    assert sorted(json.loads((walked / "ku10.json").read_text())["payload"]["parts"]) == [
+        "3", "5", "9"]
 
 
 def test_an_output_that_is_a_directory_fails_before_any_rename(walked, capsys):
@@ -343,9 +341,9 @@ WRITERS = {
     "keygen": (["keygen", "--state", "s.json", "--id", "bob", "--policy", "1", "--out", "bob.sk",
                 "--seed", 2], ["bob.sk", "s.json"]),
     "update-key": (["update-key", "--state", "s.json", "--epoch", 8, "--out", "ku8.json",
-                    "--seed", 3], ["ku8.json"]),  # the root's secret exists: no state write
-    "update-key-new-secret": (["update-key", "--state", "s.json", "--epoch", 10,
-                               "--out", "ku10.json", "--seed", 3], ["ku10.json", "s.json"]),
+                    "--seed", 3], ["ku8.json"]),
+    "update-key-after-revoke": (["update-key", "--state", "s.json", "--epoch", 10,
+                                 "--out", "ku10.json", "--seed", 3], ["ku10.json"]),
     "revoke": (["revoke", "--state", "s.json", "--id", "alice", "--epoch", 9], ["s.json"]),
     "encrypt": (["encrypt", "--state", "s.json", "--attrs", "1,2", "--epoch", 5,
                  "--random-message", "m2.json", "--out", "c2.json", "--seed", 4],
@@ -362,8 +360,8 @@ WRITERS = {
     "lemma-check": (["lemma-check", "--tau-max", 4, "--out", "table.json"], ["table.json"]),
 }
 # a command run on the seeded state before a case: with alice revoked at 9,
-# the cover at epoch 10 lies off her path, where no node secret exists yet
-BEFORE = {"update-key-new-secret": ["revoke", "--state", "s.json", "--id", "alice", "--epoch", 9]}
+# the cover at epoch 10 lies off her path
+BEFORE = {"update-key-after-revoke": ["revoke", "--state", "s.json", "--id", "alice", "--epoch", 9]}
 
 
 def _fresh(seeded, work, monkeypatch, case):
@@ -428,7 +426,7 @@ def _hold(path):
     return fh
 
 
-@pytest.mark.parametrize("case", ["setup", "keygen", "update-key", "revoke"])
+@pytest.mark.parametrize("case", ["setup", "keygen", "revoke"])
 def test_a_locked_state_exits_4_and_writes_nothing(walked, capsys, monkeypatch, case):
     argv = WRITERS[case][0]
     if case == "setup":  # a new deployment over the existing one
@@ -444,6 +442,18 @@ def test_a_locked_state_exits_4_and_writes_nothing(walked, capsys, monkeypatch, 
     assert _snapshot(walked) == before
     # once the lock is let go, the same command goes through
     assert run(capsys, *argv)[0] == EXIT_OK
+
+
+def test_update_key_runs_while_the_state_is_locked(walked, capsys, monkeypatch):
+    """update-key writes no state, so it takes no lock: it runs while a
+    writer holds the state, and only setup, keygen and revoke wait."""
+    assert cli._STATE_WRITERS == (cli.cmd_setup, cli.cmd_keygen, cli.cmd_revoke)
+    monkeypatch.setattr(cli, "_LOCK_WAIT", 0.2)
+    before = (walked / "s.json").read_bytes()
+    with _hold(walked / "s.json"):
+        code, _, err = run(capsys, *WRITERS["update-key"][0])
+    assert code == EXIT_OK, err
+    assert (walked / "s.json").read_bytes() == before and (walked / "ku8.json").is_file()
 
 
 def test_a_lock_won_on_a_replaced_state_is_taken_again(walked, capsys, monkeypatch):
@@ -534,6 +544,14 @@ ATTR_SETS = [{1, 2, 3}, {1}, {2, 3}, {3}, {1, 2}, {0}]  # 0 is out of range
 CAPACITY, MAX_TIME = 4, 8
 EPOCHS = st.sampled_from([*range(1, MAX_TIME), 0])  # 0 is out of range
 OUTS = st.sampled_from(["ok", "ok", "ok", "dir", "missing", "state"])
+# the kind and decoder of each file the model names by its prefix, messages aside
+ARTIFACT_KINDS = {
+    "sk": ("sk", serial.sk_from_payload),
+    "ku": ("ku", serial.ku_from_payload),
+    "dk": ("dk", serial.dk_from_payload),
+    "ct": ("ct-original", serial.ct_original_from_payload),
+    "ct2": ("ct-updated", serial.ct_updated_from_payload),
+}
 
 
 class CliModel(RuleBasedStateMachine):
@@ -554,6 +572,7 @@ class CliModel(RuleBasedStateMachine):
         self.sk, self.ku, self.dk, self.ct, self.ct2 = {}, {}, {}, {}, {}
         assert self.cli("setup", "--state", "s.json", "--users", CAPACITY,
                         "--max-time", MAX_TIME, "--attr-bound", 3, "--seed", 5)[0] == EXIT_OK
+        self.state = self.state_bytes()
         # one key, one key update and one ciphertext, so every reader has input
         self.keygen("a", "1", "ok")
         self.update_key(4, "ok")
@@ -564,6 +583,10 @@ class CliModel(RuleBasedStateMachine):
 
     def path(self, name):
         return os.path.join(self.dir, name)
+
+    def state_bytes(self):
+        with open(self.path("s.json"), "rb") as fh:
+            return fh.read()
 
     def cli(self, *argv):
         argv = [self.path(a) if str(a).endswith(".json") or a == "adir" else str(a) for a in argv]
@@ -594,6 +617,7 @@ class CliModel(RuleBasedStateMachine):
         if code == EXIT_OK:
             self.leaves.setdefault(who, CAPACITY + len(self.leaves))
             self.sk[who] = policy
+            self.state = self.state_bytes()
 
     @precondition(lambda self: self.leaves)
     @rule(data=st.data(), t=EPOCHS)
@@ -603,6 +627,7 @@ class CliModel(RuleBasedStateMachine):
         assert code == (EXIT_OK if who in self.leaves and t >= 1 else EXIT_INVALID)
         if code == EXIT_OK:
             self.revoked[who] = min(t, self.revoked.get(who, t))
+            self.state = self.state_bytes()
 
     @rule(t=EPOCHS, out_kind=OUTS)
     def update_key(self, t, out_kind):
@@ -664,8 +689,23 @@ class CliModel(RuleBasedStateMachine):
 
     @invariant()
     def leaves_match(self):
-        with open(self.path("s.json"), encoding="utf-8") as fh:
-            assert json.load(fh)["payload"]["tree"]["leaves"] == self.leaves
+        assert json.loads(self.state_bytes())["payload"]["tree"]["leaves"] == self.leaves
+
+    @invariant()
+    def only_keygen_and_revoke_change_the_state(self):
+        """Each of those two records its run's state; any other rule, and a
+        failed keygen or revoke, leaves the bytes as they were."""
+        assert self.state_bytes() == self.state
+
+    @invariant()
+    def every_artifact_passes_its_check(self):
+        """Every key, key update and ciphertext the runs wrote loads as the
+        CLI loads it and passes its kind's check against the current state."""
+        phash, pp, _, tree, _ = cli._load_state(self.path("s.json"))
+        for name in os.listdir(self.dir):
+            if name.split("-")[0] in ARTIFACT_KINDS:
+                kind, decode = ARTIFACT_KINDS[name.split("-")[0]]
+                cli._read_artifact(self.path(name), kind, phash, decode, pp, tree)
 
 
 TestCliModel = CliModel.TestCase

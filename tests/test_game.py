@@ -302,10 +302,10 @@ def test_seeded_trials_reproduce_transcripts_exactly():
 @pytest.mark.parametrize(
     "kwargs, digest",
     [
-        ({}, "1895924b0f4cdbcc0d8cd98188170daf86f04f78d57be6b1c37f6a26d430a4fa"),
-        ({"mode": WEAKER}, "0b54a12214bdc0716a98e087efbe75d09abd02618140769430c596ad5131f21c"),
+        ({}, "c1f0b60ba8a3ac870bd22e326c88373370fb0d325c2b00a836fc01b0aadd2b3e"),
+        ({"mode": WEAKER}, "ba4180be60e7371f7489754cf7325af5bfb97e927191d8685baa787fa376e3a7"),
         ({"adversary_cls": NullAdversary},
-         "0788a3071456803f26f99daae0998b2a7e5a66d685e74de9e9fae65e41229da2"),
+         "db5a0d5ce0a813296c139e2a809dd3eceadc3fe9fbe38c7740ab2537058b8c26"),
     ],
     ids=["standard", "weaker", "null"],
 )

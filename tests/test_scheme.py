@@ -430,6 +430,31 @@ def test_params_and_private_keys_check_their_shapes():
         dataclasses.replace(sk, parts={**sk.parts, 1: sk.parts[1] + sk.parts[1][:1]})
 
 
+def test_setup_draws_every_node_secret_and_keys_only_read_them():
+    """Setup draws a secret for each node 1..2*capacity-1, in node order,
+    after alpha, beta, the T_i, u0 and the u_j; keygen and update_key read
+    the tree's secrets and change none."""
+    ctx = new_context(TRANSPARENT)
+    pp, mk, state, rl = setup(ctx, 5, 16, 3, SeededRng("secrets"))
+    replay = SeededRng("secrets")
+    for _ in range(2 + 3 + 1 + 4):
+        ctx.random_scalar(replay)
+    assert state.capacity == 8
+    assert state.node_secrets == {node: ctx.random_scalar(replay) for node in range(1, 16)}
+    drawn = dict(state.node_secrets)
+    rng = SeededRng("secrets/use")
+    for who in ("alice", "bob", "carol"):
+        keygen(pp, mk, state, who, parse_policy("1 AND 2"), rng)
+    revoke(state, rl, "bob", 3, pp.max_time)
+    for epoch in (2, 3, 9):
+        update_key(pp, mk, state, rl, epoch, rng)
+    assert state.node_secrets == drawn
+    assert setup(ctx, 1, 16, 3, rng)[2].node_secrets.keys() == {1}
+    for n_users in (0, -3):
+        with pytest.raises(ParameterError, match=f"n_users is {n_users}, not at least 1"):
+            setup(ctx, n_users, 16, 3, rng)
+
+
 def test_epoch_mismatch_yields_garbage_not_plaintext():
     ctx = new_context(TRANSPARENT)
     rng = SeededRng("mismatch")

@@ -62,7 +62,8 @@ def test_params_roundtrip_preserves_every_generator():
     payload = serial.pp_payload(pp)
     back = serial.pp_from_payload(payload)
     assert back.ctx.prime_order == ctx.prime_order
-    assert (back.n_users, back.max_time, back.attr_max) == (4, 16, 3)
+    assert (back.max_time, back.attr_max) == (16, 3)
+    assert "n_users" not in payload
     assert back.blind == pp.blind
     assert back.g2.one == pp.g2.one and back.g2.two == pp.g2.two
     assert all(a.one == b.one and a.two == b.two for a, b in zip(back.t_gens, pp.t_gens))
@@ -533,22 +534,22 @@ def test_real_artifact_sizes_match_the_element_formulas():
 
 
 # ---------------------------------------------------------------------------
-# known answers: the bytes envelope VERSION 5 writes, pinned per payload kind;
-# a real payload's bytes are those version 4 wrote
+# known answers: the bytes envelope VERSION 6 writes, pinned per payload kind,
+# and two real payloads
 
 PAYLOAD_PINS = {
-    "pp": "a48e42eb9cc0b46ea3573f09f7fcbc01fed9f8ee5d394081d6608c563477e013",
+    "pp": "d1e515e293ecc50b539ccbde32670c3d0fc084d18b5c9f37faf54af4f68f77e9",
     "mk": "18dce197f61a076fe19cfdcc157fe532c66c5a8f88690a298fbef9be1d5cd1b0",
-    "sk": "86288da1c9a581dcef18ed89181027650e1ba16c3ccd8ca9b198c4b1b692bccd",
-    "ku": "220f4415e870120505301d9baecf11138ee9e0bf42163233b414627b744945ea",
-    "dk": "a84b29daa3a88c4eb3f285a9cd211b50d16157ad0e9bd543622300d7f19cdebb",
-    "ct-original": "55cc01be339e045e6701a270d72158f594f209bc3a6898d8c19cd65ccd1c1985",
-    "ct-updated": "111909ed5dffac46f49bf57149385fd58726931cf616ac5477c877076247b9e4",
-    "msg": "7083ae7308842d89952721301de77191fdb092bc766e9222a76514635e973e41",
-    "state": "affffb687e457d4c1bc28cc00125ac7c626ac203244ad7f9cb7bba392322e3ee",
+    "sk": "25782d7d309b0e132bfa7e6a0ff4668667f8b8bd7a2163c683f0f9cc9adbfc50",
+    "ku": "003248118614454247d6cd39fd977a423bb5c34b0c7996e9dd4458a1b361dbeb",
+    "dk": "8d9dd508e37e0077c06dbbbd17b2a6858ee74f8c8be2c48f97eb460094cbe0a7",
+    "ct-original": "9ec242a1d3b6a47a98ec8d8bfd21b3ff748bdf1fb8eaa9f28dffecd0849516b5",
+    "ct-updated": "a8f3f80c9923506180b7d2afbbcd6a081b0583a4baacfdfe7b95915486cdd470",
+    "msg": "5da90ce35393f7b8766133bb5089a1994df9d83c7143bdc8628990d53945401c",
+    "state": "01b1f3c821c69bf13b6ca42ed65073f9b2768e1a66014a0c555e104f7b6cfdd5",
 }
-REAL_CT_UPDATED_PIN = "f02d2b957f3913a1d553fcaca71c8bcf41a509341dc1ab258f3519d322cb7537"
-REAL_SK_PIN = "9ef75768db59a141db5dcd6c12de0154e23b3029bdb43c25774db8ecdaebeafd"
+REAL_CT_UPDATED_PIN = "a9526fad3af5d155ff02768e3a057db8debc563b05bcd895414783da7a9f780f"
+REAL_SK_PIN = "b49e6b45edf8c103baa4d45731516d20a1068a1780ae3b6fb2ff441ab7792d65"
 
 
 def _sha256(payload) -> str:
@@ -568,8 +569,8 @@ ENCODERS = {
 }
 
 
-def test_payload_bytes_match_the_version_5_pins():
-    assert serial.VERSION == 5
+def test_payload_bytes_match_their_pins():
+    assert serial.VERSION == 6
     ctx, pp, mk, state, rl, sk, ku, dk, msg, ct, ct2 = build_artifacts()
     state.assign_leaf("bob")  # a revoked identity has a leaf, or the state would not load
     rl.add("bob", 9, 16)

@@ -1,5 +1,6 @@
 import pytest
 
+from rabe import timecode
 from rabe.errors import EpochRangeError, ParameterError
 from rabe.timecode import (
     backdatable_epochs,
@@ -127,8 +128,10 @@ def test_lemma_counts_match_enumeration():
         assert all(
             t_star >= top // 2 and t in backdatable_epochs(t_star, top) for t, t_star in samples
         )
+        assert len(samples) == min(5, outside)
         row = lemma_row(tau)
         assert row["check"] == "pairwise" and row["ok"]
+    assert lemma_row(10)["check"] == "pairwise"  # the widest enumerated pair by pair
 
 
 def test_factored_regime_check_holds_up_to_tau_12():
@@ -153,3 +156,16 @@ def test_lemma_rows_above_the_pairwise_widths_check_the_outside_count(monkeypatc
     monkeypatch.setattr("rabe.timecode.outside_vulnerable_count", lambda tau: 174252)
     row = lemma_row(11)
     assert not row["ok"] and row["outside_vulnerable"] == 174251
+
+
+@pytest.mark.parametrize("width, name, wrong", [
+    pytest.param(5, "regime_pair_count", lambda tau: regime_pair_count(tau) + 1, id="regime"),
+    pytest.param(5, "outside_vulnerable_count", lambda tau: outside_vulnerable_count(tau) + 1,
+                 id="outside"),
+    pytest.param(11, "factored_regime_check", lambda tau: False, id="factored-regime"),
+])
+def test_a_lemma_row_is_ok_only_when_each_check_holds(monkeypatch, width, name, wrong):
+    """Each check a row rests on refuses on its own: a closed form one pair
+    off, or a lower-half epoch that keeps too few update slots."""
+    monkeypatch.setattr(timecode, name, wrong)
+    assert not lemma_row(width)["ok"]

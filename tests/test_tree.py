@@ -9,9 +9,17 @@ from rabe.errors import (
     ParameterError,
     UnknownIdentityError,
 )
-from rabe.groups import TRANSPARENT, new_context
-from rabe.rng import SeededRng
+from rabe.groups import TRANSPARENT_MODULUS, Scalar
 from rabe.tree import RevocationList, TreeState, cover_nodes
+
+
+def secrets(capacity: int) -> dict[int, Scalar]:
+    """A secret for every node of a tree of this capacity."""
+    return {node: Scalar(node, TRANSPARENT_MODULUS) for node in range(1, 2 * capacity)}
+
+
+def tree(capacity: int, **kwargs) -> TreeState:
+    return TreeState(capacity, secrets(capacity), **kwargs)
 
 
 def subtree_leaves(node: int, capacity: int) -> set[int]:
@@ -22,25 +30,25 @@ def subtree_leaves(node: int, capacity: int) -> set[int]:
 
 
 def test_capacity_must_be_power_of_two():
-    TreeState(capacity=1)
-    TreeState(capacity=8)
+    tree(1)
+    tree(8)
     for bad in (0, 3, 6, -4):
-        with pytest.raises(ParameterError):
-            TreeState(capacity=bad)
+        with pytest.raises(ParameterError, match="'capacity'"):
+            TreeState(bad, {})
 
 
 def test_identities_sit_on_distinct_leaves():
-    TreeState(capacity=4, leaf_of={"a": 4, "b": 7})
+    tree(4, leaf_of={"a": 4, "b": 7})
     with pytest.raises(ParameterError, match="'leaves': 'b' sits at 3, not at a leaf"):
-        TreeState(capacity=4, leaf_of={"a": 4, "b": 3})
+        tree(4, leaf_of={"a": 4, "b": 3})
     with pytest.raises(ParameterError, match="'leaves': 'b' sits at 8, not at a leaf"):
-        TreeState(capacity=4, leaf_of={"a": 4, "b": 8})
+        tree(4, leaf_of={"a": 4, "b": 8})
     with pytest.raises(ParameterError, match="two identities on one leaf"):
-        TreeState(capacity=4, leaf_of={"a": 5, "b": 5})
+        tree(4, leaf_of={"a": 5, "b": 5})
 
 
 def test_leaf_assignment_is_leftmost_and_idempotent():
-    state = TreeState(capacity=4)
+    state = tree(4)
     assert state.assign_leaf("a") == 4
     assert state.assign_leaf("b") == 5
     assert state.assign_leaf("a") == 4
@@ -54,7 +62,7 @@ def test_leaf_assignment_is_leftmost_and_idempotent():
 
 
 def test_path_runs_root_to_leaf():
-    state = TreeState(capacity=8)
+    state = tree(8)
     assert state.path(11) == [1, 2, 5, 11]
     assert state.path(8) == [1, 2, 4, 8]
     with pytest.raises(InvalidNodeError):
@@ -65,13 +73,17 @@ def test_path_runs_root_to_leaf():
         state.check_node(0)
 
 
-def test_node_secrets_are_cached():
-    ctx = new_context(TRANSPARENT)
-    state = TreeState(capacity=4)
-    rng = SeededRng("secrets")
-    s1 = state.get_or_create_secret(3, ctx, rng)
-    assert state.get_or_create_secret(3, ctx, rng) is s1
-    assert int(state.get_or_create_secret(2, ctx, rng)) != int(s1)
+def test_secrets_are_exactly_the_nodes():
+    """A secret for each node 1..2*capacity-1: none missing, none past
+    either end, even where the count is right."""
+    full = secrets(4)
+    assert TreeState(4, full).node_secrets == full
+    one = full[1]
+    for bad in ({}, {n: s for n, s in full.items() if n != 7}, {**full, 8: one},
+                {**{n: s for n, s in full.items() if n != 7}, 0: one},
+                {**{n: s for n, s in full.items() if n != 1}, 8: one}):
+        with pytest.raises(ParameterError, match="'secrets' must hold the nodes 1..7, each once"):
+            TreeState(4, bad)
 
 
 def test_revocation_list_keeps_earliest_epoch():
@@ -92,7 +104,7 @@ def test_revocation_list_keeps_earliest_epoch():
 
 
 def test_cover_extremes():
-    state = TreeState(capacity=8)
+    state = tree(8)
     ids = [f"u{i}" for i in range(8)]
     for identity in ids:
         state.assign_leaf(identity)
@@ -106,7 +118,7 @@ def test_cover_extremes():
 
 def test_cover_exhaustive_over_all_revocation_subsets():
     """Every subset of 8 users: the cover partitions exactly the live leaves."""
-    state = TreeState(capacity=8)
+    state = tree(8)
     ids = [f"u{i}" for i in range(8)]
     leaves = {identity: state.assign_leaf(identity) for identity in ids}
     for r in range(9):
@@ -128,7 +140,7 @@ def test_cover_exhaustive_over_all_revocation_subsets():
 
 
 def test_path_meets_cover_exactly_once_for_live_users():
-    state = TreeState(capacity=8)
+    state = tree(8)
     ids = [f"u{i}" for i in range(8)]
     for identity in ids:
         state.assign_leaf(identity)
