@@ -414,10 +414,12 @@ _GAMMA1 = [FQ2_ONE, fq2_mul(PSI_X, fq2_inv(PSI_Y))]
 for _ in range(4):
     _GAMMA1.append(fq2_mul(_GAMMA1[-1], _GAMMA1[1]))
 _GAMMA2 = [fq2_mul(g, fq2_conj(g)) for g in _GAMMA1]
+# gamma_3 = gamma_1 gamma_2^p, and gamma_2 lies in Fq
+_GAMMA3 = [fq2_mul(a, b) for a, b in zip(_GAMMA1, _GAMMA2)]
 
 
-def fq12_frob1(f):
-    g = _GAMMA1
+def fq12_frob1(f, g=_GAMMA1):
+    # f^p, or f^(p^3) with g = _GAMMA3
     (a0, a1, a2), (b0, b1, b2) = f
     return (
         (fq2_conj(a0), fq2_mul(fq2_conj(a1), g[2]), fq2_mul(fq2_conj(a2), g[4])),
@@ -466,10 +468,10 @@ def final_exponentiation(f):
 # ---------------------------------------------------------------------------
 # Scalar multiplication, one driver for G1, G2 and GT.  Each source group
 # brings its Jacobian doubling, its one mixed addition (Jacobian + affine,
-# EFD madd-2007-bl), its negation and its field's multiplication and
-# inversion; the conversion to affine, addition and the scalar driver are
-# shared.  GT brings the cyclotomic squaring, the product and conjugation,
-# and its elements need no conversion.
+# EFD madd-2007-bl), its negation, its field's multiplication and inversion
+# and the powers of its endomorphism; the conversion to affine, addition and
+# the scalar driver are shared.  GT brings the cyclotomic squaring, the
+# product and conjugation, and its elements need no conversion.
 #
 # Short powers are a signed binary chain: a k no longer than the group's
 # radix runs left to right over its NAF (width 2) on the base itself, one
@@ -482,32 +484,44 @@ def final_exponentiation(f):
 # a dense x^n still beats the table; a plain binary chain does not.  A longer
 # k is split by the group's endomorphism: endo acts on the r-torsion as
 # [radix], and R < radix^4 on G2 and GT (radix = |z|) and R < radix^2 on G1
-# (radix = z^2), since R = z^4 - z^2 + 1.  The digits run as one interleaved
-# wNAF over the bases endo^i(pt) or, for a base with a table, Horner-style
-# over its signed-digit fixed-base table for one digit (Brickell-Gordon-
-# McCurley-Wilson, Eurocrypt 1992; Lim-Lee, Crypto 1994): row i of a
-# width-w table holds the affine points j * 2^(wi) * B for j = 1..2^(w-1),
-# so [d]B is one mixed addition per nonzero base-2^w digit of d and no
-# doubling.  Each point is packed into one int of 384-bit words, which
-# takes 40 % less memory than its nested tuples on G1 and over half less on
-# G2 and GT, and unpacks in a few shifts.  Every base earns its table by
-# use: each group keeps one _kept LRU dict, keyed by the base, of the
-# split-path uses of its recent bases.  The _HOT_USES-th use builds the
-# table, so a one-shot process with a few powers of a base never pays for
-# one, and past _HOT_TABLES tables the least recently used one goes.  The
-# G1 and G2 generators' tables are width 8 (2049 points on G1, 1025 on G2),
-# so a generator power is at most 34 mixed additions on G1 and 36 on G2;
-# any other base's, GT_GEN's among them, are width 4.  A process that earns
-# _HOT_TABLES other tables while its generator lies idle drops the
-# generator's, and the generator's next _HOT_USES-th split-path use builds
-# it again (about 38 ms on G1, 48 ms on G2).
+# (radix = z^2), since R = z^4 - z^2 + 1, so [k]B is the sum of
+# endo^i([d_i]B) over the base-radix digits d_i of k mod R.  The digits run
+# as one interleaved wNAF over the bases endo^i(B) or, for a base with a
+# table, over its signed comb (Lim-Lee, Crypto 1994; Hamburg, "Fast and
+# compact elliptic-curve cryptography", 2012).  A comb of h teeth e =
+# ceil(bits(radix) / h) bits apart, B_t = [2^(t e)]B, holds the 2^(h-1)
+# affine points B_(h-1) + sum_(t<h-1) +-B_t, entry m taking +B_t for each
+# set bit t of m.  An odd d below 2^(h e) is the sum of s_j 2^j with every
+# s_j = +-1 (2 b_j - 1 for the bits b_j of (d + 2^(h e) - 1) / 2), so column
+# j, the teeth s_(t e + j), is one entry, negated and its index complemented
+# when the top tooth is -1.  A power makes each digit odd (an even d runs as
+# d + 1, and one closing mixed addition of -endo^i(B) takes the base back
+# off), then runs the e columns from the top: one doubling per column after
+# the first, and per column and digit one mixed addition of the entry carried
+# by endo^i, a precomputed map.  A comb has h = 8 (128 entries), but the G1
+# generator's (an equal decoded point included) h = 12 (2048) and the G2
+# generator's h = 11 (1024): a power is e - 1 doublings and at most one
+# mixed addition per column and digit plus one per even digit, 10 and 24
+# for the G1 generator, 5 and 28 for G2's, 15 and 34 for any other G1
+# base, 7 and 36 on G2 and GT.  Each entry is packed into one int of 384-bit
+# words, which takes 40 % less memory than its nested tuples on G1 and over
+# half less on G2 and GT, and unpacks in a few shifts.  Every base earns its
+# table by use: each group keeps one
+# _kept LRU dict, keyed by the base, of the split-path uses of its recent
+# bases.  The _HOT_USES-th use builds the table, so a one-shot process with
+# a few powers of a base never pays for one, and past _HOT_TABLES tables the
+# least recently used one goes.  A process that earns _HOT_TABLES other
+# tables while its generator lies idle drops the generator's, and the
+# generator's next _HOT_USES-th split-path use builds it again.
 # Nothing cached here is ever serialized.
 
-_FB_WIDTH = 4  # other bases' tables: 8 multiples per row, digits in [-7, 8]
-_GEN_WIDTH = 8  # the generators' tables: 128 multiples per row, digits in [-127, 128]
-_HOT_USES = 5  # a table costs about five split wNAF multiplications to build
-# tables held per group, the generator's among them: width 4 takes 36 KiB on
-# G1, 31 KiB on G2 and 83 KiB on GT; width 8 takes 273 KiB on G1, 240 KiB on G2
+_COMB_TEETH = 8  # any base's comb but a generator's: 2^7 entries
+# an 8-tooth comb takes about 2.2 split wNAF powers to build on G1, 2.1 on
+# G2 and 1.7 on GT; the G1 generator's about 22 and the G2 generator's 18
+_HOT_USES = 5
+# tables held per group, the generator's among them: an 8-tooth comb takes
+# 17 KiB on G1, 30 KiB on G2 and 81 KiB on GT, the G1 generator's 272 KiB
+# and the G2 generator's 240 KiB
 _HOT_TABLES = 24
 _WORD = (1 << 384) - 1  # a coordinate of a packed point; P < 2^381
 
@@ -517,7 +531,7 @@ class _Group:
 
     identity = None  # affine infinity
 
-    def __init__(self, gen, zero, one, dbl, madd, neg, fmul, finv, endo, radix, pack, unpack):
+    def __init__(self, gen, gen_teeth, zero, one, dbl, madd, neg, fmul, finv, endos, radix, pack, unpack):
         self.zero = zero
         self.one = one  # the Z coordinate of an affine point
         self.inf = (zero, one, zero)  # Jacobian infinity
@@ -526,11 +540,14 @@ class _Group:
         self.neg = neg
         self.fmul = fmul
         self.finv = finv
-        self.endo = endo  # acts on the r-torsion as [radix], on affine and Jacobian points
+        # endo acts on the r-torsion as [radix]; endos[i] is endo^i, on affine points
+        self.endos = (lambda q: q, *endos)
+        self.endo = endos[0]
         self.radix = radix
         self.pack = pack  # an affine point as one int of 384-bit words, for the tables
         self.unpack = unpack
         self.gen = gen
+        self.gen_teeth = gen_teeth  # the generator's comb; any other base's has _COMB_TEETH
         self.hot = {}  # bases -> split-path uses, or their table
 
     def lift(self, pt):  # affine, not infinity, to the driver's Jacobian form
@@ -567,7 +584,7 @@ class _Cyclotomic(_Group):
     """GT for the scalar driver: an element is its own working and output
     form, and the accumulator starts at one, whose square and product are
     skipped.  endo = conj o frob1 sends f to f^(-p), and p = z (mod r), so
-    it acts on GT as [|z|]."""
+    it acts on GT as [|z|]; its square is frob2 and its cube conj o frob3."""
 
     identity = FQ12_ONE
 
@@ -578,23 +595,10 @@ class _Cyclotomic(_Group):
         self.dbl = lambda f: f if f is FQ12_ONE else fq12_cyclo_sqr(f)
         self.madd = lambda f, h: h if f is FQ12_ONE else fq12_mul(f, h)
         self.neg = fq12_conj
-        self.endo = lambda f: fq12_conj(fq12_frob1(f))
+        self.endos = (lambda f: f, lambda f: fq12_conj(fq12_frob1(f)), fq12_frob2,
+                      lambda f: fq12_conj(fq12_frob1(f, _GAMMA3)))
+        self.endo = self.endos[1]
         self.lift = self.to_affine = lambda x: x
-
-
-def _fb_digits(k, rows, width):
-    """The rows signed digits of 0 <= k < 2^(width (rows - 1)), least
-    significant first, each in [1 - 2^(width - 1), 2^(width - 1)]."""
-    half, mask = 1 << (width - 1), (1 << width) - 1
-    digits = []
-    for _ in range(rows):
-        d = k & mask
-        k >>= width
-        if d > half:
-            d -= 1 << width
-            k += 1
-        digits.append(d)
-    return digits
 
 
 def _pack(words):
@@ -602,20 +606,25 @@ def _pack(words):
     return sum(w << 384 * i for i, w in enumerate(words))
 
 
-def _fixed_table(g, base, width):
-    """The rows j * 2^(width i) * base, j = 1..2^(width - 1), for every
-    window of a radix digit, packed, and a last row for the carry out of
-    the top window, which is at most one."""
-    rows = []
-    for _ in range(-(-g.radix.bit_length() // width)):
-        jac = [g.lift(base)]
-        jac.append(g.dbl(jac[0]))
-        for _ in range((1 << (width - 1)) - 2):
-            jac.append(g.madd(jac[-1], base))
-        jac.append(g.dbl(jac[-1]))  # 2^width * base, the next row's base
-        *row, base = g.to_affine(jac)
-        rows.append([g.pack(q) for q in row])
-    return rows + [[g.pack(base)]]
+def _comb(g, base, teeth):
+    """base's signed comb of the given number of teeth, packed: entry m is
+    B_(h-1) + sum_(t<h-1) +-B_t, +B_t for each set bit t of m.  Entry 0
+    takes every lower tooth off B_(h-1), and setting bit t adds 2 B_t, so
+    each entry is one mixed addition, and all of them share one inversion."""
+    spacing = -(-g.radix.bit_length() // teeth)
+    jac = [g.lift(base)]
+    for _ in range((teeth - 1) * spacing):
+        jac.append(g.dbl(jac[-1]))
+    # B_0 .. B_(h-1), then 2 B_0 .. 2 B_(h-2)
+    pts = g.to_affine(jac[::spacing] + jac[1::spacing])
+    entries = [g.lift(pts[teeth - 1])]
+    for b in pts[: teeth - 1]:
+        entries[0] = g.madd(entries[0], g.neg(b))
+    for two in pts[teeth:]:
+        entries += [g.madd(q, two) for q in entries]
+    table = g.to_affine(entries)
+    table[:] = map(g.pack, table)  # in place, in a list of its exact size on G1 and G2
+    return table
 
 
 def _kept(cache, key, build, uses, cap):
@@ -640,11 +649,11 @@ def _kept(cache, key, build, uses, cap):
 
 
 def _table(g, pt):
-    """pt's fixed-base table on the split path, or None while pt has not
-    earned one: kept by use, width 8 for the group's generator (an equal
-    decoded point included) and width 4 for any other base."""
-    width = _GEN_WIDTH if pt == g.gen else _FB_WIDTH
-    return _kept(g.hot, pt, lambda b: _fixed_table(g, b, width), _HOT_USES, _HOT_TABLES)
+    """pt's comb on the split path, or None while pt has not earned one:
+    kept by use, with the generator's teeth for the group's generator (an
+    equal decoded point included) and _COMB_TEETH for any other base."""
+    teeth = g.gen_teeth if pt == g.gen else _COMB_TEETH
+    return _kept(g.hot, pt, lambda b: _comb(g, b, teeth), _HOT_USES, _HOT_TABLES)
 
 
 def _mul(g, pt, k):
@@ -656,7 +665,7 @@ def _mul(g, pt, k):
     membership tests and the final exponentiation rely on it.  Such a k
     never counts toward a table.  Split path: a longer k is
     reduced mod R and written in base g.radix, and the digits run over pt's
-    table or one interleaved wNAF.  The split holds only for pt in the
+    comb or one interleaved wNAF.  The split holds only for pt in the
     r-torsion, where endo acts as [radix]: every caller passes scheme
     outputs or decoded, subgroup-checked points; on GT, pairing outputs,
     decodes checked by gt_is_valid, and their products and powers.
@@ -683,18 +692,31 @@ def _mul(g, pt, k):
     while k:
         k, d = divmod(k, g.radix)
         digits.append(d)
-    acc = g.inf
+    acc, neg = g.inf, g.neg
     table = _table(g, pt)
     if table is not None:
-        unpack, width = g.unpack, len(table[0]).bit_length()
-        for i, d in enumerate(reversed(digits)):
-            if i:
-                acc = g.endo(acc)
-            for row, e in zip(table, _fb_digits(d, len(table), width)):
-                if e > 0:
-                    acc = madd(acc, unpack(row[e - 1]))
-                elif e < 0:
-                    acc = madd(acc, g.neg(unpack(row[-e - 1])))
+        # each digit made odd and read as spacing columns of teeth, top
+        # column first: the bits of tooth t are the t-th spacing-bit block
+        # from the bottom, so a column's index, tooth t at bit t, is every
+        # spacing-th character of the digit's bit string
+        unpack, half = g.unpack, len(table) - 1
+        teeth = half.bit_length() + 1
+        spacing = -(-g.radix.bit_length() // teeth)
+        width, runs, fixes = teeth * spacing, [], []
+        for endo, d in zip(g.endos, digits):
+            if not d & 1:
+                fixes.append(neg(endo(pt)))
+                d += 1
+            bits = format((d + (1 << width) - 1) >> 1, f"0{width}b")
+            runs.append([endo(unpack(table[v & half])) if v > half else neg(endo(unpack(table[half - v])))
+                         for v in [int(bits[i::spacing], 2) for i in range(spacing)]])
+        for j, column in enumerate(zip(*runs)):
+            if j:
+                acc = dbl(acc)
+            for q in column:
+                acc = madd(acc, q)
+        for q in fixes:
+            acc = madd(acc, q)
         return g.to_affine([acc])[0]
     # the odd multiples P, 3P, 5P, 7P of the wNAF digits: 2P is made affine
     # first, then the four share one inversion; endo carries them to the
@@ -707,7 +729,7 @@ def _mul(g, pt, k):
     for i in range(len(digits)):
         if i:
             odd = [g.endo(q) for q in odd]
-        tables.append(dict(zip((1, 3, 5, 7, -1, -3, -5, -7), odd + [g.neg(q) for q in odd])))
+        tables.append(dict(zip((1, 3, 5, 7, -1, -3, -5, -7), odd + [neg(q) for q in odd])))
     nafs = [_naf(d, 4) for d in digits]
     for column in reversed(list(zip_longest(*nafs, fillvalue=0))):
         acc = dbl(acc)
@@ -786,12 +808,11 @@ def _g1_madd(p, q):
 
 
 # endo = -phi with phi(x, y) = (BETA x, y), BETA the cube root of unity for
-# which phi acts on G1 as [-z^2] (the other one gives [z^2 - 1]); on a
-# Jacobian point it is (BETA X, -Y, Z)
+# which phi acts on G1 as [-z^2] (the other one gives [z^2 - 1])
 BETA = 0x5F19672FDF76CE51BA69C6076A0F77EADDB3A93BE6F89688DE17D813620A00022E01FFFFFFFEFFFE
-_G1 = _Group(G1_GEN, 0, 1, _g1_dbl_jac, _g1_madd, g1_neg,
+_G1 = _Group(G1_GEN, 12, 0, 1, _g1_dbl_jac, _g1_madd, g1_neg,
              lambda a, b: a * b % P, lambda a: pow(a, -1, P),
-             lambda q: (q[0] * BETA % P, -q[1] % P, *q[2:]), BLS_X * BLS_X,
+             [lambda q: (q[0] * BETA % P, -q[1] % P)], BLS_X * BLS_X,
              _pack, lambda v: (v & _WORD, v >> 384))
 
 
@@ -907,25 +928,37 @@ def _g2_madd(p, q):
 
 
 # endo = -psi, with psi (above) acting on G2 as [p] = [z].  PSI_X = c u, so
-# conj(x) PSI_X = (c x1, c x0); on a Jacobian point psi also conjugates Z.
+# conj(x) PSI_X = (c x1, c x0).  psi^2 (x, y) = (N(PSI_X) x, N(PSI_Y) y), N
+# the norm to Fq, with N(PSI_Y) = -1 and N(PSI_X) c = -1, so endo^2 = psi^2
+# is (c^2 x, -y) and endo^3 = -psi^3 is (-(x1, x0), conj(y) PSI_Y).
 _PSI_C = PSI_X[1]
 _PSI_Y0, _PSI_Y1 = PSI_Y
 _PSI_YS = _PSI_Y0 + _PSI_Y1
+_PSI_C2 = _PSI_C * _PSI_C % P
+assert fq2_mul(fq2_conj(PSI_Y), PSI_Y) == (P - 1, 0) and _PSI_C2 * _PSI_C % P == P - 1
 
 
 def _g2_endo(q):
-    (x0, x1), (y0, y1), *z = q
+    (x0, x1), (y0, y1) = q
     t0 = y0 * _PSI_Y0
     t1 = y1 * _PSI_Y1
-    out = ((x1 * _PSI_C % P, x0 * _PSI_C % P), (-(t0 + t1) % P, (t0 - t1 - (y0 - y1) * _PSI_YS) % P))
-    if z:
-        (z0, z1), = z
-        return (*out, (z0, -z1 % P))
-    return out
+    return (x1 * _PSI_C % P, x0 * _PSI_C % P), (-(t0 + t1) % P, (t0 - t1 - (y0 - y1) * _PSI_YS) % P)
 
 
-_G2 = _Group(G2_GEN, FQ2_ZERO, FQ2_ONE, _g2_dbl_jac, _g2_madd, g2_neg, fq2_mul, fq2_inv, _g2_endo,
-             BLS_X, lambda q: _pack((*q[0], *q[1])),
+def _g2_endo2(q):
+    (x0, x1), (y0, y1) = q
+    return (x0 * _PSI_C2 % P, x1 * _PSI_C2 % P), (-y0 % P, -y1 % P)
+
+
+def _g2_endo3(q):
+    (x0, x1), (y0, y1) = q
+    t0 = y0 * _PSI_Y0
+    t1 = y1 * _PSI_Y1
+    return (-x1 % P, -x0 % P), ((t0 + t1) % P, ((y0 - y1) * _PSI_YS - t0 + t1) % P)
+
+
+_G2 = _Group(G2_GEN, 11, FQ2_ZERO, FQ2_ONE, _g2_dbl_jac, _g2_madd, g2_neg, fq2_mul, fq2_inv,
+             [_g2_endo, _g2_endo2, _g2_endo3], BLS_X, lambda q: _pack((*q[0], *q[1])),
              lambda v: ((v & _WORD, v >> 384 & _WORD), (v >> 768 & _WORD, v >> 1152)))
 
 

@@ -479,7 +479,8 @@ def _build_parser():
 
     p = add("setup", cmd_setup, "create a deployment state file")
     p.add_argument("--backend", choices=BACKENDS, default=TRANSPARENT)
-    p.add_argument("--users", type=int, default=8, help="tree capacity (rounded up to 2^k)")
+    p.add_argument("--users", type=int, default=8,
+                   help="users, at most 65536 (the tree capacity is the next power of two)")
     p.add_argument("--max-time", type=int, default=32, help="epoch range, a power of two")
     p.add_argument("--attr-bound", type=int, default=4, help="largest attribute value")
 

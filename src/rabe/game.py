@@ -570,7 +570,7 @@ def format_report(report: dict) -> str:
         f"mode              {report['mode']}",
         f"backend           {report['backend']}",
         f"epoch range       {report['max_time']}",
-        f"tree capacity     {report['n_users']}",
+        f"users             {report['n_users']}",
         f"attribute bound   {report['attr_max']}",
     ]
     if report.get("seed") is not None:

@@ -15,9 +15,10 @@ Backends:
   component of every artifact against its defining formula, field by field.
 * "real": BLS12-381 at the usual ~128-bit level (see bls12381).  All three
   generators are module constants, the target one e(g, g~) included, so
-  making one runs no pairing.  Each generator earns its fixed-base table
-  by use, like any other base (width 8 on G1 and G2, width 4 on GT), and
-  keeps it while it is among its group's most recent tables.  Nor does
+  making one runs no pairing.  Each generator earns its fixed-base table,
+  a signed comb, by use, like any other base (2^11 entries on G1, 2^10 on
+  G2, 2^7 for any other base and on GT), and keeps it while it is among
+  its group's most recent tables.  Nor does
   scheme.setup pair for a deployment's blinding base e(g^alpha, g2): it
   raises the target generator to alpha * beta, and pp stores the element.
 

@@ -238,6 +238,10 @@ class UpdatedCiphertext(_Ciphertext):
     e_t: GroupElement
 
 
+# the most users setup takes: its tree holds 2^17 - 1 node secrets
+MAX_USERS = 1 << 16
+
+
 def setup(
     ctx: BilinearContext,
     n_users: int,
@@ -248,6 +252,8 @@ def setup(
     tau = bit_width(max_time)
     if n_users < 1:
         raise ParameterError(f"n_users is {n_users}, not at least 1")
+    if n_users > MAX_USERS:  # before the 2 capacity - 1 node secrets are drawn
+        raise ParameterError(f"n_users is {n_users}, above the cap of {MAX_USERS}")
     alpha = ctx.random_scalar(rng)
     beta = ctx.random_scalar(rng)
     t_gens = tuple(_mirror(ctx, ctx.random_scalar(rng)) for _ in range(attr_max))

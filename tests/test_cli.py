@@ -290,6 +290,22 @@ def test_attack_demo_takes_its_sizes_from_its_options(tmp_path, capsys):
     assert (sizes["n_users"], sizes["max_time"], sizes["attr_max"]) == (2, 8, 2)
 
 
+def test_setup_refuses_users_above_the_cap_at_once(tmp_path, capsys):
+    state = tmp_path / "s.json"
+    code, out, err = run(capsys, "setup", "--state", state, "--users", 2**32)
+    assert code == EXIT_INVALID and out == ""
+    assert err == "error: n_users is 4294967296, above the cap of 65536\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_attack_demo_report_counts_users_not_the_tree_capacity(capsys):
+    # 5 users sit on a tree of capacity 8; the report prints the 5
+    code, out, _ = run(capsys, "attack-demo", "--users", 5, "--max-time", 8, "--attr-bound", 2,
+                       "--seed", 1, "--trials", 1)
+    assert code == EXIT_OK
+    assert "users             5\n" in out and "capacity" not in out
+
+
 def test_lemma_check_single_pair(capsys):
     code, out, _ = run(capsys, "lemma-check", "--pair", "5,7")
     assert code == EXIT_OK

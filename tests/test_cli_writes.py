@@ -114,7 +114,7 @@ WALK_SHA256 = {
         "report.json": "cd790dcd10e4b4aff5355c1981d94afb3b9cfbf9077166f7c9d9388445181ee5",
         "runs/trial-0000.json": "4fc30b000eb139e96c066eaa298c4a7c85b5411f2e1a54a5031b5e6ab68e7c7f",
         "runs/trial-0001.json": "ccae492454e5d09afe2947c3ec9ab17b226dc0e72804c51416f260b9ef251ff0",
-        "stdout": "3db67702f37183b9117c17885ff3161230799e7d94be9c48dfb9fe6063797cd2",
+        "stdout": "c1ee5b113ecbcb026925a9180953dc8ef06d4145d0cc84311c072d4a3eb6abd5",
     },
 }
 

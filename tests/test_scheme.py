@@ -21,6 +21,7 @@ from rabe.groups import (
 from rabe.policy import parse_policy, reconstruction_coefficients
 from rabe.rng import SeededRng
 from rabe.scheme import (
+    MAX_USERS,
     KeyUpdate,
     decrypt,
     derive_dk,
@@ -120,11 +121,13 @@ def test_real_exponentiations_make_one_curve_call_each(monkeypatch):
     for name in calls:
         count(name)
     # with no base hot, keygen's repeated bases (g2.two, and the generator,
-    # whose table is its own) build their tables inside g2_mul, which counts
-    # no call either
+    # whose comb has its own teeth) build their combs inside g2_mul, which
+    # counts no call either
     monkeypatch.setattr(bls._G2, "hot", {})
     keygen(pp, mk, state, "alice", policy, rng)
-    assert any(isinstance(v, list) for v in bls._G2.hot.values())
+    combs = sorted(len(v) for v in bls._G2.hot.values() if not isinstance(v, int))
+    assert combs == [1 << (bls._COMB_TEETH - 1), 1 << (bls._G2.gen_teeth - 1)]
+    assert len(bls._G2.hot[bls.G2_GEN]) == 1 << (bls._G2.gen_teeth - 1)
     assert all(side != SIDE_TWO for side, _ in pp._t_cache)
     depth = state.capacity.bit_length() - 1
     assert calls == {"g2_mul": 3 * len(policy.rows) * (depth + 1), "fq12_pow_cyclo": 0}
@@ -453,6 +456,22 @@ def test_setup_draws_every_node_secret_and_keys_only_read_them():
     for n_users in (0, -3):
         with pytest.raises(ParameterError, match=f"n_users is {n_users}, not at least 1"):
             setup(ctx, n_users, 16, 3, rng)
+
+
+class _NoDraws:
+    def randbelow(self, n):
+        raise AssertionError("drew a scalar")
+
+
+def test_setup_refuses_n_users_above_the_cap_before_any_draw():
+    ctx = new_context(TRANSPARENT)
+    assert MAX_USERS == 1 << 16
+    for n_users in (MAX_USERS + 1, 2**32, 2**30 + 3):
+        with pytest.raises(ParameterError, match=f"n_users is {n_users}, above the cap of 65536"):
+            setup(ctx, n_users, 16, 3, _NoDraws())
+    # the cap itself passes the check: the master key's draw comes next
+    with pytest.raises(AssertionError, match="drew a scalar"):
+        setup(ctx, MAX_USERS, 16, 3, _NoDraws())
 
 
 def test_epoch_mismatch_yields_garbage_not_plaintext():
