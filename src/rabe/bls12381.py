@@ -212,6 +212,7 @@ def fq6_inv(x):
 # product by v of an Fq6 element (e0, e1, e2) is (xi e2, e0, e1).
 
 FQ12_ONE = (FQ6_ONE, FQ6_ZERO)
+FQ12_ZERO = (FQ6_ZERO, FQ6_ZERO)
 
 
 # the twelve Fq coefficients in storage order: the words of the encoding and of a packed GT point
@@ -477,11 +478,15 @@ def final_exponentiation(f):
 # radix runs left to right over its NAF (width 2) on the base itself, one
 # doubling per digit below the top and one mixed addition of the base or
 # its negation per nonzero digit, and builds no table.  The membership
-# tests, the GT check and the final exponentiation raise fixed, sparse
-# exponents (|z| has 6 nonzero digits, z^2 17), where a table's two
-# inversions do not pay.  eval_t's x^n is dense from attr_max 9 or so; a
-# NAF has a nonzero digit per three bits against binary's one per two, so
-# a dense x^n still beats the table; a plain binary chain does not.  A longer
+# tests, the GT check and the final exponentiation raise the fixed, sparse
+# radix (|z| has 6 nonzero digits, z^2 17), where a table's two inversions
+# do not pay.  Its chain digits are made once, at import: 127 doublings and
+# 16 mixed additions on G1, 63 and 5 on G2 and GT.  A membership test
+# inverts nothing: it compares the chain's Jacobian (X, Y, Z) with the endo
+# image (x, y) as X = x Z^2 and Y = y Z^3, so it costs its chain, endo and
+# four products.  eval_t's x^n is dense from attr_max 9 or so; a NAF has a
+# nonzero digit per three bits against binary's one per two, so a dense x^n
+# still beats the table; a plain binary chain does not.  A longer
 # k is split by the group's endomorphism: endo acts on the r-torsion as
 # [radix], and R < radix^4 on G2 and GT (radix = |z|) and R < radix^2 on G1
 # (radix = z^2), since R = z^4 - z^2 + 1, so [k]B is the sum of
@@ -544,6 +549,7 @@ class _Group:
         self.endos = (lambda q: q, *endos)
         self.endo = endos[0]
         self.radix = radix
+        self.chain = _chain_digits(radix)  # the fixed chain of [radix], made once
         self.pack = pack  # an affine point as one int of 384-bit words, for the tables
         self.unpack = unpack
         self.gen = gen
@@ -579,6 +585,17 @@ class _Group:
             return q
         return self.to_affine([self.madd(self.lift(p), q)])[0]
 
+    def endo_is_radix(self, pt):
+        """endo(pt) == [radix]pt for pt on the curve, not infinity: the fixed
+        chain's Jacobian (X, Y, Z) against endo(pt) = (x, y) as X = x Z^2 and
+        Y = y Z^3, which inverts nothing.  Every coordinate is reduced, and
+        Jacobian infinity (0, 1, 0) fails the Y comparison."""
+        X, Y, Z = _chain(self, pt, self.chain)
+        x, y = self.endo(pt)
+        mul = self.fmul
+        zz = mul(Z, Z)
+        return X == mul(x, zz) and Y == mul(y, mul(zz, Z))
+
 
 class _Cyclotomic(_Group):
     """GT for the scalar driver: an element is its own working and output
@@ -590,6 +607,7 @@ class _Cyclotomic(_Group):
 
     def __init__(self):
         self.inf, self.radix, self.hot, self.gen = FQ12_ONE, BLS_X, {}, None
+        self.chain = _chain_digits(BLS_X)
         self.pack = lambda f: _pack(_fq12_coeffs(f))
         self.unpack = lambda v: _fq12_of([v >> s & _WORD for s in range(0, 12 * 384, 384)])
         self.dbl = lambda f: f if f is FQ12_ONE else fq12_cyclo_sqr(f)
@@ -656,19 +674,41 @@ def _table(g, pt):
     return _kept(g.hot, pt, lambda b: _comb(g, b, teeth), _HOT_USES, _HOT_TABLES)
 
 
+def _chain_digits(k):
+    """The steps of k's chain, most significant first: its NAF (width 2)
+    below the top digit, a top 1 0 -1 taken as 1 1 (one doubling fewer)."""
+    digits = _naf(k, 2)
+    if digits[-3:] == [-1, 0, 1]:
+        digits[-3:] = [1, 1]
+    return digits[-2::-1]
+
+
+def _chain(g, pt, digits):
+    """The Jacobian accumulator of [k]pt (pt^k on GT) for k's chain digits:
+    from pt, one doubling per digit and one mixed addition of pt or its
+    negation per nonzero digit."""
+    dbl, madd, neg, acc = g.dbl, g.madd, g.neg(pt), g.lift(pt)
+    for d in digits:
+        acc = dbl(acc)
+        if d:
+            acc = madd(acc, pt if d > 0 else neg)
+    return acc
+
+
 def _mul(g, pt, k):
     """[k]pt on G1 or G2 in affine coordinates (None for infinity), or
     pt^k on GT.
 
     Short path: a k no longer than g.radix is a NAF chain on pt, which
     holds for any point on the curve and any cyclotomic Fq12 element; the
-    membership tests and the final exponentiation rely on it.  Such a k
-    never counts toward a table.  Split path: a longer k is
-    reduced mod R and written in base g.radix, and the digits run over pt's
-    comb or one interleaved wNAF.  The split holds only for pt in the
-    r-torsion, where endo acts as [radix]: every caller passes scheme
-    outputs or decoded, subgroup-checked points; on GT, pairing outputs,
-    decodes checked by gt_is_valid, and their products and powers.
+    final exponentiation and gt_is_valid rely on it, and the membership
+    tests run the same chain.  Such a k never counts toward a table.  Split
+    path: a longer k is reduced mod R and written in base g.radix, and the
+    digits run over pt's comb or one interleaved wNAF.  The split holds
+    only for pt in the r-torsion, where endo acts as [radix]: every caller
+    passes scheme outputs or decoded, subgroup-checked points; on GT,
+    pairing outputs, decodes checked by gt_is_valid, and their products
+    and powers.
     """
     if k < 0:
         pt, k = g.neg(pt), -k
@@ -676,18 +716,10 @@ def _mul(g, pt, k):
         return g.identity
     if k == 1:  # the reconstruction coefficients of AND/OR policies are ones
         return pt
-    dbl, madd = g.dbl, g.madd
     if k.bit_length() <= g.radix.bit_length():
-        # a NAF chain on pt itself, from its top digit down, with no table
-        digits = _naf(k, 2)
-        if digits[-3:] == [-1, 0, 1]:  # a top 1 0 -1 is 1 1: one doubling fewer
-            digits[-3:] = [1, 1]
-        neg, acc = g.neg(pt), g.lift(pt)
-        for d in reversed(digits[:-1]):
-            acc = dbl(acc)
-            if d:
-                acc = madd(acc, pt if d > 0 else neg)
-        return g.to_affine([acc])[0]
+        # a NAF chain on pt itself, with no table
+        return g.to_affine([_chain(g, pt, g.chain if k == g.radix else _chain_digits(k))])[0]
+    dbl, madd = g.dbl, g.madd
     k, digits = k % R, []
     while k:
         k, d = divmod(k, g.radix)
@@ -750,7 +782,11 @@ def fq12_pow_cyclo(f, e):
 
 
 # ---------------------------------------------------------------------------
-# G1: y^2 = x^3 + 4 over Fq.  Affine points are (x, y) or None.
+# G1: y^2 = x^3 + 4 over Fq.  Affine points are (x, y) or None.  The
+# formulas reduce lazily: each output once (the membership test compares
+# reduced coordinates, a comb packs each into a 384-bit word), H and r to be
+# tested for zero, and a product another product takes; E = 3A, I = 4 HH,
+# 2r and C = B^2 stay unreduced.
 
 
 def g1_neg(pt):
@@ -767,14 +803,15 @@ def g1_on_curve(pt):
 
 
 def _g1_dbl_jac(p):
+    """dbl-2009-l, with D = 4 X B one product where the EFD squares a sum."""
     X, Y, Z = p
     if not Z or not Y:
         return (0, 1, 0)
     A = X * X % P
     B = Y * Y % P
-    C = B * B % P
-    D = 2 * ((X + B) ** 2 - A - C) % P
-    E = 3 * A % P
+    C = B * B
+    D = 4 * X * B % P
+    E = 3 * A
     X3 = (E * E - 2 * D) % P
     Y3 = (E * (D - X3) - 8 * C) % P
     Z3 = 2 * Y * Z % P
@@ -782,7 +819,7 @@ def _g1_dbl_jac(p):
 
 
 def _g1_madd(p, q):
-    """p + q for p Jacobian and q affine (None for infinity)."""
+    """p + q for p Jacobian and q affine (None for infinity), madd-2007-bl."""
     if q is None:
         return p
     X1, Y1, Z1 = p
@@ -797,9 +834,9 @@ def _g1_madd(p, q):
             return _g1_dbl_jac((x2, y2, 1))
         return (0, 1, 0)
     HH = H * H % P
-    I = 4 * HH % P
+    I = 4 * HH
     J = H * I % P
-    r = 2 * r % P
+    r = 2 * r
     V = X1 * I % P
     X3 = (r * r - J - 2 * V) % P
     Y3 = (r * (V - X3) - 2 * Y1 * J) % P
@@ -826,7 +863,7 @@ def g1_mul(pt, k):
 
 def g1_in_subgroup(pt):
     """Scott's test (ePrint 2021/1130): on the curve and -phi(P) == [z^2]P."""
-    return pt is None or (g1_on_curve(pt) and _G1.endo(pt) == g1_mul(pt, _G1.radix))
+    return pt is None or (g1_on_curve(pt) and _G1.endo_is_radix(pt))
 
 
 # ---------------------------------------------------------------------------
@@ -972,7 +1009,7 @@ def g2_mul(pt, k):
 
 def g2_in_subgroup(pt):
     """Scott's test (ePrint 2021/1130): on the curve and -psi(Q) == [|z|]Q."""
-    return pt is None or (g2_on_curve(pt) and _G2.endo(pt) == g2_mul(pt, _G2.radix))
+    return pt is None or (g2_on_curve(pt) and _G2.endo_is_radix(pt))
 
 
 # ---------------------------------------------------------------------------
@@ -1204,8 +1241,11 @@ def fq12_from_bytes(data):
 
 
 def gt_is_valid(f):
-    """Membership test for pairing outputs: cyclotomic (hence unitary), then
-    f^p == f^z, which leaves order gcd(p - z, p^4 - p^2 + 1) = r."""
+    """Membership test for pairing outputs: not zero, the one element with
+    no inverse, then cyclotomic (hence unitary), then f^p == f^z, which
+    leaves order gcd(p - z, p^4 - p^2 + 1) = r."""
+    if f == FQ12_ZERO:
+        return False
     if fq12_mul(fq12_frob2(fq12_frob2(f)), f) != fq12_frob2(f):  # f^(p^4 - p^2 + 1) == 1
         return False
     return fq12_frob1(f) == _exp_neg_z(f)

@@ -4,13 +4,24 @@ The paper's second result: the scheme is secure when the server cannot
 obtain the credentials of revoked users.  The acceptance gate pins that with
 adversaries that hold nothing (a withheld harvest, or no query at all).
 These adversaries use only the group operations and the oracles the weaker
-model allows, and must stay at a coin flip.
+model allows, and must stay at a coin flip.  One more holds a key the game
+must not let it use: a satisfying key whose holder is revoked only after
+the challenge epoch, which every game must abort.
 """
 
 import dataclasses
 
 from rabe import audit
-from rabe.game import WEAKER, _draw_messages, backdate_ciphertext, challenger_run, run_game_trials
+from rabe.game import (
+    ABORT,
+    MODES,
+    WEAKER,
+    _draw_messages,
+    backdate_ciphertext,
+    challenger_run,
+    run_game_trials,
+    validate_transcript,
+)
 from rabe.groups import new_context
 from rabe.policy import parse_policy
 from rabe.rng import SeededRng
@@ -187,3 +198,76 @@ def test_mixed_shares_do_not_recombine_to_the_node_secret():
     assert not recombined.ok
     assert recombined.expected == int(art["tree"].node_secrets[art["dk"].node])
     assert recombined.actual != recombined.expected
+
+
+class LateRevocationAdversary:
+    """A satisfying key whose holder is revoked only after the challenge epoch.
+
+    It commits to the target {1, 2}, queries a "1 AND 2" key, which the
+    target satisfies, and revokes its holder at an epoch after the challenge
+    epoch t*.  At t* the holder is live, so the key and t*'s key update
+    derive a decryption key that opens the challenge outright.  This is the
+    gap the game's docstring describes: the identity is revoked, so
+    restriction 2 passes, and only restriction 1, which wants the
+    revocation at or before t*, refuses the game.
+    """
+
+    TARGET = frozenset({1, 2})
+    POLICY = parse_policy("1 AND 2")
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.notes = {"strategy": "late revocation"}
+        self.artifacts = {}
+
+    def begin(self, attr_max, max_time):
+        self.t_star = 1 + self.rng.randbelow(max_time - 2)  # some epoch follows it
+        self.revoked_at = self.t_star + 1 + self.rng.randbelow(max_time - 1 - self.t_star)
+        return self.TARGET
+
+    def phase1(self, pp, oracles):
+        self.pp = pp
+        sk = oracles.private_key("late", self.POLICY)
+        oracles.revoke("late", self.revoked_at)
+        ku = oracles.key_update(self.t_star)
+        self.dk = None if sk is None else derive_dk(sk, ku)  # withheld in the weaker model
+        self.artifacts["dk"] = self.dk
+
+    def challenge(self):
+        self.m0, self.m1 = _draw_messages(self.pp.ctx, self.rng)
+        return self.t_star, self.m0, self.m1
+
+    def phase2(self, ct_star, oracles):
+        self._guess = self.rng.randbelow(2)
+        if self.dk is not None:
+            recovered = decrypt(self.pp, update_ct(self.pp, ct_star, self.t_star, self.rng), self.dk)
+            self._guess = (self.m0, self.m1).index(recovered)
+
+    def guess(self):
+        return self._guess
+
+
+def test_revocation_after_the_challenge_epoch_aborts_every_game():
+    """In both modes restriction 1 alone catches the late revocation, so
+    every game aborts and none counts as a win."""
+    for mode in MODES:
+        trs = run_game_trials(1000, ctx=new_context(), seed=f"late-revocation/{mode}", mode=mode,
+                              adversary_cls=LateRevocationAdversary)
+        for tr in trs:
+            report = validate_transcript(tr)
+            assert tr.outcome == ABORT and not tr.won
+            assert not report.revoked_in_time_ok and report.never_queried_ok
+            assert report.single_coverage
+
+
+def test_late_revocation_would_win_past_the_abort():
+    """The abort is what stops it: in the standard model the key is handed
+    out and derives at t*, so phase 2, run by hand on the captured
+    challenge, names the challenge bit."""
+    for i in range(5):
+        rng = SeededRng(f"late-revocation/past-the-abort/{i}")
+        adversary = LateRevocationAdversary(rng.child("adversary"))
+        tr = challenger_run(adversary, ctx=new_context(), rng=rng.child("challenger"), capture=True)
+        assert tr.outcome == ABORT and adversary.dk is not None
+        adversary.phase2(tr.artifacts["ct_star"], None)
+        assert adversary.guess() == tr.challenge_bit

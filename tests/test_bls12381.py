@@ -652,6 +652,64 @@ def test_identity_is_in_both_subgroups():
     assert bls.g1_in_subgroup(None) and bls.g2_in_subgroup(None)
 
 
+@pytest.mark.parametrize("group", sorted(GROUPS))
+def test_membership_comparison_checks_both_coordinates(group, monkeypatch):
+    """The chain's Jacobian (X, Y, Z) is endo(pt) = (x, y) only if X = x Z^2
+    and Y = y Z^3.  With the chain's accumulator fixed: (x Z^2, y Z^3, Z)
+    passes for any Z; with y negated only x agrees, with x times BETA, a
+    cube root of unity in Fq, only y does; Jacobian infinity fails.  No
+    rational point of either curve tells a test of y alone from the full
+    one, so only this test pins the x half."""
+    gen, mul, _, _ = GROUPS[group]
+    g = getattr(bls, f"_{group}")
+    pt = mul(gen, 5)
+    x, y = g.endo(pt)
+    beta = (bls.BETA, 0) if group == "G2" else bls.BETA
+    accs = [(g.inf, False)]
+    for Z in (g.one, mul(gen, 7)[0], mul(gen, 11)[1]):
+        zz = g.fmul(Z, Z)
+        X, Y = g.fmul(x, zz), g.fmul(y, g.fmul(zz, Z))
+        accs += [((X, Y, Z), True), ((X, g.neg((X, Y))[1], Z), False),
+                 ((g.fmul(X, beta), Y, Z), False)]
+    for acc, want in accs:
+        monkeypatch.setattr(bls, "_chain", lambda g, pt, digits: acc)
+        assert g.endo_is_radix(pt) is want, acc
+
+
+def test_membership_tests_cost_only_their_chains(g1_small_order, g2_off_subgroup, monkeypatch):
+    """A membership test is the fixed chain of its radix and nothing more:
+    z^2 on G1, 127 doublings and 16 mixed additions, and |z| on G2, 63 and
+    5, for points in the subgroup and outside it alike.  Neither inverts:
+    the chain's Jacobian accumulator is compared with the endo image as
+    X = x Z^2 and Y = y Z^3.  The chain digits are made once, at import:
+    no membership test, GT check or final exponentiation makes them."""
+    rng = SeededRng("membership-cost")
+    calls = dict(dbl=0, madd=0, finv=0)
+
+    def counted(g, name):
+        fn = getattr(g, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(g, name, wrapper)
+
+    for g in (bls._G1, bls._G2):
+        for name in ("dbl", "madd", "finv"):
+            counted(g, name)
+    cases = [(bls.g1_in_subgroup, pt, (127, 16, 0)) for pt in (
+        bls.g1_mul(bls.G1_GEN, rng.randbelow(bls.R - 1) + 1), *g1_small_order.values())]
+    cases += [(bls.g2_in_subgroup, pt, (63, 5, 0)) for pt in (
+        bls.g2_mul(bls.G2_GEN, rng.randbelow(bls.R - 1) + 1), *g2_off_subgroup)]
+    monkeypatch.setattr(bls, "_chain_digits", lambda k: pytest.fail(f"chain digits of {k} made"))
+    for in_subgroup, pt, cost in cases:
+        calls.update(dbl=0, madd=0, finv=0)
+        in_subgroup(pt)
+        assert (calls["dbl"], calls["madd"], calls["finv"]) == cost, pt
+    assert bls.gt_is_valid(bls.GT_GEN)
+    bls.final_exponentiation(bls.GT_GEN)
+
+
 def test_g2_membership_refuses_an_order_r_point_of_an_isomorphic_curve():
     """For Q = (x, y) in G2 and c in Fq with c^6 != 1, (c^2 x, c^3 y) has
     order r on y^2 = x^3 + 4(u + 1)c^6.  psi commutes with this map, since
@@ -1155,6 +1213,47 @@ def _reference_g2_endo(q):
     return (x, y)
 
 
+def _reference_g1_dbl_jac(p):
+    """dbl-2009-l as the EFD writes it, every step reduced."""
+    X, Y, Z = p
+    A, B = X * X % bls.P, Y * Y % bls.P
+    C = B * B % bls.P
+    D = 2 * ((X + B) ** 2 - A - C) % bls.P
+    E = 3 * A % bls.P
+    X3 = (E * E - 2 * D) % bls.P
+    return X3, (E * (D - X3) - 8 * C) % bls.P, 2 * Y * Z % bls.P
+
+
+def _reference_g1_madd(p, q):
+    """madd-2007-bl as the EFD writes it, every step reduced, for distinct x."""
+    (X1, Y1, Z1), (x2, y2) = p, q
+    Z1Z1 = Z1 * Z1 % bls.P
+    H = (x2 * Z1Z1 - X1) % bls.P
+    HH = H * H % bls.P
+    I = 4 * HH % bls.P
+    J = H * I % bls.P
+    r = 2 * (y2 * Z1 * Z1Z1 - Y1) % bls.P
+    V = X1 * I % bls.P
+    X3 = (r * r - J - 2 * V) % bls.P
+    return X3, (r * (V - X3) - 2 * Y1 * J) % bls.P, ((Z1 + H) ** 2 - Z1Z1 - HH) % bls.P
+
+
+def test_lazy_g1_formulas_match_the_references():
+    """The G1 doubling and mixed addition leave some intermediates
+    unreduced, yet every output equals the fully reduced formula's and lies
+    in [0, P): the membership comparison and the comb's packing read them."""
+    rng = SeededRng("g1-lazy-formulas")
+    top = bls.P - 1  # the largest unreduced intermediates
+    jacobian = [(top,) * 3] + [tuple(rng.randbelow(bls.P) for _ in range(3)) for _ in range(12)]
+    affine = [(2, top)] + [(rng.randbelow(bls.P), rng.randbelow(bls.P)) for _ in range(12)]
+    for p in jacobian:
+        out = bls._g1_dbl_jac(p)
+        assert out == _reference_g1_dbl_jac(p) and all(0 <= v < bls.P for v in out)
+        for q in affine:
+            out = bls._g1_madd(p, q)
+            assert out == _reference_g1_madd(p, q) and all(0 <= v < bls.P for v in out)
+
+
 def test_flat_g2_formulas_match_the_references():
     # every coordinate P - 1 gives the largest unreduced intermediates
     rng = SeededRng("g2-flat-formulas")
@@ -1262,6 +1361,18 @@ def test_gt_check_rejects_cyclotomic_elements_outside_gt():
     assert bls.gt_is_valid(bls.FQ12_ONE)
     for k in (1, 5):
         assert bls.gt_is_valid(bls.pairing_product([(bls.g1_mul(bls.G1_GEN, k), bls.G2_GEN)]))
+
+
+def test_gt_check_refuses_zero():
+    """Zero, the one Fq12 element with no inverse, satisfies both equations
+    of the GT test, 0 * 0 == 0 and frob1(0) == 0^z, so it is refused
+    first.  576 zero bytes decode to it."""
+    zero = bls.fq12_from_bytes(bytes(576))
+    assert zero == (bls.FQ6_ZERO, bls.FQ6_ZERO)
+    assert bls.fq12_mul(bls.fq12_frob2(bls.fq12_frob2(zero)), zero) == bls.fq12_frob2(zero)
+    assert bls.fq12_frob1(zero) == bls._exp_neg_z(zero)
+    assert not bls.gt_is_valid(zero)
+    assert bls.gt_is_valid(bls.FQ12_ONE) and bls.gt_is_valid(bls.GT_GEN)
 
 
 def test_sparse_line_multiply_and_squaring_match_dense():

@@ -1,4 +1,6 @@
+import base64
 import json
+import shutil
 
 import pytest
 
@@ -687,3 +689,43 @@ def test_attributes_outside_the_universe_exit_3_and_write_nothing(artifacts, cap
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert f"{artifacts[target]}: field {words}" in err
     assert not artifacts["out"].exists()
+
+
+@pytest.fixture(scope="module")
+def real_artifacts(tmp_path_factory):
+    """A small seeded real deployment with a message and a ciphertext at epoch 3."""
+    tmp = tmp_path_factory.mktemp("real")
+    paths = {name: tmp / f"{name}.json" for name in ("state", "msg", "ct")}
+    assert main(["setup", "--backend", "real", "--users", "4", "--max-time", "8",
+                 "--attr-bound", "2", "--seed", "1", "--state", str(paths["state"])]) == EXIT_OK
+    assert main(["encrypt", "--state", str(paths["state"]), "--attrs", "1", "--epoch", "3",
+                 "--random-message", str(paths["msg"]), "--out", str(paths["ct"]),
+                 "--seed", "2"]) == EXIT_OK
+    return paths
+
+
+ENCRYPT_MSG = ("encrypt", "--state", "{state}", "--attrs", "1", "--epoch", "3",
+               "--message", "{msg}", "--out", "{out}")
+# (file, the field holding its target element, command that loads it); 576
+# zero bytes are well formed and decode to zero, which has no inverse
+ZERO_GT = {
+    "state-blind": ("state", ("pp", "blind"), ENCRYPT_MSG),
+    "ct-c": ("ct", ("c",), ("update-ct", "--state", "{state}", "--ct", "{ct}", "--epoch", "4",
+                            "--out", "{out}")),
+    "msg-value": ("msg", ("value",), ENCRYPT_MSG),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ZERO_GT))
+def test_a_zero_target_element_exits_3_naming_file_and_field(real_artifacts, tmp_path, capsys,
+                                                             case):
+    target, keys, command = ZERO_GT[case]
+    files = {name: tmp_path / path.name for name, path in real_artifacts.items()}
+    for name, path in real_artifacts.items():
+        shutil.copy(path, files[name])
+    _set("payload", *keys, base64.b64encode(bytes(576)).decode("ascii"))(files[target])
+    code, _, err = run(capsys, *[arg.format(**files, out=tmp_path / "out.json") for arg in command])
+    assert code == EXIT_INVALID, err
+    assert err == (f"error: {files[target]}: field '{keys[-1]}': "
+                   "target element outside the pairing image\n")
+    assert not (tmp_path / "out.json").exists()
