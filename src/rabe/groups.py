@@ -6,6 +6,9 @@ generator pairs (same exponent in both source groups, see scheme.setup).
 Elements carry a side tag: ciphertext-side elements live in source group
 "one", key-side elements in "two", pairing outputs in "target"; mixing sides
 is an error, which is exactly the discipline that makes the mirroring sound.
+Elements and scalars are immutable slotted values.  A context builds its
+three generator elements once, and generator(side) hands out that one
+element of the side.
 
 Backends:
 
@@ -13,12 +16,12 @@ Backends:
   fixed 32-bit prime, TRANSPARENT_MODULUS.  The pairing multiplies
   exponents.  Nothing is hidden, which is the point: tests can audit every
   component of every artifact against its defining formula, field by field.
-* "real": BLS12-381 at the usual ~128-bit level (see bls12381).  All three
-  generators are module constants, the target one e(g, g~) included, so
-  making one runs no pairing.  Each generator earns its fixed-base table,
-  a signed comb, by use, like any other base (2^11 entries on G1, 2^10 on
-  G2, 2^7 for any other base and on GT), and keeps it while it is among
-  its group's most recent tables.  Nor does
+* "real": BLS12-381 at the usual ~128-bit level (see bls12381).  The
+  three generator payloads are bls12381 constants, the target one e(g, g~)
+  included, so making a context runs no pairing.  Each generator earns its
+  fixed-base table, a signed comb, by use, like any other base (2^11
+  entries on G1, 2^10 on G2, 2^7 for any other base and on GT), and keeps
+  it while it is among its group's most recent tables.  Nor does
   scheme.setup pair for a deployment's blinding base e(g^alpha, g2): it
   raises the target generator to alpha * beta, and pp stores the element.
 
@@ -33,8 +36,6 @@ other.  Scalars encode as 32-byte little-endian.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from . import bls12381 as bls
 from .errors import BackendMismatchError, EnvelopeError, ParameterError, SideMismatchError
@@ -52,16 +53,30 @@ SIDE_TARGET = "target"
 TRANSPARENT_MODULUS = 3301243931
 
 
-@dataclass(frozen=True)
 class Scalar:
-    """Element of Z_p for the group order p of one context."""
+    """Immutable element of Z_p for the group order p of one context."""
 
-    value: int
-    modulus: int
+    __slots__ = ("value", "modulus")
 
-    def __post_init__(self):
-        if not 0 <= self.value < self.modulus:
-            raise ParameterError(f"scalar {self.value} outside [0, {self.modulus})")
+    def __init__(self, value: int, modulus: int):
+        if not 0 <= value < modulus:
+            raise ParameterError(f"scalar {value} outside [0, {modulus})")
+        _SET_VALUE(self, value)
+        _SET_MODULUS(self, modulus)
+
+    def __setattr__(self, *_):
+        raise AttributeError("Scalar is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Scalar:
+            return NotImplemented
+        return self.value == other.value and self.modulus == other.modulus
+
+    def __hash__(self):
+        return hash((self.value, self.modulus))
+
+    def __repr__(self):
+        return f"Scalar(value={self.value!r}, modulus={self.modulus!r})"
 
     def __int__(self):
         return self.value
@@ -79,6 +94,12 @@ class Scalar:
         return cls(value, modulus)
 
 
+# the slots' own setters: the constructors write through them, since
+# __setattr__ refuses every write
+_SET_VALUE = Scalar.value.__set__
+_SET_MODULUS = Scalar.modulus.__set__
+
+
 class GroupElement:
     """Immutable element of one side of one context.
 
@@ -89,9 +110,9 @@ class GroupElement:
     __slots__ = ("ctx", "side", "payload")
 
     def __init__(self, ctx: "BilinearContext", side: str, payload):
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "side", side)
-        object.__setattr__(self, "payload", payload)
+        _SET_CTX(self, ctx)
+        _SET_SIDE(self, side)
+        _SET_PAYLOAD(self, payload)
 
     def __setattr__(self, *_):
         raise AttributeError("GroupElement is immutable")
@@ -107,28 +128,27 @@ class GroupElement:
             raise BackendMismatchError("logarithms are only readable on the transparent backend")
         return self.payload
 
-    def _check_same(self, other: "GroupElement") -> None:
-        if not isinstance(other, GroupElement) or other.ctx.group_id != self.ctx.group_id:
-            raise BackendMismatchError("elements from different group contexts")
-        if other.side != self.side:
-            raise SideMismatchError(f"cannot combine side {self.side} with side {other.side}")
-
     def __mul__(self, other: "GroupElement") -> "GroupElement":
-        self._check_same(other)
-        return GroupElement(self.ctx, self.side, self.ctx._op(self.side, self.payload, other.payload))
+        ctx, side = self.ctx, self.side
+        if not isinstance(other, GroupElement) or other.ctx.group_id != ctx.group_id:
+            raise BackendMismatchError("elements from different group contexts")
+        if other.side != side:
+            raise SideMismatchError(f"cannot combine side {side} with side {other.side}")
+        return GroupElement(ctx, side, ctx._op(side, self.payload, other.payload))
 
     def __truediv__(self, other: "GroupElement") -> "GroupElement":
         return self * other.inverse()
 
     def __pow__(self, exponent) -> "GroupElement":
+        ctx = self.ctx
+        order = ctx.prime_order
         if isinstance(exponent, Scalar):
-            if exponent.modulus != self.ctx.prime_order:
+            if exponent.modulus != order:
                 raise BackendMismatchError("scalar from a different group")
             exponent = exponent.value
         elif not isinstance(exponent, int):
             return NotImplemented
-        exponent %= self.ctx.prime_order
-        return GroupElement(self.ctx, self.side, self.ctx._exp(self.side, self.payload, exponent))
+        return GroupElement(ctx, self.side, ctx._exp(self.side, self.payload, exponent % order))
 
     def inverse(self) -> "GroupElement":
         return GroupElement(self.ctx, self.side, self.ctx._inv(self.side, self.payload))
@@ -151,19 +171,33 @@ class GroupElement:
         return self.ctx._encode_payload(self.side, self.payload)
 
 
+# likewise for elements
+_SET_CTX = GroupElement.ctx.__set__
+_SET_SIDE = GroupElement.side.__set__
+_SET_PAYLOAD = GroupElement.payload.__set__
+
+
 class BilinearContext:
     """Shared interface of both backends."""
 
     backend: str
-    prime_order: int
-    group_id: str
+
+    def __init__(self, prime_order: int, group_id: str, generator_payloads):
+        self.prime_order = prime_order
+        self.group_id = group_id
+        # one immutable element per side, handed out by generator()
+        self._generators = {
+            side: GroupElement(self, side, payload)
+            for side, payload in zip((SIDE_ONE, SIDE_TWO, SIDE_TARGET), generator_payloads)
+        }
 
     # -- element construction ------------------------------------------------
 
     def generator(self, side: str) -> GroupElement:
-        if side not in (SIDE_ONE, SIDE_TWO, SIDE_TARGET):
-            raise ParameterError(f"unknown side {side!r}")
-        return GroupElement(self, side, self._generator_payload(side))
+        try:
+            return self._generators[side]
+        except (KeyError, TypeError):
+            raise ParameterError(f"unknown side {side!r}") from None
 
     def random_scalar(self, rng) -> Scalar:
         return Scalar(rng.randbelow(self.prime_order), self.prime_order)
@@ -209,11 +243,7 @@ class TransparentContext(BilinearContext):
     backend = TRANSPARENT
 
     def __init__(self, modulus: int):
-        self.prime_order = modulus
-        self.group_id = f"{TRANSPARENT}/{modulus}"
-
-    def _generator_payload(self, side):
-        return 1
+        super().__init__(modulus, f"{TRANSPARENT}/{modulus}", (1, 1, 1))
 
     def _op(self, side, x, y):
         return (x + y) % self.prime_order
@@ -245,15 +275,7 @@ class RealContext(BilinearContext):
     backend = REAL
 
     def __init__(self):
-        self.prime_order = bls.R
-        self.group_id = f"{REAL}/bls12-381"
-
-    def _generator_payload(self, side):
-        if side == SIDE_ONE:
-            return bls.G1_GEN
-        if side == SIDE_TWO:
-            return bls.G2_GEN
-        return bls.GT_GEN
+        super().__init__(bls.R, f"{REAL}/bls12-381", (bls.G1_GEN, bls.G2_GEN, bls.GT_GEN))
 
     def _op(self, side, x, y):
         if side == SIDE_ONE:

@@ -34,27 +34,29 @@ def _seed_bytes(seed: int | str | bytes) -> bytes:
 
 class SeededRng:
     """Deterministic byte stream: 64-byte blocks of SHAKE-256(STREAM_LABEL ||
-    0x00 || seed || counter), the counter running from 0."""
+    0x00 || seed || counter), the counter running from 0.  The hash state of
+    the fixed prefix is kept and copied for each block, and draws read the
+    kept blocks by offset."""
 
     def __init__(self, seed: int | str | bytes):
         self._seed = _seed_bytes(seed)
+        self._prefix = hashlib.shake_256(STREAM_LABEL + b"\x00" + self._seed)
         self._counter = 0
         self._buffer = b""
-
-    def _refill(self) -> None:
-        xof = hashlib.shake_256()
-        xof.update(STREAM_LABEL)
-        xof.update(b"\x00")
-        xof.update(self._seed)
-        xof.update(self._counter.to_bytes(8, "big"))
-        self._buffer += xof.digest(64)
-        self._counter += 1
+        self._offset = 0
 
     def randbytes(self, n: int) -> bytes:
-        while len(self._buffer) < n:
-            self._refill()
-        out, self._buffer = self._buffer[:n], self._buffer[n:]
-        return out
+        start = self._offset
+        if start + n > len(self._buffer):
+            buffer = self._buffer[start:]  # the unread tail
+            while len(buffer) < n:
+                xof = self._prefix.copy()
+                xof.update(self._counter.to_bytes(8, "big"))
+                buffer += xof.digest(64)
+                self._counter += 1
+            self._buffer, start = buffer, 0
+        self._offset = start + n
+        return self._buffer[start : start + n]
 
     def randbelow(self, bound: int) -> int:
         """Uniform integer in [0, bound): reduce a 128-bit-oversized draw so

@@ -182,6 +182,12 @@ def test_cross_context_mixing_is_rejected(tctx):
         tctx.pair_product([(b, tctx.random_element(SIDE_TWO, rng))])
     with pytest.raises(BackendMismatchError):
         a ** Scalar(3, other.prime_order)
+    with pytest.raises(BackendMismatchError):
+        b ** Scalar(3, tctx.prime_order)  # a scalar of the larger group
+    with pytest.raises(BackendMismatchError):
+        a * 3
+    with pytest.raises(TypeError):
+        a ** 2.5
 
 
 def test_scalar_encoding(tctx):
@@ -191,6 +197,40 @@ def test_scalar_encoding(tctx):
     assert len(Scalar(p - 1, p).encode()) == 32
     with pytest.raises(EnvelopeError):
         Scalar.decode(b"short", p)
+
+
+def test_scalar_range_and_value_semantics(tctx):
+    p = tctx.prime_order
+    assert int(Scalar(0, p)) == 0 and int(Scalar(p - 1, p)) == p - 1
+    for value in (-1, p):
+        with pytest.raises(ParameterError, match="outside"):
+            Scalar(value, p)
+    s = Scalar(2, p)
+    assert s == Scalar(2, p) and hash(s) == hash(Scalar(2, p))
+    assert s != Scalar(3, p) and s != Scalar(2, 2**31 - 1) and s != 2
+    assert repr(s) == f"Scalar(value=2, modulus={p})"
+
+
+def test_elements_and_scalars_are_immutable(tctx):
+    el = tctx.generator(SIDE_ONE) ** 5
+    s = Scalar(2, tctx.prime_order)
+    for obj, name in ((el, "ctx"), (el, "side"), (el, "payload"), (s, "value"), (s, "modulus")):
+        before = getattr(obj, name)
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(obj, name, None)
+        assert getattr(obj, name) is before
+    assert el.transparent_log == 5 and int(s) == 2
+
+
+def test_generator_is_one_element_per_side(tctx, rctx):
+    for ctx in (tctx, rctx):
+        for side in SIDES:
+            g = ctx.generator(side)
+            assert g.side == side and g == ctx.generator(side)
+            assert hash(g) == hash(ctx.generator(side))
+        for side in ("four", None, ["one"]):
+            with pytest.raises(ParameterError, match="unknown side"):
+                ctx.generator(side)
 
 
 def test_scalar_decode_rejects_non_canonical(tctx):

@@ -44,7 +44,7 @@ def _leaves(obj, path="", out=None) -> dict:
     out = {} if out is None else out
     if isinstance(obj, AccessPolicy):
         out[path] = obj.formula
-    elif dataclasses.is_dataclass(obj) and not isinstance(obj, Scalar):
+    elif dataclasses.is_dataclass(obj):
         for f in dataclasses.fields(obj):
             if f.name != "ctx" and not f.name.startswith("_"):
                 _leaves(getattr(obj, f.name), f"{path}.{f.name}", out)
