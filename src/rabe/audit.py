@@ -112,12 +112,11 @@ def _t_log(logs: ParamLogs, x: int) -> int:
     return acc
 
 
-def _epoch_base_log(logs: ParamLogs, epoch: int, max_time: int, exact: bool) -> int:
-    """log(u0 * prod u_j) over the zero positions of the epoch encoding,
-    exact for key material, truncated for original ciphertexts."""
-    bits = epoch_bits(epoch, max_time) if exact else ct_epoch_bits(epoch, max_time)
+def _epoch_base_log(logs: ParamLogs, epoch: int, max_time: int) -> int:
+    """log(u0 * prod u_j) over the zero positions of the exact epoch
+    encoding."""
     total = logs.u0
-    for j in zero_positions(bits):
+    for j in zero_positions(epoch_bits(epoch, max_time)):
         total = (total + logs.u[j - 1]) % logs.p
     return total
 
@@ -205,7 +204,7 @@ def audit_private_key(pp, mk, state, sk) -> list[Check]:
 
 
 def _d0_check(logs: ParamLogs, pp, epoch: int, secret: int, d0, d1, label: str) -> Check:
-    base = _epoch_base_log(logs, epoch, pp.max_time, exact=True)
+    base = _epoch_base_log(logs, epoch, pp.max_time)
     want = (logs.g2 * (logs.alpha - secret) + base * _log(d1)) % logs.p
     return Check(f"{label}: d0 = g2^(alpha - secret) * base^r", _log(d0) == want, want, _log(d0))
 
@@ -287,7 +286,7 @@ def audit_updated_ct(pp, mk, ct, message=None) -> list[Check]:
     label = f"uct@{ct.epoch}"
     s, more = _audit_ct_common(logs, pp, ct, message, label)
     checks.extend(more)
-    want = _epoch_base_log(logs, ct.epoch, pp.max_time, exact=True) * s % logs.p
+    want = _epoch_base_log(logs, ct.epoch, pp.max_time) * s % logs.p
     checks.append(
         Check(f"{label}: e_t = (u0 * prod u_j)^s", _log(ct.e_t) == want, want, _log(ct.e_t))
     )

@@ -25,10 +25,10 @@ from .errors import EnvelopeError, ParameterError, RabeError
 from .groups import BACKENDS, SIDE_TARGET, TRANSPARENT, new_context
 from .policy import parse_policy
 from .rng import SeededRng, SystemRng
-from .scheme import decrypt, derive_dk, encrypt, keygen, revoke, setup, update_ct, update_key
-from .timecode import (
-    backdatable_epochs, bit_width, ct_epoch_bits, epoch_bits, lemma_row, zero_positions,
+from .scheme import (
+    check_sizes, decrypt, derive_dk, encrypt, keygen, revoke, setup, update_ct, update_key,
 )
+from .timecode import backdatable_epochs, ct_epoch_bits, epoch_bits, lemma_row, zero_positions
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -160,13 +160,12 @@ def _check_paths(args):
 
 
 def _parse_attrs(text):
+    """The integers of a comma-separated list, blank entries skipped; an
+    empty set is encrypt's to refuse."""
     try:
-        attrs = {int(part) for part in text.split(",") if part.strip()}
+        return {int(part) for part in text.split(",") if part.strip()}
     except ValueError:
         raise RabeError(f"attribute list {text!r} is not comma-separated integers") from None
-    if not attrs:
-        raise RabeError("empty attribute list")
-    return attrs
 
 
 # ---------------------------------------------------------------------------
@@ -310,20 +309,20 @@ def _suggest_pairs(max_time, limit=5):
 def cmd_attack_demo(args):
     if args.trials < 1:  # before the run header or a drawn seed is printed
         raise ParameterError("need at least one trial")
+    # the sizes too; the range first, since the default t* below presumes a valid one
+    check_sizes(args.users, args.max_time, args.attr_bound)
     seed = _resolve_seed(args)
     if seed is None:
         seed = int.from_bytes(os.urandom(4), "big")
         print(f"seed: {seed} (drawn from the system; pass --seed to reproduce)")
     ctx = new_context(args.backend)
     max_time = args.max_time
-
-    bit_width(max_time)  # the range first: the default t* below presumes a valid one
     t_star = args.t_star
     if t_star is None:
         t_star = 7 if max_time >= 16 else max(2, max_time // 2 - 1)
     candidates = backdatable_epochs(t_star, max_time)
     t = args.t if args.t is not None else (candidates[-1] if candidates else None)
-    if t is None or t not in candidates:
+    if t not in candidates:  # also when t is None
         if t is None:
             print(f"no epoch before {t_star} can be rewound to at epoch range {max_time}.")
         else:

@@ -163,8 +163,6 @@ def _solve_target(policy: AccessPolicy, attrs, modulus: int):
     usable row index as each pivot, free rows fixed to 0."""
     have = set(attrs)
     usable = [i for i, attr in enumerate(policy.row_attrs) if attr in have]
-    if not usable:
-        return None
     width = policy.width
     # One equation per matrix column: sum_i w_i M[i][col] = target[col]
     aug = [[policy.rows[i][col] % modulus for i in usable] + [1 if col == 0 else 0] for col in range(width)]

@@ -242,6 +242,19 @@ class UpdatedCiphertext(_Ciphertext):
 MAX_USERS = 1 << 16
 
 
+def check_sizes(n_users: int, max_time: int, attr_max: int) -> int:
+    """The sizes setup takes, refused before any draw; returns the epoch
+    bit width tau."""
+    tau = bit_width(max_time)
+    if n_users < 1:
+        raise ParameterError(f"n_users is {n_users}, not at least 1")
+    if n_users > MAX_USERS:  # before the 2 capacity - 1 node secrets are drawn
+        raise ParameterError(f"n_users is {n_users}, above the cap of {MAX_USERS}")
+    if attr_max < 1:
+        raise ParameterError(f"'attr_max' is {attr_max}, not at least 1")
+    return tau
+
+
 def setup(
     ctx: BilinearContext,
     n_users: int,
@@ -249,11 +262,7 @@ def setup(
     attr_max: int,
     rng,
 ) -> tuple[PublicParams, MasterKey, TreeState, RevocationList]:
-    tau = bit_width(max_time)
-    if n_users < 1:
-        raise ParameterError(f"n_users is {n_users}, not at least 1")
-    if n_users > MAX_USERS:  # before the 2 capacity - 1 node secrets are drawn
-        raise ParameterError(f"n_users is {n_users}, above the cap of {MAX_USERS}")
+    tau = check_sizes(n_users, max_time, attr_max)
     alpha = ctx.random_scalar(rng)
     beta = ctx.random_scalar(rng)
     t_gens = tuple(_mirror(ctx, ctx.random_scalar(rng)) for _ in range(attr_max))

@@ -57,6 +57,13 @@ def test_full_scenario_end_to_end(deployment, capsys):
     assert code == EXIT_OK and "verdict: MATCH" in out
 
 
+def test_attribute_lists_skip_blank_entries(deployment, capsys):
+    tmp, state, _ = deployment
+    code, out, _ = run(capsys, "encrypt", "--state", state, "--attrs", " 2,,1, ", "--epoch", 7,
+                       "--random-message", tmp / "m.json", "--out", tmp / "ct.json", "--seed", 12)
+    assert code == EXIT_OK and "encrypted for attributes [1, 2] at epoch 7" in out
+
+
 def test_decrypt_refuses_unanchored_ciphertext(deployment, capsys):
     tmp, state, sk = deployment
     msg, ct, dk, ku = tmp / "m.json", tmp / "ct.json", tmp / "dk.json", tmp / "ku.json"
@@ -337,6 +344,10 @@ def test_lemma_check_table(tmp_path, capsys):
     assert by_tau[5]["outside_vulnerable"] == 35
     code, _, err = run(capsys, "lemma-check", "--tau-max", 20)
     assert code == EXIT_INVALID and "budget" in err
+    # one width, and the last within the budget, are tables too
+    for tau in 4, 16:
+        code, out, _ = run(capsys, "lemma-check", "--tau-min", tau, "--tau-max", tau)
+        assert code == EXIT_OK and f"\n{tau:>3}  " in out
 
 
 def test_seed_env_variable(tmp_path, capsys, monkeypatch):
@@ -348,7 +359,8 @@ def test_seed_env_variable(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("RABE_SEED")
     state_c, state_d = tmp_path / "c.json", tmp_path / "d.json"
     run(capsys, "setup", "--state", state_c)
-    run(capsys, "setup", "--state", state_d)
+    monkeypatch.setenv("RABE_SEED", "")  # set but empty counts as unset
+    assert run(capsys, "setup", "--state", state_d)[0] == EXIT_OK
     assert state_c.read_bytes() != state_d.read_bytes()
 
 
@@ -372,10 +384,11 @@ def test_bad_seeds_exit_3_naming_their_source(tmp_path, capsys, monkeypatch, cas
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert ("--seed" if flag else "RABE_SEED") in err and "[0, 2^256)" in err
     assert not (tmp_path / "state.json").exists()
-    # the top of the range is still a seed
+    # both ends of the range are still seeds
     monkeypatch.delenv("RABE_SEED", raising=False)
-    code, _, err = run(capsys, "setup", "--state", tmp_path / "state.json", "--seed", 2**256 - 1)
-    assert code == EXIT_OK, err
+    for seed in 2**256 - 1, 0:
+        code, _, err = run(capsys, "setup", "--state", tmp_path / "state.json", "--seed", seed)
+        assert code == EXIT_OK, err
 
 
 # usage errors argparse finds: invalid input, so exit 3 with one error line
@@ -414,6 +427,11 @@ HOSTILE = {
     "max-time-not-a-power-of-two": (["setup", "--state", "{fresh}", "--max-time", 3], None),
     "trials-zero": (["attack-demo", "--trials", 0, "--seed", 1], None),
     "trials-negative": (["attack-demo", "--trials", -1, "--seed", 1], None),
+    "attack-users-zero": (["attack-demo", "--trials", 2, "--seed", 1, "--users", 0], None),
+    "attack-users-past-the-cap": (
+        ["attack-demo", "--trials", 2, "--seed", 1, "--users", 65537], None),
+    "attack-attr-bound-zero": (
+        ["attack-demo", "--trials", 2, "--seed", 1, "--attr-bound", 0], None),
     "t-star-zero": (["attack-demo", "--t-star", 0, "--trials", 1, "--seed", 1], None),
     "t-star-past-the-range": (["attack-demo", "--t-star", 40, "--trials", 1, "--seed", 1], None),
     "epoch-zero": (["update-key", "--state", "{state}", "--epoch", 0, "--out", "{out}"], None),
@@ -426,6 +444,11 @@ HOSTILE = {
     "attrs-past-the-bound": (["encrypt", "--state", "{state}", "--attrs", "9", "--epoch", 3,
                               "--random-message", "{msg}", "--out", "{out}"], None),
     "tau-min-one": (["lemma-check", "--tau-min", 1], None),
+    "tau-min-above-tau-max": (["lemma-check", "--tau-min", 5, "--tau-max", 4], None),
+    "tau-max-past-the-budget": (["lemma-check", "--tau-max", 17], None),
+    "pair-not-two-integers": (["lemma-check", "--pair", "3"], None),
+    "attrs-empty": (["encrypt", "--state", "{state}", "--attrs", ",", "--epoch", 3,
+                     "--random-message", "{msg}", "--out", "{out}"], None),
 }
 
 
@@ -444,7 +467,7 @@ def test_hostile_arguments_exit_cleanly(deployment, capsys, monkeypatch, case):
     assert err.startswith("error: ") and err.count("\n") == 1, err
     # a rejected command leaves no output file behind and announces no run
     assert not (tmp / "msg.json").exists() and not (tmp / "out.json").exists()
-    if case.startswith("trials-"):
+    if case.startswith(("trials-", "attack-")):  # a size refused before the run header
         assert out == "", out
 
 

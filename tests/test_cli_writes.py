@@ -175,6 +175,10 @@ SAME_PATH = {
                           "--out", "{same}"], "--out", "--ct", "ct5.json"),
     "derive-dk-out-sk": (["derive-dk", "--state", "s.json", "--sk", "alice.sk", "--ku", "ku7.json",
                           "--out", "{same}"], "--out", "--sk", "alice.sk"),
+    "derive-dk-out-ku": (["derive-dk", "--state", "s.json", "--sk", "alice.sk", "--ku", "ku7.json",
+                          "--out", "{same}"], "--out", "--ku", "ku7.json"),
+    "decrypt-out-dk": (["decrypt", "--state", "s.json", "--ct", "ct7.json", "--dk", "alice.dk7",
+                        "--out", "{same}"], "--out", "--dk", "alice.dk7"),
     "decrypt-out-expect": (["decrypt", "--state", "s.json", "--ct", "ct7.json", "--dk", "alice.dk7",
                             "--expect", "msg.json", "--out", "{same}"], "--out", "--expect",
                            "msg.json"),
@@ -199,6 +203,24 @@ def test_outputs_naming_an_input_or_output_exit_3(walked, capsys, case, via):
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert out_opt in err and other_opt in err
     assert _snapshot(walked) == before
+
+
+def test_two_inputs_may_name_one_file(walked, capsys):
+    """Only outputs are checked against the other paths: an input named
+    twice is read twice, and its kind refuses it."""
+    code, out, err = run(capsys, "derive-dk", "--state", "s.json", "--sk", "alice.sk",
+                         "--ku", "./alice.sk", "--out", "new.dk")
+    assert code == EXIT_INVALID and out == ""
+    assert "expected a ku envelope, found 'sk'" in err
+
+
+def test_an_out_naming_the_transcripts_directory_exits_3(walked, capsys):
+    (walked / "runs").mkdir()
+    code, out, err = run(capsys, "attack-demo", "--seed", 1, "--trials", 2, "--out", "runs",
+                         "--transcripts", "./runs")
+    assert code == EXIT_INVALID and out == ""
+    assert err == "error: --transcripts ./runs names the same file as --out runs\n"
+    assert list((walked / "runs").iterdir()) == []
 
 
 @pytest.mark.parametrize("existing, via", [

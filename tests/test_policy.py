@@ -1,3 +1,4 @@
+import re
 from itertools import chain, combinations
 
 import pytest
@@ -71,8 +72,20 @@ def test_formula_normalization_and_repeated_attrs():
 
 
 def test_parse_errors():
-    for bad in ("", "AND", "1 AND", "(1 OR 2", "1 XOR 2", "0", "1 & 2", "1 2", "1 )"):
-        with pytest.raises(PolicyParseError):
+    """Each refusal names its reason."""
+    for bad, reason in [
+        ("", "empty formula"),
+        ("AND", "expected an attribute or '(', got 'AND'"),
+        ("1 AND", "unexpected end of formula"),
+        ("(1 OR 2", "unbalanced parentheses"),
+        ("1 XOR 2", "unknown operator 'XOR': only the monotone AND/OR are supported"),
+        ("1 not 2", "unknown operator 'not'"),
+        ("0", "attributes are positive integers"),
+        ("1 & 2", "unexpected character at ' & 2'"),
+        ("1 2", "expected AND, OR or ')', got '2'"),
+        ("1 )", "unbalanced parentheses"),
+    ]:
+        with pytest.raises(PolicyParseError, match=re.escape(reason)):
             parse_policy(bad)
 
 
@@ -86,6 +99,10 @@ def test_deepest_and_longest_formulas_under_the_token_cap():
     for over in ("(" * 512 + "7" + ")" * 512, " OR ".join(["1"] * 513)):
         with pytest.raises(PolicyParseError, match="1025 tokens, over the cap of 1024"):
             parse_policy(over)
+    # a formula's token count is odd, so 1024 tokens is always malformed; the
+    # parser, not the cap, says how
+    with pytest.raises(PolicyParseError, match="unexpected end of formula"):
+        parse_policy(" AND ".join(["1"] * 512) + " AND")
 
 
 def test_matrix_semantics_match_boolean_oracle_500_random_formulas():
@@ -180,7 +197,9 @@ def test_mutated_formulas_raise_policy_parse_error(formula):
 
 def test_share_and_reconstruct_roundtrip():
     rng = SeededRng("shares")
-    for formula in ("1 AND (2 OR 3)", "(1 OR 4) AND (2 OR 3)", "1 OR (2 AND 3 AND 4)"):
+    # in "(3 AND 1) OR 4", {1, 4} solves row 1 to coefficient 0, and w omits it
+    for formula in ("1 AND (2 OR 3)", "(1 OR 4) AND (2 OR 3)", "1 OR (2 AND 3 AND 4)",
+                    "(3 AND 1) OR 4"):
         policy = parse_policy(formula)
         for attrs in powerset(policy.attributes()):
             secret = rng.randbelow(MOD)
@@ -189,6 +208,7 @@ def test_share_and_reconstruct_roundtrip():
             if formula_holds(policy.formula, attrs):
                 w = reconstruction_coefficients(policy, attrs, MOD)
                 assert set(w) <= {i for i, a in enumerate(policy.row_attrs) if a in set(attrs)}
+                assert 0 not in w.values()
                 got = sum(c * shares[i] for i, c in w.items()) % MOD
                 assert got == secret
             else:

@@ -1,5 +1,5 @@
 """The README's Layout table names each module of the package exactly once,
-and every `rabe` command in its code blocks parses."""
+its library example runs, and every `rabe` command in its code blocks parses."""
 
 import pathlib
 import re
@@ -29,3 +29,11 @@ def test_every_documented_command_parses():
     parser = cli._build_parser()
     for argv in commands:
         parser.parse_args(argv[1:])
+
+
+def test_library_use_example_runs():
+    """The Python block under "Library use" runs as written, so its import
+    paths and calls cannot drift from the package."""
+    section = README.split("\n## Library use\n", 1)[1].split("\n#", 1)[0]
+    block = re.search(r"^```python\n(.*?)^```", section, flags=re.M | re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})

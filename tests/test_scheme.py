@@ -1,5 +1,8 @@
 import dataclasses
 import doctest
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -538,6 +541,19 @@ def test_seeded_runs_reproduce_artifacts_bit_for_bit():
 def test_quick_tour_in_the_package_docstring_runs():
     result = doctest.testmod(rabe)
     assert result.failed == 0 and result.attempted >= 11, result
+
+
+def test_importing_the_package_loads_no_module():
+    """Each name has one import path, its owning module: the package root
+    imports nothing, and a module loads only what it uses."""
+    code = ("import sys, {}; "
+            "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'rabe')))")
+    src = os.path.dirname(os.path.dirname(rabe.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    for module, loaded in ("rabe", "rabe"), ("rabe.rng", "rabe rabe.rng"):
+        out = subprocess.run([sys.executable, "-c", code.format(module)], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == loaded
 
 
 # ---------------------------------------------------------------------------
