@@ -20,7 +20,7 @@ import os
 import sys
 import time
 
-from . import game, serial
+from . import serial
 from .errors import EnvelopeError, ParameterError, RabeError
 from .groups import BACKENDS, SIDE_TARGET, TRANSPARENT, new_context
 from .policy import parse_policy
@@ -307,6 +307,8 @@ def _suggest_pairs(max_time, limit=5):
 
 
 def cmd_attack_demo(args):
+    from . import game  # the one command that plays games imports them
+
     if args.trials < 1:  # before the run header or a drawn seed is printed
         raise ParameterError("need at least one trial")
     # the sizes too; the range first, since the default t* below presumes a valid one

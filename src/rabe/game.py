@@ -28,8 +28,8 @@ from __future__ import annotations
 
 import math
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import EpochRangeError, ParameterError, SideMismatchError
 from .groups import SIDE_TARGET, BilinearContext, GroupElement
@@ -73,20 +73,28 @@ def backdate_ciphertext(pp, ct: OriginalCiphertext, epoch: int, rng) -> UpdatedC
     return fold_ciphertext(pp, ct, epoch, rng)
 
 
-@contextmanager
-def _timed(timings: dict[str, float], step: str):
-    """Record the wall time of the with-block as timings[step]."""
-    t0 = time.perf_counter()
-    yield
-    timings[step] = time.perf_counter() - t0
+class _timed:
+    """Record the wall time of the with-block as timings[step], unless the
+    block raises."""
+
+    __slots__ = ("timings", "step", "t0")
+
+    def __init__(self, timings: dict[str, float], step: str):
+        self.timings, self.step = timings, step
+
+    def __enter__(self):
+        self.t0 = time.perf_counter()
+
+    def __exit__(self, kind, *_):
+        if kind is None:
+            self.timings[self.step] = time.perf_counter() - self.t0
 
 
 # ---------------------------------------------------------------------------
 # transcripts
 
 
-@dataclass(frozen=True)
-class QueryRecord:
+class QueryRecord(NamedTuple):
     kind: str                      # "key" | "update" | "revoke"
     identity: str | None = None
     epoch: int | None = None
@@ -135,7 +143,7 @@ def transcript_payload(tr: GameTranscript) -> dict:
         "guess": tr.guess,
         "outcome": tr.outcome,
         "queries": [
-            {k: v for k, v in vars(q).items() if v is not None}
+            {k: v for k, v in q._asdict().items() if v is not None}
             for q in tr.queries
         ],
         "notes": dict(tr.notes),
@@ -146,8 +154,7 @@ def transcript_payload(tr: GameTranscript) -> dict:
 # constraint validation
 
 
-@dataclass(frozen=True)
-class ConstraintReport:
+class ConstraintReport(NamedTuple):
     revoked_in_time_ok: bool       # restriction 1
     never_queried_ok: bool         # restriction 2
     single_coverage: bool          # exactly one restriction catches something

@@ -6,9 +6,10 @@ generator pairs (same exponent in both source groups, see scheme.setup).
 Elements carry a side tag: ciphertext-side elements live in source group
 "one", key-side elements in "two", pairing outputs in "target"; mixing sides
 is an error, which is exactly the discipline that makes the mirroring sound.
-Elements and scalars are immutable slotted values.  A context builds its
-three generator elements once, and generator(side) hands out that one
-element of the side.
+Each element and scalar is one slot, written once with the tuple (ctx,
+side, payload) or (value, modulus) and read back through properties; neither
+is a container.  A context builds its three generator elements once, and
+generator(side) hands out that one element of the side.
 
 Backends:
 
@@ -56,13 +57,15 @@ TRANSPARENT_MODULUS = 3301243931
 class Scalar:
     """Immutable element of Z_p for the group order p of one context."""
 
-    __slots__ = ("value", "modulus")
+    __slots__ = ("_v",)  # (value, modulus), written once
 
     def __init__(self, value: int, modulus: int):
         if not 0 <= value < modulus:
             raise ParameterError(f"scalar {value} outside [0, {modulus})")
-        _SET_VALUE(self, value)
-        _SET_MODULUS(self, modulus)
+        _SET_SCALAR(self, (value, modulus))
+
+    value = property(lambda self: self._v[0])
+    modulus = property(lambda self: self._v[1])
 
     def __setattr__(self, *_):
         raise AttributeError("Scalar is immutable")
@@ -70,19 +73,19 @@ class Scalar:
     def __eq__(self, other) -> bool:
         if other.__class__ is not Scalar:
             return NotImplemented
-        return self.value == other.value and self.modulus == other.modulus
+        return self._v == other._v
 
     def __hash__(self):
-        return hash((self.value, self.modulus))
+        return hash(self._v)
 
     def __repr__(self):
         return f"Scalar(value={self.value!r}, modulus={self.modulus!r})"
 
     def __int__(self):
-        return self.value
+        return self._v[0]
 
     def encode(self) -> bytes:
-        return self.value.to_bytes(32, "little")
+        return self._v[0].to_bytes(32, "little")
 
     @classmethod
     def decode(cls, data: bytes, modulus: int) -> "Scalar":
@@ -94,12 +97,6 @@ class Scalar:
         return cls(value, modulus)
 
 
-# the slots' own setters: the constructors write through them, since
-# __setattr__ refuses every write
-_SET_VALUE = Scalar.value.__set__
-_SET_MODULUS = Scalar.modulus.__set__
-
-
 class GroupElement:
     """Immutable element of one side of one context.
 
@@ -107,74 +104,90 @@ class GroupElement:
     `/` multiplies by the inverse.
     """
 
-    __slots__ = ("ctx", "side", "payload")
+    __slots__ = ("_v",)  # (ctx, side, payload), written once
 
     def __init__(self, ctx: "BilinearContext", side: str, payload):
-        _SET_CTX(self, ctx)
-        _SET_SIDE(self, side)
-        _SET_PAYLOAD(self, payload)
+        _SET_ELEMENT(self, (ctx, side, payload))
+
+    ctx = property(lambda self: self._v[0])
+    side = property(lambda self: self._v[1])
+    payload = property(lambda self: self._v[2])
 
     def __setattr__(self, *_):
         raise AttributeError("GroupElement is immutable")
 
     @property
     def backend(self) -> str:
-        return self.ctx.backend
+        return self._v[0].backend
 
     @property
     def transparent_log(self) -> int:
         """Discrete logarithm to the side generator; transparent backend only."""
         if self.backend != TRANSPARENT:
             raise BackendMismatchError("logarithms are only readable on the transparent backend")
-        return self.payload
+        return self._v[2]
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
-        ctx, side = self.ctx, self.side
-        if not isinstance(other, GroupElement) or other.ctx.group_id != ctx.group_id:
+        ctx, side, x = self._v
+        if other.__class__ is not GroupElement:
             raise BackendMismatchError("elements from different group contexts")
-        if other.side != side:
-            raise SideMismatchError(f"cannot combine side {side} with side {other.side}")
-        return GroupElement(ctx, side, ctx._op(side, self.payload, other.payload))
+        other_ctx, other_side, y = other._v
+        if other_ctx is not ctx and other_ctx.group_id != ctx.group_id:
+            raise BackendMismatchError("elements from different group contexts")
+        if other_side != side:
+            raise SideMismatchError(f"cannot combine side {side} with side {other_side}")
+        _SET_ELEMENT(out := _new(GroupElement), (ctx, side, ctx._op(side, x, y)))
+        return out
 
     def __truediv__(self, other: "GroupElement") -> "GroupElement":
         return self * other.inverse()
 
     def __pow__(self, exponent) -> "GroupElement":
-        ctx = self.ctx
-        order = ctx.prime_order
-        if isinstance(exponent, Scalar):
-            if exponent.modulus != order:
+        ctx, side, x = self._v
+        if exponent.__class__ is Scalar:
+            k, modulus = exponent._v  # already below its modulus
+            if modulus != ctx.prime_order:
                 raise BackendMismatchError("scalar from a different group")
-            exponent = exponent.value
-        elif not isinstance(exponent, int):
+        elif isinstance(exponent, int):
+            k = exponent % ctx.prime_order
+        else:
             return NotImplemented
-        return GroupElement(ctx, self.side, ctx._exp(self.side, self.payload, exponent % order))
+        _SET_ELEMENT(out := _new(GroupElement), (ctx, side, ctx._exp(side, x, k)))
+        return out
 
     def inverse(self) -> "GroupElement":
-        return GroupElement(self.ctx, self.side, self.ctx._inv(self.side, self.payload))
+        ctx, side, x = self._v
+        return _element(ctx, side, ctx._inv(side, x))
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GroupElement)
-            and self.ctx.group_id == other.ctx.group_id
-            and self.side == other.side
-            and self.payload == other.payload
-        )
+        if other.__class__ is not GroupElement:
+            return False
+        ctx, side, x = self._v
+        other_ctx, other_side, y = other._v
+        return other_ctx.group_id == ctx.group_id and other_side == side and y == x
 
     def __hash__(self):
-        return hash((self.ctx.group_id, self.side, self.payload))
+        ctx, side, x = self._v
+        return hash((ctx.group_id, side, x))
 
     def __repr__(self):
         return f"<{self.backend} {self.side} element>"
 
     def encode(self) -> bytes:
-        return self.ctx._encode_payload(self.side, self.payload)
+        ctx, side, x = self._v
+        return ctx._encode_payload(side, x)
 
 
-# likewise for elements
-_SET_CTX = GroupElement.ctx.__set__
-_SET_SIDE = GroupElement.side.__set__
-_SET_PAYLOAD = GroupElement.payload.__set__
+# a value built in one step: allocated, then its slot written through the
+# slot's own setter, since __setattr__ refuses every write
+_new = object.__new__
+_SET_SCALAR = Scalar._v.__set__
+_SET_ELEMENT = GroupElement._v.__set__
+
+
+def _element(ctx: "BilinearContext", side: str, payload) -> GroupElement:
+    _SET_ELEMENT(out := _new(GroupElement), (ctx, side, payload))
+    return out
 
 
 class BilinearContext:
@@ -187,7 +200,7 @@ class BilinearContext:
         self.group_id = group_id
         # one immutable element per side, handed out by generator()
         self._generators = {
-            side: GroupElement(self, side, payload)
+            side: _element(self, side, payload)
             for side, payload in zip((SIDE_ONE, SIDE_TWO, SIDE_TARGET), generator_payloads)
         }
 
@@ -200,7 +213,9 @@ class BilinearContext:
             raise ParameterError(f"unknown side {side!r}") from None
 
     def random_scalar(self, rng) -> Scalar:
-        return Scalar(rng.randbelow(self.prime_order), self.prime_order)
+        order = self.prime_order  # randbelow keeps the value in range
+        _SET_SCALAR(out := _new(Scalar), (rng.randbelow(order), order))
+        return out
 
     def random_element(self, side: str, rng) -> GroupElement:
         return self.generator(side) ** self.random_scalar(rng)
@@ -213,12 +228,12 @@ class BilinearContext:
         checked = []
         for a, b in pairs:
             for el, side in ((a, SIDE_ONE), (b, SIDE_TWO)):
-                if not isinstance(el, GroupElement) or el.ctx.group_id != self.group_id:
+                if el.__class__ is not GroupElement or el._v[0].group_id != self.group_id:
                     raise BackendMismatchError("pairing argument from a different context")
-                if el.side != side:
+                if el._v[1] != side:
                     raise SideMismatchError(f"pairing argument on side {el.side}, expected {side}")
-            checked.append((a.payload, b.payload))
-        return GroupElement(self, SIDE_TARGET, self._pair_product_payload(checked))
+            checked.append((a._v[2], b._v[2]))
+        return _element(self, SIDE_TARGET, self._pair_product_payload(checked))
 
     # -- decoding ------------------------------------------------------------
 
@@ -228,7 +243,7 @@ class BilinearContext:
             payload = self._decode_payload(side, data)
         except ValueError as exc:
             raise EnvelopeError(str(exc)) from None
-        return GroupElement(self, side, payload)
+        return _element(self, side, payload)
 
     def decode_scalar(self, data: bytes) -> Scalar:
         return Scalar.decode(data, self.prime_order)

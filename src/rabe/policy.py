@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import ParameterError, PolicyParseError, UnsatisfiedPolicyError
 
@@ -164,7 +165,8 @@ def _solve_target(policy: AccessPolicy, attrs, modulus: int):
     have = set(attrs)
     usable = [i for i, attr in enumerate(policy.row_attrs) if attr in have]
     width = policy.width
-    # One equation per matrix column: sum_i w_i M[i][col] = target[col]
+    # One equation per matrix column: sum_i w_i M[i][col] = target[col]; the
+    # entries stay reduced, so an entry is zero mod modulus iff it is 0
     aug = [[policy.rows[i][col] % modulus for i in usable] + [1 if col == 0 else 0] for col in range(width)]
     n_unknowns = len(usable)
     pivot_of_unknown: dict[int, int] = {}
@@ -172,22 +174,24 @@ def _solve_target(policy: AccessPolicy, attrs, modulus: int):
     for unknown in range(n_unknowns):
         pivot_row = None
         for r in range(width):
-            if r not in used_rows and aug[r][unknown] % modulus != 0:
+            if r not in used_rows and aug[r][unknown]:
                 pivot_row = r
                 break
         if pivot_row is None:
             continue
         used_rows.add(pivot_row)
         pivot_of_unknown[unknown] = pivot_row
-        inv = pow(aug[pivot_row][unknown], -1, modulus)
-        aug[pivot_row] = [v * inv % modulus for v in aug[pivot_row]]
+        pivot = aug[pivot_row][unknown]
+        if pivot != 1:  # pivots are mostly +-1, and -1 is its own inverse
+            inv = pivot if pivot == modulus - 1 else pow(pivot, -1, modulus)
+            aug[pivot_row] = [v * inv % modulus for v in aug[pivot_row]]
         for r in range(width):
-            if r != pivot_row and aug[r][unknown] % modulus != 0:
+            if r != pivot_row and aug[r][unknown]:
                 factor = aug[r][unknown]
                 aug[r] = [(v - factor * pv) % modulus for v, pv in zip(aug[r], aug[pivot_row])]
     # Inconsistent system -> not satisfiable with these rows
     for r in range(width):
-        if r not in used_rows and aug[r][n_unknowns] % modulus != 0:
+        if r not in used_rows and aug[r][n_unknowns]:
             return None
     w = {}
     for unknown, r in pivot_of_unknown.items():
@@ -215,7 +219,7 @@ def share_secret(policy: AccessPolicy, secret, modulus: int, rng) -> list:
     """Shares M_i . u for a random vector u with u[0] = secret."""
     secret = int(secret) % modulus
     u = [secret] + [rng.randbelow(modulus) for _ in range(policy.width - 1)]
-    return [sum(m * uj for m, uj in zip(row, u)) % modulus for row in policy.rows]
+    return [sum(map(mul, row, u)) % modulus for row in policy.rows]
 
 
 def check_attributes(attrs, attr_max: int) -> frozenset[int]:

@@ -35,8 +35,12 @@ def _seed_bytes(seed: int | str | bytes) -> bytes:
 class SeededRng:
     """Deterministic byte stream: 64-byte blocks of SHAKE-256(STREAM_LABEL ||
     0x00 || seed || counter), the counter running from 0.  The hash state of
-    the fixed prefix is kept and copied for each block, and draws read the
-    kept blocks by offset."""
+    the fixed prefix is kept and copied for each block.  A refill fetches
+    blocks up to a multiple of REFILL_BLOCKS, and draws read the kept blocks
+    by offset, in place."""
+
+    REFILL_BLOCKS = 4
+    __slots__ = ("_seed", "_prefix", "_counter", "_buffer", "_offset")
 
     def __init__(self, seed: int | str | bytes):
         self._seed = _seed_bytes(seed)
@@ -49,7 +53,7 @@ class SeededRng:
         start = self._offset
         if start + n > len(self._buffer):
             buffer = self._buffer[start:]  # the unread tail
-            while len(buffer) < n:
+            while len(buffer) < n or self._counter % self.REFILL_BLOCKS:
                 xof = self._prefix.copy()
                 xof.update(self._counter.to_bytes(8, "big"))
                 buffer += xof.digest(64)
@@ -63,8 +67,12 @@ class SeededRng:
         the modular bias is negligible."""
         if bound <= 0:
             raise ValueError("bound must be positive")
-        width = (bound.bit_length() + 7) // 8 + 16
-        return int.from_bytes(self.randbytes(width), "big") % bound
+        start = self._offset
+        end = start + (bound.bit_length() + 7) // 8 + 16
+        if end > len(self._buffer):  # a refill
+            return int.from_bytes(self.randbytes(end - start), "big") % bound
+        self._offset = end
+        return int.from_bytes(self._buffer[start:end], "big") % bound
 
     def child(self, label: str | bytes) -> "SeededRng":
         """Independent stream for a sub-task (e.g. one game trial)."""

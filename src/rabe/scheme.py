@@ -30,6 +30,7 @@ element.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import (InvalidNodeError, MissingComponentError, ParameterError, SideMismatchError,
                      UnknownIdentityError)
@@ -51,8 +52,7 @@ from .timecode import bit_width, check_epoch, ct_epoch_bits, epoch_bits, zero_po
 from .tree import RevocationList, TreeState, cover_nodes
 
 
-@dataclass(frozen=True)
-class MirroredPair:
+class MirroredPair(NamedTuple):
     """The same unknown exponent under both source-group generators."""
 
     one: GroupElement

@@ -4,6 +4,7 @@ import shutil
 
 import pytest
 
+from rabe import cli
 from rabe.cli import EXIT_INVALID, EXIT_IO, EXIT_MISMATCH, EXIT_OK, EXIT_REFUSED, main
 
 
@@ -299,7 +300,15 @@ def test_attack_demo_takes_its_sizes_from_its_options(tmp_path, capsys):
     assert (sizes["n_users"], sizes["max_time"], sizes["attr_max"]) == (2, 8, 2)
 
 
-def test_setup_refuses_users_above_the_cap_at_once(tmp_path, capsys):
+class _NoDraws:
+    def randbelow(self, n):
+        raise AssertionError("drew a scalar")
+
+
+def test_setup_refuses_users_above_the_cap_at_once(tmp_path, capsys, monkeypatch):
+    # an rng that refuses every draw: a cap that stopped refusing fails here
+    # at once, not after drawing 2^33 node secrets
+    monkeypatch.setattr(cli, "_rng_for", lambda seed: _NoDraws())
     state = tmp_path / "s.json"
     code, out, err = run(capsys, "setup", "--state", state, "--users", 2**32)
     assert code == EXIT_INVALID and out == ""

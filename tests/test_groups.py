@@ -222,6 +222,17 @@ def test_elements_and_scalars_are_immutable(tctx):
     assert el.transparent_log == 5 and int(s) == 2
 
 
+def test_elements_and_scalars_are_values_not_containers(tctx, rctx):
+    # no length, iteration, indexing or addition, on either backend; a
+    # scalar multiple is written as a power
+    for ctx in (tctx, rctx):
+        scalars = (Scalar(2, ctx.prime_order), ctx.random_scalar(SeededRng("values")))
+        for obj in (ctx.generator(SIDE_ONE) ** 5, ctx.generator(SIDE_TARGET), *scalars):
+            for attempt in (len, iter, lambda o: o[0], lambda o: o + o, lambda o: 3 * o):
+                with pytest.raises(TypeError):
+                    attempt(obj)
+
+
 def test_generator_is_one_element_per_side(tctx, rctx):
     for ctx in (tctx, rctx):
         for side in SIDES:

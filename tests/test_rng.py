@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 import rabe.bls12381 as bls
@@ -68,6 +70,20 @@ def test_seeded_rng_known_answers():
     assert SeededRng(2018).child("x").randbelow(bls.R) == (
         0x6B8B711A7F68DD48B4491654807A75E75906BD3DFBD2227E6CE3E4D747832CDC
     )
+
+
+def test_seeded_rng_known_answers_across_refills():
+    # 200 draws of 20 and 48 bytes with 100 raw bytes among them: 5976
+    # bytes, so slices straddle 64-byte blocks and refills of several
+    # blocks; the digest was taken from the one-block-at-a-time stream
+    rng = SeededRng("refills")
+    h = hashlib.sha256()
+    for i in range(200):
+        if i == 100:
+            h.update(rng.randbytes(100))
+        bound = bls.R if i % 3 == 2 else TRANSPARENT_MODULUS
+        h.update(rng.randbelow(bound).to_bytes(32, "big"))
+    assert h.hexdigest() == "9388ecb54bfe5b0888ef03be39e0ffe556deffb96e0b476dbf686196ce5682f7"
 
 
 def test_seeded_rng_bounds():

@@ -554,6 +554,11 @@ def test_importing_the_package_loads_no_module():
         out = subprocess.run([sys.executable, "-c", code.format(module)], env=env,
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == loaded
+    # the CLI imports the game only in attack-demo, and never the audit
+    out = subprocess.run([sys.executable, "-c", code.format("rabe.cli")], env=env,
+                         capture_output=True, text=True, check=True)
+    assert "rabe.cli" in out.stdout.split()
+    assert not {"rabe.game", "rabe.audit"} & set(out.stdout.split())
 
 
 # ---------------------------------------------------------------------------
