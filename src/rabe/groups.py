@@ -157,7 +157,7 @@ class GroupElement:
 
     def inverse(self) -> "GroupElement":
         ctx, side, x = self._v
-        return _element(ctx, side, ctx._inv(side, x))
+        return GroupElement(ctx, side, ctx._inv(side, x))
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not GroupElement:
@@ -185,11 +185,6 @@ _SET_SCALAR = Scalar._v.__set__
 _SET_ELEMENT = GroupElement._v.__set__
 
 
-def _element(ctx: "BilinearContext", side: str, payload) -> GroupElement:
-    _SET_ELEMENT(out := _new(GroupElement), (ctx, side, payload))
-    return out
-
-
 class BilinearContext:
     """Shared interface of both backends."""
 
@@ -200,7 +195,7 @@ class BilinearContext:
         self.group_id = group_id
         # one immutable element per side, handed out by generator()
         self._generators = {
-            side: _element(self, side, payload)
+            side: GroupElement(self, side, payload)
             for side, payload in zip((SIDE_ONE, SIDE_TWO, SIDE_TARGET), generator_payloads)
         }
 
@@ -213,9 +208,7 @@ class BilinearContext:
             raise ParameterError(f"unknown side {side!r}") from None
 
     def random_scalar(self, rng) -> Scalar:
-        order = self.prime_order  # randbelow keeps the value in range
-        _SET_SCALAR(out := _new(Scalar), (rng.randbelow(order), order))
-        return out
+        return Scalar(rng.randbelow(self.prime_order), self.prime_order)
 
     def random_element(self, side: str, rng) -> GroupElement:
         return self.generator(side) ** self.random_scalar(rng)
@@ -233,7 +226,7 @@ class BilinearContext:
                 if el._v[1] != side:
                     raise SideMismatchError(f"pairing argument on side {el.side}, expected {side}")
             checked.append((a._v[2], b._v[2]))
-        return _element(self, SIDE_TARGET, self._pair_product_payload(checked))
+        return GroupElement(self, SIDE_TARGET, self._pair_product_payload(checked))
 
     # -- decoding ------------------------------------------------------------
 
@@ -243,7 +236,7 @@ class BilinearContext:
             payload = self._decode_payload(side, data)
         except ValueError as exc:
             raise EnvelopeError(str(exc)) from None
-        return _element(self, side, payload)
+        return GroupElement(self, side, payload)
 
     def decode_scalar(self, data: bytes) -> Scalar:
         return Scalar.decode(data, self.prime_order)

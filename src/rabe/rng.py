@@ -35,11 +35,9 @@ def _seed_bytes(seed: int | str | bytes) -> bytes:
 class SeededRng:
     """Deterministic byte stream: 64-byte blocks of SHAKE-256(STREAM_LABEL ||
     0x00 || seed || counter), the counter running from 0.  The hash state of
-    the fixed prefix is kept and copied for each block.  A refill fetches
-    blocks up to a multiple of REFILL_BLOCKS, and draws read the kept blocks
-    by offset, in place."""
+    the fixed prefix is kept and copied for each block, and draws read the
+    kept blocks by offset, in place."""
 
-    REFILL_BLOCKS = 4
     __slots__ = ("_seed", "_prefix", "_counter", "_buffer", "_offset")
 
     def __init__(self, seed: int | str | bytes):
@@ -53,7 +51,7 @@ class SeededRng:
         start = self._offset
         if start + n > len(self._buffer):
             buffer = self._buffer[start:]  # the unread tail
-            while len(buffer) < n or self._counter % self.REFILL_BLOCKS:
+            while len(buffer) < n:
                 xof = self._prefix.copy()
                 xof.update(self._counter.to_bytes(8, "big"))
                 buffer += xof.digest(64)

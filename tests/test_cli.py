@@ -300,15 +300,10 @@ def test_attack_demo_takes_its_sizes_from_its_options(tmp_path, capsys):
     assert (sizes["n_users"], sizes["max_time"], sizes["attr_max"]) == (2, 8, 2)
 
 
-class _NoDraws:
-    def randbelow(self, n):
-        raise AssertionError("drew a scalar")
-
-
-def test_setup_refuses_users_above_the_cap_at_once(tmp_path, capsys, monkeypatch):
+def test_setup_refuses_users_above_the_cap_at_once(tmp_path, capsys, monkeypatch, no_draws):
     # an rng that refuses every draw: a cap that stopped refusing fails here
     # at once, not after drawing 2^33 node secrets
-    monkeypatch.setattr(cli, "_rng_for", lambda seed: _NoDraws())
+    monkeypatch.setattr(cli, "_rng_for", lambda seed: no_draws)
     state = tmp_path / "s.json"
     code, out, err = run(capsys, "setup", "--state", state, "--users", 2**32)
     assert code == EXIT_INVALID and out == ""

@@ -211,6 +211,24 @@ def test_scalar_range_and_value_semantics(tctx):
     assert repr(s) == f"Scalar(value=2, modulus={p})"
 
 
+def test_random_scalar_refuses_a_draw_out_of_range(tctx, rctx):
+    # any object with randbelow is an rng; one that answers outside
+    # [0, bound) is refused, not turned into a scalar
+    class Answers:
+        def __init__(self, value):
+            self.value = value
+
+        def randbelow(self, bound):
+            return self.value
+
+    for ctx in (tctx, rctx):
+        p = ctx.prime_order
+        assert ctx.random_scalar(Answers(p - 1)) == Scalar(p - 1, p)
+        for value in (-1, p, p + 5):
+            with pytest.raises(ParameterError, match="outside"):
+                ctx.random_scalar(Answers(value))
+
+
 def test_elements_and_scalars_are_immutable(tctx):
     el = tctx.generator(SIDE_ONE) ** 5
     s = Scalar(2, tctx.prime_order)

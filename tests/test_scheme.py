@@ -461,20 +461,15 @@ def test_setup_draws_every_node_secret_and_keys_only_read_them():
             setup(ctx, n_users, 16, 3, rng)
 
 
-class _NoDraws:
-    def randbelow(self, n):
-        raise AssertionError("drew a scalar")
-
-
-def test_setup_refuses_n_users_above_the_cap_before_any_draw():
+def test_setup_refuses_n_users_above_the_cap_before_any_draw(no_draws):
     ctx = new_context(TRANSPARENT)
     assert MAX_USERS == 1 << 16
     for n_users in (MAX_USERS + 1, 2**32, 2**30 + 3):
         with pytest.raises(ParameterError, match=f"n_users is {n_users}, above the cap of 65536"):
-            setup(ctx, n_users, 16, 3, _NoDraws())
+            setup(ctx, n_users, 16, 3, no_draws)
     # the cap itself passes the check: the master key's draw comes next
     with pytest.raises(AssertionError, match="drew a scalar"):
-        setup(ctx, MAX_USERS, 16, 3, _NoDraws())
+        setup(ctx, MAX_USERS, 16, 3, no_draws)
 
 
 def test_epoch_mismatch_yields_garbage_not_plaintext():
